@@ -3,14 +3,20 @@
 Small dense routines over Fraction / int used by the polytope and Laurent
 machinery: determinants, inverses of unimodular matrices, rational null
 spaces, saturated integer kernels, completion of a primitive vector to a
-lattice basis, and a phase-one simplex for exact feasibility questions
-(point-in-hull tests and finding interior vectors of dual cones).
+lattice basis, a phase-one simplex for finding interior vectors of dual
+cones, and the exact convex-hull engine.
 
-Everything is exact; inputs are tiny, so no effort is spent on asymptotics.
+The hull engine works in integers only: Andrew's monotone chain in the
+plane, and beneath-beyond over a triangulated boundary in dimension three
+and up, with facet normals from fraction-free (Bareiss) cofactor
+determinants.  It returns vertices and facets together and checks its own
+output, raising :class:`VerificationFailure` when a check fails.
 """
 
 from fractions import Fraction
 from math import gcd
+
+from .errors import PreconditionViolation, VerificationFailure
 
 
 def identity_matrix(n):
@@ -28,27 +34,23 @@ def mat_mul(A, B):
 
 
 def det(M):
-    """Determinant by exact fraction-free-ish elimination."""
-    n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    sign = 1
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination, in which every division is exact."""
+    A = [list(r) for r in M]
+    n = len(A)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if A[r][k] != 0), None)
+            if piv is None:
+                return 0
+            A[k], A[piv] = A[piv], A[k]
             sign = -sign
-        d *= A[col][col]
-        inv = 1 / A[col][col]
-        for r in range(col + 1, n):
-            f = A[r][col] * inv
-            if f == 0:
-                continue
-            for c in range(col, n):
-                A[r][c] -= f * A[col][c]
-    return sign * d
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[-1][-1] if n else 1
 
 
 def is_unimodular(M):
@@ -299,18 +301,6 @@ def phase1_feasible(A, b):
     return x
 
 
-def in_convex_hull(point, points):
-    """Exact test whether point lies in the convex hull of points."""
-    pts = list(points)
-    if not pts:
-        return False
-    n = len(point)
-    A = [[Fraction(p[i]) for p in pts] for i in range(n)]
-    A.append([Fraction(1)] * len(pts))
-    b = [Fraction(x) for x in point] + [Fraction(1)]
-    return phase1_feasible(A, b) is not None
-
-
 def strict_dual_vector(generators):
     """An integer vector q with <q, u> >= 1 for every generator u.
 
@@ -374,3 +364,207 @@ def fit_cone_to_orthant(generators):
                 k = max(k, (-d + qdots[u] - 1) // qdots[u])
         M.append([row[j] + k * q[j] for j in range(n)])
     return M
+
+
+# --------------------------------------------------------------------------
+# exact integer convex hulls
+# --------------------------------------------------------------------------
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def echelon(vectors, cap=None):
+    """Integer row echelon form of the vectors, built one vector at a time.
+
+    Returns (rows, used): rows are (pivot column, row) pairs with distinct
+    pivots, each row zero at the pivots of the rows before it; used lists
+    the indices of the vectors that raised the rank.  Stops once the rank
+    reaches ``cap``.
+    """
+    rows, used = [], []
+    for k, v in enumerate(vectors):
+        v = list(v)
+        for piv, r in rows:
+            if v[piv]:
+                v = [r[piv] * a - v[piv] * b for a, b in zip(v, r)]
+                g = gcd(*v)
+                if g > 1:
+                    v = [x // g for x in v]
+        piv = next((j for j, x in enumerate(v) if x), None)
+        if piv is not None:
+            rows.append((piv, v))
+            used.append(k)
+            if len(rows) == cap:
+                break
+    return rows, used
+
+
+def _hyperplane(simplex, interior, scale):
+    """Primitive normal n and offset c of the hyperplane through d points
+    of Z^d, oriented so that <n, interior> < scale * c."""
+    base = simplex[0]
+    rows = [[a - b for a, b in zip(p, base)] for p in simplex[1:]]
+    normal = [(-1) ** j * det([r[:j] + r[j + 1:] for r in rows])
+              for j in range(len(base))]
+    g = gcd(*normal)
+    if g == 0:
+        raise VerificationFailure("hull simplex %r is degenerate" % (simplex,))
+    normal = tuple(x // g for x in normal)
+    c = _dot(normal, base)
+    side = _dot(normal, interior) - scale * c
+    if side == 0:
+        raise VerificationFailure("interior point lies on a hull hyperplane")
+    if side > 0:
+        normal, c = tuple(-x for x in normal), -c
+    return normal, c
+
+
+def monotone_chain(points):
+    """Hull vertices of distinct points in Z^2 in counterclockwise order.
+
+    Andrew's monotone chain with integer cross products.  Returns indices
+    into points, starting at the lexicographically smallest point; points
+    on edges are dropped.
+    """
+    order = sorted(range(len(points)), key=points.__getitem__)
+    if len(order) < 3:
+        return order
+
+    def cross(o, a, b):
+        o, a, b = points[o], points[a], points[b]
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def half(seq):
+        out = []
+        for i in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], i) <= 0:
+                out.pop()
+            out.append(i)
+        return out
+
+    return half(order)[:-1] + half(order[::-1])[:-1]
+
+
+def _chain_planes(points):
+    """Facet hyperplanes of a polygon, from its monotone-chain cycle."""
+    cycle = monotone_chain(points)
+    if len(cycle) < 3:
+        raise PreconditionViolation("hull points do not span the plane")
+    planes = []
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        ex, ey = (y - x for x, y in zip(points[a], points[b]))
+        g = gcd(ex, ey)
+        normal = (ey // g, -ex // g)    # outward for a counterclockwise cycle
+        planes.append((normal, _dot(normal, points[a])))
+    return planes
+
+
+def _beneath_beyond(points):
+    """Facet hyperplanes of the hull of points spanning Z^d, d >= 3.
+
+    Keeps a triangulated boundary: simplices of d point indices, each with
+    its outward hyperplane, and for every ridge (d - 1 indices) the
+    simplices through it.  A new point replaces the simplices it lies
+    strictly beyond by the cone from it over their horizon ridges; points
+    beyond no simplex lie in the hull so far and are skipped.  Coplanar
+    simplices stay separate and are merged by hyperplane at the end.
+    """
+    d = len(points[0])
+    base = points[0]
+    _, used = echelon([[a - b for a, b in zip(p, base)] for p in points[1:]], d)
+    if len(used) < d:
+        raise PreconditionViolation("hull points do not span Z^%d" % d)
+    start = [0] + [k + 1 for k in used]
+    interior = tuple(sum(points[i][j] for i in start) for j in range(d))
+    scale = d + 1
+    simplices = {}     # sorted tuple of d point indices -> (normal, offset)
+    ridges = {}        # sorted tuple of d - 1 indices -> simplices through it
+
+    def faces(simplex):
+        return [simplex[:k] + simplex[k + 1:] for k in range(d)]
+
+    def add(simplex):
+        simplices[simplex] = _hyperplane([points[i] for i in simplex], interior, scale)
+        for ridge in faces(simplex):
+            ridges.setdefault(ridge, set()).add(simplex)
+
+    for k in range(d + 1):
+        add(tuple(sorted(start[:k] + start[k + 1:])))
+    taken = set(start)
+    for i, p in enumerate(points):
+        if i in taken:
+            continue
+        visible = {s for s, (n, c) in simplices.items() if _dot(n, p) > c}
+        horizon = []
+        for simplex in visible:
+            for ridge in faces(simplex):
+                if len(ridges[ridge]) != 2:
+                    raise VerificationFailure("hull ridge %r is not shared by "
+                                              "two simplices" % (ridge,))
+                if not ridges[ridge] <= visible:
+                    horizon.append(ridge)
+        for simplex in visible:
+            del simplices[simplex]
+            for ridge in faces(simplex):
+                ridges[ridge].discard(simplex)
+                if not ridges[ridge]:
+                    del ridges[ridge]
+        for ridge in horizon:
+            add(tuple(sorted(ridge + (i,))))
+    return set(simplices.values())
+
+
+def convex_hull(points):
+    """Vertices and facets of the convex hull of distinct points spanning Z^d.
+
+    Returns (vertices, facets).  ``vertices`` lists the indices of the hull
+    vertices in ascending order.  ``facets`` is sorted by (normal, offset)
+    and holds (normal, offset, indices) for every facet: the inequality
+    <normal, x> <= offset with a primitive integer normal, and the indices
+    of all points on the facet.  A point is a vertex exactly when the
+    normals of the facets through it have rank d.
+
+    Dimension 1 takes the extremes, dimension 2 the monotone chain, higher
+    dimensions beneath-beyond.  Every facet is checked to support all
+    points; a failed check raises :class:`VerificationFailure`.
+    """
+    d = len(points[0])
+    if d == 1:
+        xs = [p[0] for p in points]
+        if len(xs) < 2:
+            raise PreconditionViolation("hull points do not span the line")
+        planes = {((-1,), -min(xs)), ((1,), max(xs))}
+    elif d == 2:
+        planes = _chain_planes(points)
+    else:
+        planes = _beneath_beyond(points)
+    facets = []
+    through = {}
+    for normal, c in sorted(planes):
+        vals = [_dot(normal, p) for p in points]
+        if max(vals) != c:
+            raise VerificationFailure("hull facet %r <= %d does not support the "
+                                      "points" % (normal, c))
+        eq = frozenset(i for i, v in enumerate(vals) if v == c)
+        facets.append((normal, c, eq))
+        for i in eq:
+            through.setdefault(i, []).append(normal)
+    vertices = [i for i in sorted(through) if len(through[i]) >= d
+                and len(echelon(through[i], d)[0]) == d]
+    return vertices, facets
+
+
+def hull_vertices(points):
+    """Indices of the hull vertices of distinct integer points, ascending.
+
+    The points may span any affine dimension.  They are projected to the
+    pivot coordinates of their difference vectors; the projection is
+    injective on their affine hull, so it keeps the vertices.
+    """
+    base = points[0]
+    rows, _ = echelon([[a - b for a, b in zip(p, base)] for p in points[1:]])
+    if not rows:
+        return [0]
+    cols = sorted(piv for piv, _ in rows)
+    return convex_hull([tuple(p[j] for j in cols) for p in points])[0]

@@ -400,10 +400,7 @@ def laurent_mul(f, g):
 
 
 def _is_vertex(exp, support):
-    others = [e for e in support if e != exp]
-    if not others:
-        return True
-    return not intlin.in_convex_hull(exp, others)
+    return support.index(exp) in intlin.hull_vertices(support)
 
 
 def clear_to_vertex(f, v):

@@ -5,16 +5,15 @@ invariants (normalized volume, lattice point count, edge lattice lengths),
 two-dimensional integral indecomposability, and the suspension-induction
 irreducibility certificate for Laurent polynomials.
 
-Everything is exact; hull vertices are found by linear programming over
-the rationals, faces by supporting-hyperplane enumeration.  Inputs in this
-problem domain are tiny (a handful of vertices in dimension at most four
-or five), so clarity wins over asymptotics throughout.
+Everything is exact.  Points are first rewritten in coordinates of their
+saturated affine lattice; the integer hull engine of :mod:`augvar.intlin`
+(monotone chain in the plane, beneath-beyond above it) then yields the
+vertices and the facets together, and membership, edges and the
+counterclockwise polygon cycle are read off its output.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from . import intlin
@@ -22,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     NotTwoDimensionalInput,
     PreconditionViolation,
+    VerificationFailure,
     ZeroPolynomial,
 )
 from .laurent import clear_to_vertex, clear_to_vertex_fitted
@@ -58,14 +58,32 @@ class LatticePolytope:
 
     @classmethod
     def from_points(cls, points):
-        """Hull of arbitrary integer points; interior points are dropped."""
+        """Hull of arbitrary integer points; non-vertices are dropped.
+
+        The hull engine runs once, on the points in reduced coordinates.
+        The lexicographically smallest point is a vertex and the points
+        span the same affine lattice as the vertices, so the reduction, the
+        dimension and the facets carry over to the result's cache as they
+        would be computed from its vertices.
+        """
         pts = sorted({tuple(int(x) for x in p) for p in points})
         if not pts:
             raise ValueError("empty point set")
-        dim = len(pts[0])
-        verts = [p for p in pts
-                 if not intlin.in_convex_hull(p, [q for q in pts if q != p])]
-        return cls(dim, verts)
+        support = cls(len(pts[0]), pts)
+        d = support.affine_dim
+        if d == 0:
+            return support
+        red, basis = support._reduced()
+        vertices, facets = intlin.convex_hull(red)
+        P = cls(support.ambient_dim, [pts[i] for i in vertices])
+        position = {i: k for k, i in enumerate(vertices)}
+        P._cache.update(
+            adim=d,
+            frame=support._frame(),
+            reduced=(tuple(red[i] for i in vertices), basis),
+            facets=[(n, c, frozenset(position[i] for i in eq if i in position))
+                    for n, c, eq in facets] if d >= 2 else [])
+        return P
 
     # -- basic geometry ------------------------------------------------------
 
@@ -98,11 +116,7 @@ class LatticePolytope:
         if "adim" not in self._cache:
             v0 = self.vertices[0]
             diffs = [tuple(a - b for a, b in zip(v, v0)) for v in self.vertices[1:]]
-            if not diffs:
-                self._cache["adim"] = 0
-            else:
-                _, pivots = intlin.rref(diffs)
-                self._cache["adim"] = len(pivots)
+            self._cache["adim"] = len(intlin.echelon(diffs)[0])
         return self._cache["adim"]
 
     def _reduced(self):
@@ -113,32 +127,56 @@ class LatticePolytope:
         d = affine_dim.  All lattice quantities (edge gcds, normalized
         volume, point counts) are preserved.
         """
-        if "reduced" in self._cache:
-            return self._cache["reduced"]
-        v0 = self.vertices[0]
-        diffs = [tuple(a - b for a, b in zip(v, v0)) for v in self.vertices]
-        d = self.affine_dim
-        if d == 0:
-            out = (tuple(() for _ in self.vertices), [])
-        else:
-            normals = intlin.rational_nullspace(diffs)
-            if normals:
-                basis = intlin.integer_kernel(normals)
-            else:
-                basis = intlin.identity_matrix(self.ambient_dim)
-            assert len(basis) == d, "saturation basis has wrong rank"
-            # coordinates: solve diff = sum c_i basis_i exactly
-            rows = [[Fraction(basis[j][i]) for j in range(d)]
-                    for i in range(self.ambient_dim)]
+        if "reduced" not in self._cache:
             reduced = []
-            for diff in diffs:
-                coords = _solve_exact(rows, diff)
-                assert all(c.denominator == 1 for c in coords), \
-                    "saturated basis must give integer coordinates"
+            for v in self.vertices:
+                coords = self._coordinates(v)
+                if coords is None or any(c.denominator != 1 for c in coords):
+                    raise VerificationFailure(
+                        "vertex %r has no integer coordinates in the saturated "
+                        "basis" % (v,))
                 reduced.append(tuple(int(c) for c in coords))
-            out = (tuple(reduced), basis)
-        self._cache["reduced"] = out
-        return out
+            self._cache["reduced"] = (tuple(reduced), self._frame()[0])
+        return self._cache["reduced"]
+
+    def _frame(self):
+        """(basis, pivots, inverse) of the saturated affine lattice.
+
+        ``basis`` holds d integer rows spanning the lattice of the affine
+        hull, ``pivots`` d ambient coordinates on which those rows are
+        independent, and ``inverse`` the inverse of that d x d block.
+        """
+        if "frame" not in self._cache:
+            d = self.affine_dim
+            if d == 0:
+                basis = []
+            elif d == self.ambient_dim:
+                basis = intlin.identity_matrix(d)
+            else:
+                v0 = self.vertices[0]
+                normals = intlin.rational_nullspace(
+                    [tuple(a - b for a, b in zip(v, v0)) for v in self.vertices])
+                basis = intlin.integer_kernel(normals)
+                if len(basis) != d:
+                    raise VerificationFailure(
+                        "saturation basis has rank %d, affine hull has dimension %d"
+                        % (len(basis), d))
+            pivots = sorted(p for p, _ in intlin.echelon(basis)[0])
+            if len(pivots) != d:
+                raise VerificationFailure("saturation basis rows are dependent")
+            inverse = intlin.mat_inverse([[b[p] for b in basis] for p in pivots])
+            self._cache["frame"] = (basis, pivots, inverse)
+        return self._cache["frame"]
+
+    def _coordinates(self, point):
+        """Exact coordinates of point - vertices[0] in the saturated basis,
+        or None when the point is off the affine hull."""
+        basis, pivots, inverse = self._frame()
+        diff = [a - b for a, b in zip(point, self.vertices[0])]
+        coords = [sum(r[k] * diff[p] for k, p in enumerate(pivots)) for r in inverse]
+        back = [sum(c * b[i] for c, b in zip(coords, basis))
+                for i in range(self.ambient_dim)]
+        return coords if back == diff else None
 
     # -- faces ---------------------------------------------------------------
 
@@ -146,39 +184,14 @@ class LatticePolytope:
         """Facets of the full-dimensional reduction.
 
         Returns a list of (normal, offset, vertex index frozenset) with
-        primitive integer normals, inequality <n, x> <= c, computed by
-        supporting-hyperplane enumeration over vertex subsets.
+        primitive integer normals, inequality <n, x> <= c, sorted by
+        (normal, offset), from the hull engine; empty below dimension two.
         """
-        if "facets" in self._cache:
-            return self._cache["facets"]
-        verts, _ = self._reduced()
-        d = self.affine_dim
-        facets = {}
-        if d >= 2:
-            for subset in itertools.combinations(range(len(verts)), d):
-                base = verts[subset[0]]
-                rows = [tuple(verts[i][j] - base[j] for j in range(d))
-                        for i in subset[1:]]
-                normals = intlin.rational_nullspace(rows)
-                if len(normals) != 1:
-                    continue
-                n = normals[0]
-                c = sum(a * b for a, b in zip(n, base))
-                vals = [sum(a * b for a, b in zip(n, v)) for v in verts]
-                if all(x <= c for x in vals):
-                    pass
-                elif all(x >= c for x in vals):
-                    n = tuple(-x for x in n)
-                    c = -c
-                    vals = [-x for x in vals]
-                else:
-                    continue
-                eq = frozenset(i for i, x in enumerate(vals) if x == c)
-                if _affine_rank([verts[i] for i in eq]) == d - 1:
-                    facets[(n, c)] = eq
-        out = [(n, c, eq) for (n, c), eq in sorted(facets.items())]
-        self._cache["facets"] = out
-        return out
+        if "facets" not in self._cache:
+            verts, _ = self._reduced()
+            self._cache["facets"] = (intlin.convex_hull(verts)[1]
+                                     if self.affine_dim >= 2 else [])
+        return self._cache["facets"]
 
     def edges(self):
         """Vertex pairs forming 1-faces, as pairs of ambient vertices."""
@@ -201,11 +214,19 @@ class LatticePolytope:
         return sorted(out)
 
     def contains(self, point):
-        """Exact membership test for an ambient rational point."""
+        """Exact membership test for an ambient rational point: it must
+        satisfy the affine-hull equalities and every facet inequality."""
         point = tuple(point)
         if len(point) != self.ambient_dim:
             raise DimensionMismatch("point dimension mismatch")
-        return intlin.in_convex_hull(point, self.vertices)
+        x = self._coordinates(point)
+        if x is None:
+            return False
+        if self.affine_dim == 1:
+            vals = [v[0] for v in self._reduced()[0]]
+            return min(vals) <= x[0] <= max(vals)
+        return all(sum(a * b for a, b in zip(n, x)) <= c
+                   for n, c, _ in self._facets_reduced())
 
     # -- invariants ------------------------------------------------------------
 
@@ -241,30 +262,6 @@ class LatticePolytope:
             lattice_point_count=self.lattice_point_count(),
             edge_lattice_lengths=self.edge_lattice_lengths(),
         )
-
-
-def _solve_exact(rows, rhs):
-    """Solve rows . x = rhs for x over Q (rows is m x d, full column rank)."""
-    m = len(rows)
-    d = len(rows[0])
-    aug = [[Fraction(rows[i][j]) for j in range(d)] + [Fraction(rhs[i])]
-           for i in range(m)]
-    R, pivots = intlin.rref(aug)
-    if d in pivots:
-        raise ValueError("inconsistent system")
-    x = [Fraction(0)] * d
-    for i, p in enumerate(pivots):
-        x[p] = R[i][d]
-    return x
-
-
-def _affine_rank(points):
-    if len(points) <= 1:
-        return 0
-    p0 = points[0]
-    diffs = [tuple(a - b for a, b in zip(p, p0)) for p in points[1:]]
-    _, pivots = intlin.rref(diffs)
-    return len(pivots)
 
 
 def _normalized_volume(verts, d):
@@ -468,20 +465,9 @@ def certify_distinct(P, Q):
 # --------------------------------------------------------------------------
 
 def ccw_vertex_cycle(P):
-    """Vertices of a full-dimensional polygon in counterclockwise order.
-
-    Hull vertices seen from the lexicographically smallest one are totally
-    ordered by the cross product, so an exact comparison sort suffices.
-    """
-    verts = list(P.vertices)
-    v0 = min(verts)
-    rest = [v for v in verts if v != v0]
-
-    def cross(a, b):
-        return (a[0] - v0[0]) * (b[1] - v0[1]) - (a[1] - v0[1]) * (b[0] - v0[0])
-
-    rest.sort(key=functools.cmp_to_key(lambda a, b: -1 if cross(a, b) > 0 else 1))
-    return [v0] + rest
+    """Vertices of a full-dimensional polygon in counterclockwise order,
+    starting at the lexicographically smallest one: the monotone chain."""
+    return [P.vertices[i] for i in intlin.monotone_chain(P.vertices)]
 
 
 def indecomposable_2d(P):

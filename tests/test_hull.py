@@ -1,0 +1,198 @@
+"""Tests for the exact integer hull engine against slow LP and subset oracles.
+
+The engine (``intlin.convex_hull``: monotone chain in the plane,
+beneath-beyond above it) must return exactly what one phase-one LP per
+point (vertices) and supporting-hyperplane enumeration over all d-subsets
+(facets) return, on seeded random supports and on inputs with points on
+edges, in facet interiors, on lines and on lower-dimensional planes.
+"""
+
+import itertools
+import os
+import random
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+from augvar import intlin
+from augvar.errors import PreconditionViolation, VerificationFailure
+from augvar.polytope import LatticePolytope
+
+from hull_oracles import in_convex_hull, lp_vertex_indices, subset_facets
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _spans(points):
+    d = len(points[0])
+    rows = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    return len(intlin.echelon(rows)[0]) == d
+
+
+def _random_support(rng, d, n, box):
+    """n distinct points of [-box, box]^d spanning Z^d, in random order."""
+    while True:
+        pts = list({tuple(rng.randint(-box, box) for _ in range(d)) for _ in range(n)})
+        if len(pts) > d and _spans(pts):
+            rng.shuffle(pts)
+            return pts
+
+
+def _assert_matches_oracles(points):
+    assert intlin.convex_hull(points) == (lp_vertex_indices(points),
+                                          subset_facets(points)), points
+
+
+def test_in_convex_hull():
+    square = [(0, 0), (2, 0), (0, 2), (2, 2)]
+    assert in_convex_hull((1, 1), square)
+    assert in_convex_hull((0, 0), square)
+    assert not in_convex_hull((3, 1), square)
+    assert not in_convex_hull((-1, 0), square)
+
+
+@pytest.mark.parametrize("d, trials, max_points", [(2, 80, 12), (3, 50, 11), (4, 30, 10)])
+def test_engine_matches_lp_and_subset_oracles(d, trials, max_points):
+    rng = random.Random(8100 + d)
+    for _ in range(trials):
+        _assert_matches_oracles(_random_support(rng, d, rng.randint(d + 1, max_points), 2))
+
+
+def test_engine_on_edge_and_facet_interior_points():
+    cases = [
+        list(itertools.product(range(3), repeat=2)),          # edge midpoints, centre
+        list(itertools.product(range(3), repeat=3)),          # + facet centres
+        [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2),          # simplex with edge midpoints
+         (1, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)],
+        [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)],   # facet-interior point
+        [(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2),
+         (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 0)],
+        [(0, 0, 0, 0), (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3),
+         (1, 1, 1, 0), (0, 1, 1, 1), (1, 1, 0, 1)],           # points in facet interiors
+    ]
+    rng = random.Random(44)
+    for pts in cases:
+        for _ in range(2):
+            rng.shuffle(pts)
+            _assert_matches_oracles(list(pts))
+
+
+def test_cube_has_six_square_facets():
+    cube = list(itertools.product((0, 1), repeat=3))
+    vertices, facets = intlin.convex_hull(cube)
+    assert vertices == list(range(8))
+    assert len(facets) == 6
+    assert all(len(eq) == 4 for _, _, eq in facets)
+
+
+@pytest.mark.parametrize("ambient", [3, 4])
+def test_lower_dimensional_supports_on_a_plane(ambient):
+    rng = random.Random(900 + ambient)
+    for _ in range(30):
+        free = rng.randint(0, ambient - 2)      # affine dimension is free + 1
+        pts = sorted({(x + 1, x) + tuple(x + rng.randint(-2, 2) if j < free else 0
+                                         for j in range(ambient - 2))
+                      for x in [rng.randint(-3, 3) for _ in range(rng.randint(2, 9))]})
+        if len(pts) < 2:
+            continue
+        P = LatticePolytope.from_points(pts)
+        assert all(v[0] == v[1] + 1 for v in P.vertices)
+        assert list(P.vertices) == [pts[i] for i in lp_vertex_indices(pts)]
+        assert intlin.hull_vertices(pts) == lp_vertex_indices(pts)
+        red, _ = P._reduced()
+        if P.affine_dim >= 2:
+            assert P._facets_reduced() == subset_facets(list(red))
+
+
+def test_collinear_points_keep_their_endpoints():
+    for pts in ([(0, 0), (1, 1), (2, 2), (5, 5)],
+                [(1, 0, 2), (2, 1, 3), (3, 2, 4), (4, 3, 5)],
+                [(0, 1, 0, 0), (0, 3, 0, 2), (0, 5, 0, 4)]):
+        P = LatticePolytope.from_points(pts)
+        assert P.affine_dim == 1
+        assert P.vertices == (min(pts), max(pts))
+        assert intlin.hull_vertices(pts) == lp_vertex_indices(pts)
+    assert intlin.hull_vertices([(3, -1, 2)]) == [0]
+
+
+def test_hull_vertices_matches_lp_on_random_subspaces():
+    rng = random.Random(61)
+    for _ in range(60):
+        ambient = rng.randint(2, 4)
+        k = rng.randint(1, ambient)
+        gens = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(k)]
+        shift = [rng.randint(-3, 3) for _ in range(ambient)]
+        pts = sorted({tuple(s + sum(c * g[j] for c, g in zip(coefs, gens))
+                            for j, s in enumerate(shift))
+                      for coefs in [[rng.randint(-2, 2) for _ in range(k)]
+                                    for _ in range(rng.randint(1, 8))]})
+        rng.shuffle(pts)
+        assert intlin.hull_vertices(pts) == lp_vertex_indices(pts), pts
+
+
+def test_from_points_cache_matches_lazy_computation():
+    rng = random.Random(77)
+    for trial in range(40):
+        ambient = 2 + trial % 3
+        pts = [tuple(rng.randint(-2, 2) for _ in range(ambient))
+               for _ in range(rng.randint(1, 9))]
+        if trial % 4 == 0:
+            pts = [(p[1] + 1,) + p[1:] for p in pts]     # on x0 = x1 + 1
+        P = LatticePolytope.from_points(pts)
+        fresh = LatticePolytope(P.ambient_dim, P.vertices)
+        assert P.affine_dim == fresh.affine_dim
+        assert P._reduced() == fresh._reduced()
+        assert P._frame() == fresh._frame()
+        assert P._facets_reduced() == fresh._facets_reduced()
+
+
+def test_engine_rejects_points_that_do_not_span():
+    with pytest.raises(PreconditionViolation):
+        intlin.convex_hull([(0,)])
+    with pytest.raises(PreconditionViolation):
+        intlin.convex_hull([(0, 0), (1, 1), (2, 2)])
+    with pytest.raises(PreconditionViolation):
+        intlin.convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+
+
+def test_engine_check_raises_on_a_facet_that_does_not_support(monkeypatch):
+    def shifted(points):
+        return [(n, c - 1) for n, c in original(points)]
+
+    original = intlin._chain_planes
+    monkeypatch.setattr(intlin, "_chain_planes", shifted)
+    with pytest.raises(VerificationFailure):
+        intlin.convex_hull([(0, 0), (1, 0), (0, 1)])
+
+
+def test_wrong_rank_kernel_raises_verification_failure(monkeypatch):
+    real = intlin.integer_kernel
+    monkeypatch.setattr(intlin, "integer_kernel", lambda rows: real(rows)[:-1])
+    with pytest.raises(VerificationFailure):
+        LatticePolytope(3, [(1, 0, 0), (2, 1, 0), (1, 0, 3)])._reduced()
+    with pytest.raises(VerificationFailure):
+        LatticePolytope.from_points([(1, 0, 0), (2, 1, 0), (1, 0, 3), (3, 2, 1)])
+
+
+def test_wrong_rank_kernel_check_survives_python_O():
+    script = textwrap.dedent("""
+        import sys
+        from augvar import intlin
+        from augvar.errors import VerificationFailure
+        from augvar.polytope import LatticePolytope
+        if sys.flags.optimize != 1:
+            sys.exit("not running under -O")
+        real = intlin.integer_kernel
+        intlin.integer_kernel = lambda rows: real(rows)[:-1]
+        try:
+            LatticePolytope(3, [(1, 0, 0), (2, 1, 0), (1, 0, 3)])._reduced()
+        except VerificationFailure:
+            print("raised")
+        """)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "raised"

@@ -1,5 +1,6 @@
 """Tests for the exact linear algebra layer."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -9,7 +10,6 @@ from augvar.intlin import (
     complete_primitive_row,
     det,
     fit_cone_to_orthant,
-    in_convex_hull,
     integer_kernel,
     mat_inverse,
     mat_mul,
@@ -28,6 +28,23 @@ def test_det_known_values():
     assert det([[2, 1], [1, 1]]) == 1
     assert det([[1, 2], [2, 4]]) == 0
     assert det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+
+
+def test_det_matches_permutation_expansion():
+    rng = random.Random(12)
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            M[-1] = list(M[0])                       # singular
+        expansion = 0
+        for perm in itertools.permutations(range(n)):
+            sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            term = sign
+            for i in range(n):
+                term *= M[i][perm[i]]
+            expansion += term
+        assert det(M) == expansion, M
 
 
 def test_mat_inverse_unimodular_is_integer():
@@ -83,14 +100,6 @@ def test_phase1_feasible_simple():
     assert sol == [F(1), F(1)]
     # infeasible in nonnegatives: x1 + x2 = -1
     assert phase1_feasible([[1, 1]], [-1]) is None
-
-
-def test_in_convex_hull():
-    square = [(0, 0), (2, 0), (0, 2), (2, 2)]
-    assert in_convex_hull((1, 1), square)
-    assert in_convex_hull((0, 0), square)
-    assert not in_convex_hull((3, 1), square)
-    assert not in_convex_hull((-1, 0), square)
 
 
 def test_strict_dual_vector_pointed_cone():

@@ -100,6 +100,41 @@ def test_clear_rejects_non_vertex():
         clear_to_vertex(f, (1, 0))
 
 
+def test_clear_rejects_edge_midpoint_and_facet_interior_point():
+    y1, y2 = gens()
+    f = 1 + y1 ** 2 * y2 ** 2 + y1 * y2 + y1 ** 2 - y1
+    for v in ((1, 1), (1, 0)):          # midpoints of the edges from (0, 0)
+        with pytest.raises(NotAVertex):
+            clear_to_vertex(f, v)
+    assert clear_to_vertex(f, (2, 2)) == f * (y1 * y2) ** -2
+    x1, x2, x3 = LaurentPoly.gens(("x1", "x2", "x3"))
+    g = 1 + x1 ** 3 + x2 ** 3 + x3 ** 3 + x1 * x2 * x3   # (1, 1, 1) is inside a facet
+    with pytest.raises(NotAVertex):
+        clear_to_vertex(g, (1, 1, 1))
+    assert clear_to_vertex(g, (0, 0, 3)) == g * x3 ** -3
+
+
+def test_clear_to_vertex_agrees_with_lp_oracle():
+    from hull_oracles import lp_vertex_indices
+    rng = random.Random(23)
+    for trial in range(40):
+        nvars = 2 + trial % 2
+        vs = tuple("y%d" % i for i in range(1, nvars + 1))
+        terms = {tuple(rng.randint(-2, 2) for _ in range(nvars)): 1
+                 for _ in range(rng.randint(1, 8))}
+        if trial % 5 == 0:      # support on a line
+            terms = {tuple(e[0] * (i + 1) for i in range(nvars)): 1 for e in terms}
+        f = LaurentPoly(vs, terms)
+        support = list(f.terms)
+        vertices = set(lp_vertex_indices(support))
+        for i, e in enumerate(support):
+            if i in vertices:
+                assert clear_to_vertex(f, e) == f.shift(tuple(-x for x in e))
+            else:
+                with pytest.raises(NotAVertex):
+                    clear_to_vertex(f, e)
+
+
 def test_cleared_output_properties_random():
     from augvar.rings import is_zero
     rng = random.Random(17)

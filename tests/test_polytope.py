@@ -2,8 +2,9 @@
 
 The oracles here (monotone-chain hull, shoelace area, box lattice counts,
 erosion-based Minkowski decomposition search) are implemented locally with
-plain integer arithmetic and never call the library's hull code, so they
-check the LP-based implementation from an independent route.
+plain integer arithmetic and never call the library's hull code.  The
+library's planar hull is a monotone chain too, so hull tests also compare
+against the LP membership oracle of ``hull_oracles``, an independent route.
 """
 
 import itertools
@@ -25,6 +26,8 @@ from augvar.polytope import (
     newton_polytope,
     polytope_invariants,
 )
+
+from hull_oracles import in_convex_hull, lp_vertex_indices
 
 F = Fraction
 
@@ -166,6 +169,8 @@ def test_hull_matches_monotone_chain_oracle():
                for _ in range(rng.randint(1, 10))]
         P = LatticePolytope.from_points(pts)
         assert sorted(P.vertices) == sorted(hull2d(pts))
+        distinct = sorted(set(pts))
+        assert list(P.vertices) == [distinct[i] for i in lp_vertex_indices(distinct)]
 
 
 def test_lattice_count_3d_matches_membership_oracle():
@@ -183,10 +188,59 @@ def test_lattice_count_3d_matches_membership_oracle():
         for x in range(los[0], his[0] + 1):
             for y in range(los[1], his[1] + 1):
                 for z in range(los[2], his[2] + 1):
-                    if P.contains((x, y, z)):
-                        count += 1
+                    inside = in_convex_hull((x, y, z), P.vertices)
+                    assert P.contains((x, y, z)) == inside
+                    count += inside
         assert P.lattice_point_count() == count
         done += 1
+
+
+def test_contains_exact_rational_points():
+    P = LatticePolytope(2, [(0, 0), (3, 0), (0, 3)])
+    assert P.contains((F(1, 3), F(1, 3)))            # inside
+    assert P.contains((F(3, 2), F(3, 2)))            # on the hypotenuse
+    assert P.contains((F(5, 7), 0))                  # on the bottom edge
+    assert P.contains((3, 0))                        # a vertex
+    assert not P.contains((F(3, 2), F(3, 2) + F(1, 10 ** 9)))
+    assert not P.contains((F(-1, 5), 1))
+    cube = LatticePolytope(3, list(itertools.product((0, 2), repeat=3)))
+    assert cube.contains((F(1, 2), 2, F(7, 4)))
+    assert not cube.contains((F(1, 2), F(9, 4), 1))
+    with pytest.raises(DimensionMismatch):
+        P.contains((0, 0, 0))
+
+
+def test_contains_lower_dimensional_checks_affine_hull():
+    # a triangle on the plane x0 = x1 + 1 in Z^3
+    P = LatticePolytope(3, [(1, 0, 0), (3, 2, 0), (1, 0, 2)])
+    assert P.affine_dim == 2
+    assert P.contains((F(3, 2), F(1, 2), F(1, 2)))
+    assert P.contains((2, 1, 1))                     # on an edge
+    assert not P.contains((F(3, 2), F(1, 3), F(1, 2)))   # off the plane
+    assert not P.contains((3, 2, 1))                 # on the plane, outside
+    segment = LatticePolytope(3, [(0, 0, 0), (2, 4, 6)])
+    assert segment.contains((F(1, 2), 1, F(3, 2)))
+    assert not segment.contains((F(1, 2), 1, 2))
+    assert not segment.contains((3, 6, 9))
+    point = LatticePolytope(2, [(1, -1)])
+    assert point.contains((F(2, 2), -1))
+    assert not point.contains((1, F(-1, 2)))
+
+
+def test_contains_agrees_with_lp_oracle():
+    rng = random.Random(211)
+    for trial in range(30):
+        ambient = 2 + trial % 3
+        pts = [tuple(rng.randint(-2, 2) for _ in range(ambient))
+               for _ in range(rng.randint(1, 7))]
+        if trial % 3 == 0:
+            pts = [(p[1] + 1,) + p[1:] for p in pts]
+        P = LatticePolytope.from_points(pts)
+        for _ in range(10):
+            q = tuple(F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(ambient))
+            if trial % 3 == 0 and rng.random() < 0.5:
+                q = (q[1] + 1,) + q[1:]
+            assert P.contains(q) == in_convex_hull(q, P.vertices), (P, q)
 
 
 def test_minkowski_point_translates():
@@ -435,6 +489,20 @@ def test_ccw_cycle_is_convex():
         n = len(cycle)
         for i in range(n):
             assert _cross(cycle[i], cycle[(i + 1) % n], cycle[(i + 2) % n]) > 0
+
+
+def test_ccw_cycle_is_the_monotone_chain_from_the_smallest_vertex():
+    rng = random.Random(37)
+    for _ in range(40):
+        pts = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(3, 12))]
+        P = LatticePolytope.from_points(pts)
+        if P.affine_dim != 2:
+            continue
+        assert ccw_vertex_cycle(P) == hull2d(pts)
+        assert ccw_vertex_cycle(P)[0] == min(P.vertices)
+    # points on edges passed as vertices are not part of the cycle
+    P = LatticePolytope(2, [(0, 0), (1, 0), (2, 0), (1, 1), (0, 2)])
+    assert ccw_vertex_cycle(P) == [(0, 0), (2, 0), (0, 2)]
 
 
 # --------------------------------------------------------------------------
