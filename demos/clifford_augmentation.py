@@ -8,8 +8,8 @@ The lifted relation of the Clifford torus is a signed sum
 one monomial per index-two disk, with signs recording the spin structure.
 An augmentation sends y1 to the formal holonomy variable mu1 and y2 to
 kappa exp(s), where kappa is a transverse root of the relation restricted
-to y1 = 0 and s is a power series with zero constant term solved order by
-order.  For both standard sign choices the series comes out as the
+to y1 = 0 and s is a power series with zero constant term, solved by
+Newton's method, which doubles the verified order at each step.  For both standard sign choices the series comes out as the
 logarithm log(1 + mu1), and the script verifies this exactly together with
 the vanishing of the relation under the substitution.
 """

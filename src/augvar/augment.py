@@ -5,23 +5,30 @@ exponents, an augmentation is built by expanding around a transverse root
 of the one-variable restriction W(0, ..., 0, y_k):
 
 * pick kappa with W(0,...,0,kappa) = 0 and derivative nonzero there,
-* solve W(mu_1, ..., mu_{k-1}, kappa exp(s)) = 0 order by order for a
-  power series s with zero constant term.
+* solve W(mu_1, ..., mu_{k-1}, kappa exp(s)) = 0 for a power series s with
+  zero constant term, truncated past a given total degree.
 
-The order-by-order step is a Newton update.  Writing r(y) for the
-restriction, the linearization of s -> W(mu, kappa exp(s)) at s = 0 is
-multiplication by kappa r'(kappa), so the update is
+The series comes from Newton's method on F(s) = W(mu, kappa exp(s)).  By
+the chain rule through kappa exp(s), the derivative of F at s is
+multiplication by the series dW(mu, kappa exp(s)), where
+dW = y_k dW/dy_k.  So the update is
 
-    s  <-  s - (kappa r'(kappa))^{-1} W(mu, kappa exp(s)),
+    s  <-  s - F(s) / dW(mu, kappa exp(s)),
 
-which fixes one additional order per step.  (Using the bare derivative
-r'(kappa) with a plus sign happens to agree when kappa r'(kappa) =
--r'(kappa) but diverges for the other sign choices; the chain-rule factor
-kappa is what makes the update correct for every transverse root.)
+and the divisor is invertible because its constant term kappa r'(kappa)
+is nonzero for a transverse root of the restriction r.  If F(s) vanishes
+below degree v, the update makes it vanish below degree 2v, so the
+verified order doubles at each step (Brent and Kung, *Fast algorithms for
+manipulating formal power series*, 1978) and order n takes about log2(n)
+steps.  A residual with a term below the verified degree stops the loop
+with :class:`DoubleRoot`, naming the variable and the order reached.  The
+returned series is re-checked by an independent substitution, and a
+nonzero result raises :class:`VerificationFailure`.
 
-The nilpotent variant solves W_i(mu, kappa (1 + alpha) exp(s)) =
-W_i(0, ..., kappa (1 + alpha)) over Q[alpha]/(alpha^d)[[mu]], producing a
-relation image that is nilpotent of order exactly the multiplicity d.
+The nilpotent variant runs the same loop over Q[alpha]/(alpha^d)[[mu]]
+with kappa (1 + alpha) in place of kappa and the target
+W_i(0, ..., kappa (1 + alpha)) in place of zero, producing a relation image
+that is nilpotent of order exactly the multiplicity d.
 
 Also here: partition components of disconnected Legendrians, the
 hard-coded degree-one DGA relation check for two and three sheets with
@@ -38,6 +45,7 @@ from .errors import (
     MissingAssignment,
     NegativeExponentAtZero,
     NoRootAvailable,
+    VerificationFailure,
 )
 from .laurent import LaurentPoly, grlex_key
 from .rings import (
@@ -47,7 +55,6 @@ from .rings import (
     TruncatedSeries,
     UniPoly,
     frac,
-    invert_scalar,
     is_squarefree,
     is_zero,
     rational_roots,
@@ -198,14 +205,46 @@ def _check_nonnegative_off_variable(relation, var):
                 "apply a unimodular basis change first")
 
 
+def _newton_series(relation, var, kap, target, order, seed):
+    """Solve W(mu, kap exp(s)) = target for s with zero constant term by
+    the Newton loop described in the module docstring.
+
+    ``v`` is the degree below which the residual is known to vanish; each
+    step works at truncation p = min(2v - 1, order) and verifies up to p,
+    so order 10 takes four steps.
+    """
+    k = relation.variables.index(var)
+    dW = LaurentPoly(relation.variables,
+                     {e: c * e[k] for e, c in relation.terms.items() if e[k]})
+    mu_vars = _mu_variables(relation, var)
+    s = TruncatedSeries.zero(mu_vars, order)
+    v = 1
+    while v <= order:
+        p = min(2 * v - 1, order)
+        s = TruncatedSeries(mu_vars, p, s.terms)
+        point = {u: TruncatedSeries.variable(u, mu_vars, p) for u in mu_vars}
+        point[var] = series_exp(s).scale(kap)
+        residual = relation.evaluate(point) - target
+        if not residual.is_zero():
+            if residual.valuation() < v:
+                raise DoubleRoot(
+                    "iteration stalled in %r at order %d: residual has a "
+                    "degree-%d term" % (var, v - 1, residual.valuation()),
+                    suggested_transform=random_unimodular(len(relation.variables), seed))
+            s = s - residual * dW.evaluate(point).invert()
+        v = p + 1
+    return s
+
+
 def solve_formal_augmentation(relation, k, kappa=None, order=DEFAULT_ORDER,
                               factor=None, seed=0):
-    """Order-by-order solution of W(mu, kappa exp(s)) = 0.
+    """Newton solution of W(mu, kappa exp(s)) = 0 to total degree ``order``.
 
     ``kappa`` defaults to the preferred transverse root of the restriction.
-    Each Newton step fixes at least one more order; the loop stops when the
-    residual vanishes in the truncated ring.  The residual of the returned
-    solution is re-checked by direct substitution.
+    Each Newton step doubles the order to which the residual is known to
+    vanish, so O(log order) steps suffice.  The residual of the returned
+    solution is re-checked by direct substitution, and a nonzero residual
+    raises :class:`VerificationFailure`.
     """
     var = _var_name(relation, k)
     _check_nonnegative_off_variable(relation, var)
@@ -214,33 +253,15 @@ def solve_formal_augmentation(relation, k, kappa=None, order=DEFAULT_ORDER,
     r = relation.set_vars_zero(var)
     if not is_zero(r.evaluate(kappa)):
         raise NoRootAvailable("kappa is not a root of the restriction")
-    deriv = r.derivative().evaluate(kappa)
-    if is_zero(deriv):
+    if is_zero(r.derivative().evaluate(kappa)):
         raise DoubleRoot(
             "restriction root is not simple",
             suggested_transform=random_unimodular(len(relation.variables), seed))
-    slope = kappa * deriv                   # chain rule through kappa exp(s)
-    slope_inv = invert_scalar(slope)
-    mu_vars = _mu_variables(relation, var)
-    s = TruncatedSeries.zero(mu_vars, order)
-    point = {v: TruncatedSeries.variable(v, mu_vars, order) for v in mu_vars}
-    prev_val = 0
-    for _ in range(order + 1):
-        point[var] = series_exp(s).scale(kappa)
-        residual = relation.evaluate(point)
-        if residual.is_zero():
-            break
-        val = residual.valuation()
-        if val <= prev_val:
-            raise DoubleRoot(
-                "iteration stalled at order %d" % val,
-                suggested_transform=random_unimodular(len(relation.variables), seed))
-        prev_val = val
-        s = s - residual.scale(slope_inv)
+    s = _newton_series(relation, var, kappa, Fraction(0), order, seed)
     sol = AugmentationSeries(relation=relation, variable=var, kappa=kappa,
                              series=s, order=order)
-    res = sol.residual()
-    assert res.is_zero(), "solver left a nonzero residual"
+    if not sol.residual().is_zero():
+        raise VerificationFailure("solver left a nonzero residual")
     return sol
 
 
@@ -252,7 +273,8 @@ def solve_nilpotent_augmentation(factor_poly, multiplicity, k,
     The solved assignment sends y_k to kappa (1 + alpha) exp(s) so that the
     image of W_i is the mu-independent constant W_i(0, ..., kappa(1+alpha)),
     nilpotent of order exactly ``multiplicity``; the image of W_i^d is then
-    zero while the (d-1)-st power survives.
+    zero while the (d-1)-st power survives.  The series comes from the same
+    Newton loop as the formal solver, with that constant as the target.
 
     ``multiplicity`` = 1 degenerates to the honest formal solver (alpha = 0).
     """
@@ -281,24 +303,16 @@ def solve_nilpotent_augmentation(factor_poly, multiplicity, k,
     alpha = NilpotentElem.alpha(d)
     kap = (one + alpha) * frac(kappa)
     target = r.evaluate(kap)                # c alpha + higher, c != 0
-    slope = kap * r.derivative().evaluate(kap)
-    slope_inv = slope.invert()
-    mu_vars = _mu_variables(factor_poly, var)
-    s = TruncatedSeries.zero(mu_vars, order)
-    point = {v: TruncatedSeries.variable(v, mu_vars, order) for v in mu_vars}
-    for _ in range(order + 1):
-        point[var] = series_exp(s).scale(kap)
-        residual = factor_poly.evaluate(point) - target
-        if residual.is_zero():
-            break
-        s = s - residual.scale(slope_inv)
+    s = _newton_series(factor_poly, var, kap, target, order, seed)
     sol = AugmentationSeries(relation=factor_poly, variable=var, kappa=kap,
                              series=s, order=order, image=target,
                              multiplicity=d)
-    res = sol.residual()
-    assert res.is_zero(), "nilpotent solver left a nonzero residual"
-    assert (target ** d).is_zero(), "image should be nilpotent of order d"
-    assert not (target ** (d - 1)).is_zero(), "image nilpotency order too small"
+    if not sol.residual().is_zero():
+        raise VerificationFailure("nilpotent solver left a nonzero residual")
+    if not (target ** d).is_zero():
+        raise VerificationFailure("image is not nilpotent of order %d" % d)
+    if (target ** (d - 1)).is_zero():
+        raise VerificationFailure("image is nilpotent of order below %d" % d)
     return sol
 
 

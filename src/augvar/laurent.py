@@ -30,6 +30,7 @@ from .rings import (
     frac,
     invert_scalar,
     is_zero,
+    power,
 )
 
 SCALAR_TYPES = (int, Fraction, QuotientFieldElem, NilpotentElem)
@@ -184,14 +185,7 @@ class LaurentPoly:
             ((exp, c),) = self.terms.items()
             return LaurentPoly(self.variables,
                                {tuple(n * e for e in exp): invert_scalar(c) ** (-n)})
-        out = LaurentPoly.one(self.variables)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, lambda: LaurentPoly.one(self.variables))
 
     def shift(self, delta):
         """Multiply by the monomial with exponent vector delta."""

@@ -16,7 +16,6 @@ everything here can be shared freely between threads.
 """
 
 from fractions import Fraction
-from math import factorial
 
 from .errors import (
     BackendMismatch,
@@ -55,6 +54,25 @@ def invert_scalar(x):
             raise NotInvertible("division by zero")
         return 1 / x
     return x.invert()
+
+
+def power(x, n, one):
+    """x**n for an integer n >= 0 by square-and-multiply.
+
+    ``one`` is a zero-argument callable giving the identity; it is called
+    only for n = 0.  The first set bit takes x itself and the last bit is
+    not followed by a squaring, so x**1 costs no product and x**2 one.
+    """
+    if n == 0:
+        return one()
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if not n:
+            return out
+        x = x * x
 
 
 # --------------------------------------------------------------------------
@@ -185,14 +203,7 @@ class UniPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("UniPoly powers must be nonnegative integers")
-        out = UniPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, UniPoly.one)
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -362,6 +373,15 @@ class QuotientFieldElem:
     def __setattr__(self, name, value):
         raise AttributeError("QuotientFieldElem is immutable")
 
+    def _make(self, residue):
+        """An element over this element's modulus, which was checked when
+        the first element over it was built; ``residue`` must already be
+        reduced mod the modulus."""
+        out = object.__new__(QuotientFieldElem)
+        object.__setattr__(out, "modulus", self.modulus)
+        object.__setattr__(out, "residue", residue)
+        return out
+
     @classmethod
     def generator(cls, modulus):
         """The class of t."""
@@ -375,9 +395,9 @@ class QuotientFieldElem:
         if isinstance(other, NilpotentElem):
             raise BackendMismatch("cannot mix quotient-field and nilpotent backends")
         if isinstance(other, (int, Fraction)):
-            return QuotientFieldElem(UniPoly.constant(other), self.modulus)
+            return self._make(UniPoly.constant(other))
         if isinstance(other, UniPoly):
-            return QuotientFieldElem(other, self.modulus)
+            return self._make(other % self.modulus)
         return None
 
     def is_zero(self):
@@ -396,18 +416,18 @@ class QuotientFieldElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return QuotientFieldElem(self.residue + other.residue, self.modulus)
+        return self._make(self.residue + other.residue)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuotientFieldElem(-self.residue, self.modulus)
+        return self._make(-self.residue)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return QuotientFieldElem(self.residue - other.residue, self.modulus)
+        return self._make(self.residue - other.residue)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -416,7 +436,7 @@ class QuotientFieldElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return QuotientFieldElem(self.residue * other.residue, self.modulus)
+        return self._make(self.residue * other.residue % self.modulus)
 
     __rmul__ = __mul__
 
@@ -425,14 +445,7 @@ class QuotientFieldElem:
             raise ValueError("integer powers only")
         if n < 0:
             return self.invert() ** (-n)
-        out = QuotientFieldElem(UniPoly.one(), self.modulus)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, lambda: self._make(UniPoly.one()))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -451,7 +464,7 @@ class QuotientFieldElem:
         if not g.is_constant():
             raise NotInvertible(
                 "gcd(residue, modulus) = %s is nonconstant; modulus is reducible" % g)
-        return QuotientFieldElem(s * (1 / g.leading()), self.modulus)
+        return self._make(s * (1 / g.leading()))
 
     def __str__(self):
         return "(%s mod %s)" % (self.residue.format("t"), self.modulus.format("t"))
@@ -559,14 +572,7 @@ class NilpotentElem:
             raise ValueError("integer powers only")
         if n < 0:
             return self.invert() ** (-n)
-        out = NilpotentElem(UniPoly.one(), self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, lambda: NilpotentElem(UniPoly.one(), self.order))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -660,6 +666,16 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
+    def _make(self, terms):
+        """A series over this one's variables and order from terms whose
+        exponents are already valid; zero coefficients are dropped."""
+        out = object.__new__(TruncatedSeries)
+        object.__setattr__(out, "variables", self.variables)
+        object.__setattr__(out, "order", self.order)
+        object.__setattr__(out, "terms",
+                           {e: c for e, c in terms.items() if not is_zero(c)})
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -738,18 +754,13 @@ class TruncatedSeries:
             return NotImplemented
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            acc = out.get(exp, 0) + c
-            if is_zero(acc):
-                out.pop(exp, None)
-            else:
-                out[exp] = acc
-        return TruncatedSeries(self.variables, self.order, out)
+            out[exp] = out[exp] + c if exp in out else c
+        return self._make(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.variables, self.order,
-                               {e: -c for e, c in self.terms.items()})
+        return self._make({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -764,40 +775,29 @@ class TruncatedSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = {}
         order = self.order
+        right = [(e, c, sum(e)) for e, c in other.terms.items()]
+        out = {}
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > order:
+            room = order - sum(e1)
+            for e2, c2, d2 in right:
+                if d2 > room:
                     continue
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(exp, 0) + c1 * c2
-                if is_zero(acc):
-                    out.pop(exp, None)
-                else:
-                    out[exp] = acc
-        return TruncatedSeries(self.variables, self.order, out)
+                out[exp] = out[exp] + c1 * c2 if exp in out else c1 * c2
+        return self._make(out)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        return TruncatedSeries(self.variables, self.order,
-                               {e: v * c for e, v in self.terms.items()})
+        return self._make({e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, n):
         if not isinstance(n, int):
             raise ValueError("integer powers only")
         if n < 0:
             return self.invert() ** (-n)
-        out = TruncatedSeries.one(self.variables, self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, lambda: TruncatedSeries.one(self.variables, self.order))
 
     def invert(self):
         """Inverse of a series with invertible constant term."""
@@ -817,17 +817,39 @@ class TruncatedSeries:
 
 
 def series_exp(s):
-    """exp(s) = sum s^j / j!, requiring zero constant term."""
+    """exp(s) for a series with zero constant term, one homogeneous degree
+    at a time.
+
+    The Euler operator sum_i x_i d/dx_i multiplies a degree-n part by n and
+    is a derivation, so E = exp(s) satisfies
+
+        n E_n = sum_{k=1..n} k s_k E_{n-k}
+
+    for the degree-n parts E_n of E and s_k of s.  Each E_n is one pass
+    over the degree parts of s, not a full series product.
+    """
     if not is_zero(s.constant_term()):
         raise NonzeroConstantTerm("series exponential needs zero constant term")
-    out = TruncatedSeries.one(s.variables, s.order)
-    power = TruncatedSeries.one(s.variables, s.order)
-    for j in range(1, s.order + 1):
-        power = power * s
-        if power.is_zero():
-            break
-        out = out + power.scale(Fraction(1, factorial(j)))
-    return out
+    order = s.order
+    weighted = [[] for _ in range(order + 1)]       # k * s_k, by degree k
+    for exp, c in s.terms.items():
+        k = sum(exp)
+        weighted[k].append((exp, c * k))
+    parts = [{(0,) * len(s.variables): Fraction(1)}]
+    for n in range(1, order + 1):
+        acc = {}
+        for k in range(1, n + 1):
+            lower = parts[n - k]
+            for e1, c1 in weighted[k]:
+                for e2, c2 in lower.items():
+                    exp = tuple(a + b for a, b in zip(e1, e2))
+                    acc[exp] = acc[exp] + c1 * c2 if exp in acc else c1 * c2
+        scale = Fraction(1, n)
+        parts.append({e: c * scale for e, c in acc.items() if not is_zero(c)})
+    terms = {}
+    for part in parts:
+        terms.update(part)
+    return s._make(terms)
 
 
 def series_log(u):

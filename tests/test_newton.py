@@ -1,0 +1,290 @@
+"""Tests for the Newton solver behind both augmentation solvers.
+
+The Newton loop must give exactly the series of the fixed-slope,
+one-order-per-step iteration it replaced (kept in ``newton_oracles``) over
+Q, over Q[t]/(m) and over Q[alpha]/(alpha^d); ``series_exp`` must match
+the power-sum exponential and sympy.  Verification failures must raise
+:class:`VerificationFailure`, also under ``python -O``.
+"""
+
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
+
+import pytest
+
+from augvar import augment
+from augvar.augment import (
+    AugmentationSeries,
+    solve_formal_augmentation,
+    solve_nilpotent_augmentation,
+)
+from augvar.errors import DoubleRoot, VerificationFailure
+from augvar.laurent import LaurentPoly
+from augvar.potentials import clifford_relation
+from augvar.rings import (
+    NilpotentElem,
+    QuotientFieldElem,
+    TruncatedSeries,
+    UniPoly,
+    series_exp,
+)
+
+from newton_oracles import (
+    fixed_slope_formal,
+    fixed_slope_nilpotent,
+    power_sum_exp,
+)
+
+F = Fraction
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _relation_with_root(rng, nvars, kappa):
+    """A relation in y1..y_n whose restriction to y_n has the simple root
+    kappa, plus random mixed terms that vanish at mu = 0."""
+    vs = tuple("y%d" % i for i in range(1, nvars + 1))
+    gens = LaurentPoly.gens(vs)
+    yk = gens[-1]
+    other = rng.choice([F(3), F(-3), F(5, 2)])
+    rel = (1 - yk * (1 / kappa)) * (1 - yk * (1 / other))
+    for _ in range(rng.randint(2, 4)):
+        exp = [rng.randint(0, 2) for _ in range(nvars - 1)] + [rng.randint(0, 2)]
+        if not any(exp[:-1]):
+            exp[rng.randrange(nvars - 1)] = 1
+        rel = rel + LaurentPoly.monomial(F(rng.choice([-3, -2, -1, 1, 2, 3])), exp, vs)
+    return rel
+
+
+# --------------------------------------------------------------------------
+# Newton against the fixed-slope oracle
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_newton_matches_fixed_slope_over_q(nvars):
+    rng = random.Random(7100 + nvars)
+    for _ in range(8):
+        kappa = rng.choice([F(1), F(-1), F(2), F(-2), F(1, 2)])
+        rel = _relation_with_root(rng, nvars, kappa)
+        order = rng.choice([5, 6, 7]) if nvars == 3 else rng.choice([7, 9, 11])
+        var = rel.variables[-1]
+        sol = solve_formal_augmentation(rel, var, kappa=kappa, order=order)
+        assert sol.series == fixed_slope_formal(rel, var, kappa, order), str(rel)
+
+
+def test_newton_matches_fixed_slope_on_clifford():
+    for signs in ("+,+,+,+", "+,-,+,-", "-,+,-,+"):
+        rel = clifford_relation(4, signs).lifted_relation
+        sol = solve_formal_augmentation(rel, "y3", order=7)
+        assert sol.series == fixed_slope_formal(rel, "y3", sol.kappa, 7)
+
+
+def test_newton_matches_fixed_slope_over_quotient_field():
+    y1, y2 = LaurentPoly.gens(("y1", "y2"))
+    relq = -2 + y2 ** 2 + y1 + 3 * y1 * y2
+    factor = UniPoly([-2, 0, 1])
+    sol = solve_formal_augmentation(relq, "y2", factor=factor, order=6)
+    assert isinstance(sol.kappa, QuotientFieldElem)
+    assert sol.series == fixed_slope_formal(relq, "y2", sol.kappa, 6)
+    rng = random.Random(7200)
+    for _ in range(4):
+        p, q = rng.choice([(0, -3), (1, -1), (-1, -5), (2, -1)])
+        rel = q + p * y2 + y2 ** 2
+        for _ in range(2):
+            rel = rel + rng.choice([1, -2, 3]) * y1 ** rng.randint(1, 2) \
+                * y2 ** rng.randint(0, 1)
+        sol = solve_formal_augmentation(rel, "y2", factor=UniPoly([q, p, 1]), order=5)
+        assert sol.series == fixed_slope_formal(rel, "y2", sol.kappa, 5), str(rel)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_newton_matches_fixed_slope_in_nilpotent_ring(d):
+    rng = random.Random(7300 + d)
+    for _ in range(3):
+        kappa = rng.choice([F(1), F(-1), F(2), F(-2)])
+        rel = _relation_with_root(rng, 2, kappa)
+        sol = solve_nilpotent_augmentation(rel, d, "y2", kappa=kappa, order=6)
+        kap, target, series = fixed_slope_nilpotent(rel, d, "y2", kappa, 6)
+        assert sol.kappa == kap
+        assert sol.image == target
+        assert sol.series == series, str(rel)
+
+
+def test_newton_takes_log_order_steps(monkeypatch):
+    """Order 10 takes four steps (verified orders 1, 3, 7, 10); each step
+    evaluates the relation and its derivative once, and the final check
+    substitutes once more."""
+    calls = []
+    real = LaurentPoly.evaluate
+
+    def counting(self, point):
+        calls.append(next(iter(point.values())).order if point else None)
+        return real(self, point)
+
+    monkeypatch.setattr(LaurentPoly, "evaluate", counting)
+    rel = clifford_relation(3, "+,+,-").lifted_relation
+    solve_formal_augmentation(rel, "y2", order=10)
+    assert calls == [1, 1, 3, 3, 7, 7, 10, 10, 10]
+
+
+# --------------------------------------------------------------------------
+# stall detection and verification
+# --------------------------------------------------------------------------
+
+def _doubled_inverse(monkeypatch):
+    """A derivative inverse twice too large: a step no longer fixes the
+    next orders, which the per-step check must catch."""
+    real = TruncatedSeries.invert
+    monkeypatch.setattr(TruncatedSeries, "invert", lambda self: real(self).scale(2))
+
+
+def test_formal_stall_names_variable_and_order(monkeypatch):
+    _doubled_inverse(monkeypatch)
+    rel = clifford_relation(3, "+,+,-").lifted_relation
+    with pytest.raises(DoubleRoot, match=r"iteration stalled in 'y2' at order 1") as err:
+        solve_formal_augmentation(rel, "y2", order=8)
+    assert err.value.suggested_transform is not None
+
+
+def test_nilpotent_stall_is_detected(monkeypatch):
+    _doubled_inverse(monkeypatch)
+    y1, y = LaurentPoly.gens(("y1", "y"))
+    with pytest.raises(DoubleRoot, match=r"iteration stalled in 'y' at order 1"):
+        solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=8)
+
+
+def _nonzero_residual(self):
+    return TruncatedSeries.one(self.series.variables, self.order)
+
+
+def test_nonzero_residual_raises_verification_failure(monkeypatch):
+    monkeypatch.setattr(AugmentationSeries, "residual", _nonzero_residual)
+    rel = clifford_relation(3).lifted_relation
+    with pytest.raises(VerificationFailure):
+        solve_formal_augmentation(rel, "y2", order=6)
+    y1, y = LaurentPoly.gens(("y1", "y"))
+    with pytest.raises(VerificationFailure):
+        solve_nilpotent_augmentation(1 + y1 - y, 2, "y", order=6)
+
+
+def test_nilpotency_order_check_raises_verification_failure(monkeypatch):
+    """A wrong image (alpha^d = 0 is checked on the target) is reported."""
+    real = NilpotentElem.__pow__
+    monkeypatch.setattr(NilpotentElem, "__pow__",
+                        lambda self, n: NilpotentElem(UniPoly.one(), self.order)
+                        if n == self.order else real(self, n))
+    y1, y = LaurentPoly.gens(("y1", "y"))
+    with pytest.raises(VerificationFailure, match="not nilpotent of order 3"):
+        solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=4)
+
+
+def test_residual_check_survives_python_O():
+    script = textwrap.dedent("""
+        import sys
+        from augvar.augment import (AugmentationSeries, solve_formal_augmentation,
+                                    solve_nilpotent_augmentation)
+        from augvar.errors import VerificationFailure
+        from augvar.laurent import LaurentPoly
+        from augvar.rings import TruncatedSeries
+        if sys.flags.optimize != 1:
+            sys.exit("not running under -O")
+        AugmentationSeries.residual = \\
+            lambda self: TruncatedSeries.one(self.series.variables, self.order)
+        y1, y = LaurentPoly.gens(("y1", "y"))
+        for solve in (lambda: solve_formal_augmentation(1 + y1 - y, "y", order=4),
+                      lambda: solve_nilpotent_augmentation(1 + y1 - y, 2, "y", order=4)):
+            try:
+                solve()
+            except VerificationFailure:
+                print("raised")
+        """)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["raised", "raised"]
+
+
+def test_no_assert_statements_in_solvers():
+    import ast
+    tree = ast.parse(open(augment.__file__).read())
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+
+
+# --------------------------------------------------------------------------
+# series_exp against the power-sum oracle and sympy
+# --------------------------------------------------------------------------
+
+def _random_series(rng, variables, order, coeff):
+    terms = {}
+    for _ in range(rng.randint(1, 7)):
+        exp = tuple(rng.randint(0, order) for _ in variables)
+        if 0 < sum(exp) <= order:
+            terms[exp] = coeff(rng)
+    return TruncatedSeries(variables, order, terms)
+
+
+def _rational(rng):
+    return F(rng.randint(-5, 5), rng.choice([1, 2, 3, 7]))
+
+
+def _quotient(rng):
+    m = UniPoly([-2, 1, 0, 1])                 # t^3 + t - 2 is squarefree
+    return QuotientFieldElem(UniPoly([_rational(rng) for _ in range(3)]), m)
+
+
+def _nilpotent(rng):
+    return NilpotentElem(UniPoly([_rational(rng) for _ in range(4)]), 3)
+
+
+@pytest.mark.parametrize("coeff", [_rational, _quotient, _nilpotent],
+                         ids=["rational", "quotient", "nilpotent"])
+def test_series_exp_matches_power_sum(coeff):
+    rng = random.Random(7400)
+    for nvars in (1, 2, 3):
+        vs = tuple("mu%d" % i for i in range(nvars))
+        for _ in range(6):
+            s = _random_series(rng, vs, rng.randint(0, 6), coeff)
+            assert series_exp(s) == power_sum_exp(s)
+
+
+def test_series_exp_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.ring_series import rs_exp
+    rng = random.Random(7500)
+    R, t, x1, x2 = sympy.ring("t,x1,x2", sympy.QQ)
+    vs = ("mu1", "mu2")
+    for _ in range(10):
+        order = rng.randint(1, 6)
+        s = _random_series(rng, vs, order, _rational)
+        # grade by total degree with t, so truncation in t is truncation
+        # in total degree
+        p = R(0)
+        for (a, b), c in s.terms.items():
+            p += sympy.QQ(c.numerator, c.denominator) * t ** (a + b) * x1 ** a * x2 ** b
+        expected = {}
+        for (_, a, b), c in rs_exp(p, t, order + 1).terms():
+            expected[(a, b)] = F(int(c.numerator), int(c.denominator))
+        assert series_exp(s).terms == expected
+
+
+# --------------------------------------------------------------------------
+# work counts
+# --------------------------------------------------------------------------
+
+def test_series_exp_makes_no_series_products(monkeypatch):
+    calls = []
+    real = TruncatedSeries.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    monkeypatch.setattr(TruncatedSeries, "__rmul__", counting)
+    mu = TruncatedSeries.variable("mu", ("mu", "nu"), 12)
+    series_exp(mu + TruncatedSeries.variable("nu", ("mu", "nu"), 12).scale(F(1, 3)))
+    assert calls == []

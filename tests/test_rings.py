@@ -12,6 +12,8 @@ from augvar.errors import (
     NotInvertible,
     ZeroPolynomial,
 )
+from augvar import rings
+from augvar.laurent import LaurentPoly
 from augvar.rings import (
     NilpotentElem,
     QuotientFieldElem,
@@ -171,6 +173,21 @@ def test_quotient_modulus_must_be_squarefree():
         QuotientFieldElem(UniPoly.one(), UniPoly([1, 2, 1]))
 
 
+def test_quotient_arithmetic_checks_the_modulus_only_once(monkeypatch):
+    m = UniPoly([-2, 1, 0, 1])
+    t = QuotientFieldElem.generator(m)
+    calls = []
+    real = rings.is_squarefree
+    monkeypatch.setattr(rings, "is_squarefree", lambda p: calls.append(p) or real(p))
+    x = (t + 1) * (t - F(1, 2)) - 3 * t ** 2 + F(2, 3) + t ** 4
+    y = -x / (t + 2)
+    assert calls == []
+    assert x.residue == UniPoly([F(1, 6), F(5, 2), -3])
+    assert y.residue == UniPoly([F(-107, 72), F(7, 36), F(101, 72)])
+    QuotientFieldElem(UniPoly.one(), m)
+    assert calls == [m]
+
+
 def test_quotient_invert_module_level_alias():
     from augvar.rings import quotient_invert
     t = QuotientFieldElem.generator(UniPoly([-2, 0, 1]))
@@ -209,6 +226,54 @@ def test_backend_mixing_rejected():
         a * t
     with pytest.raises(BackendMismatch):
         NilpotentElem.alpha(2) + NilpotentElem.alpha(3)
+
+
+# --------------------------------------------------------------------------
+# powers
+# --------------------------------------------------------------------------
+
+def _power_bases():
+    m = UniPoly([-2, 1, 0, 1])
+    vs = ("mu1", "mu2")
+    mu1 = TruncatedSeries.variable("mu1", vs, 9)
+    mu2 = TruncatedSeries.variable("mu2", vs, 9)
+    y1, y2 = LaurentPoly.gens(("y1", "y2"))
+    return [
+        (UniPoly([1, -2, F(1, 3)]), UniPoly.one()),
+        (QuotientFieldElem(UniPoly([1, F(1, 2), -1]), m),
+         QuotientFieldElem(UniPoly.one(), m)),
+        (NilpotentElem(UniPoly([2, 1, -1, 3]), 4), NilpotentElem(UniPoly.one(), 4)),
+        (1 + mu1 - mu2.scale(F(2, 3)) + mu1 * mu2, TruncatedSeries.one(vs, 9)),
+        (2 + y1 - y2 * y1 ** -1, LaurentPoly.one(("y1", "y2"))),
+    ]
+
+
+@pytest.mark.parametrize("index", range(5),
+                         ids=["unipoly", "quotient", "nilpotent", "series", "laurent"])
+def test_power_equals_repeated_product(index):
+    x, one = _power_bases()[index]
+    expected = one
+    for n in range(10):
+        assert x ** n == expected, n
+        expected = expected * x
+
+
+def test_series_power_product_counts(monkeypatch):
+    s = 1 + TruncatedSeries.variable("mu", ("mu",), 6)
+    calls = []
+    real = TruncatedSeries.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    assert s ** 1 == s
+    assert len(calls) == 0
+    s ** 2
+    assert len(calls) == 1
+    s ** 3
+    assert len(calls) == 3
 
 
 # --------------------------------------------------------------------------
