@@ -114,7 +114,8 @@ def find_transverse_root(relation, k, factor=None, seed=0):
     Rational roots are preferred (smallest absolute value, positive on
     ties); otherwise ``factor`` must supply a squarefree polynomial m
     dividing the restriction, and kappa becomes the class of t in
-    Q[t]/(m) (irreducibility of m is asserted by the caller).
+    Q[t]/(m).  Irreducibility of m is not checked: the caller must supply
+    an irreducible m for the quotient to be a field.
 
     Raises :class:`NoRootAvailable` or :class:`DoubleRoot`; the latter
     carries a seeded suggested unimodular substitution for retrying in

@@ -9,8 +9,9 @@ cones, and the exact convex-hull engine.
 The hull engine works in integers only: Andrew's monotone chain in the
 plane, and beneath-beyond over a triangulated boundary in dimension three
 and up, with facet normals from fraction-free (Bareiss) cofactor
-determinants.  It returns vertices and facets together and checks its own
-output, raising :class:`VerificationFailure` when a check fails.
+determinants.  It returns vertices and facets together, and above the
+plane also the boundary simplices that volumes are summed over.  It checks
+its own output, raising :class:`VerificationFailure` when a check fails.
 """
 
 from fractions import Fraction
@@ -461,14 +462,15 @@ def _chain_planes(points):
 
 
 def _beneath_beyond(points):
-    """Facet hyperplanes of the hull of points spanning Z^d, d >= 3.
+    """Triangulated boundary of the hull of points spanning Z^d, d >= 3.
 
-    Keeps a triangulated boundary: simplices of d point indices, each with
-    its outward hyperplane, and for every ridge (d - 1 indices) the
-    simplices through it.  A new point replaces the simplices it lies
-    strictly beyond by the cone from it over their horizon ridges; points
-    beyond no simplex lie in the hull so far and are skipped.  Coplanar
-    simplices stay separate and are merged by hyperplane at the end.
+    Keeps simplices of d point indices, each with its outward hyperplane,
+    and for every ridge (d - 1 indices) the simplices through it.  A new
+    point replaces the simplices it lies strictly beyond by the cone from
+    it over their horizon ridges; points beyond no simplex lie in the hull
+    so far and are skipped.  Coplanar simplices stay separate.  Returns a
+    dict from each boundary simplex (sorted index tuple) to its
+    (normal, offset); the facets are its distinct values.
     """
     d = len(points[0])
     base = points[0]
@@ -512,7 +514,7 @@ def _beneath_beyond(points):
                     del ridges[ridge]
         for ridge in horizon:
             add(tuple(sorted(ridge + (i,))))
-    return set(simplices.values())
+    return simplices
 
 
 def convex_hull(points):
@@ -529,7 +531,20 @@ def convex_hull(points):
     dimensions beneath-beyond.  Every facet is checked to support all
     points; a failed check raises :class:`VerificationFailure`.
     """
+    return _hull(points)[:2]
+
+
+def _hull(points):
+    """:func:`convex_hull` plus the triangulated boundary behind it.
+
+    Returns (vertices, facets, simplices).  In dimension d >= 3,
+    ``simplices`` lists the boundary simplices of beneath-beyond as
+    sorted tuples of d point indices; they cover the boundary once, so
+    the cones over them from any point of the hull tile it.  Below
+    dimension three it is None.
+    """
     d = len(points[0])
+    simplices = None
     if d == 1:
         xs = [p[0] for p in points]
         if len(xs) < 2:
@@ -538,7 +553,9 @@ def convex_hull(points):
     elif d == 2:
         planes = _chain_planes(points)
     else:
-        planes = _beneath_beyond(points)
+        boundary = _beneath_beyond(points)
+        planes = set(boundary.values())
+        simplices = list(boundary)
     facets = []
     through = {}
     for normal, c in sorted(planes):
@@ -552,7 +569,7 @@ def convex_hull(points):
             through.setdefault(i, []).append(normal)
     vertices = [i for i in sorted(through) if len(through[i]) >= d
                 and len(echelon(through[i], d)[0]) == d]
-    return vertices, facets
+    return vertices, facets, simplices
 
 
 def hull_vertices(points):

@@ -8,8 +8,12 @@ irreducibility certificate for Laurent polynomials.
 Everything is exact.  Points are first rewritten in coordinates of their
 saturated affine lattice; the integer hull engine of :mod:`augvar.intlin`
 (monotone chain in the plane, beneath-beyond above it) then yields the
-vertices and the facets together, and membership, edges and the
-counterclockwise polygon cycle are read off its output.
+vertices, the facets and, above the plane, a triangulated boundary
+together.  Membership, edges and the counterclockwise polygon cycle are
+read off its output.  So are the invariants: the normalized volume sums
+cones from one vertex over the boundary, the lattice point count is
+Pick's formula in the plane and, above it, a walk over the projections
+onto the first k coordinates bounded by their own hull facets.
 """
 
 import itertools
@@ -37,53 +41,65 @@ def _vec_gcd(v):
 class LatticePolytope:
     """Convex hull of integer points, stored by its vertex set.
 
-    The vertex list is hull-minimal and lexicographically sorted, so equal
-    polytopes compare equal structurally.
+    The constructor runs the hull engine once and keeps only the hull
+    vertices, so the vertex list is hull-minimal and lexicographically
+    sorted, and equal polytopes compare equal structurally.
     """
 
     __slots__ = ("ambient_dim", "vertices", "_cache")
 
-    def __init__(self, ambient_dim, vertices):
-        verts = sorted({tuple(int(x) for x in v) for v in vertices})
-        if not verts:
+    def __init__(self, ambient_dim, points):
+        """Hull of integer points in Z^ambient_dim; non-vertices are dropped.
+
+        The engine runs on the points in reduced coordinates.  The
+        lexicographically smallest point is a vertex and the points span
+        the same affine lattice as the vertices, so the reduction, the
+        dimension, the facets and the boundary simplices carry over to the
+        cache as they would be computed from the vertices.
+        """
+        pts = sorted({tuple(int(x) for x in p) for p in points})
+        if not pts:
             raise ValueError("a polytope needs at least one point")
-        if any(len(v) != ambient_dim for v in verts):
+        if any(len(p) != ambient_dim for p in pts):
             raise DimensionMismatch("point length != ambient dimension")
+        self._init(ambient_dim, pts)
+        d = self.affine_dim
+        if d == 0:
+            return
+        red, basis = self._reduced()
+        vertices, facets, simplices = intlin._hull(red)
+        position = {i: k for k, i in enumerate(vertices)}
+        object.__setattr__(self, "vertices", tuple(pts[i] for i in vertices))
+        self._cache["reduced"] = (tuple(red[i] for i in vertices), basis)
+        self._cache["boundary"] = (
+            [(n, c, frozenset(position[i] for i in eq if i in position))
+             for n, c, eq in facets] if d >= 2 else [],
+            _simplex_points(simplices, red))
+
+    def _init(self, ambient_dim, vertices):
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "vertices", tuple(verts))
+        object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "_cache", {})
+
+    @classmethod
+    def _from_vertices(cls, ambient_dim, vertices):
+        """A polytope from its known vertex list: no hull runs, and every
+        cached quantity is computed lazily from the vertices."""
+        P = object.__new__(cls)
+        P._init(ambient_dim, sorted(vertices))
+        return P
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticePolytope is immutable")
 
     @classmethod
     def from_points(cls, points):
-        """Hull of arbitrary integer points; non-vertices are dropped.
-
-        The hull engine runs once, on the points in reduced coordinates.
-        The lexicographically smallest point is a vertex and the points
-        span the same affine lattice as the vertices, so the reduction, the
-        dimension and the facets carry over to the result's cache as they
-        would be computed from its vertices.
-        """
-        pts = sorted({tuple(int(x) for x in p) for p in points})
-        if not pts:
+        """Hull of arbitrary integer points, in the ambient dimension of
+        the first; non-vertices are dropped."""
+        points = list(points)
+        if not points:
             raise ValueError("empty point set")
-        support = cls(len(pts[0]), pts)
-        d = support.affine_dim
-        if d == 0:
-            return support
-        red, basis = support._reduced()
-        vertices, facets = intlin.convex_hull(red)
-        P = cls(support.ambient_dim, [pts[i] for i in vertices])
-        position = {i: k for k, i in enumerate(vertices)}
-        P._cache.update(
-            adim=d,
-            frame=support._frame(),
-            reduced=(tuple(red[i] for i in vertices), basis),
-            facets=[(n, c, frozenset(position[i] for i in eq if i in position))
-                    for n, c, eq in facets] if d >= 2 else [])
-        return P
+        return cls(len(points[0]), points)
 
     # -- basic geometry ------------------------------------------------------
 
@@ -101,15 +117,18 @@ class LatticePolytope:
 
     def translate(self, t):
         t = tuple(int(x) for x in t)
-        return LatticePolytope(
+        return LatticePolytope._from_vertices(
             self.ambient_dim,
             [tuple(a + b for a, b in zip(v, t)) for v in self.vertices])
 
     def transform(self, M):
-        """Image under an integer linear map (unimodular maps preserve all
-        invariants computed here)."""
-        return LatticePolytope(
-            self.ambient_dim, [intlin.mat_vec(M, v) for v in self.vertices])
+        """Image under an integer linear map.  A unimodular map sends the
+        vertices to the vertices of the image and preserves all invariants
+        computed here; any other map goes through the hull."""
+        image = [intlin.mat_vec(M, v) for v in self.vertices]
+        if intlin.is_unimodular(M):
+            return LatticePolytope._from_vertices(self.ambient_dim, image)
+        return LatticePolytope(self.ambient_dim, image)
 
     @property
     def affine_dim(self):
@@ -180,18 +199,26 @@ class LatticePolytope:
 
     # -- faces ---------------------------------------------------------------
 
-    def _facets_reduced(self):
-        """Facets of the full-dimensional reduction.
+    def _boundary(self):
+        """(facets, simplices) of the full-dimensional reduction.
 
-        Returns a list of (normal, offset, vertex index frozenset) with
-        primitive integer normals, inequality <n, x> <= c, sorted by
+        ``facets`` is a list of (normal, offset, vertex index frozenset)
+        with primitive integer normals, inequality <n, x> <= c, sorted by
         (normal, offset), from the hull engine; empty below dimension two.
+        ``simplices`` lists the boundary simplices of the engine's
+        triangulation as tuples of reduced points; None below dimension
+        three.
         """
-        if "facets" not in self._cache:
+        if "boundary" not in self._cache:
             verts, _ = self._reduced()
-            self._cache["facets"] = (intlin.convex_hull(verts)[1]
-                                     if self.affine_dim >= 2 else [])
-        return self._cache["facets"]
+            facets, simplices = [], None
+            if self.affine_dim >= 2:
+                _, facets, simplices = intlin._hull(verts)
+            self._cache["boundary"] = (facets, _simplex_points(simplices, verts))
+        return self._cache["boundary"]
+
+    def _facets_reduced(self):
+        return self._boundary()[0]
 
     def edges(self):
         """Vertex pairs forming 1-faces, as pairs of ambient vertices."""
@@ -230,23 +257,71 @@ class LatticePolytope:
 
     # -- invariants ------------------------------------------------------------
 
+    def _volume(self):
+        """Normalized volume of the reduction in Z^d, d = affine_dim.
+
+        The cones from the first reduced vertex v0 over the boundary tile
+        the polytope: in the plane each edge contributes its lattice
+        length times the lattice height of v0 below it, above the plane
+        each boundary simplex s contributes |det(s - v0)|.  Computed once,
+        on first use.
+        """
+        if "volume" not in self._cache:
+            red, _ = self._reduced()
+            d = self.affine_dim
+            v0 = red[0]
+            if d == 0:
+                volume = 1
+            elif d == 1:
+                volume = max(v[0] for v in red) - min(v[0] for v in red)
+            elif d == 2:
+                volume = sum((c - sum(a * b for a, b in zip(n, v0)))
+                             * _edge_length(red, eq)
+                             for n, c, eq in self._facets_reduced())
+            else:
+                volume = sum(abs(intlin.det([[a - b for a, b in zip(p, v0)] for p in s]))
+                             for s in self._boundary()[1])
+            self._cache["volume"] = volume
+        return self._cache["volume"]
+
     def normalized_volume(self):
-        """ambient_dim! times the Euclidean volume; 0 when lower-dimensional."""
+        """ambient_dim! times the Euclidean volume; 0 when lower-dimensional.
+
+        Read off the hull's boundary, see :meth:`_volume`.
+        """
         if self.affine_dim < self.ambient_dim:
             return 0
-        red, _ = self._reduced()
-        return _normalized_volume(list(red), self.affine_dim)
+        return self._volume()
 
     def lattice_point_count(self):
+        """Number of lattice points of the polytope.
+
+        In the plane, Pick's formula: (V + B) / 2 + 1 with V the reduced
+        normalized volume and B the summed edge lattice lengths.  Above
+        it, the hull facets of the projections onto the first k reduced
+        coordinates, k = 1..d, give irredundant bounds on the k-th
+        coordinate over each lattice point of the projection before; the
+        walk runs over those prefixes and adds the length of the last
+        coordinate's range without enumerating it.
+        """
         red, _ = self._reduced()
         d = self.affine_dim
         if d == 0:
             return 1
         if d == 1:
-            vals = [v[0] for v in red]
-            return max(vals) - min(vals) + 1
-        ineqs = [(n, c) for (n, c, _) in self._facets_reduced()]
-        return _count_lattice_points(ineqs, [v for v in red], d)
+            return self._volume() + 1
+        facets = self._facets_reduced()
+        if d == 2:
+            boundary = sum(_edge_length(red, eq) for _, _, eq in facets)
+            return (self._volume() + boundary) // 2 + 1
+        levels = []
+        for k in range(1, d + 1):
+            shadow = (intlin.convex_hull(sorted({v[:k] for v in red}))[1]
+                      if k < d else facets)
+            levels.append(([(n, c) for n, c, _ in shadow if n[-1] > 0],
+                           [(n, c) for n, c, _ in shadow if n[-1] < 0]))
+        lo, hi = _interval(levels[0][0] + levels[0][1])
+        return sum(_count_fibres(levels, 1, (x,)) for x in range(lo, hi + 1))
 
     def edge_lattice_lengths(self):
         return tuple(sorted(
@@ -264,62 +339,33 @@ class LatticePolytope:
         )
 
 
-def _normalized_volume(verts, d):
-    """d! * volume of a full-dimensional polytope given in Z^d.
+def _edge_length(points, pair):
+    """Lattice length of the edge between two indexed points."""
+    i, j = pair
+    return _vec_gcd(tuple(a - b for a, b in zip(points[i], points[j])))
 
-    Pyramid decomposition over the facets avoiding a base vertex; the
-    lattice height times the facet's own normalized volume multiplies out
-    exactly.
+
+def _simplex_points(simplices, points):
+    """Index tuples of boundary simplices rewritten as point tuples."""
+    if simplices is None:
+        return None
+    return [tuple(points[i] for i in s) for s in simplices]
+
+
+def _count_fibres(levels, k, prefix):
+    """Lattice points over an integer prefix of length k.
+
+    ``levels[k]`` holds the facet inequalities of the projection onto the
+    first k + 1 coordinates whose last coefficient is positive and
+    negative; the facets with last coefficient zero hold for every prefix
+    in the projection one level down.
     """
-    if d == 0:
-        return 1
-    if d == 1:
-        vals = [v[0] for v in verts]
-        return max(vals) - min(vals)
-    P = LatticePolytope(d, verts)
-    if P.affine_dim < d:
+    lo, hi = _range_for_prefix(*levels[k], prefix)
+    if lo is None:
         return 0
-    red, _ = P._reduced()
-    v0 = red[0]
-    total = 0
-    for n, c, eq in P._facets_reduced():
-        h = abs(sum(a * b for a, b in zip(n, v0)) - c)
-        if h == 0:
-            continue
-        fverts = [red[i] for i in sorted(eq)]
-        F = LatticePolytope(d, fverts)
-        fred, _ = F._reduced()
-        total += h * _normalized_volume(list(fred), d - 1)
-    return total
-
-
-def _count_lattice_points(ineqs, sample_vertices, d):
-    """Number of integer points satisfying all <n, x> <= c.
-
-    Recursive Fourier-Motzkin elimination of the last coordinate keeps the
-    work proportional to the point counts of the projections rather than
-    to any bounding box.
-    """
-    if d == 1:
-        lo, hi = _interval(ineqs)
-        if lo is None:
-            return 0
-        return max(0, hi - lo + 1)
-    pos = [(n, c) for n, c in ineqs if n[-1] > 0]
-    neg = [(n, c) for n, c in ineqs if n[-1] < 0]
-    zero = [(n[:-1], c) for n, c in ineqs if n[-1] == 0]
-    projected = list(zero)
-    for (np_, cp) in pos:
-        for (nn, cn) in neg:
-            a, b = np_[-1], -nn[-1]
-            comb = tuple(b * np_[i] + a * nn[i] for i in range(d - 1))
-            projected.append((comb, b * cp + a * cn))
-    count = 0
-    for prefix in _enumerate_points(projected, d - 1):
-        lo, hi = _range_for_prefix(pos, neg, prefix)
-        if lo is not None:
-            count += max(0, hi - lo + 1)
-    return count
+    if k == len(levels) - 1:
+        return hi - lo + 1
+    return sum(_count_fibres(levels, k + 1, prefix + (x,)) for x in range(lo, hi + 1))
 
 
 def _interval(ineqs):
@@ -359,31 +405,6 @@ def _range_for_prefix(pos, neg, prefix):
     if lo is None or hi is None or lo > hi:
         return None, None
     return lo, hi
-
-
-def _enumerate_points(ineqs, d):
-    if d == 1:
-        lo, hi = _interval(ineqs)
-        if lo is None:
-            return
-        for x in range(lo, hi + 1):
-            yield (x,)
-        return
-    pos = [(n, c) for n, c in ineqs if n[-1] > 0]
-    neg = [(n, c) for n, c in ineqs if n[-1] < 0]
-    zero = [(n[:-1], c) for n, c in ineqs if n[-1] == 0]
-    projected = list(zero)
-    for (np_, cp) in pos:
-        for (nn, cn) in neg:
-            a, b = np_[-1], -nn[-1]
-            comb = tuple(b * np_[i] + a * nn[i] for i in range(d - 1))
-            projected.append((comb, b * cp + a * cn))
-    for prefix in _enumerate_points(projected, d - 1):
-        lo, hi = _range_for_prefix(pos, neg, prefix)
-        if lo is None:
-            continue
-        for x in range(lo, hi + 1):
-            yield prefix + (x,)
 
 
 @dataclass(frozen=True)

@@ -348,9 +348,9 @@ def _divisors(n):
 class QuotientFieldElem:
     """Element of Q[t]/(m) for monic squarefree m.
 
-    Irreducibility of m over Q is asserted by the caller (the library only
-    verifies squarefreeness); with an irreducible modulus the quotient is a
-    field and every nonzero element inverts.  With a merely squarefree
+    Irreducibility of m over Q is not checked; the library verifies only
+    squarefreeness.  With an irreducible modulus the quotient is a field
+    and every nonzero element inverts.  With a merely squarefree
     modulus a failed inversion raises :class:`NotInvertible`, which signals
     reducibility.
     """

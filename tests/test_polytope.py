@@ -243,6 +243,23 @@ def test_contains_agrees_with_lp_oracle():
             assert P.contains(q) == in_convex_hull(q, P.vertices), (P, q)
 
 
+def test_constructor_keeps_only_hull_vertices():
+    P = LatticePolytope(2, [(0, 0), (1, 0), (2, 0), (0, 2)])
+    assert P.vertices == ((0, 0), (0, 2), (2, 0))
+    assert P.invariants().vertex_count == 3
+    assert P.edge_lattice_lengths() == (2, 2, 2)
+    assert P == LatticePolytope.from_points([(1, 1), (0, 0), (2, 0), (0, 2)])
+
+
+def test_transform_keeps_vertices_or_rebuilds_the_hull():
+    square = LatticePolytope(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    sheared = square.transform([[1, 1], [0, 1]])
+    assert sheared.vertices == ((0, 0), (1, 0), (1, 1), (2, 1))
+    flattened = square.transform([[1, 1], [0, 0]])     # not unimodular
+    assert flattened.vertices == ((0, 0), (2, 0))
+    assert flattened.lattice_point_count() == 3
+
+
 def test_minkowski_point_translates():
     P = LatticePolytope(2, [(0, 0), (1, 0), (0, 1)])
     Q = LatticePolytope(2, [(3, 4)])
