@@ -62,7 +62,9 @@ class LatticePolytope:
             raise ValueError("a polytope needs at least one point")
         if any(len(p) != ambient_dim for p in pts):
             raise DimensionMismatch("point length != ambient dimension")
-        self._init(ambient_dim, pts)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "vertices", tuple(pts))
+        object.__setattr__(self, "_cache", {})
         d = self.affine_dim
         if d == 0:
             return
@@ -74,20 +76,7 @@ class LatticePolytope:
         self._cache["boundary"] = (
             [(n, c, frozenset(position[i] for i in eq if i in position))
              for n, c, eq in facets] if d >= 2 else [],
-            _simplex_points(simplices, red))
-
-    def _init(self, ambient_dim, vertices):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "_cache", {})
-
-    @classmethod
-    def _from_vertices(cls, ambient_dim, vertices):
-        """A polytope from its known vertex list: no hull runs, and every
-        cached quantity is computed lazily from the vertices."""
-        P = object.__new__(cls)
-        P._init(ambient_dim, sorted(vertices))
-        return P
+            simplices, red)
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticePolytope is immutable")
@@ -117,18 +106,14 @@ class LatticePolytope:
 
     def translate(self, t):
         t = tuple(int(x) for x in t)
-        return LatticePolytope._from_vertices(
+        return LatticePolytope(
             self.ambient_dim,
             [tuple(a + b for a, b in zip(v, t)) for v in self.vertices])
 
     def transform(self, M):
-        """Image under an integer linear map.  A unimodular map sends the
-        vertices to the vertices of the image and preserves all invariants
-        computed here; any other map goes through the hull."""
-        image = [intlin.mat_vec(M, v) for v in self.vertices]
-        if intlin.is_unimodular(M):
-            return LatticePolytope._from_vertices(self.ambient_dim, image)
-        return LatticePolytope(self.ambient_dim, image)
+        """Image under an integer linear map: the hull of the vertex images."""
+        return LatticePolytope(
+            self.ambient_dim, [intlin.mat_vec(M, v) for v in self.vertices])
 
     @property
     def affine_dim(self):
@@ -200,21 +185,21 @@ class LatticePolytope:
     # -- faces ---------------------------------------------------------------
 
     def _boundary(self):
-        """(facets, simplices) of the full-dimensional reduction.
+        """(facets, simplices, points) of the full-dimensional reduction.
 
         ``facets`` is a list of (normal, offset, vertex index frozenset)
         with primitive integer normals, inequality <n, x> <= c, sorted by
         (normal, offset), from the hull engine; empty below dimension two.
         ``simplices`` lists the boundary simplices of the engine's
-        triangulation as tuples of reduced points; None below dimension
-        three.
+        triangulation as tuples of indices into ``points``, the reduced
+        points the engine ran on; None below dimension three.
         """
         if "boundary" not in self._cache:
             verts, _ = self._reduced()
             facets, simplices = [], None
             if self.affine_dim >= 2:
                 _, facets, simplices = intlin._hull(verts)
-            self._cache["boundary"] = (facets, _simplex_points(simplices, verts))
+            self._cache["boundary"] = (facets, simplices, verts)
         return self._cache["boundary"]
 
     def _facets_reduced(self):
@@ -279,8 +264,10 @@ class LatticePolytope:
                              * _edge_length(red, eq)
                              for n, c, eq in self._facets_reduced())
             else:
-                volume = sum(abs(intlin.det([[a - b for a, b in zip(p, v0)] for p in s]))
-                             for s in self._boundary()[1])
+                _, simplices, points = self._boundary()
+                volume = sum(
+                    abs(intlin.det([[a - b for a, b in zip(points[i], v0)] for i in s]))
+                    for s in simplices)
             self._cache["volume"] = volume
         return self._cache["volume"]
 
@@ -343,13 +330,6 @@ def _edge_length(points, pair):
     """Lattice length of the edge between two indexed points."""
     i, j = pair
     return _vec_gcd(tuple(a - b for a, b in zip(points[i], points[j])))
-
-
-def _simplex_points(simplices, points):
-    """Index tuples of boundary simplices rewritten as point tuples."""
-    if simplices is None:
-        return None
-    return [tuple(points[i] for i in s) for s in simplices]
 
 
 def _count_fibres(levels, k, prefix):

@@ -141,7 +141,8 @@ def test_from_points_cache_matches_lazy_computation():
         if trial % 4 == 0:
             pts = [(p[1] + 1,) + p[1:] for p in pts]     # on x0 = x1 + 1
         P = LatticePolytope.from_points(pts)
-        fresh = LatticePolytope._from_vertices(P.ambient_dim, P.vertices)
+        fresh = LatticePolytope(P.ambient_dim, P.vertices)
+        fresh._cache.clear()                 # recompute from the vertices
         assert P.affine_dim == fresh.affine_dim
         assert P._reduced() == fresh._reduced()
         assert P._frame() == fresh._frame()

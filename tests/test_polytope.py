@@ -251,7 +251,7 @@ def test_constructor_keeps_only_hull_vertices():
     assert P == LatticePolytope.from_points([(1, 1), (0, 0), (2, 0), (0, 2)])
 
 
-def test_transform_keeps_vertices_or_rebuilds_the_hull():
+def test_transform_image_is_hull_minimal():
     square = LatticePolytope(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
     sheared = square.transform([[1, 1], [0, 1]])
     assert sheared.vertices == ((0, 0), (1, 0), (1, 1), (2, 1))
