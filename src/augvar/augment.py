@@ -21,9 +21,10 @@ below degree v, the update makes it vanish below degree 2v, so the
 verified order doubles at each step (Brent and Kung, *Fast algorithms for
 manipulating formal power series*, 1978) and order n takes about log2(n)
 steps.  A residual with a term below the verified degree stops the loop
-with :class:`DoubleRoot`, naming the variable and the order reached.  The
-returned series is re-checked by an independent substitution, and a
-nonzero result raises :class:`VerificationFailure`.
+with :class:`DoubleRoot`, whose ``variable`` and ``order`` name the
+variable and the order reached.  The returned series is re-checked by an
+independent substitution, and a nonzero result raises
+:class:`VerificationFailure`.
 
 The nilpotent variant runs the same loop over Q[alpha]/(alpha^d)[[mu]]
 with kappa (1 + alpha) in place of kappa and the target
@@ -108,6 +109,14 @@ def _var_name(relation, k):
         raise IndexOutOfRange("variable index %r out of range" % k) from None
 
 
+def _double_root(message, relation, var, order, seed):
+    """DoubleRoot stopping in ``var`` at ``order``, with a seeded unimodular
+    substitution of the relation's variables to retry in."""
+    return DoubleRoot(message,
+                      suggested_transform=random_unimodular(len(relation.variables), seed),
+                      variable=var, order=order)
+
+
 def find_transverse_root(relation, k, factor=None, seed=0):
     """Root selection for the restriction W(0, ..., 0, y_k).
 
@@ -133,9 +142,8 @@ def find_transverse_root(relation, k, factor=None, seed=0):
         kappa = roots[0]
         witness = r.derivative().evaluate(kappa)
         if witness == 0:
-            raise DoubleRoot(
-                "rational root %s of the restriction is not simple" % kappa,
-                suggested_transform=random_unimodular(len(relation.variables), seed))
+            raise _double_root("rational root %s of the restriction is not simple"
+                               % kappa, relation, var, 0, seed)
         return TransverseRoot(kappa, witness, var, r)
     if factor is None:
         raise NoRootAvailable(
@@ -148,9 +156,8 @@ def find_transverse_root(relation, k, factor=None, seed=0):
     kappa = QuotientFieldElem.generator(m)
     witness = r.derivative().evaluate(kappa)
     if is_zero(witness):
-        raise DoubleRoot(
-            "root class of %s is not simple" % m.format("t"),
-            suggested_transform=random_unimodular(len(relation.variables), seed))
+        raise _double_root("root class of %s is not simple" % m.format("t"),
+                           relation, var, 0, seed)
     return TransverseRoot(kappa, witness, var, r)
 
 
@@ -228,10 +235,10 @@ def _newton_series(relation, var, kap, target, order, seed):
         residual = relation.evaluate(point) - target
         if not residual.is_zero():
             if residual.valuation() < v:
-                raise DoubleRoot(
+                raise _double_root(
                     "iteration stalled in %r at order %d: residual has a "
                     "degree-%d term" % (var, v - 1, residual.valuation()),
-                    suggested_transform=random_unimodular(len(relation.variables), seed))
+                    relation, var, v - 1, seed)
             s = s - residual * dW.evaluate(point).invert()
         v = p + 1
     return s
@@ -255,9 +262,7 @@ def solve_formal_augmentation(relation, k, kappa=None, order=DEFAULT_ORDER,
     if not is_zero(r.evaluate(kappa)):
         raise NoRootAvailable("kappa is not a root of the restriction")
     if is_zero(r.derivative().evaluate(kappa)):
-        raise DoubleRoot(
-            "restriction root is not simple",
-            suggested_transform=random_unimodular(len(relation.variables), seed))
+        raise _double_root("restriction root is not simple", relation, var, 0, seed)
     s = _newton_series(relation, var, kappa, Fraction(0), order, seed)
     sol = AugmentationSeries(relation=relation, variable=var, kappa=kappa,
                              series=s, order=order)
@@ -296,9 +301,7 @@ def solve_nilpotent_augmentation(factor_poly, multiplicity, k,
     if r.evaluate(kappa) != 0:
         raise NoRootAvailable("kappa is not a root of the restriction")
     if r.derivative().evaluate(kappa) == 0:
-        raise DoubleRoot(
-            "restriction root is not simple",
-            suggested_transform=random_unimodular(len(factor_poly.variables), seed))
+        raise _double_root("restriction root is not simple", factor_poly, var, 0, seed)
     d = multiplicity
     one = NilpotentElem(UniPoly.one(), d)
     alpha = NilpotentElem.alpha(d)

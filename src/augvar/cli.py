@@ -198,6 +198,16 @@ def _cmd_distinguish(args, report):
     return 0
 
 
+def _double_root_obj(err):
+    return {
+        "error": "DoubleRoot",
+        "message": str(err),
+        "variable": err.variable,
+        "order": err.order,
+        "suggested_transform": [list(r) for r in err.suggested_transform],
+    }
+
+
 def _cmd_solve_aug(args, report):
     relation = _relation_for_solver(args)
     factor = None
@@ -213,11 +223,7 @@ def _cmd_solve_aug(args, report):
         sol = solve_formal_augmentation(relation, var, order=args.order,
                                         factor=factor, seed=args.seed)
     except DoubleRoot as err:
-        report["result"] = {
-            "error": "DoubleRoot",
-            "message": str(err),
-            "suggested_transform": [list(r) for r in err.suggested_transform],
-        }
+        report["result"] = _double_root_obj(err)
         return 2
     report["result"] = {
         "relation": str(relation),
@@ -236,11 +242,7 @@ def _cmd_solve_nilpotent(args, report):
         sol = solve_nilpotent_augmentation(relation, args.multiplicity, var,
                                            order=args.order, seed=args.seed)
     except DoubleRoot as err:
-        report["result"] = {
-            "error": "DoubleRoot",
-            "message": str(err),
-            "suggested_transform": [list(r) for r in err.suggested_transform],
-        }
+        report["result"] = _double_root_obj(err)
         return 2
     report["result"] = {
         "relation": str(relation),

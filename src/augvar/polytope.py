@@ -31,6 +31,16 @@ from .errors import (
 from .laurent import clear_to_vertex, clear_to_vertex_fitted
 
 
+def _lattice_point(p):
+    """The coordinates of p as ints; a coordinate that is not an integer
+    value raises PreconditionViolation instead of being truncated."""
+    q = tuple(map(int, p))
+    if q != p and any(a != x for a, x in zip(q, p)):
+        raise PreconditionViolation(
+            "point %r has a non-integer coordinate" % (tuple(p),))
+    return q
+
+
 def _vec_gcd(v):
     g = 0
     for x in v:
@@ -51,13 +61,15 @@ class LatticePolytope:
     def __init__(self, ambient_dim, points):
         """Hull of integer points in Z^ambient_dim; non-vertices are dropped.
 
-        The engine runs on the points in reduced coordinates.  The
-        lexicographically smallest point is a vertex and the points span
-        the same affine lattice as the vertices, so the reduction, the
-        dimension, the facets and the boundary simplices carry over to the
-        cache as they would be computed from the vertices.
+        Coordinates must be integer values, such as ints or Fraction(4, 2);
+        any other value raises :class:`PreconditionViolation`.  The engine
+        runs on the points in reduced coordinates.  The lexicographically
+        smallest point is a vertex and the points span the same affine
+        lattice as the vertices, so the reduction, the dimension, the
+        facets and the boundary simplices carry over to the cache as they
+        would be computed from the vertices.
         """
-        pts = sorted({tuple(int(x) for x in p) for p in points})
+        pts = sorted({_lattice_point(p) for p in points})
         if not pts:
             raise ValueError("a polytope needs at least one point")
         if any(len(p) != ambient_dim for p in pts):
@@ -105,13 +117,16 @@ class LatticePolytope:
         return "LatticePolytope(%d, %r)" % (self.ambient_dim, list(self.vertices))
 
     def translate(self, t):
-        t = tuple(int(x) for x in t)
+        t = _lattice_point(t)
         return LatticePolytope(
             self.ambient_dim,
             [tuple(a + b for a, b in zip(v, t)) for v in self.vertices])
 
     def transform(self, M):
-        """Image under an integer linear map: the hull of the vertex images."""
+        """Image under an integer linear map: the hull of the vertex images.
+
+        A rational map that sends a vertex off the lattice raises
+        :class:`PreconditionViolation`."""
         return LatticePolytope(
             self.ambient_dim, [intlin.mat_vec(M, v) for v in self.vertices])
 

@@ -11,11 +11,18 @@ Four backends, all with exact arithmetic and no floating point anywhere:
 plus truncated multivariate power series over any of the scalar backends
 (:class:`TruncatedSeries`) with exponential and logarithm.
 
+Rational roots of a univariate polynomial (:func:`rational_roots`) come
+from lifting its roots modulo a small prime l to l-adic precision
+M > 2 max(|f(0)|, |lead f|)^2 and reconstructing each fraction from its
+residue, so their cost is polynomial in the bit size of the
+coefficients, not in the size of a root.
+
 Values are immutable after construction and every operation is pure, so
 everything here can be shared freely between threads.
 """
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from .errors import (
     BackendMismatch,
@@ -302,43 +309,130 @@ def rational_roots(p):
     The ordering puts the smallest root first and prefers the positive one
     on ties, matching the root-selection rule used by the augmentation
     solver.
+
+    The roots come from p-adic lifting (Loos, *Computing rational zeros of
+    integral polynomials by p-adic expansion*, SIAM J. Comput. 1983), so
+    the cost is polynomial in the bit size of the coefficients.  Past the
+    zero root, p is reduced in integer arithmetic to a primitive
+    squarefree integer polynomial f.  A root a/b of f in lowest terms has
+    b | lead(f) and a | f(0), so for a prime l not dividing lead(f) it
+    reduces to a root of f mod l.  The smallest such l at which every root
+    of f mod l is simple is used; every prime not dividing
+    lead(f) disc(f) qualifies, so l stays small.  Each root mod l lifts to
+    a unique l-adic root, known modulo M = l^(2^k) >
+    2 max(|f(0)|, |lead(f)|)^2 after k quadratic Hensel steps, and a/b is
+    the unique fraction with |a|, b <= sqrt(M/2) congruent to it, found by
+    the half-extended Euclid on (M, root).  A fraction whose numerator
+    does not divide f(0) or whose denominator does not divide lead(f) is
+    dropped; the rest are checked by exact evaluation of p, so no root is
+    returned that is not one.
     """
     if p.is_zero():
         raise ZeroPolynomial("every rational is a root of zero")
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
+    coeffs = p.coeffs
     shift = 0
-    while ints and ints[0] == 0:
-        ints.pop(0)
+    while coeffs[shift] == 0:
         shift += 1
-    roots = set([Fraction(0)] if shift else [])
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for num in _divisors(a0):
-        for d in _divisors(an):
-            for cand in (Fraction(num, d), Fraction(-num, d)):
-                if p.evaluate(cand) == 0:
-                    roots.add(cand)
+    roots = [Fraction(0)] if shift else []
+    if len(coeffs) - shift > 1:
+        f = _squarefree_int(_primitive(coeffs[shift:]))
+        roots.extend(cand for cand in _lifted_candidates(f) if p.evaluate(cand) == 0)
     return sorted(roots, key=lambda r: (abs(r), -r))
 
 
-def _gcd(a, b):
+# Integer polynomials below are lists of ints by ascending degree with a
+# nonzero last entry; staying in int keeps small restrictions cheap.
+
+def _primitive(coeffs):
+    """Rational (or integer) coefficients scaled to coprime integers."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _pseudo_remainder(a, b):
+    """Primitive part of the pseudo-remainder of a by b; [] when b | a."""
+    r = list(a)
+    lb, db = b[-1], len(b) - 1
+    while len(r) > db:
+        c, k = r[-1], len(r) - 1 - db
+        r = [x * lb for x in r]
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        while r and r[-1] == 0:
+            r.pop()
+    return _primitive(r) if r else r
+
+
+def _squarefree_int(f):
+    """f / gcd(f, f') for a primitive integer polynomial f.
+
+    The gcd comes from the primitive remainder sequence.  By Gauss's
+    lemma its primitive part divides f over Z, so the long division below
+    is exact and the quotient is primitive.
+    """
+    a, b = f, [i * c for i, c in enumerate(f)][1:]
     while b:
-        a, b = b, a % b
-    return abs(a)
+        a, b = b, _pseudo_remainder(a, b)
+    if len(a) == 1:
+        return f
+    g = _primitive(a)
+    r, q = list(f), [0] * (len(f) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = r[k + len(g) - 1] // g[-1]
+        for i, y in enumerate(g):
+            r[k + i] -= c * y
+    return q
 
 
-def _divisors(n):
-    n = abs(n)
+def _eval_mod(f, x, m):
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _primes():
+    found = []
+    n = 2
+    while True:
+        if all(n % q for q in found):
+            found.append(n)
+            yield n
+        n += 1
+
+
+def _lifted_candidates(f):
+    """Fractions a/b, one per simple root of f mod a small prime, that are
+    the only possible rational roots of the squarefree integer polynomial
+    f (ascending coefficients, f(0) != 0, degree >= 1)."""
+    lead, f0 = f[-1], f[0]
+    df = [i * c for i, c in enumerate(f)][1:]
+    for ell in _primes():
+        if lead % ell == 0:
+            continue
+        residues = [r for r in range(ell) if _eval_mod(f, r, ell) == 0]
+        if all(_eval_mod(df, r, ell) for r in residues):
+            break
+    bound = 2 * max(abs(f0), abs(lead)) ** 2
     out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+    for r in residues:
+        m = ell
+        while m <= bound:
+            m *= m
+            r = (r - _eval_mod(f, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m
+        half = isqrt(m // 2)
+        r0, r1, t0, t1 = m, r, 0, 1
+        while r1 > half:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            t0, t1 = t1, t0 - q * t1
+        if r1 and 0 < abs(t1) <= half:
+            cand = Fraction(r1, t1)
+            if lead % cand.denominator == 0 and f0 % cand.numerator == 0:
+                out.append(cand)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from augvar.cli import run
+from augvar.rings import TruncatedSeries
 
 
 def _capture(capsys, argv):
@@ -57,6 +58,19 @@ def test_solve_aug_double_root_exit_2(tmp_path, capsys):
     report = json.loads(out)
     assert report["result"]["error"] == "DoubleRoot"
     assert report["result"]["suggested_transform"]
+    assert (report["result"]["variable"], report["result"]["order"]) == ("y2", 0)
+
+
+def test_solver_stall_reports_variable_and_order(capsys, monkeypatch):
+    real = TruncatedSeries.invert
+    monkeypatch.setattr(TruncatedSeries, "invert", lambda self: real(self).scale(2))
+    for argv in (["solve-aug", "--clifford", "3"],
+                 ["solve-nilpotent", "--clifford", "3", "--multiplicity", "2"]):
+        code, out, _ = _capture(capsys, argv + ["--order", "6", "--format", "json"])
+        assert code == 2
+        result = json.loads(out)["result"]
+        assert result["error"] == "DoubleRoot"
+        assert (result["variable"], result["order"]) == ("y2", 1)
 
 
 def test_solve_aug_with_quotient_factor(tmp_path, capsys):

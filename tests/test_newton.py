@@ -19,6 +19,7 @@ import pytest
 from augvar import augment
 from augvar.augment import (
     AugmentationSeries,
+    find_transverse_root,
     solve_formal_augmentation,
     solve_nilpotent_augmentation,
 )
@@ -147,13 +148,30 @@ def test_formal_stall_names_variable_and_order(monkeypatch):
     with pytest.raises(DoubleRoot, match=r"iteration stalled in 'y2' at order 1") as err:
         solve_formal_augmentation(rel, "y2", order=8)
     assert err.value.suggested_transform is not None
+    assert (err.value.variable, err.value.order) == ("y2", 1)
 
 
 def test_nilpotent_stall_is_detected(monkeypatch):
     _doubled_inverse(monkeypatch)
     y1, y = LaurentPoly.gens(("y1", "y"))
-    with pytest.raises(DoubleRoot, match=r"iteration stalled in 'y' at order 1"):
+    with pytest.raises(DoubleRoot, match=r"iteration stalled in 'y' at order 1") as err:
         solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=8)
+    assert (err.value.variable, err.value.order) == ("y", 1)
+
+
+def test_non_simple_roots_stop_at_order_zero():
+    y1, y = LaurentPoly.gens(("y1", "y"))
+    rel = (1 - y) ** 2 + y1
+    for solve in (lambda: find_transverse_root(rel, "y"),
+                  lambda: solve_formal_augmentation(rel, "y", kappa=Fraction(1)),
+                  lambda: solve_nilpotent_augmentation(rel, 2, "y", kappa=Fraction(1))):
+        with pytest.raises(DoubleRoot) as err:
+            solve()
+        assert (err.value.variable, err.value.order) == ("y", 0)
+    m = UniPoly([-2, 0, 1])
+    with pytest.raises(DoubleRoot) as err:
+        find_transverse_root((y ** 2 - 2) ** 2 + y1, 1, factor=m)
+    assert (err.value.variable, err.value.order) == ("y", 0)
 
 
 def _nonzero_residual(self):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from augvar.augment import random_unimodular
-from augvar.errors import DimensionMismatch, NotTwoDimensionalInput
+from augvar.errors import DimensionMismatch, NotTwoDimensionalInput, PreconditionViolation
 from augvar.laurent import LaurentPoly
 from augvar.polytope import (
     LatticePolytope,
@@ -259,6 +259,27 @@ def test_transform_image_is_hull_minimal():
     assert flattened.vertices == ((0, 0), (2, 0))
     assert flattened.lattice_point_count() == 3
 
+
+
+def test_non_integer_coordinates_are_rejected_not_truncated():
+    triangle = LatticePolytope(2, [(0, 0), (3, 0), (0, 3)])
+    with pytest.raises(PreconditionViolation):
+        triangle.transform([[F(1, 2), 0], [0, 1]])      # (3, 0) -> (3/2, 0)
+    with pytest.raises(PreconditionViolation):
+        LatticePolytope(2, [(F(1, 2), 0), (3, 0), (0, 3)])
+    with pytest.raises(PreconditionViolation):
+        triangle.translate((F(1, 2), 0))
+    with pytest.raises(PreconditionViolation):
+        LatticePolytope(1, [(2.5,)])
+
+
+def test_integer_valued_fractions_are_accepted():
+    triangle = LatticePolytope(2, [(F(0), F(0)), (F(6, 2), 0), (0, 3)])
+    assert triangle.vertices == ((0, 0), (0, 3), (3, 0))
+    assert all(type(x) is int for v in triangle.vertices for x in v)
+    assert triangle.transform([[F(2, 3), 0], [0, F(1, 3)]]).vertices == \
+        ((0, 0), (0, 1), (2, 0))
+    assert triangle.translate((F(4, 2), -1)).vertices == ((2, -1), (2, 2), (5, -1))
 
 def test_minkowski_point_translates():
     P = LatticePolytope(2, [(0, 0), (1, 0), (0, 1)])

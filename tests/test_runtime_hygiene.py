@@ -1,0 +1,69 @@
+"""Static checks on every runtime module of augvar.
+
+Verification must not rest on ``assert``, which ``python -O`` strips, and
+the runtime imports nothing beyond the standard library and itself: the
+benchmark, the tests and the sympy/hypothesis oracles stay outside it.
+"""
+
+import ast
+import pathlib
+import sys
+
+import pytest
+
+import augvar
+
+MODULES = sorted(pathlib.Path(augvar.__file__).parent.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _asserts(tree):
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+
+
+def _foreign_imports(tree):
+    """(line, module) for each absolute import outside the standard
+    library and augvar."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top != "augvar" and top not in sys.stdlib_module_names:
+                out.append((node.lineno, name))
+    return out
+
+
+def test_every_module_is_checked():
+    assert {p.stem for p in MODULES} >= {"rings", "polytope", "augment", "cli"}
+
+
+def test_checks_catch_violations():
+    tree = ast.parse("import os, sympy\n"
+                     "from perfbench import oracles\n"
+                     "from . import rings\n"
+                     "from augvar.errors import DoubleRoot\n"
+                     "def f():\n"
+                     "    import hypothesis.strategies\n"
+                     "    assert True\n")
+    assert _foreign_imports(tree) == [(1, "sympy"), (2, "perfbench"),
+                                      (6, "hypothesis.strategies")]
+    assert _asserts(tree) == [7]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert _asserts(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_augvar(path):
+    assert _foreign_imports(_tree(path)) == []
