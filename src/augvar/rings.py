@@ -22,6 +22,7 @@ everything here can be shared freely between threads.
 """
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt, lcm
 
 from .errors import (
@@ -313,19 +314,18 @@ def rational_roots(p):
     The roots come from p-adic lifting (Loos, *Computing rational zeros of
     integral polynomials by p-adic expansion*, SIAM J. Comput. 1983), so
     the cost is polynomial in the bit size of the coefficients.  Past the
-    zero root, p is reduced in integer arithmetic to a primitive
-    squarefree integer polynomial f.  A root a/b of f in lowest terms has
-    b | lead(f) and a | f(0), so for a prime l not dividing lead(f) it
-    reduces to a root of f mod l.  The smallest such l at which every root
-    of f mod l is simple is used; every prime not dividing
-    lead(f) disc(f) qualifies, so l stays small.  Each root mod l lifts to
+    zero root, the squarefree part of p is scaled to a primitive integer
+    polynomial f.  A root a/b of f in lowest terms has b | lead(f) and
+    a | f(0), so for a prime l not dividing lead(f) it reduces to a root
+    of f mod l.  The smallest such l at which every root of f mod l is
+    simple is used; every prime not dividing lead(f) disc(f) qualifies,
+    so l stays small.  Each root mod l lifts to
     a unique l-adic root, known modulo M = l^(2^k) >
     2 max(|f(0)|, |lead(f)|)^2 after k quadratic Hensel steps, and a/b is
     the unique fraction with |a|, b <= sqrt(M/2) congruent to it, found by
-    the half-extended Euclid on (M, root).  A fraction whose numerator
-    does not divide f(0) or whose denominator does not divide lead(f) is
-    dropped; the rest are checked by exact evaluation of p, so no root is
-    returned that is not one.
+    the half-extended Euclid on (M, root).  Every such fraction is
+    checked by exact evaluation of p, so no root is returned that is not
+    one.
     """
     if p.is_zero():
         raise ZeroPolynomial("every rational is a root of zero")
@@ -335,13 +335,10 @@ def rational_roots(p):
         shift += 1
     roots = [Fraction(0)] if shift else []
     if len(coeffs) - shift > 1:
-        f = _squarefree_int(_primitive(coeffs[shift:]))
+        f = _primitive(squarefree_part(UniPoly(coeffs[shift:])).coeffs)
         roots.extend(cand for cand in _lifted_candidates(f) if p.evaluate(cand) == 0)
     return sorted(roots, key=lambda r: (abs(r), -r))
 
-
-# Integer polynomials below are lists of ints by ascending degree with a
-# nonzero last entry; staying in int keeps small restrictions cheap.
 
 def _primitive(coeffs):
     """Rational (or integer) coefficients scaled to coprime integers."""
@@ -351,56 +348,11 @@ def _primitive(coeffs):
     return [c // g for c in ints]
 
 
-def _pseudo_remainder(a, b):
-    """Primitive part of the pseudo-remainder of a by b; [] when b | a."""
-    r = list(a)
-    lb, db = b[-1], len(b) - 1
-    while len(r) > db:
-        c, k = r[-1], len(r) - 1 - db
-        r = [x * lb for x in r]
-        for i, y in enumerate(b):
-            r[k + i] -= c * y
-        while r and r[-1] == 0:
-            r.pop()
-    return _primitive(r) if r else r
-
-
-def _squarefree_int(f):
-    """f / gcd(f, f') for a primitive integer polynomial f.
-
-    The gcd comes from the primitive remainder sequence.  By Gauss's
-    lemma its primitive part divides f over Z, so the long division below
-    is exact and the quotient is primitive.
-    """
-    a, b = f, [i * c for i, c in enumerate(f)][1:]
-    while b:
-        a, b = b, _pseudo_remainder(a, b)
-    if len(a) == 1:
-        return f
-    g = _primitive(a)
-    r, q = list(f), [0] * (len(f) - len(g) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        q[k] = c = r[k + len(g) - 1] // g[-1]
-        for i, y in enumerate(g):
-            r[k + i] -= c * y
-    return q
-
-
 def _eval_mod(f, x, m):
     acc = 0
     for c in reversed(f):
         acc = (acc * x + c) % m
     return acc
-
-
-def _primes():
-    found = []
-    n = 2
-    while True:
-        if all(n % q for q in found):
-            found.append(n)
-            yield n
-        n += 1
 
 
 def _lifted_candidates(f):
@@ -409,8 +361,8 @@ def _lifted_candidates(f):
     f (ascending coefficients, f(0) != 0, degree >= 1)."""
     lead, f0 = f[-1], f[0]
     df = [i * c for i, c in enumerate(f)][1:]
-    for ell in _primes():
-        if lead % ell == 0:
+    for ell in count(2):
+        if lead % ell == 0 or any(ell % q == 0 for q in range(2, isqrt(ell) + 1)):
             continue
         residues = [r for r in range(ell) if _eval_mod(f, r, ell) == 0]
         if all(_eval_mod(df, r, ell) for r in residues):
@@ -429,9 +381,7 @@ def _lifted_candidates(f):
             r0, r1 = r1, r0 - q * r1
             t0, t1 = t1, t0 - q * t1
         if r1 and 0 < abs(t1) <= half:
-            cand = Fraction(r1, t1)
-            if lead % cand.denominator == 0 and f0 % cand.numerator == 0:
-                out.append(cand)
+            out.append(Fraction(r1, t1))
     return out
 
 

@@ -260,7 +260,6 @@ def test_transform_image_is_hull_minimal():
     assert flattened.lattice_point_count() == 3
 
 
-
 def test_non_integer_coordinates_are_rejected_not_truncated():
     triangle = LatticePolytope(2, [(0, 0), (3, 0), (0, 3)])
     with pytest.raises(PreconditionViolation):
@@ -280,6 +279,7 @@ def test_integer_valued_fractions_are_accepted():
     assert triangle.transform([[F(2, 3), 0], [0, F(1, 3)]]).vertices == \
         ((0, 0), (0, 1), (2, 0))
     assert triangle.translate((F(4, 2), -1)).vertices == ((2, -1), (2, 2), (5, -1))
+
 
 def test_minkowski_point_translates():
     P = LatticePolytope(2, [(0, 0), (1, 0), (0, 1)])
