@@ -239,7 +239,9 @@ def _newton_series(relation, var, kap, target, order, seed):
                     "iteration stalled in %r at order %d: residual has a "
                     "degree-%d term" % (var, v - 1, residual.valuation()),
                     relation, var, v - 1, seed)
-            s = s - residual * dW.evaluate(point).invert()
+            slope = dW.evaluate(point).invert()
+            s = s - (residual.scale(slope.constant_term()) if slope.is_constant()
+                     else residual * slope)
         v = p + 1
     return s
 

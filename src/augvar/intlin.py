@@ -20,6 +20,17 @@ from math import gcd
 from .errors import PreconditionViolation, VerificationFailure
 
 
+def lattice_point(p):
+    """The coordinates of p as a tuple of ints.  A coordinate that is not
+    an integer value raises PreconditionViolation instead of being
+    truncated; integer values such as Fraction(4, 2) are accepted."""
+    q = tuple(map(int, p))
+    if q != p and any(a != x for a, x in zip(q, p)):
+        raise PreconditionViolation(
+            "point %r has a non-integer coordinate" % (tuple(p),))
+    return q
+
+
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

@@ -41,7 +41,11 @@ def grlex_key(exp):
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial over an ordered variable list."""
+    """Sparse Laurent polynomial over an ordered variable list.
+
+    Exponents must be integer values, such as ints or Fraction(4, 2); any
+    other value raises :class:`PreconditionViolation`.
+    """
 
     __slots__ = ("variables", "terms")
 
@@ -49,7 +53,7 @@ class LaurentPoly:
         variables = tuple(variables)
         clean = {}
         for exp, c in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
+            exp = intlin.lattice_point(exp)
             if len(exp) != len(variables):
                 raise VariableMismatch("exponent length != variable count")
             if is_zero(c):
@@ -277,38 +281,45 @@ class LaurentPoly:
 
         Values may be scalars from any one backend or truncated series;
         negative exponents require the assigned value to be invertible.
+        Each power of a value comes from the previous one in its table.  A
+        constant series is evaluated as its scalar, and a scalar
+        coefficient is applied to a series term with ``scale``, so no
+        series product has a constant operand.  When any value is a
+        series, so is the result.
         """
         missing = [v for v in self.variables if v not in point]
         if missing:
             raise NotInvertibleAtPoint("no value assigned to %r" % missing[0])
+        like = None
         powers = []
         for i, v in enumerate(self.variables):
-            exps = sorted({e[i] for e in self.terms})
             val = point[v]
-            table = {0: None}
-            for e in exps:
-                if e == 0:
-                    continue
-                try:
-                    if e > 0:
-                        table[e] = val ** e
-                    else:
-                        table[e] = invert_scalar(val) ** (-e) \
-                            if not isinstance(val, TruncatedSeries) \
-                            else val.invert() ** (-e)
-                except (NotInvertible, ZeroDivisionError) as err:
-                    raise NotInvertibleAtPoint(
-                        "value for %r is not invertible: %s" % (v, err)) from None
-            powers.append(table)
+            if isinstance(val, TruncatedSeries):
+                if like is None:
+                    like = val
+                if val.is_constant():
+                    val = val.constant_term()
+            try:
+                powers.append(_power_table(val, {e[i] for e in self.terms}))
+            except (NotInvertible, ZeroDivisionError) as err:
+                raise NotInvertibleAtPoint(
+                    "value for %r is not invertible: %s" % (v, err)) from None
         acc = None
         for exp, c in self.terms.items():
-            term = c
+            scalar, series = c, None
             for i, e in enumerate(exp):
                 if e != 0:
-                    term = term * powers[i][e]
+                    p = powers[i][e]
+                    if isinstance(p, TruncatedSeries):
+                        series = p if series is None else series * p
+                    else:
+                        scalar = scalar * p
+            term = scalar if series is None else series.scale(scalar)
             acc = term if acc is None else acc + term
         if acc is None:
-            return Fraction(0)
+            acc = Fraction(0)
+        if like is not None and not isinstance(acc, TruncatedSeries):
+            return TruncatedSeries.constant(acc, like.variables, like.order)
         return acc
 
     # -- display and serialization ----------------------------------------
@@ -358,6 +369,25 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, text):
         return cls.from_obj(json.loads(text))
+
+
+def _power_table(val, exps):
+    """{e: val**e} for the nonzero e in exps.  Each power is the previous
+    one of the same sign times val**gap (one product for a gap of one);
+    negative powers are powers of the inverse."""
+    table = {}
+    for sign in (1, -1):
+        wanted = sorted(sign * e for e in exps if sign * e > 0)
+        if not wanted:
+            continue
+        step = val if sign > 0 else invert_scalar(val)
+        prev, cur = 0, None
+        for e in wanted:
+            gap = power(step, e - prev, None)
+            cur = gap if cur is None else cur * gap
+            table[sign * e] = cur
+            prev = e
+    return table
 
 
 def coeff_to_obj(c):

@@ -31,16 +31,6 @@ from .errors import (
 from .laurent import clear_to_vertex, clear_to_vertex_fitted
 
 
-def _lattice_point(p):
-    """The coordinates of p as ints; a coordinate that is not an integer
-    value raises PreconditionViolation instead of being truncated."""
-    q = tuple(map(int, p))
-    if q != p and any(a != x for a, x in zip(q, p)):
-        raise PreconditionViolation(
-            "point %r has a non-integer coordinate" % (tuple(p),))
-    return q
-
-
 def _vec_gcd(v):
     g = 0
     for x in v:
@@ -69,7 +59,7 @@ class LatticePolytope:
         facets and the boundary simplices carry over to the cache as they
         would be computed from the vertices.
         """
-        pts = sorted({_lattice_point(p) for p in points})
+        pts = sorted({intlin.lattice_point(p) for p in points})
         if not pts:
             raise ValueError("a polytope needs at least one point")
         if any(len(p) != ambient_dim for p in pts):
@@ -117,7 +107,7 @@ class LatticePolytope:
         return "LatticePolytope(%d, %r)" % (self.ambient_dim, list(self.vertices))
 
     def translate(self, t):
-        t = _lattice_point(t)
+        t = intlin.lattice_point(t)
         return LatticePolytope(
             self.ambient_dim,
             [tuple(a + b for a, b in zip(v, t)) for v in self.vertices])

@@ -138,13 +138,14 @@ def product_spheres_relation(variant, signs=None):
 def toric_relation(rays, signs=None, vertex=None, fit_basis=True):
     """Hori-Vafa style potential for a toric fan, cleared at a vertex.
 
-    ``rays`` are primitive integer vectors spanning the lattice; the base
+    ``rays`` are primitive integer vectors spanning the lattice (a
+    non-integer coordinate raises :class:`PreconditionViolation`); the base
     potential is sum_i eps_i y^{ray_i}.  The lifted relation clears the
     chosen Newton vertex (default: the lexicographically smallest) and, when
     requested, applies a unimodular basis fit so all exponents end
     nonnegative.
     """
-    rays = [tuple(int(x) for x in r) for r in rays]
+    rays = [intlin.lattice_point(r) for r in rays]
     if not rays:
         raise DegenerateFan("no rays")
     n = len(rays[0])

@@ -11,6 +11,19 @@ Four backends, all with exact arithmetic and no floating point anywhere:
 plus truncated multivariate power series over any of the scalar backends
 (:class:`TruncatedSeries`) with exponential and logarithm.
 
+Series coefficient arithmetic has one graded kernel, :func:`_convolve`,
+behind the product, :meth:`TruncatedSeries.invert`, :func:`series_exp`
+and :func:`series_log`.  It works on a series split into homogeneous
+degree parts.  Each scalar becomes a numerator over a denominator: a
+Fraction or int gives two ints, a quotient-field or nilpotent element
+gives itself over 1.  A part stores its numerators over one int
+denominator (one per operand of a product, one per computed part of a
+recurrence), and the kernel multiplies and adds numerators with plain
+``*`` and ``+``.  So over Q a multiply-add is two int operations and
+builds no Fraction; each output coefficient is built once at the end.
+Every backend goes through the same loop.  The public ``terms`` map keeps
+exact scalars.
+
 Rational roots of a univariate polynomial (:func:`rational_roots`) come
 from lifting its roots modulo a small prime l to l-adic precision
 M > 2 max(|f(0)|, |lead f|)^2 and reconstructing each fraction from its
@@ -33,6 +46,7 @@ from .errors import (
     VariableMismatch,
     ZeroPolynomial,
 )
+from .intlin import lattice_point
 
 DEFAULT_ORDER = 16
 
@@ -682,7 +696,10 @@ class TruncatedSeries:
 
     Terms are a map from exponent tuples (nonnegative, total degree at most
     ``order``) to coefficients in one scalar backend.  Zero coefficients are
-    never stored.
+    never stored, and a non-integer exponent raises
+    :class:`PreconditionViolation`.  Products, inverses, exponentials and
+    logarithms go through one graded kernel, :func:`_convolve`, which works
+    on the numerator/denominator form described in the module docstring.
     """
 
     __slots__ = ("variables", "order", "terms")
@@ -693,7 +710,7 @@ class TruncatedSeries:
             raise ValueError("truncation order must be a nonnegative integer")
         clean = {}
         for exp, c in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
+            exp = lattice_point(exp)
             if len(exp) != len(variables):
                 raise VariableMismatch("exponent length != variable count")
             if any(e < 0 for e in exp):
@@ -719,6 +736,40 @@ class TruncatedSeries:
         object.__setattr__(out, "terms",
                            {e: c for e, c in terms.items() if not is_zero(c)})
         return out
+
+    # -- graded numerator form ----------------------------------------------
+
+    def _graded(self):
+        """This series as ``order + 1`` degree parts ``(items, den)``, one
+        common int ``den`` for all of them.  ``items`` lists ``(key,
+        numerator)`` for the terms of that total degree; the coefficient
+        is numerator / den.  ``key`` packs the exponent in base
+        ``order + 1``, so adding keys adds exponents."""
+        base = self.order + 1
+        split = [(exp,) + _ratio(c) for exp, c in self.terms.items()]
+        den = lcm(*(d for _, _, d in split))
+        items = [[] for _ in range(base)]
+        for exp, n, d in split:
+            key = 0
+            for e in reversed(exp):
+                key = key * base + e
+            items[sum(exp)].append((key, n if d == den else n * (den // d)))
+        return [(part, den) for part in items]
+
+    def _from_graded(self, parts):
+        """The series over this one's variables and order whose degree
+        parts ``(items, den)`` came from :func:`_convolve`."""
+        base = self.order + 1
+        nvars = len(self.variables)
+        terms = {}
+        for items, den in parts:
+            for key, n in items:
+                exp = []
+                for _ in range(nvars):
+                    key, e = divmod(key, base)
+                    exp.append(e)
+                terms[tuple(exp)] = _scalar(n, den)
+        return self._make(terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -758,6 +809,11 @@ class TruncatedSeries:
 
     def is_zero(self):
         return not self.terms
+
+    def is_constant(self):
+        """True when no term has positive degree (the zero series too)."""
+        return not self.terms or (
+            len(self.terms) == 1 and (0,) * len(self.variables) in self.terms)
 
     def constant_term(self):
         return self.terms.get((0,) * len(self.variables), Fraction(0))
@@ -816,24 +872,21 @@ class TruncatedSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """Degree n of the product is sum_{i+j=n} a_i b_j, one kernel call
+        per degree, over one denominator per operand."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        order = self.order
-        right = [(e, c, sum(e)) for e, c in other.terms.items()]
-        out = {}
-        for e1, c1 in self.terms.items():
-            room = order - sum(e1)
-            for e2, c2, d2 in right:
-                if d2 > room:
-                    continue
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                out[exp] = out[exp] + c1 * c2 if exp in out else c1 * c2
-        return self._make(out)
+        a, b = self._graded(), other._graded()
+        return self._from_graded(
+            [_convolve([(a[i], b[n - i]) for i in range(n + 1)])
+             for n in range(self.order + 1)])
 
     __rmul__ = __mul__
 
     def scale(self, c):
+        if c == 1:
+            return self
         return self._make({e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, n):
@@ -844,20 +897,81 @@ class TruncatedSeries:
         return power(self, n, lambda: TruncatedSeries.one(self.variables, self.order))
 
     def invert(self):
-        """Inverse of a series with invertible constant term."""
+        """Inverse of a series f with invertible constant term c, one
+        homogeneous degree at a time.
+
+        From f g = 1, the degree-n parts g_n of g = f^{-1} satisfy
+
+            g_0 = c^{-1},   g_n = -c^{-1} sum_{k=1..n} f_k g_{n-k}
+
+        (Brent-Kung 1978).  Each g_n is one kernel call over the parts
+        of f, scaled once by -c^{-1}, and the parts of g already found;
+        every part carries its own denominator, reduced by one gcd when
+        its numerators are ints.
+        """
         c = self.constant_term()
         if is_zero(c):
             raise NotInvertible("series with zero constant term")
-        cinv = invert_scalar(c)
-        v = self.scale(cinv) - 1          # valuation >= 1
-        out = TruncatedSeries.one(self.variables, self.order)
-        term = TruncatedSeries.one(self.variables, self.order)
-        for _ in range(self.order):
-            term = term * (-v)
-            if term.is_zero():
-                break
-            out = out + term
-        return out.scale(cinv)
+        n0, d0 = _ratio(invert_scalar(c))
+        f = [([(key, -n * n0) for key, n in items], den * d0)
+             for items, den in self._graded()]
+        parts = [([(0, n0)], d0)]
+        for n in range(1, self.order + 1):
+            parts.append(_convolve([(f[k], parts[n - k]) for k in range(1, n + 1)]))
+        return self._from_graded(parts)
+
+
+def _ratio(c):
+    """A scalar as (numerator, denominator): two ints for an int or a
+    Fraction, the element itself over 1 for any other backend."""
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, c.denominator
+    return c, 1
+
+
+def _scalar(n, den):
+    """The coefficient n / den for an int den >= 1: a Fraction for an int
+    n, an element of n's own backend otherwise."""
+    if type(n) is int:
+        return Fraction(n, den)
+    return n if den == 1 else n * Fraction(1, den)
+
+
+def _convolve(pairs, divisor=1):
+    """The one coefficient loop: sum a * b / divisor over ``pairs`` of
+    degree parts ``(items, den)`` as made by ``TruncatedSeries._graded``.
+
+    Numerators are multiplied and added with plain ``*`` and ``+``: ints
+    for rational coefficients, elements for the other backends.  The
+    result is one degree part over the lcm of the pair denominators
+    times ``divisor``, with zero numerators dropped and, when every
+    numerator is an int, numerators and denominator divided by their gcd.
+    """
+    den = 1
+    for (_, da), (_, db) in pairs:
+        den = lcm(den, da * db)
+    acc = {}
+    for (a, da), (b, db) in pairs:
+        if not a or not b:
+            continue
+        f = den // (da * db)
+        for k1, n1 in a:
+            if f != 1:
+                n1 = n1 * f
+            for k2, n2 in b:
+                k = k1 + k2
+                if k in acc:
+                    acc[k] += n1 * n2
+                else:
+                    acc[k] = n1 * n2
+    den *= divisor
+    items = [(k, n) for k, n in acc.items() if not is_zero(n)]
+    if den != 1 and all(type(n) is int for _, n in items):
+        g = gcd(den, *(n for _, n in items))
+        if g != 1:
+            items = [(k, n // g) for k, n in items]
+            den //= g
+    return items, den
 
 
 def series_exp(s):
@@ -869,43 +983,42 @@ def series_exp(s):
 
         n E_n = sum_{k=1..n} k s_k E_{n-k}
 
-    for the degree-n parts E_n of E and s_k of s.  Each E_n is one pass
-    over the degree parts of s, not a full series product.
+    for the degree-n parts E_n of E and s_k of s.  Each E_n is one kernel
+    call over the weighted parts k s_k, which share the denominator of s,
+    and the parts of E already found, each over its own denominator.
     """
     if not is_zero(s.constant_term()):
         raise NonzeroConstantTerm("series exponential needs zero constant term")
-    order = s.order
-    weighted = [[] for _ in range(order + 1)]       # k * s_k, by degree k
-    for exp, c in s.terms.items():
-        k = sum(exp)
-        weighted[k].append((exp, c * k))
-    parts = [{(0,) * len(s.variables): Fraction(1)}]
-    for n in range(1, order + 1):
-        acc = {}
-        for k in range(1, n + 1):
-            lower = parts[n - k]
-            for e1, c1 in weighted[k]:
-                for e2, c2 in lower.items():
-                    exp = tuple(a + b for a, b in zip(e1, e2))
-                    acc[exp] = acc[exp] + c1 * c2 if exp in acc else c1 * c2
-        scale = Fraction(1, n)
-        parts.append({e: c * scale for e, c in acc.items() if not is_zero(c)})
-    terms = {}
-    for part in parts:
-        terms.update(part)
-    return s._make(terms)
+    weighted = [([(key, k * n) for key, n in items], den)
+                for k, (items, den) in enumerate(s._graded())]
+    parts = [([(0, 1)], 1)]
+    for n in range(1, s.order + 1):
+        parts.append(_convolve([(weighted[k], parts[n - k]) for k in range(1, n + 1)], n))
+    return s._from_graded(parts)
 
 
 def series_log(u):
-    """log(u) = sum (-1)^{j-1} (u-1)^j / j, requiring constant term one."""
+    """log(u) for a series with constant term one, one homogeneous degree
+    at a time.
+
+    With L = log(u), the Euler operator gives u E(L) = E(u), so for the
+    degree-n parts L_n of L and u_n of u
+
+        n L_n = n u_n - sum_{k=1..n-1} k L_k u_{n-k}.
+
+    Each L_n is one kernel call: u_n paired with the constant n, and each
+    -k L_k, over its own denominator, paired with u_{n-k}, whose parts
+    share the denominator of u.
+    """
     if u.constant_term() != 1:
         raise ConstantTermNotOne("series logarithm needs constant term one")
-    v = u - 1
-    out = TruncatedSeries.zero(u.variables, u.order)
-    power = TruncatedSeries.one(u.variables, u.order)
-    for j in range(1, u.order + 1):
-        power = power * v
-        if power.is_zero():
-            break
-        out = out + power.scale(Fraction((-1) ** (j - 1), j))
-    return out
+    graded = u._graded()
+    parts = [([], 1)]
+    weighted = [([], 1)]                    # -k L_k, by degree k
+    for n in range(1, u.order + 1):
+        pairs = [(graded[n], ([(0, n)], 1))]
+        pairs += [(weighted[k], graded[n - k]) for k in range(1, n)]
+        items, den = _convolve(pairs, n)
+        parts.append((items, den))
+        weighted.append(([(key, -n * x) for key, x in items], den))
+    return u._from_graded(parts)

@@ -310,6 +310,18 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     assert str(path) in err
 
 
+def test_non_integer_exponent_is_input_error(tmp_path, capsys):
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"vars": ["y1", "y2"],
+                                "terms": [{"exp": [0, 0], "coef": "1"},
+                                          {"exp": [1.5, 0], "coef": "1"},
+                                          {"exp": [0, 1], "coef": "1"}]}))
+    code, out, err = _capture(capsys, ["newton", "--input", str(path)])
+    assert code == 1
+    assert out == ""
+    assert "PreconditionViolation" in err and "non-integer" in err
+
+
 def test_wrong_schema_is_input_error(tmp_path, capsys):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"something": 1}))

@@ -10,6 +10,7 @@ from augvar.errors import (
     NotAVertex,
     NotInvertibleAtPoint,
     NotUnimodular,
+    PreconditionViolation,
     VariableMismatch,
 )
 from augvar.laurent import (
@@ -34,6 +35,14 @@ def test_product_of_binomials():
     y1, y2 = gens()
     assert (1 - y1) * (1 - y2) == LaurentPoly(VS, {
         (0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
+
+
+def test_non_integer_exponents_are_rejected_not_truncated():
+    with pytest.raises(PreconditionViolation):
+        LaurentPoly(("x",), {(F(3, 2),): 1})          # was silently x
+    with pytest.raises(PreconditionViolation):
+        LaurentPoly(VS, {(0, 0): 1, (-0.5, 2): 3})
+    assert LaurentPoly(("x",), {(F(4, 2),): 1}).terms == {(2,): 1}
 
 
 def test_multiplicative_identity():

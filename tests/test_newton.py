@@ -306,3 +306,26 @@ def test_series_exp_makes_no_series_products(monkeypatch):
     mu = TruncatedSeries.variable("mu", ("mu", "nu"), 12)
     series_exp(mu + TruncatedSeries.variable("nu", ("mu", "nu"), 12).scale(F(1, 3)))
     assert calls == []
+
+
+def test_no_series_product_has_a_constant_operand(monkeypatch):
+    """Scalar coefficients and constant values are applied with ``scale``:
+    on the 7-term order-12 ladder relation, where 57 of 123 products once
+    had a constant operand, none has one."""
+    def constant(x):
+        return not isinstance(x, TruncatedSeries) or all(not any(e) for e in x.terms)
+
+    operands = []
+    real = TruncatedSeries.__mul__
+
+    def counting(self, other):
+        operands.append(constant(self) or constant(other))
+        return real(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    monkeypatch.setattr(TruncatedSeries, "__rmul__", counting)
+    rel = LaurentPoly(("y1", "y2", "y3"), {
+        (0, 0, 0): 2, (1, 0, 0): 1, (0, 0, 1): -3, (1, 1, 0): 1, (0, 0, 2): 1,
+        (2, 0, 1): 1, (0, 2, 2): 1})
+    solve_formal_augmentation(rel, "y3", order=12)
+    assert operands and not any(operands)

@@ -1,11 +1,14 @@
 """Tests for potential builders and Markov triples."""
 
+from fractions import Fraction
+
 import pytest
 
 from augvar.errors import (
     DegenerateFan,
     NonPrimitiveRay,
     NotANormalizedTriple,
+    PreconditionViolation,
     SignLengthMismatch,
 )
 from augvar.laurent import LaurentPoly
@@ -201,3 +204,10 @@ def test_all_normalized_triples_are_fibonacci():
     for t in markov_generate(1000):
         if t.a == 1:
             assert markov_fibonacci_check(t)
+
+
+def test_toric_rays_must_be_integer_vectors():
+    with pytest.raises(PreconditionViolation):           # was the ray (1, 0)
+        toric_relation([(Fraction(3, 2), 0), (0, 1), (-1, -1)])
+    spec = toric_relation([(Fraction(2, 2), 0), (0, 1), (-1, -1)])
+    assert spec.base_potential == toric_relation([(1, 0), (0, 1), (-1, -1)]).base_potential

@@ -2,11 +2,14 @@
 
 Associativity, commutativity and distributivity are checked for
 ``UniPoly``, ``QuotientFieldElem`` over the irreducible modulus t^3 - 2,
-``NilpotentElem`` and ``TruncatedSeries`` over Q.  Each backend that
-defines ``invert`` must give x * x.invert() == 1 on its units; ``UniPoly``
-has none beyond the constants, so it is checked for exact division with
-remainder instead.  Runs with a fixed seed and a bounded number of
-examples, so the outcome and the running time do not vary between runs.
+``NilpotentElem``, and ``TruncatedSeries`` with coefficients in Q, in that
+quotient field and in that nilpotent ring.  Each backend that defines
+``invert`` must give x * x.invert() == 1 on its units; ``UniPoly`` has
+none beyond the constants, so it is checked for exact division with
+remainder instead.  ``series_exp`` and ``series_log`` must be inverse to
+each other over all three coefficient backends.  Runs with a fixed seed
+and a bounded number of examples, so the outcome and the running time do
+not vary between runs.
 """
 
 import pytest
@@ -19,6 +22,8 @@ from augvar.rings import (  # noqa: E402
     QuotientFieldElem,
     TruncatedSeries,
     UniPoly,
+    series_exp,
+    series_log,
 )
 
 SETTINGS = hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
@@ -37,13 +42,36 @@ def _coeffs(size):
 unipolys = _coeffs(5).map(UniPoly)
 quotients = _coeffs(3).map(lambda cs: QuotientFieldElem(UniPoly(cs), MODULUS))
 nilpotents = _coeffs(NIL_ORDER).map(lambda cs: NilpotentElem(UniPoly(cs), NIL_ORDER))
-series = st.dictionaries(
-    st.tuples(st.integers(0, SERIES_ORDER), st.integers(0, SERIES_ORDER)),
-    rationals, max_size=6).map(
-        lambda terms: TruncatedSeries(SERIES_VARS, SERIES_ORDER, terms))
 
-BACKENDS = {"unipoly": unipolys, "quotient": quotients, "nilpotent": nilpotents,
-            "series": series}
+
+def _series_over(coeffs):
+    return st.dictionaries(
+        st.tuples(st.integers(0, SERIES_ORDER), st.integers(0, SERIES_ORDER)),
+        coeffs, max_size=6).map(
+            lambda terms: TruncatedSeries(SERIES_VARS, SERIES_ORDER, terms))
+
+
+# name -> (coefficients, their units, their one)
+SERIES_COEFFS = {
+    "series": (rationals, rationals.filter(lambda c: c != 0), 1),
+    "quotient_series": (quotients, quotients.filter(lambda c: not c.is_zero()),
+                        QuotientFieldElem(UniPoly.one(), MODULUS)),
+    "nilpotent_series": (nilpotents, nilpotents.filter(lambda c: c.constant_part() != 0),
+                         NilpotentElem(UniPoly.one(), NIL_ORDER)),
+}
+SERIES = {name: _series_over(coeffs) for name, (coeffs, _, _) in SERIES_COEFFS.items()}
+
+
+def _zero_constant(name):
+    return SERIES[name].map(lambda s: s - s.constant_term())
+
+
+def _series_units(name):
+    units = SERIES_COEFFS[name][1]
+    return st.tuples(_zero_constant(name), units).map(lambda p: p[0] + p[1])
+
+
+BACKENDS = {"unipoly": unipolys, "quotient": quotients, "nilpotent": nilpotents, **SERIES}
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
@@ -63,12 +91,13 @@ def test_ring_axioms(name):
     check()
 
 
-@pytest.mark.parametrize("name", ["quotient", "nilpotent", "series"])
+@pytest.mark.parametrize("name", ["quotient", "nilpotent", "series", "quotient_series",
+                                  "nilpotent_series"])
 def test_units_invert(name):
     units = {
         "quotient": quotients.filter(lambda x: not x.is_zero()),
         "nilpotent": nilpotents.filter(lambda x: x.constant_part() != 0),
-        "series": series.filter(lambda x: x.constant_term() != 0),
+        **{key: _series_units(key) for key in SERIES},
     }[name]
 
     @SETTINGS
@@ -87,5 +116,19 @@ def test_unipoly_division_with_remainder():
         quo, rem = divmod(p, q)
         assert quo * q + rem == p
         assert rem.degree < q.degree
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_series_exp_log_round_trip(name):
+    one = SERIES_COEFFS[name][2]
+
+    @SETTINGS
+    @hypothesis.given(_zero_constant(name))
+    def check(s):
+        assert series_log(series_exp(s)) == s
+        u = s + one
+        assert series_exp(series_log(u)) == u
 
     check()
