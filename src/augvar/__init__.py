@@ -14,8 +14,7 @@ cli           deterministic command-line front end
 
 from .rings import (
     DEFAULT_ORDER,
-    NilpotentElem,
-    QuotientFieldElem,
+    QuotientRingElem,
     TruncatedSeries,
     UniPoly,
     rational_roots,
@@ -46,8 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_ORDER",
-    "NilpotentElem",
-    "QuotientFieldElem",
+    "QuotientRingElem",
     "TruncatedSeries",
     "UniPoly",
     "rational_roots",

@@ -26,10 +26,11 @@ variable and the order reached.  The returned series is re-checked by an
 independent substitution, and a nonzero result raises
 :class:`VerificationFailure`.
 
-The nilpotent variant runs the same loop over Q[alpha]/(alpha^d)[[mu]]
-with kappa (1 + alpha) in place of kappa and the target
-W_i(0, ..., kappa (1 + alpha)) in place of zero, producing a relation image
-that is nilpotent of order exactly the multiplicity d.
+The nilpotent variant runs the same loop over Q[t]/(t^d)[[mu]], where
+alpha, the class of t, is nilpotent of order d.  It puts kappa (1 + alpha)
+in place of kappa and the target W_i(0, ..., kappa (1 + alpha)) in place
+of zero, producing a relation image that is nilpotent of order exactly
+the multiplicity d.
 
 Also here: partition components of disconnected Legendrians, the
 hard-coded degree-one DGA relation check for two and three sheets with
@@ -51,8 +52,7 @@ from .errors import (
 from .laurent import LaurentPoly, grlex_key
 from .rings import (
     DEFAULT_ORDER,
-    NilpotentElem,
-    QuotientFieldElem,
+    QuotientRingElem,
     TruncatedSeries,
     UniPoly,
     frac,
@@ -71,7 +71,7 @@ from .rings import (
 class TransverseRoot:
     """A simple root of the one-variable restriction of a relation."""
 
-    kappa: object            # Fraction or QuotientFieldElem
+    kappa: object            # Fraction, or QuotientRingElem over a squarefree m
     witness: object          # r'(kappa), nonzero
     variable: str
     restriction: UniPoly
@@ -153,7 +153,7 @@ def find_transverse_root(relation, k, factor=None, seed=0):
         raise NoRootAvailable("supplied factor must be nonconstant and squarefree")
     if not (r % m).is_zero():
         raise NoRootAvailable("supplied factor does not divide the restriction")
-    kappa = QuotientFieldElem.generator(m)
+    kappa = QuotientRingElem.generator(m)
     witness = r.derivative().evaluate(kappa)
     if is_zero(witness):
         raise _double_root("root class of %s is not simple" % m.format("t"),
@@ -276,7 +276,7 @@ def solve_formal_augmentation(relation, k, kappa=None, order=DEFAULT_ORDER,
 def solve_nilpotent_augmentation(factor_poly, multiplicity, k,
                                  order=DEFAULT_ORDER, kappa=None, seed=0):
     """Scheme-level augmentation for one irreducible factor W_i of the
-    relation, valued in Q[alpha]/(alpha^d)[[mu]].
+    relation, valued in Q[t]/(t^d)[[mu]]; alpha is the class of t.
 
     The solved assignment sends y_k to kappa (1 + alpha) exp(s) so that the
     image of W_i is the mu-independent constant W_i(0, ..., kappa(1+alpha)),
@@ -295,7 +295,7 @@ def solve_nilpotent_augmentation(factor_poly, multiplicity, k,
     _check_nonnegative_off_variable(factor_poly, var)
     if kappa is None:
         kappa = find_transverse_root(factor_poly, var, seed=seed).kappa
-    if isinstance(kappa, QuotientFieldElem):
+    if not isinstance(kappa, (int, Fraction)):
         raise NoRootAvailable(
             "nilpotent solver needs a rational root (nilpotents over a "
             "quotient field are not supported)")
@@ -305,9 +305,8 @@ def solve_nilpotent_augmentation(factor_poly, multiplicity, k,
     if r.derivative().evaluate(kappa) == 0:
         raise _double_root("restriction root is not simple", factor_poly, var, 0, seed)
     d = multiplicity
-    one = NilpotentElem(UniPoly.one(), d)
-    alpha = NilpotentElem.alpha(d)
-    kap = (one + alpha) * frac(kappa)
+    alpha = QuotientRingElem.generator(UniPoly.gen() ** d)
+    kap = (1 + alpha) * frac(kappa)
     target = r.evaluate(kap)                # c alpha + higher, c != 0
     s = _newton_series(factor_poly, var, kap, target, order, seed)
     sol = AugmentationSeries(relation=factor_poly, variable=var, kappa=kap,

@@ -23,8 +23,8 @@ from .errors import (
     ZeroPolynomial,
 )
 from .rings import (
-    NilpotentElem,
-    QuotientFieldElem,
+    SCALAR_TYPES,
+    QuotientRingElem,
     TruncatedSeries,
     UniPoly,
     frac,
@@ -32,8 +32,6 @@ from .rings import (
     is_zero,
     power,
 )
-
-SCALAR_TYPES = (int, Fraction, QuotientFieldElem, NilpotentElem)
 
 
 def grlex_key(exp):
@@ -393,12 +391,12 @@ def _power_table(val, exps):
 def coeff_to_obj(c):
     if isinstance(c, (int, Fraction)):
         return str(frac(c))
-    if isinstance(c, QuotientFieldElem):
-        return {"residue": [str(x) for x in c.residue.coeffs],
-                "modulus": [str(x) for x in c.modulus.coeffs]}
-    if isinstance(c, NilpotentElem):
-        return {"residue": [str(x) for x in c.residue.coeffs],
-                "order": c.order}
+    if isinstance(c, QuotientRingElem):
+        residue = [str(x) for x in c.residue.coeffs]
+        m = c.modulus
+        if any(m.coeffs[:-1]):
+            return {"residue": residue, "modulus": [str(x) for x in m.coeffs]}
+        return {"residue": residue, "order": m.degree}
     raise TypeError("cannot serialize coefficient %r" % (c,))
 
 
@@ -406,12 +404,15 @@ def coeff_from_obj(obj):
     if isinstance(obj, str):
         return Fraction(obj)
     if isinstance(obj, dict) and "modulus" in obj:
-        return QuotientFieldElem(UniPoly([Fraction(x) for x in obj["residue"]]),
-                                 UniPoly([Fraction(x) for x in obj["modulus"]]))
-    if isinstance(obj, dict) and "order" in obj:
-        return NilpotentElem(UniPoly([Fraction(x) for x in obj["residue"]]),
-                             int(obj["order"]))
-    raise TypeError("cannot parse coefficient %r" % (obj,))
+        modulus = UniPoly([Fraction(x) for x in obj["modulus"]])
+    elif isinstance(obj, dict) and "order" in obj:
+        d = int(obj["order"])
+        if d < 1:
+            raise ValueError("nilpotency order must be a positive integer")
+        modulus = UniPoly.gen() ** d
+    else:
+        raise TypeError("cannot parse coefficient %r" % (obj,))
+    return QuotientRingElem(UniPoly([Fraction(x) for x in obj["residue"]]), modulus)
 
 
 # --------------------------------------------------------------------------

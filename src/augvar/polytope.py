@@ -31,13 +31,6 @@ from .errors import (
 from .laurent import clear_to_vertex, clear_to_vertex_fitted
 
 
-def _vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
 class LatticePolytope:
     """Convex hull of integer points, stored by its vertex set.
 
@@ -317,7 +310,7 @@ class LatticePolytope:
 
     def edge_lattice_lengths(self):
         return tuple(sorted(
-            _vec_gcd(tuple(a - b for a, b in zip(v, w)))
+            gcd(*(a - b for a, b in zip(v, w)))
             for v, w in self.edges()))
 
     def invariants(self):
@@ -334,7 +327,7 @@ class LatticePolytope:
 def _edge_length(points, pair):
     """Lattice length of the edge between two indexed points."""
     i, j = pair
-    return _vec_gcd(tuple(a - b for a, b in zip(points[i], points[j])))
+    return gcd(*(a - b for a, b in zip(points[i], points[j])))
 
 
 def _count_fibres(levels, k, prefix):
@@ -492,13 +485,13 @@ def indecomposable_2d(P):
         return True
     if d == 1:
         v, w = P.vertices[0], P.vertices[-1]
-        return _vec_gcd(tuple(a - b for a, b in zip(v, w))) == 1
+        return gcd(*(a - b for a, b in zip(v, w))) == 1
     cycle = ccw_vertex_cycle(P)
     edges = []
     for i in range(len(cycle)):
         v, w = cycle[i], cycle[(i + 1) % len(cycle)]
         e = (w[0] - v[0], w[1] - v[1])
-        g = _vec_gcd(e)
+        g = gcd(*e)
         edges.append(((e[0] // g, e[1] // g), g))
     # choose a_i in [0, g_i] with sum a_i p_i = 0, not all zero, not all full
     dirs = [p for p, _ in edges]

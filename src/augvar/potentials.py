@@ -13,6 +13,7 @@ Also houses the Markov-triple machinery indexing the exotic-torus lifts.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 
 from . import intlin
 from .errors import (
@@ -152,10 +153,7 @@ def toric_relation(rays, signs=None, vertex=None, fit_basis=True):
     for r in rays:
         if len(r) != n:
             raise DegenerateFan("rays of mixed dimension")
-        g = 0
-        for x in r:
-            g = _gcd(g, abs(x))
-        if g != 1:
+        if gcd(*r) != 1:
             raise NonPrimitiveRay("ray %r is not primitive" % (r,))
     # the rays must span Z^n as a group: the index of the generated
     # sublattice is the gcd of all maximal minors (Smith form)
@@ -200,12 +198,6 @@ def user_relation(f, vertex=None, fit_basis=True):
     )
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _lattice_index(rays, n):
     """Index of the subgroup of Z^n generated by the rays (0 if not full rank)."""
     # column-reduce the transpose via the integer kernel machinery: the
@@ -217,7 +209,7 @@ def _lattice_index(rays, n):
     for subset in combinations(rays, n):
         d = intlin.det([list(r) for r in subset])
         d = abs(int(d))
-        best = _gcd(best, d)
+        best = gcd(best, d)
         if best == 1:
             return 1
     return best
@@ -281,7 +273,6 @@ def markov_brute_force(bound):
     For each a <= b the equation is a quadratic in c; an integer root in
     [b, bound] yields a triple.  Never touches the mutation tree.
     """
-    from math import isqrt
     out = set()
     for a in range(1, bound + 1):
         for b in range(a, bound + 1):

@@ -1,12 +1,12 @@
 """Exact coefficient rings.
 
-Four backends, all with exact arithmetic and no floating point anywhere:
+Three backends, all with exact arithmetic and no floating point anywhere:
 
 * rationals (``fractions.Fraction`` used directly),
 * univariate polynomials over the rationals (:class:`UniPoly`),
-* quotient fields ``Q[t]/(m)`` for a monic squarefree modulus
-  (:class:`QuotientFieldElem`),
-* nilpotent rings ``Q[alpha]/(alpha^m)`` (:class:`NilpotentElem`),
+* quotient rings ``Q[t]/(m)`` (:class:`QuotientRingElem`), either for a
+  monic squarefree modulus (the quotient fields of transverse roots) or
+  for m = t^d (the nilpotent rings of scheme-level witnesses),
 
 plus truncated multivariate power series over any of the scalar backends
 (:class:`TruncatedSeries`) with exponential and logarithm.
@@ -15,8 +15,8 @@ Series coefficient arithmetic has one graded kernel, :func:`_convolve`,
 behind the product, :meth:`TruncatedSeries.invert`, :func:`series_exp`
 and :func:`series_log`.  It works on a series split into homogeneous
 degree parts.  Each scalar becomes a numerator over a denominator: a
-Fraction or int gives two ints, a quotient-field or nilpotent element
-gives itself over 1.  A part stores its numerators over one int
+Fraction or int gives two ints, a quotient-ring element gives itself
+over 1.  A part stores its numerators over one int
 denominator (one per operand of a product, one per computed part of a
 recurrence), and the kernel multiplies and adds numerators with plain
 ``*`` and ``+``.  So over Q a multiply-add is two int operations and
@@ -400,42 +400,44 @@ def _lifted_candidates(f):
 
 
 # --------------------------------------------------------------------------
-# quotient field Q[t]/(m)
+# quotient rings Q[t]/(m)
 # --------------------------------------------------------------------------
 
-class QuotientFieldElem:
-    """Element of Q[t]/(m) for monic squarefree m.
+class QuotientRingElem:
+    """Element of Q[t]/(m) for a monic modulus m that is squarefree or a
+    power of t.
 
-    Irreducibility of m over Q is not checked; the library verifies only
-    squarefreeness.  With an irreducible modulus the quotient is a field
-    and every nonzero element inverts.  With a merely squarefree
-    modulus a failed inversion raises :class:`NotInvertible`, which signals
-    reducibility.
+    A squarefree m gives the quotient fields of transverse roots; its
+    irreducibility over Q is not checked, so a failed inversion, which
+    raises :class:`NotInvertible`, signals a reducible modulus.  m = t^d
+    gives the ring Q[alpha]/(alpha^d) of scheme-level witnesses, where the
+    class of t is nilpotent of order d and an element inverts exactly when
+    its constant term is nonzero.  Any other modulus raises ValueError.
     """
 
     __slots__ = ("residue", "modulus")
 
     def __init__(self, residue, modulus):
-        if not isinstance(residue, UniPoly):
-            residue = UniPoly.constant(residue)
         if not isinstance(modulus, UniPoly):
             modulus = UniPoly(modulus)
         if modulus.degree < 1:
             raise ValueError("modulus must be nonconstant")
         modulus = modulus.monic()
-        if not is_squarefree(modulus):
-            raise ValueError("modulus must be squarefree")
+        if any(modulus.coeffs[:-1]) and not is_squarefree(modulus):
+            raise ValueError("modulus must be squarefree or a power of t")
+        if not isinstance(residue, UniPoly):
+            residue = UniPoly.constant(residue)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "residue", residue % modulus)
+        object.__setattr__(self, "residue", _reduce(list(residue.coeffs), modulus))
 
     def __setattr__(self, name, value):
-        raise AttributeError("QuotientFieldElem is immutable")
+        raise AttributeError("QuotientRingElem is immutable")
 
     def _make(self, residue):
         """An element over this element's modulus, which was checked when
         the first element over it was built; ``residue`` must already be
         reduced mod the modulus."""
-        out = object.__new__(QuotientFieldElem)
+        out = object.__new__(QuotientRingElem)
         object.__setattr__(out, "modulus", self.modulus)
         object.__setattr__(out, "residue", residue)
         return out
@@ -446,16 +448,14 @@ class QuotientFieldElem:
         return cls(UniPoly.gen(), modulus)
 
     def _coerce(self, other):
-        if isinstance(other, QuotientFieldElem):
-            if other.modulus != self.modulus:
+        if isinstance(other, QuotientRingElem):
+            if other.modulus is not self.modulus and other.modulus != self.modulus:
                 raise BackendMismatch("different quotient moduli")
             return other
-        if isinstance(other, NilpotentElem):
-            raise BackendMismatch("cannot mix quotient-field and nilpotent backends")
         if isinstance(other, (int, Fraction)):
             return self._make(UniPoly.constant(other))
         if isinstance(other, UniPoly):
-            return self._make(other % self.modulus)
+            return self._make(_reduce(list(other.coeffs), self.modulus))
         return None
 
     def is_zero(self):
@@ -468,7 +468,7 @@ class QuotientFieldElem:
         return self.residue == other.residue
 
     def __hash__(self):
-        return hash(("QFE", self.residue, self.modulus))
+        return hash(("QuotientRingElem", self.residue, self.modulus))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -494,7 +494,7 @@ class QuotientFieldElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._make(self.residue * other.residue % self.modulus)
+        return self._make(_reduce(list((self.residue * other.residue).coeffs), self.modulus))
 
     __rmul__ = __mul__
 
@@ -515,19 +515,33 @@ class QuotientFieldElem:
         return self.invert() * other
 
     def invert(self):
-        """Inverse mod m via extended Euclid."""
-        if self.residue.is_zero():
-            raise NotInvertible("zero has no inverse")
+        """Inverse mod m by the half-extended Euclid."""
         g, s = _half_ext_gcd(self.residue, self.modulus)
         if not g.is_constant():
             raise NotInvertible(
-                "gcd(residue, modulus) = %s is nonconstant; modulus is reducible" % g)
+                "gcd(residue, modulus) = %s is nonconstant" % g.format("t"))
         return self._make(s * (1 / g.leading()))
 
     def __str__(self):
         return "(%s mod %s)" % (self.residue.format("t"), self.modulus.format("t"))
 
     __repr__ = __str__
+
+
+def _reduce(coeffs, m):
+    """The list ``coeffs`` (ascending, consumed) modulo the monic m.
+
+    Only the nonzero lower coefficients of m are touched, so reducing by
+    t^d costs no more than a truncation.
+    """
+    d = m.degree
+    if len(coeffs) > d:
+        low = [(i, c) for i, c in enumerate(m.coeffs[:d]) if c]
+        for k in range(len(coeffs) - 1, d - 1, -1):
+            for i, c in low:
+                coeffs[k - d + i] -= coeffs[k] * c
+        del coeffs[d:]
+    return UniPoly(coeffs)
 
 
 def _half_ext_gcd(a, m):
@@ -541,137 +555,7 @@ def _half_ext_gcd(a, m):
     return r0, s0 % m
 
 
-def quotient_invert(x):
-    """Module-level alias for :meth:`QuotientFieldElem.invert`."""
-    return x.invert()
-
-
-# --------------------------------------------------------------------------
-# nilpotent ring Q[alpha]/(alpha^m)
-# --------------------------------------------------------------------------
-
-class NilpotentElem:
-    """Element of Q[alpha]/(alpha^m): alpha is nilpotent of order m."""
-
-    __slots__ = ("residue", "order")
-
-    def __init__(self, residue, order):
-        if not isinstance(order, int) or order < 1:
-            raise ValueError("nilpotency order must be a positive integer")
-        if not isinstance(residue, UniPoly):
-            residue = UniPoly.constant(residue) if not isinstance(residue, (list, tuple)) \
-                else UniPoly(residue)
-        object.__setattr__(self, "residue", UniPoly(residue.coeffs[:order]))
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NilpotentElem is immutable")
-
-    @classmethod
-    def alpha(cls, order):
-        return cls(UniPoly.gen(), order)
-
-    def _coerce(self, other):
-        if isinstance(other, NilpotentElem):
-            if other.order != self.order:
-                raise BackendMismatch("different nilpotency orders")
-            return other
-        if isinstance(other, QuotientFieldElem):
-            raise BackendMismatch("cannot mix nilpotent and quotient-field backends")
-        if isinstance(other, (int, Fraction)):
-            return NilpotentElem(UniPoly.constant(other), self.order)
-        return None
-
-    def is_zero(self):
-        return self.residue.is_zero()
-
-    def constant_part(self):
-        return self.residue[0]
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.residue == other.residue
-
-    def __hash__(self):
-        return hash(("NIL", self.residue, self.order))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return NilpotentElem(self.residue + other.residue, self.order)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NilpotentElem(-self.residue, self.order)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return NilpotentElem(self.residue * other.residue, self.order)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise ValueError("integer powers only")
-        if n < 0:
-            return self.invert() ** (-n)
-        return power(self, n, lambda: NilpotentElem(UniPoly.one(), self.order))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.invert()
-
-    def __rtruediv__(self, other):
-        return self.invert() * other
-
-    def invert(self):
-        """(c + n)^{-1} = c^{-1} sum_j (-n/c)^j, a finite sum since n is
-        nilpotent.  Requires nonzero constant part."""
-        c = self.constant_part()
-        if c == 0:
-            raise NotInvertible("constant term vanishes; element is nilpotent")
-        v = self * (1 / frac(c)) - 1      # nilpotent part of self/c
-        out = NilpotentElem(UniPoly.one(), self.order)
-        term = NilpotentElem(UniPoly.one(), self.order)
-        for _ in range(1, self.order):
-            term = term * (-v)
-            if term.is_zero():
-                break
-            out = out + term
-        return out * (1 / frac(c))
-
-    def nilpotency_order(self):
-        """Smallest d with self^d = 0, or None if self is a unit."""
-        if self.constant_part() != 0:
-            return None
-        power = NilpotentElem(UniPoly.one(), self.order)
-        for d in range(1, self.order + 1):
-            power = power * self
-            if power.is_zero():
-                return d
-        return self.order  # unreachable: alpha^order = 0 forces d <= order
-
-    def __str__(self):
-        return "(%s mod a^%d)" % (self.residue.format("a"), self.order)
-
-    __repr__ = __str__
+SCALAR_TYPES = (int, Fraction, QuotientRingElem)
 
 
 # --------------------------------------------------------------------------
@@ -679,16 +563,10 @@ class NilpotentElem:
 # --------------------------------------------------------------------------
 
 def _scalar_compatible(a, b):
-    """Reject mixing of two different non-rational backends."""
-    if isinstance(a, (int, Fraction)) or isinstance(b, (int, Fraction)):
-        return
-    if type(a) is not type(b):
-        raise BackendMismatch("mixed coefficient backends %s / %s"
-                              % (type(a).__name__, type(b).__name__))
-    if isinstance(a, QuotientFieldElem) and a.modulus != b.modulus:
+    """Reject mixing quotient elements over different moduli."""
+    if (isinstance(a, QuotientRingElem) and isinstance(b, QuotientRingElem)
+            and a.modulus != b.modulus):
         raise BackendMismatch("different quotient moduli")
-    if isinstance(a, NilpotentElem) and a.order != b.order:
-        raise BackendMismatch("different nilpotency orders")
 
 
 class TruncatedSeries:
@@ -828,11 +706,10 @@ class TruncatedSeries:
         return min(sum(e) for e in self.terms)
 
     def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            if isinstance(other, (int, Fraction)):
-                other = TruncatedSeries.constant(other, self.variables, self.order)
-            else:
-                return NotImplemented
+        if isinstance(other, SCALAR_TYPES):
+            other = TruncatedSeries.constant(other, self.variables, self.order)
+        elif not isinstance(other, TruncatedSeries):
+            return NotImplemented
         return (self.variables == other.variables and self.order == other.order
                 and self.terms == other.terms)
 
@@ -841,12 +718,12 @@ class TruncatedSeries:
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check(other)
-            return other
-        if isinstance(other, (int, Fraction, QuotientFieldElem, NilpotentElem)):
-            return TruncatedSeries.constant(other, self.variables, self.order)
-        return None
+        if isinstance(other, SCALAR_TYPES):
+            other = TruncatedSeries.constant(other, self.variables, self.order)
+        elif not isinstance(other, TruncatedSeries):
+            return None
+        self._check(other)
+        return other
 
     def __add__(self, other):
         other = self._coerce(other)

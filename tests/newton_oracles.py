@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import factorial
 
 from augvar.rings import (
-    NilpotentElem,
+    QuotientRingElem,
     TruncatedSeries,
     UniPoly,
     frac,
@@ -54,9 +54,9 @@ def fixed_slope_formal(relation, var, kappa, order):
 
 def fixed_slope_nilpotent(relation, d, var, kappa, order):
     """(kap, target, s) with W(mu, kap exp(s)) = target = r(kap) for
-    kap = kappa (1 + alpha) in Q[alpha]/(alpha^d)."""
+    kap = kappa (1 + alpha) in Q[t]/(t^d), alpha the class of t."""
     r = relation.set_vars_zero(var)
-    kap = (NilpotentElem(UniPoly.one(), d) + NilpotentElem.alpha(d)) * frac(kappa)
+    kap = (1 + QuotientRingElem.generator(UniPoly.gen() ** d)) * frac(kappa)
     target = r.evaluate(kap)
     slope = kap * r.derivative().evaluate(kap)
     return kap, target, _fixed_slope(relation, var, kap, target, slope, order)

@@ -29,7 +29,7 @@ from augvar.errors import (
 from augvar.laurent import LaurentPoly
 from augvar.potentials import clifford_relation
 from augvar.rings import (
-    QuotientFieldElem,
+    QuotientRingElem,
     TruncatedSeries,
     UniPoly,
     series_exp,
@@ -77,7 +77,7 @@ def test_root_in_quotient_field():
     with pytest.raises(NoRootAvailable):
         find_transverse_root(rel, "y2")
     root = find_transverse_root(rel, "y2", factor=UniPoly([-2, 0, 1]))
-    assert isinstance(root.kappa, QuotientFieldElem)
+    assert isinstance(root.kappa, QuotientRingElem)
     assert root.kappa ** 2 == 2
     assert root.witness == 2 * root.kappa
 
@@ -266,7 +266,7 @@ def test_nilpotent_order_two():
 def test_nilpotent_order_three_with_series():
     y1, y = LaurentPoly.gens(("y1", "y"))
     sol = solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=8)
-    assert sol.image.nilpotency_order() == 3
+    assert next(d for d in range(1, 4) if (sol.image ** d).is_zero()) == 3
     assert (sol.image ** 3).is_zero()
     assert not (sol.image ** 2).is_zero()
     assert sol.residual().is_zero()

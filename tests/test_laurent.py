@@ -17,11 +17,13 @@ from augvar.laurent import (
     LaurentPoly,
     clear_to_vertex,
     clear_to_vertex_fitted,
+    coeff_from_obj,
+    coeff_to_obj,
     laurent_mul,
 )
 from augvar.augment import random_unimodular
 from augvar.intlin import mat_inverse
-from augvar.rings import QuotientFieldElem, TruncatedSeries, UniPoly
+from augvar.rings import QuotientRingElem, TruncatedSeries, UniPoly
 
 F = Fraction
 VS = ("y1", "y2")
@@ -265,7 +267,7 @@ def test_evaluate_series_point_with_negative_exponent():
 
 def test_evaluate_quotient_field_point():
     y1, y2 = gens()
-    t = QuotientFieldElem.generator(UniPoly([-2, 0, 1]))
+    t = QuotientRingElem.generator(UniPoly([-2, 0, 1]))
     # 2 - y1^2 vanishes at y1 = t
     f = 2 - y1 ** 2
     assert f.evaluate({"y1": t, "y2": t}) == 0
@@ -306,10 +308,45 @@ def test_json_round_trip_rational():
 
 def test_json_round_trip_quotient_coefficients():
     m = UniPoly([-2, 0, 1])
-    t = QuotientFieldElem.generator(m)
+    t = QuotientRingElem.generator(m)
     f = LaurentPoly(VS, {(1, 0): t, (0, -2): t * t - 1, (0, 0): t + F(1, 3)})
     g = LaurentPoly.from_json(f.to_json())
     assert g == f
+
+
+T = UniPoly.gen()
+
+
+@pytest.mark.parametrize("c, obj", [
+    (QuotientRingElem(UniPoly([F(1, 3), -1]), UniPoly([-2, 0, 1])),
+     {"residue": ["1/3", "-1"], "modulus": ["-2", "0", "1"]}),
+    (QuotientRingElem(F(5, 2), T), {"residue": ["5/2"], "order": 1}),
+    (QuotientRingElem(UniPoly([0, -1]), T ** 2), {"residue": ["0", "-1"], "order": 2}),
+    (QuotientRingElem(UniPoly([1, 0, F(2, 3), 7]), T ** 4),
+     {"residue": ["1", "0", "2/3", "7"], "order": 4}),
+], ids=["squarefree", "t^1", "t^2", "t^4"])
+def test_quotient_coefficient_json_round_trip(c, obj):
+    assert coeff_to_obj(c) == obj
+    assert coeff_from_obj(obj) == c
+    f = LaurentPoly(VS, {(1, 0): c, (0, -2): c * c + 1})
+    text = f.to_json()
+    assert LaurentPoly.from_json(text) == f
+    assert LaurentPoly.from_json(text).to_json() == text
+
+
+def test_power_of_t_coefficient_with_trailing_zeros():
+    c = coeff_from_obj({"residue": ["1", "2", "0", "0"], "order": 4})
+    assert c == QuotientRingElem(UniPoly([1, 2]), T ** 4)
+    assert coeff_to_obj(c) == {"residue": ["1", "2"], "order": 4}
+    f = LaurentPoly(VS, {(0, 1): c})
+    assert LaurentPoly.from_json(f.to_json()) == f
+
+
+@pytest.mark.parametrize("obj", [{"residue": ["1"], "modulus": ["1", "2", "1"]},
+                                 {"order": 0}, {"residue": ["1"], "order": 0}])
+def test_bad_quotient_coefficient_rejected(obj):
+    with pytest.raises(ValueError):
+        coeff_from_obj(obj)
 
 
 def test_json_deterministic_output():

@@ -2,7 +2,7 @@
 
 The Newton loop must give exactly the series of the fixed-slope,
 one-order-per-step iteration it replaced (kept in ``newton_oracles``) over
-Q, over Q[t]/(m) and over Q[alpha]/(alpha^d); ``series_exp`` must match
+Q, over Q[t]/(m) and over Q[t]/(t^d); ``series_exp`` must match
 the power-sum exponential and sympy.  Verification failures must raise
 :class:`VerificationFailure`, also under ``python -O``.
 """
@@ -27,8 +27,7 @@ from augvar.errors import DoubleRoot, VerificationFailure
 from augvar.laurent import LaurentPoly
 from augvar.potentials import clifford_relation
 from augvar.rings import (
-    NilpotentElem,
-    QuotientFieldElem,
+    QuotientRingElem,
     TruncatedSeries,
     UniPoly,
     series_exp,
@@ -88,7 +87,7 @@ def test_newton_matches_fixed_slope_over_quotient_field():
     relq = -2 + y2 ** 2 + y1 + 3 * y1 * y2
     factor = UniPoly([-2, 0, 1])
     sol = solve_formal_augmentation(relq, "y2", factor=factor, order=6)
-    assert isinstance(sol.kappa, QuotientFieldElem)
+    assert isinstance(sol.kappa, QuotientRingElem)
     assert sol.series == fixed_slope_formal(relq, "y2", sol.kappa, 6)
     rng = random.Random(7200)
     for _ in range(4):
@@ -190,10 +189,10 @@ def test_nonzero_residual_raises_verification_failure(monkeypatch):
 
 def test_nilpotency_order_check_raises_verification_failure(monkeypatch):
     """A wrong image (alpha^d = 0 is checked on the target) is reported."""
-    real = NilpotentElem.__pow__
-    monkeypatch.setattr(NilpotentElem, "__pow__",
-                        lambda self, n: NilpotentElem(UniPoly.one(), self.order)
-                        if n == self.order else real(self, n))
+    real = QuotientRingElem.__pow__
+    monkeypatch.setattr(QuotientRingElem, "__pow__",
+                        lambda self, n: QuotientRingElem(UniPoly.one(), self.modulus)
+                        if n == self.modulus.degree else real(self, n))
     y1, y = LaurentPoly.gens(("y1", "y"))
     with pytest.raises(VerificationFailure, match="not nilpotent of order 3"):
         solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=4)
@@ -251,11 +250,11 @@ def _rational(rng):
 
 def _quotient(rng):
     m = UniPoly([-2, 1, 0, 1])                 # t^3 + t - 2 is squarefree
-    return QuotientFieldElem(UniPoly([_rational(rng) for _ in range(3)]), m)
+    return QuotientRingElem(UniPoly([_rational(rng) for _ in range(3)]), m)
 
 
 def _nilpotent(rng):
-    return NilpotentElem(UniPoly([_rational(rng) for _ in range(4)]), 3)
+    return QuotientRingElem(UniPoly([_rational(rng) for _ in range(4)]), UniPoly.gen() ** 3)
 
 
 @pytest.mark.parametrize("coeff", [_rational, _quotient, _nilpotent],

@@ -1,9 +1,9 @@
 """Ring axioms and inverses of every exact backend, as hypothesis properties.
 
 Associativity, commutativity and distributivity are checked for
-``UniPoly``, ``QuotientFieldElem`` over the irreducible modulus t^3 - 2,
-``NilpotentElem``, and ``TruncatedSeries`` with coefficients in Q, in that
-quotient field and in that nilpotent ring.  Each backend that defines
+``UniPoly``, ``QuotientRingElem`` over the irreducible modulus t^3 - 2 and
+over the nilpotent modulus t^4, and ``TruncatedSeries`` with coefficients
+in Q, in that quotient field and in that nilpotent ring.  Each backend that defines
 ``invert`` must give x * x.invert() == 1 on its units; ``UniPoly`` has
 none beyond the constants, so it is checked for exact division with
 remainder instead.  ``series_exp`` and ``series_log`` must be inverse to
@@ -18,8 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from augvar.rings import (  # noqa: E402
-    NilpotentElem,
-    QuotientFieldElem,
+    QuotientRingElem,
     TruncatedSeries,
     UniPoly,
     series_exp,
@@ -29,6 +28,7 @@ from augvar.rings import (  # noqa: E402
 SETTINGS = hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
 MODULUS = UniPoly([-2, 0, 0, 1])            # t^3 - 2, irreducible by Eisenstein
 NIL_ORDER = 4
+NIL_MODULUS = UniPoly.gen() ** NIL_ORDER
 SERIES_VARS = ("mu1", "mu2")
 SERIES_ORDER = 4
 
@@ -40,8 +40,8 @@ def _coeffs(size):
 
 
 unipolys = _coeffs(5).map(UniPoly)
-quotients = _coeffs(3).map(lambda cs: QuotientFieldElem(UniPoly(cs), MODULUS))
-nilpotents = _coeffs(NIL_ORDER).map(lambda cs: NilpotentElem(UniPoly(cs), NIL_ORDER))
+quotients = _coeffs(3).map(lambda cs: QuotientRingElem(UniPoly(cs), MODULUS))
+nilpotents = _coeffs(NIL_ORDER).map(lambda cs: QuotientRingElem(UniPoly(cs), NIL_MODULUS))
 
 
 def _series_over(coeffs):
@@ -55,9 +55,9 @@ def _series_over(coeffs):
 SERIES_COEFFS = {
     "series": (rationals, rationals.filter(lambda c: c != 0), 1),
     "quotient_series": (quotients, quotients.filter(lambda c: not c.is_zero()),
-                        QuotientFieldElem(UniPoly.one(), MODULUS)),
-    "nilpotent_series": (nilpotents, nilpotents.filter(lambda c: c.constant_part() != 0),
-                         NilpotentElem(UniPoly.one(), NIL_ORDER)),
+                        QuotientRingElem(UniPoly.one(), MODULUS)),
+    "nilpotent_series": (nilpotents, nilpotents.filter(lambda c: c.residue[0] != 0),
+                         QuotientRingElem(UniPoly.one(), NIL_MODULUS)),
 }
 SERIES = {name: _series_over(coeffs) for name, (coeffs, _, _) in SERIES_COEFFS.items()}
 
@@ -96,7 +96,7 @@ def test_ring_axioms(name):
 def test_units_invert(name):
     units = {
         "quotient": quotients.filter(lambda x: not x.is_zero()),
-        "nilpotent": nilpotents.filter(lambda x: x.constant_part() != 0),
+        "nilpotent": nilpotents.filter(lambda x: x.residue[0] != 0),
         **{key: _series_units(key) for key in SERIES},
     }[name]
 

@@ -15,8 +15,7 @@ from augvar.errors import (
 from augvar import rings
 from augvar.laurent import LaurentPoly
 from augvar.rings import (
-    NilpotentElem,
-    QuotientFieldElem,
+    QuotientRingElem,
     TruncatedSeries,
     UniPoly,
     is_squarefree,
@@ -28,6 +27,7 @@ from augvar.rings import (
 )
 
 F = Fraction
+T = UniPoly.gen()
 
 
 # --------------------------------------------------------------------------
@@ -142,20 +142,20 @@ def test_rational_roots_ordering():
 # --------------------------------------------------------------------------
 
 def test_quotient_invert_generator():
-    t = QuotientFieldElem.generator(UniPoly([-2, 0, 1]))   # t^2 = 2
+    t = QuotientRingElem.generator(UniPoly([-2, 0, 1]))   # t^2 = 2
     tinv = t.invert()
-    assert tinv == QuotientFieldElem(UniPoly([0, F(1, 2)]), UniPoly([-2, 0, 1]))
+    assert tinv == QuotientRingElem(UniPoly([0, F(1, 2)]), UniPoly([-2, 0, 1]))
     assert t * tinv == 1
 
 
 def test_quotient_invert_one():
-    one = QuotientFieldElem(UniPoly.one(), UniPoly([-2, 0, 1]))
+    one = QuotientRingElem(UniPoly.one(), UniPoly([-2, 0, 1]))
     assert one.invert() == one
 
 
 def test_quotient_invert_one_plus_t():
     m = UniPoly([-2, 0, 1])
-    t = QuotientFieldElem.generator(m)
+    t = QuotientRingElem.generator(m)
     inv = (1 + t).invert()
     assert inv == t - 1
     assert (1 + t) * (t - 1) == 1
@@ -163,19 +163,19 @@ def test_quotient_invert_one_plus_t():
 
 def test_quotient_invert_reducible_modulus_detected():
     m = UniPoly([-1, 0, 1])        # t^2 - 1, squarefree but reducible
-    x = QuotientFieldElem(UniPoly([-1, 1]), m)
+    x = QuotientRingElem(UniPoly([-1, 1]), m)
     with pytest.raises(NotInvertible):
         x.invert()
 
 
 def test_quotient_modulus_must_be_squarefree():
     with pytest.raises(ValueError):
-        QuotientFieldElem(UniPoly.one(), UniPoly([1, 2, 1]))
+        QuotientRingElem(UniPoly.one(), UniPoly([1, 2, 1]))
 
 
 def test_quotient_arithmetic_checks_the_modulus_only_once(monkeypatch):
     m = UniPoly([-2, 1, 0, 1])
-    t = QuotientFieldElem.generator(m)
+    t = QuotientRingElem.generator(m)
     calls = []
     real = rings.is_squarefree
     monkeypatch.setattr(rings, "is_squarefree", lambda p: calls.append(p) or real(p))
@@ -184,48 +184,92 @@ def test_quotient_arithmetic_checks_the_modulus_only_once(monkeypatch):
     assert calls == []
     assert x.residue == UniPoly([F(1, 6), F(5, 2), -3])
     assert y.residue == UniPoly([F(-107, 72), F(7, 36), F(101, 72)])
-    QuotientFieldElem(UniPoly.one(), m)
+    QuotientRingElem(UniPoly.one(), m)
     assert calls == [m]
-
-
-def test_quotient_invert_module_level_alias():
-    from augvar.rings import quotient_invert
-    t = QuotientFieldElem.generator(UniPoly([-2, 0, 1]))
-    assert quotient_invert(t) == t * F(1, 2)
 
 
 # --------------------------------------------------------------------------
 # nilpotent ring
 # --------------------------------------------------------------------------
 
+def _nilpotency_order(x, bound):
+    """Smallest d <= bound with x^d = 0, or None."""
+    return next((d for d in range(1, bound + 1) if (x ** d).is_zero()), None)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_alpha_nilpotency_order(m):
-    a = NilpotentElem.alpha(m)
+    a = QuotientRingElem.generator(T ** m)
     assert (a ** m).is_zero()
     if m > 1:
         assert not (a ** (m - 1)).is_zero()
-    assert a.nilpotency_order() == (m if m > 1 else 1)
+    assert _nilpotency_order(a, m) == (m if m > 1 else 1)
 
 
 def test_nilpotent_unit_inverse():
-    u = 1 + NilpotentElem.alpha(4) * F(3)
+    u = 1 + QuotientRingElem.generator(T ** 4) * F(3)
     assert u * u.invert() == 1
 
 
 def test_nilpotent_alpha_not_invertible():
     with pytest.raises(NotInvertible):
-        NilpotentElem.alpha(3).invert()
+        QuotientRingElem.generator(T ** 3).invert()
+
+
+def test_power_of_t_modulus_skips_the_squarefree_check(monkeypatch):
+    calls = []
+    real = rings.is_squarefree
+    monkeypatch.setattr(rings, "is_squarefree", lambda p: calls.append(p) or real(p))
+    a = QuotientRingElem.generator(UniPoly([0, 0, 0, 2]))      # 2 t^3, made monic
+    assert a.modulus == T ** 3
+    assert QuotientRingElem.generator(T).is_zero()
+    assert calls == []
+
+
+@pytest.mark.parametrize("modulus", [UniPoly([0, 0, -1, 1]), UniPoly([3])],
+                         ids=["t^2(t-1)", "constant"])
+def test_modulus_neither_squarefree_nor_power_of_t_rejected(modulus):
+    with pytest.raises(ValueError):
+        QuotientRingElem(UniPoly.one(), modulus)
+
+
+def test_reduction_by_power_of_t_truncates():
+    x = QuotientRingElem(UniPoly([1, 2, 3, 4, 5]), T ** 3)
+    assert x.residue == UniPoly([1, 2, 3])
+    assert (x * x).residue == UniPoly([1, 4, 10])
+
+
+def test_nilpotent_inverse_exists_exactly_for_nonzero_constant_term():
+    rng = random.Random(47)
+    for _ in range(40):
+        cs = [F(rng.randint(-3, 3), rng.choice([1, 2, 5])) for _ in range(4)]
+        x = QuotientRingElem(UniPoly(cs), T ** 4)
+        if cs[0] == 0:
+            with pytest.raises(NotInvertible):
+                x.invert()
+            continue
+        inv = x.invert()
+        assert x * inv == 1
+        # the geometric series c^-1 sum_j (-n/c)^j, with n = x - c nilpotent
+        n = (x - cs[0]) * (1 / cs[0])
+        assert inv == sum(((-n) ** j for j in range(4)), QuotientRingElem(0, T ** 4)) \
+            * (1 / cs[0])
+
+
+def test_quotient_element_prints_in_t():
+    assert str(-QuotientRingElem.generator(T ** 2)) == "(-t mod t^2)"
+    assert str(QuotientRingElem.generator(UniPoly([-2, 0, 1])) + F(1, 2)) == "(1/2 + t mod -2 + t^2)"
 
 
 def test_backend_mixing_rejected():
-    t = QuotientFieldElem.generator(UniPoly([-2, 0, 1]))
-    a = NilpotentElem.alpha(2)
+    t = QuotientRingElem.generator(UniPoly([-2, 0, 1]))
+    a = QuotientRingElem.generator(T ** 2)
     with pytest.raises(BackendMismatch):
         t + a
     with pytest.raises(BackendMismatch):
         a * t
     with pytest.raises(BackendMismatch):
-        NilpotentElem.alpha(2) + NilpotentElem.alpha(3)
+        QuotientRingElem.generator(T ** 2) + QuotientRingElem.generator(T ** 3)
 
 
 # --------------------------------------------------------------------------
@@ -240,9 +284,10 @@ def _power_bases():
     y1, y2 = LaurentPoly.gens(("y1", "y2"))
     return [
         (UniPoly([1, -2, F(1, 3)]), UniPoly.one()),
-        (QuotientFieldElem(UniPoly([1, F(1, 2), -1]), m),
-         QuotientFieldElem(UniPoly.one(), m)),
-        (NilpotentElem(UniPoly([2, 1, -1, 3]), 4), NilpotentElem(UniPoly.one(), 4)),
+        (QuotientRingElem(UniPoly([1, F(1, 2), -1]), m),
+         QuotientRingElem(UniPoly.one(), m)),
+        (QuotientRingElem(UniPoly([2, 1, -1, 3]), T ** 4),
+         QuotientRingElem(UniPoly.one(), T ** 4)),
         (1 + mu1 - mu2.scale(F(2, 3)) + mu1 * mu2, TruncatedSeries.one(vs, 9)),
         (2 + y1 - y2 * y1 ** -1, LaurentPoly.one(("y1", "y2"))),
     ]
@@ -369,8 +414,22 @@ def test_series_invert():
         assert u * u.invert() == 1
 
 
+@pytest.mark.parametrize("modulus", [UniPoly([-2, 0, 1]), T ** 3],
+                         ids=["squarefree", "power_of_t"])
+def test_constant_series_equals_its_quotient_scalar(modulus):
+    q = QuotientRingElem(UniPoly([1, F(1, 2)]), modulus)
+    s = TruncatedSeries.constant(q, ("a",), 2)
+    assert s == q
+    assert q == s
+    assert s != q + 1
+    assert q + 1 != s
+    # different variables or orders compare unequal without raising
+    assert s != TruncatedSeries.constant(q, ("b",), 2)
+    assert s != TruncatedSeries.constant(q, ("a",), 3)
+
+
 def test_series_over_nilpotent_backend():
-    a = NilpotentElem.alpha(3)
+    a = QuotientRingElem.generator(T ** 3)
     mu = TruncatedSeries.variable("mu", ("mu",), 5)
     s = mu.scale(a)            # alpha * mu has zero constant term
     e = series_exp(s)
