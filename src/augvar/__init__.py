@@ -27,7 +27,6 @@ from .laurent import (
     LaurentPoly,
     clear_to_vertex,
     clear_to_vertex_fitted,
-    laurent_mul,
 )
 from .polytope import (
     InvariantRecord,
@@ -56,7 +55,6 @@ __all__ = [
     "LaurentPoly",
     "clear_to_vertex",
     "clear_to_vertex_fitted",
-    "laurent_mul",
     "InvariantRecord",
     "LatticePolytope",
     "Verdict",

@@ -124,13 +124,9 @@ def _relation_for_solver(args):
     raise ParseError("need --input FILE or --clifford N")
 
 
-def _scalar_obj(x):
-    return coeff_to_obj(x)
-
-
 def _series_obj(series):
     from .laurent import grlex_key
-    return [{"exp": list(e), "coef": _scalar_obj(series.terms[e])}
+    return [{"exp": list(e), "coef": coeff_to_obj(series.terms[e])}
             for e in sorted(series.terms, key=grlex_key)]
 
 
@@ -228,7 +224,7 @@ def _cmd_solve_aug(args, report):
     report["result"] = {
         "relation": str(relation),
         "solved_variable": sol.variable,
-        "kappa": _scalar_obj(sol.kappa),
+        "kappa": coeff_to_obj(sol.kappa),
         "series": _series_obj(sol.series),
         "residual_order_checked": sol.order,
     }
@@ -248,8 +244,8 @@ def _cmd_solve_nilpotent(args, report):
         "relation": str(relation),
         "solved_variable": sol.variable,
         "multiplicity": sol.multiplicity,
-        "kappa": _scalar_obj(sol.kappa),
-        "image_of_relation": _scalar_obj(sol.image),
+        "kappa": coeff_to_obj(sol.kappa),
+        "image_of_relation": coeff_to_obj(sol.image),
         "series": _series_obj(sol.series),
         "residual_order_checked": sol.order,
     }

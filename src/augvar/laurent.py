@@ -419,11 +419,6 @@ def coeff_from_obj(obj):
 # vertex clearing
 # --------------------------------------------------------------------------
 
-def laurent_mul(f, g):
-    """Product with combined like terms (module-level alias)."""
-    return f * g
-
-
 def _is_vertex(exp, support):
     return support.index(exp) in intlin.hull_vertices(support)
 

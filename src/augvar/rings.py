@@ -14,15 +14,18 @@ plus truncated multivariate power series over any of the scalar backends
 Series coefficient arithmetic has one graded kernel, :func:`_convolve`,
 behind the product, :meth:`TruncatedSeries.invert`, :func:`series_exp`
 and :func:`series_log`.  It works on a series split into homogeneous
-degree parts.  Each scalar becomes a numerator over a denominator: a
-Fraction or int gives two ints, a quotient-ring element gives itself
-over 1.  A part stores its numerators over one int
-denominator (one per operand of a product, one per computed part of a
-recurrence), and the kernel multiplies and adds numerators with plain
-``*`` and ``+``.  So over Q a multiply-add is two int operations and
-builds no Fraction; each output coefficient is built once at the end.
-Every backend goes through the same loop.  The public ``terms`` map keeps
-exact scalars.
+degree parts.  Each scalar becomes a numerator over an int denominator:
+a Fraction or int gives two ints, and a quotient-ring element gives its
+residue as an int coefficient vector (:class:`_IntResidue`) over the
+lcm of the residue's coefficient denominators.  A part stores its
+numerators over one int denominator (one per operand of a product, one
+per computed part of a recurrence), and the kernel multiplies and adds
+numerators with plain ``*`` and ``+``: over Q a multiply-add is two int
+operations, and over Q[t]/(m) it is an int convolution reduced by the
+monic integer form of m (a truncation for m = t^d) and an int vector sum.
+No Fraction is built inside the loop; each output part is divided by one
+gcd, and each output coefficient is built once at the end.  Every backend
+goes through the same loop.  The public ``terms`` map keeps exact scalars.
 
 Rational roots of a univariate polynomial (:func:`rational_roots`) come
 from lifting its roots modulo a small prime l to l-adic precision
@@ -178,6 +181,10 @@ class UniPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        """A polynomial of degree <= 0 equals its rational, so it hashes
+        like it."""
+        if len(self.coeffs) <= 1:
+            return hash(self[0])
         return hash(("UniPoly", self.coeffs))
 
     def __add__(self, other):
@@ -413,9 +420,14 @@ class QuotientRingElem:
     gives the ring Q[alpha]/(alpha^d) of scheme-level witnesses, where the
     class of t is nilpotent of order d and an element inverts exactly when
     its constant term is nonzero.  Any other modulus raises ValueError.
+
+    ``residue`` is the reduced representative, a :class:`UniPoly` of degree
+    below deg m.  Products and reductions run on the integer form of the
+    ring (:class:`_IntModulus`); a product by an int or Fraction scales the
+    residue coefficient by coefficient.
     """
 
-    __slots__ = ("residue", "modulus")
+    __slots__ = ("residue", "modulus", "_ring")
 
     def __init__(self, residue, modulus):
         if not isinstance(modulus, UniPoly):
@@ -427,20 +439,13 @@ class QuotientRingElem:
             raise ValueError("modulus must be squarefree or a power of t")
         if not isinstance(residue, UniPoly):
             residue = UniPoly.constant(residue)
+        ring = _IntModulus(modulus)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "residue", _reduce(list(residue.coeffs), modulus))
+        object.__setattr__(self, "_ring", ring)
+        object.__setattr__(self, "residue", ring.reduce(residue))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientRingElem is immutable")
-
-    def _make(self, residue):
-        """An element over this element's modulus, which was checked when
-        the first element over it was built; ``residue`` must already be
-        reduced mod the modulus."""
-        out = object.__new__(QuotientRingElem)
-        object.__setattr__(out, "modulus", self.modulus)
-        object.__setattr__(out, "residue", residue)
-        return out
 
     @classmethod
     def generator(cls, modulus):
@@ -449,13 +454,13 @@ class QuotientRingElem:
 
     def _coerce(self, other):
         if isinstance(other, QuotientRingElem):
-            if other.modulus is not self.modulus and other.modulus != self.modulus:
+            if other._ring is not self._ring and other.modulus != self.modulus:
                 raise BackendMismatch("different quotient moduli")
             return other
         if isinstance(other, (int, Fraction)):
-            return self._make(UniPoly.constant(other))
+            return self._ring.element(UniPoly.constant(other))
         if isinstance(other, UniPoly):
-            return self._make(_reduce(list(other.coeffs), self.modulus))
+            return self._ring.element(self._ring.reduce(other))
         return None
 
     def is_zero(self):
@@ -468,33 +473,38 @@ class QuotientRingElem:
         return self.residue == other.residue
 
     def __hash__(self):
-        return hash(("QuotientRingElem", self.residue, self.modulus))
+        return hash(self.residue)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._make(self.residue + other.residue)
+        return self._ring.element(self.residue + other.residue)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make(-self.residue)
+        return self._ring.element(-self.residue)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._make(self.residue - other.residue)
+        return self._ring.element(self.residue - other.residue)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return self._ring.element(UniPoly.zero())
+            return self._ring.element(_poly(tuple(c * other for c in self.residue.coeffs)))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._make(_reduce(list((self.residue * other.residue).coeffs), self.modulus))
+        (a, da), (b, db) = _ratio(self), _ratio(other)
+        return _scalar(a * b, da * db)
 
     __rmul__ = __mul__
 
@@ -503,7 +513,7 @@ class QuotientRingElem:
             raise ValueError("integer powers only")
         if n < 0:
             return self.invert() ** (-n)
-        return power(self, n, lambda: self._make(UniPoly.one()))
+        return power(self, n, lambda: self._ring.element(UniPoly.one()))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -520,7 +530,7 @@ class QuotientRingElem:
         if not g.is_constant():
             raise NotInvertible(
                 "gcd(residue, modulus) = %s is nonconstant" % g.format("t"))
-        return self._make(s * (1 / g.leading()))
+        return self._ring.element(s * (1 / g.leading()))
 
     def __str__(self):
         return "(%s mod %s)" % (self.residue.format("t"), self.modulus.format("t"))
@@ -528,20 +538,146 @@ class QuotientRingElem:
     __repr__ = __str__
 
 
-def _reduce(coeffs, m):
-    """The list ``coeffs`` (ascending, consumed) modulo the monic m.
+def _poly(coeffs):
+    """The UniPoly with the Fraction tuple ``coeffs``, whose last entry is
+    nonzero, without re-coercing or stripping."""
+    out = object.__new__(UniPoly)
+    object.__setattr__(out, "coeffs", coeffs)
+    return out
 
-    Only the nonzero lower coefficients of m are touched, so reducing by
-    t^d costs no more than a truncation.
+
+class _IntModulus:
+    """Q[t]/(m) in integer form, for the monic m = t^d + sum m_i t^i.
+
+    With D the least common denominator of the m_i, the class s = D t is a
+    root of the monic integer polynomial M(s) = D^d m(s / D), whose
+    coefficients are m_i D^(d-i).  A residue sum r_i t^i is written in
+    powers of s as sum (r_i / D^i) s^i and stored as an int vector over
+    one int denominator (:class:`_IntResidue`), so a product is an integer
+    convolution reduced by M, with no Fraction, and a rational modulus
+    stays exact on the same path.  For m = t^d, D = 1 and M = t^d, so the
+    reduction is a truncation.
     """
-    d = m.degree
-    if len(coeffs) > d:
-        low = [(i, c) for i, c in enumerate(m.coeffs[:d]) if c]
-        for k in range(len(coeffs) - 1, d - 1, -1):
-            for i, c in low:
-                coeffs[k - d + i] -= coeffs[k] * c
-        del coeffs[d:]
-    return UniPoly(coeffs)
+
+    __slots__ = ("modulus", "degree", "low", "scale")
+
+    def __init__(self, modulus):
+        d = modulus.degree
+        scale = lcm(*(c.denominator for c in modulus.coeffs))
+        self.modulus = modulus
+        self.degree = d
+        self.scale = scale
+        self.low = [(i, c.numerator * (scale ** (d - i) // c.denominator))
+                    for i, c in enumerate(modulus.coeffs[:d]) if c]
+
+    def element(self, residue):
+        """The element with residue ``residue``, which must already be
+        reduced mod m; m was checked when the first element over it was
+        built."""
+        out = object.__new__(QuotientRingElem)
+        object.__setattr__(out, "modulus", self.modulus)
+        object.__setattr__(out, "_ring", self)
+        object.__setattr__(out, "residue", residue)
+        return out
+
+    def split(self, coeffs):
+        """Rational t-coefficients as (_IntResidue, den) in powers of s."""
+        scale = self.scale
+        dens = [c.denominator * scale ** i for i, c in enumerate(coeffs)]
+        den = lcm(*dens)
+        return _IntResidue([c.numerator * (den // e) for c, e in zip(coeffs, dens)], self), den
+
+    def join(self, nums, den):
+        """The reduced residue (nums / den in powers of s) as a UniPoly."""
+        n = len(nums)
+        while n and not nums[n - 1]:
+            n -= 1
+        scale = self.scale
+        return _poly(tuple(Fraction(nums[i] * scale ** i, den) for i in range(n)))
+
+    def reduce_ints(self, nums):
+        """The int list ``nums`` (powers of s, consumed) modulo M."""
+        d = self.degree
+        if len(nums) > d:
+            low = self.low
+            if low:
+                for k in range(len(nums) - 1, d - 1, -1):
+                    top = nums[k]
+                    if top:
+                        for i, c in low:
+                            nums[k - d + i] -= top * c
+            del nums[d:]
+        return nums
+
+    def reduce(self, poly):
+        """The UniPoly ``poly`` modulo m."""
+        if poly.degree < self.degree:
+            return poly
+        num, den = self.split(poly.coeffs)
+        return self.join(self.reduce_ints(num.coeffs), den)
+
+
+class _IntResidue:
+    """The numerator of a quotient-ring scalar in the series kernel: an int
+    coefficient vector in powers of s (see :class:`_IntModulus`), reduced
+    mod M.  ``*`` is an integer convolution reduced mod M, in which only
+    the entries below deg M are computed when M is a power of s; ``+`` is a
+    vector sum; both also take an int, which stands for a constant."""
+
+    __slots__ = ("coeffs", "ring")
+
+    def __init__(self, coeffs, ring):
+        self.coeffs = coeffs
+        self.ring = ring
+
+    def _check(self, other):
+        if other.ring is not self.ring and other.ring.modulus != self.ring.modulus:
+            raise BackendMismatch("different quotient moduli")
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def __neg__(self):
+        return _IntResidue([-c for c in self.coeffs], self.ring)
+
+    def __add__(self, other):
+        if type(other) is int:
+            out = list(self.coeffs) or [0]
+            out[0] += other
+            return _IntResidue(out, self.ring)
+        self._check(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _IntResidue(out, self.ring)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        ring = self.ring
+        if type(other) is int:
+            return _IntResidue([c * other for c in self.coeffs], ring)
+        self._check(other)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _IntResidue([], ring)
+        n = len(a) + len(b) - 1
+        if not ring.low and n > ring.degree:
+            n = ring.degree
+        out = [0] * n
+        for i, x in enumerate(a[:n]):
+            if x:
+                for j, y in enumerate(b[:n - i], i):
+                    out[j] += x * y
+        return _IntResidue(ring.reduce_ints(out), ring)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, g):
+        return _IntResidue([c // g for c in self.coeffs], self.ring)
 
 
 def _half_ext_gcd(a, m):
@@ -800,18 +936,23 @@ class TruncatedSeries:
 
 def _ratio(c):
     """A scalar as (numerator, denominator): two ints for an int or a
-    Fraction, the element itself over 1 for any other backend."""
+    Fraction; for a quotient-ring element, its residue as an
+    :class:`_IntResidue` over one int denominator, the lcm of the residue's
+    coefficient denominators (times powers of the modulus's scale D when
+    D != 1)."""
     if isinstance(c, (int, Fraction)):
         return c.numerator, c.denominator
-    return c, 1
+    return c._ring.split(c.residue.coeffs)
 
 
 def _scalar(n, den):
     """The coefficient n / den for an int den >= 1: a Fraction for an int
-    n, an element of n's own backend otherwise."""
+    n, a quotient-ring element for an :class:`_IntResidue` n, built once
+    from its already reduced residue."""
     if type(n) is int:
         return Fraction(n, den)
-    return n if den == 1 else n * Fraction(1, den)
+    ring = n.ring
+    return ring.element(ring.join(n.coeffs, den))
 
 
 def _convolve(pairs, divisor=1):
@@ -819,10 +960,11 @@ def _convolve(pairs, divisor=1):
     degree parts ``(items, den)`` as made by ``TruncatedSeries._graded``.
 
     Numerators are multiplied and added with plain ``*`` and ``+``: ints
-    for rational coefficients, elements for the other backends.  The
-    result is one degree part over the lcm of the pair denominators
-    times ``divisor``, with zero numerators dropped and, when every
-    numerator is an int, numerators and denominator divided by their gcd.
+    for rational coefficients, :class:`_IntResidue` int vectors for
+    quotient-ring ones.  The result is one degree part over the lcm of the
+    pair denominators times ``divisor``, with zero numerators dropped, and
+    numerators and denominator divided by the gcd of the denominator and
+    every int coefficient of the numerators.
     """
     den = 1
     for (_, da), (_, db) in pairs:
@@ -843,8 +985,12 @@ def _convolve(pairs, divisor=1):
                     acc[k] = n1 * n2
     den *= divisor
     items = [(k, n) for k, n in acc.items() if not is_zero(n)]
-    if den != 1 and all(type(n) is int for _, n in items):
-        g = gcd(den, *(n for _, n in items))
+    if den != 1:
+        g = den
+        for _, n in items:
+            g = gcd(g, n) if type(n) is int else gcd(g, *n.coeffs)
+            if g == 1:
+                break
         if g != 1:
             items = [(k, n // g) for k, n in items]
             den //= g

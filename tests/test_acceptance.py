@@ -204,7 +204,7 @@ def test_criterion_08a_certificates_triangle_and_product():
     ok = irreducibility_certificate(1 + y1 + y2).kind == "irreducible"
     product = (1 - y1) * (1 - y2)
     ok = ok and irreducibility_certificate(product).kind == "inconclusive"
-    # laurent_mul exhibits the factorization of the inconclusive input
+    # the product operator exhibits the factorization of the inconclusive input
     ok = ok and product == LaurentPoly(("y1", "y2"), {
         (0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
     assert _verdict("8a", ok, "1+y1+y2 irreducible; (1-y1)(1-y2) inconclusive "

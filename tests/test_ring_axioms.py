@@ -1,16 +1,20 @@
 """Ring axioms and inverses of every exact backend, as hypothesis properties.
 
 Associativity, commutativity and distributivity are checked for
-``UniPoly``, ``QuotientRingElem`` over the irreducible modulus t^3 - 2 and
-over the nilpotent modulus t^4, and ``TruncatedSeries`` with coefficients
-in Q, in that quotient field and in that nilpotent ring.  Each backend that defines
+``UniPoly``, ``QuotientRingElem`` over the irreducible modulus t^3 - 2,
+over the irreducible modulus t^2 + t/2 - 1/3 with non-integer
+coefficients and over the nilpotent modulus t^4, and ``TruncatedSeries``
+with coefficients in Q, in those quotient fields and in that nilpotent
+ring.  Each backend that defines
 ``invert`` must give x * x.invert() == 1 on its units; ``UniPoly`` has
 none beyond the constants, so it is checked for exact division with
 remainder instead.  ``series_exp`` and ``series_log`` must be inverse to
-each other over all three coefficient backends.  Runs with a fixed seed
+each other over every coefficient backend.  Runs with a fixed seed
 and a bounded number of examples, so the outcome and the running time do
 not vary between runs.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +31,7 @@ from augvar.rings import (  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
 MODULUS = UniPoly([-2, 0, 0, 1])            # t^3 - 2, irreducible by Eisenstein
+RAT_MODULUS = UniPoly([Fraction(-1, 3), Fraction(1, 2), 1])   # t^2 + t/2 - 1/3
 NIL_ORDER = 4
 NIL_MODULUS = UniPoly.gen() ** NIL_ORDER
 SERIES_VARS = ("mu1", "mu2")
@@ -41,6 +46,7 @@ def _coeffs(size):
 
 unipolys = _coeffs(5).map(UniPoly)
 quotients = _coeffs(3).map(lambda cs: QuotientRingElem(UniPoly(cs), MODULUS))
+rat_quotients = _coeffs(3).map(lambda cs: QuotientRingElem(UniPoly(cs), RAT_MODULUS))
 nilpotents = _coeffs(NIL_ORDER).map(lambda cs: QuotientRingElem(UniPoly(cs), NIL_MODULUS))
 
 
@@ -56,6 +62,8 @@ SERIES_COEFFS = {
     "series": (rationals, rationals.filter(lambda c: c != 0), 1),
     "quotient_series": (quotients, quotients.filter(lambda c: not c.is_zero()),
                         QuotientRingElem(UniPoly.one(), MODULUS)),
+    "rat_quotient_series": (rat_quotients, rat_quotients.filter(lambda c: not c.is_zero()),
+                            QuotientRingElem(UniPoly.one(), RAT_MODULUS)),
     "nilpotent_series": (nilpotents, nilpotents.filter(lambda c: c.residue[0] != 0),
                          QuotientRingElem(UniPoly.one(), NIL_MODULUS)),
 }
@@ -71,7 +79,8 @@ def _series_units(name):
     return st.tuples(_zero_constant(name), units).map(lambda p: p[0] + p[1])
 
 
-BACKENDS = {"unipoly": unipolys, "quotient": quotients, "nilpotent": nilpotents, **SERIES}
+BACKENDS = {"unipoly": unipolys, "quotient": quotients, "rat_quotient": rat_quotients,
+            "nilpotent": nilpotents, **SERIES}
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
@@ -91,11 +100,13 @@ def test_ring_axioms(name):
     check()
 
 
-@pytest.mark.parametrize("name", ["quotient", "nilpotent", "series", "quotient_series",
+@pytest.mark.parametrize("name", ["quotient", "rat_quotient", "nilpotent", "series",
+                                  "quotient_series", "rat_quotient_series",
                                   "nilpotent_series"])
 def test_units_invert(name):
     units = {
         "quotient": quotients.filter(lambda x: not x.is_zero()),
+        "rat_quotient": rat_quotients.filter(lambda x: not x.is_zero()),
         "nilpotent": nilpotents.filter(lambda x: x.residue[0] != 0),
         **{key: _series_units(key) for key in SERIES},
     }[name]

@@ -272,6 +272,68 @@ def test_backend_mixing_rejected():
         QuotientRingElem.generator(T ** 2) + QuotientRingElem.generator(T ** 3)
 
 
+RATIONAL_MODULUS = UniPoly([F(-1, 3), F(1, 2), 1])       # t^2 + t/2 - 1/3
+
+
+def _constants_of_every_form():
+    """(value, its rational) pairs: built directly, and rebuilt from the
+    integer form by a quotient-ring product and by the series kernel."""
+    out = []
+    for m in (T ** 2, UniPoly([-2, 0, 1]), RATIONAL_MODULUS):
+        t = QuotientRingElem.generator(m)
+        x = 3 + t
+        out.append((QuotientRingElem(1, m), F(1)))
+        out.append((QuotientRingElem(F(3, 2), m), F(3, 2)))
+        out.append((x * x.invert(), F(1)))
+        u = TruncatedSeries(("mu",), 3, {(0,): x, (1,): t})
+        out.append(((u * u.invert()).constant_term(), F(1)))
+        out.append(((u * u).constant_term() - x * x + F(-7, 5), F(-7, 5)))
+    out += [(UniPoly([1]), F(1)), (UniPoly([F(-5, 3)]), F(-5, 3)), (UniPoly(), F(0))]
+    return out
+
+
+@pytest.mark.parametrize("index", range(18))
+def test_constants_hash_like_their_rational(index):
+    x, c = _constants_of_every_form()[index]
+    assert x == c
+    assert hash(x) == hash(c) == hash(F(c))
+    assert x in {c}
+    assert {c: "v"}.get(x) == "v"
+    if c.denominator == 1:
+        assert x in {int(c)}
+        assert {int(c): "v"}.get(x) == "v"
+
+
+def test_equal_elements_hash_alike_across_the_integer_form():
+    m = RATIONAL_MODULUS
+    t = QuotientRingElem.generator(m)
+    a = (t + F(2, 7)) * (t - 5)
+    b = QuotientRingElem(UniPoly([F(2, 7), 1]) * UniPoly([-5, 1]), m)
+    assert a == b and hash(a) == hash(b) == hash(a.residue)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("modulus", [T ** 3, UniPoly([-2, 0, 1]), RATIONAL_MODULUS],
+                         ids=["t^3", "t^2-2", "t^2+t/2-1/3"])
+def test_scalar_product_matches_ring_product(modulus):
+    x = QuotientRingElem(UniPoly([F(1, 3), -2, F(5, 7)]), modulus)
+    for c in (0, 1, -3, 10 ** 25, F(2, 9), F(-7, 10 ** 20 + 39)):
+        expected = x * QuotientRingElem(c, modulus)
+        assert x * c == expected
+        assert c * x == expected
+        assert (x * c).residue.coeffs == expected.residue.coeffs
+
+
+def test_rational_modulus_reduction_is_exact():
+    m = RATIONAL_MODULUS
+    t = QuotientRingElem.generator(m)
+    assert t * t == QuotientRingElem(UniPoly([F(1, 3), F(-1, 2)]), m)
+    x = QuotientRingElem(UniPoly([1, 2, 3, 4, 5]), m)
+    assert x.residue == UniPoly([1, 2, 3, 4, 5]) % m
+    assert (x * x).residue == (UniPoly([1, 2, 3, 4, 5]) ** 2) % m
+    assert x * x.invert() == 1
+
+
 # --------------------------------------------------------------------------
 # powers
 # --------------------------------------------------------------------------

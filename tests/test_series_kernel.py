@@ -1,11 +1,13 @@
 """Differential tests of the graded series kernel.
 
 Products, inverses and logarithms of seeded random series over Q,
-Q[t]/(t^3 - 2) and Q[t]/(t^3) must equal, exactly, the naive
+Q[t]/(t^3 - 2), Q[t]/(t^3) and Q[t]/(t^2 + t/2 - 1/3), a modulus with
+non-integer coefficients, must equal, exactly, the naive
 term-by-term product and the geometric-series inverse and power-sum
 logarithm kept in ``series_oracles``.  Pinned cases cover series that mix
-int and Fraction coefficients, a 30-digit denominator, and rational
-coefficients beside quotient-field ones in one series.
+int and Fraction coefficients, a 30-digit denominator, quotient-ring
+residues with 20-digit denominators, and rational coefficients beside
+quotient-field ones in one series.
 """
 
 import random
@@ -27,9 +29,11 @@ from series_oracles import geometric_invert, naive_mul, power_sum_log
 F = Fraction
 MODULUS = UniPoly([-2, 0, 0, 1])            # t^3 - 2, irreducible
 NIL_MODULUS = UniPoly([0, 0, 0, 1])        # t^3
+RAT_MODULUS = UniPoly([F(-1, 3), F(1, 2), 1])   # t^2 + t/2 - 1/3, irreducible
 VS = ("mu1", "mu2")
 ORDER = 5
-BACKENDS = ("rational", "quotient", "nilpotent")
+MODULI = {"quotient": MODULUS, "nilpotent": NIL_MODULUS, "rational-modulus": RAT_MODULUS}
+BACKENDS = ("rational",) + tuple(MODULI)
 
 
 def _rational(rng):
@@ -40,14 +44,13 @@ def _scalar(rng, backend):
     if backend == "rational":
         return _rational(rng)
     cs = [_rational(rng) for _ in range(3)]
-    if backend == "quotient":
-        return QuotientRingElem(UniPoly(cs), MODULUS)
-    return QuotientRingElem(UniPoly(cs), NIL_MODULUS)
+    return QuotientRingElem(UniPoly(cs), MODULI[backend])
 
 
 def _one(backend):
-    return {"rational": F(1), "quotient": QuotientRingElem(UniPoly.one(), MODULUS),
-            "nilpotent": QuotientRingElem(UniPoly.one(), NIL_MODULUS)}[backend]
+    if backend == "rational":
+        return F(1)
+    return QuotientRingElem(UniPoly.one(), MODULI[backend])
 
 
 def _series(rng, backend, constant=None):
@@ -134,3 +137,18 @@ def test_non_integer_exponents_are_rejected_not_truncated():
     with pytest.raises(PreconditionViolation):
         TruncatedSeries(VS, 4, {(0, 0.5): 1})
     assert TruncatedSeries(VS, 4, {(F(2, 2), 0): 1}).terms == {(1, 0): 1}
+
+
+@pytest.mark.parametrize("modulus", [MODULUS, NIL_MODULUS, RAT_MODULUS],
+                         ids=["t^3-2", "t^3", "t^2+t/2-1/3"])
+def test_quotient_residues_with_20_digit_denominators(modulus):
+    p, q = 10 ** 19 + 51, 10 ** 19 + 63
+    x = QuotientRingElem(UniPoly([F(1, p), F(-3, q), F(p, q)]), modulus)
+    y = QuotientRingElem(UniPoly([1, F(q, 7 * p)]), modulus)
+    u = TruncatedSeries(VS, 5, {(0, 0): y, (1, 0): x, (0, 1): x * x, (1, 1): F(2, p)})
+    assert (u * u).terms == naive_mul(u, u).terms
+    assert u.invert().terms == geometric_invert(u).terms
+    assert u * u.invert() == 1
+    w = u.scale(y.invert())
+    assert series_log(w).terms == power_sum_log(w).terms
+    assert series_exp(series_log(w)) == w
