@@ -334,6 +334,19 @@ def test_rational_modulus_reduction_is_exact():
     assert x * x.invert() == 1
 
 
+@pytest.mark.parametrize("modulus", [T ** 4, UniPoly([-2, 1, 0, 1]), RATIONAL_MODULUS,
+                                     UniPoly([F(3, 10), F(-7, 4), F(5, 6), 1])],
+                         ids=["t^4", "t^3+t-2", "t^2+t/2-1/3", "t^3+5t^2/6-7t/4+3/10"])
+def test_products_match_fraction_polynomial_remainder(modulus):
+    rng = random.Random("products-" + str(modulus))
+    for _ in range(30):
+        p, q = (UniPoly([F(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 10 ** 20 + 39]))
+                         for _ in range(rng.randint(0, 6))]) for _ in range(2))
+        x, y = QuotientRingElem(p, modulus), QuotientRingElem(q, modulus)
+        assert x.residue == p % modulus
+        assert (x * y).residue == (p * q) % modulus
+
+
 # --------------------------------------------------------------------------
 # powers
 # --------------------------------------------------------------------------
