@@ -585,7 +585,8 @@ class _IntModulus:
         scale = self.scale
         dens = [c.denominator * scale ** i for i, c in enumerate(coeffs)]
         den = lcm(*dens)
-        return _IntResidue([c.numerator * (den // e) for c, e in zip(coeffs, dens)], self), den
+        nums = [c.numerator * (den // e) for c, e in zip(coeffs, dens)]
+        return _IntResidue(nums, self), den
 
     def join(self, nums, den):
         """The reduced residue (nums / den in powers of s) as a UniPoly."""
