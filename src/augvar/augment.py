@@ -335,10 +335,6 @@ def sheet_variables(base_variables, sheet):
     return tuple("%s_%d" % (v, sheet) for v in base_variables)
 
 
-def chord_name(j, k):
-    return "a%d%d" % (j, k)
-
-
 @dataclass(frozen=True)
 class PartitionComponent:
     """One irreducible component of the augmentation variety of a disjoint
@@ -513,16 +509,6 @@ def _sheet_relation_value(cand, j):
     for i, v in enumerate(cand.y[j - 1], start=1):
         total += signs[i] * v
     return total
-
-
-def dga_relations_text(ell):
-    """Names of the degree-one relations checked for ell sheets."""
-    if ell not in (2, 3):
-        raise IndexOutOfRange("relation list is hard-coded for 2 or 3 sheets")
-    names = ["delta(a_%d%d)" % (i, i) for i in range(1, ell + 1)]
-    if ell == 3:
-        names += ["delta(a_13)", "delta(a_21)", "delta(a_32)"]
-    return names
 
 
 def dga_relation_check(cand):

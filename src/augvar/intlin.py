@@ -2,9 +2,13 @@
 
 Small dense routines over Fraction / int used by the polytope and Laurent
 machinery: determinants, inverses of unimodular matrices, rational null
-spaces, saturated integer kernels, completion of a primitive vector to a
-lattice basis, a phase-one simplex for finding interior vectors of dual
-cones, and the exact convex-hull engine.
+spaces, a phase-one simplex for finding interior vectors of dual cones,
+and the exact convex-hull engine.
+
+One unimodular column reduction, :func:`_column_reduce`, serves every
+integer lattice question: saturated integer kernels, the index of the
+lattice spanned by a set of vectors, and the completion of a primitive
+vector to a lattice basis.
 
 The hull engine works in integers only: Andrew's monotone chain in the
 plane, and beneath-beyond over a triangulated boundary in dimension three
@@ -15,7 +19,7 @@ its own output, raising :class:`VerificationFailure` when a check fails.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import PreconditionViolation, VerificationFailure
 
@@ -37,12 +41,6 @@ def identity_matrix(n):
 
 def mat_vec(M, v):
     return tuple(sum(r[j] * v[j] for j in range(len(v))) for r in M)
-
-
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
 
 
 def det(M):
@@ -152,55 +150,58 @@ def primitive_vector(v):
     return tuple(x // g for x in ints)
 
 
-def integer_kernel(rows):
-    """Basis of the integer kernel {x in Z^n : rows . x = 0}.
+def _column_reduce(rows):
+    """Column echelon form of an integer matrix by unimodular column steps.
 
-    Column-reduction by unimodular operations: track U with A U = H; the
-    columns of U matching zero columns of H form the kernel basis.  The
-    basis is automatically saturated.
+    Returns (H, U, rank) with rows . U = H and U unimodular.  Row by row,
+    every entry right of the current pivot column is cleared by the column
+    Euclid: while it is nonzero, the smaller of it and the pivot is swapped
+    into the pivot column and the other column is reduced by it.  A row that
+    is zero from the pivot column on raises no rank.  Hence the columns of H
+    past ``rank`` are zero, and its first ``rank`` columns are a basis of
+    the lattice its columns span.
     """
+    H = [list(r) for r in rows]
+    n = len(H[0]) if H else 0
+    U = identity_matrix(n)
+    rank = 0
+    for row in H:
+        if rank == n:
+            break
+        for c in range(rank + 1, n):
+            while row[c]:
+                if row[rank] == 0 or abs(row[c]) < abs(row[rank]):
+                    for M in (H, U):
+                        for r in M:
+                            r[rank], r[c] = r[c], r[rank]
+                f = row[c] // row[rank]
+                for M in (H, U):
+                    for r in M:
+                        r[c] -= f * r[rank]
+        if row[rank]:
+            rank += 1
+    return H, U, rank
+
+
+def integer_kernel(rows):
+    """Basis of the integer kernel {x in Z^n : rows . x = 0}: the columns
+    of U past the rank in the column reduction rows . U = H.  U is
+    unimodular, so the basis is saturated."""
     if not rows:
         return []
-    m, n = len(rows), len(rows[0])
-    A = [list(r) for r in rows]
-    U = identity_matrix(n)
+    _, U, rank = _column_reduce(rows)
+    return [tuple(r[c] for r in U) for c in range(rank, len(U))]
 
-    def col(M, j):
-        return [M[i][j] for i in range(len(M))]
 
-    def addcol(M, dst, src, f):
-        for i in range(len(M)):
-            M[i][dst] += f * M[i][src]
-
-    def swapcol(M, a, b):
-        for i in range(len(M)):
-            M[i][a], M[i][b] = M[i][b], M[i][a]
-
-    row = 0
-    colidx = 0
-    while row < m and colidx < n:
-        # find a nonzero entry in this row at column >= colidx
-        j = next((c for c in range(colidx, n) if A[row][c] != 0), None)
-        if j is None:
-            row += 1
-            continue
-        swapcol(A, colidx, j)
-        swapcol(U, colidx, j)
-        # gcd chain across the remaining columns
-        for c in range(colidx + 1, n):
-            while A[row][c] != 0:
-                q = A[row][colidx] // A[row][c]
-                addcol(A, colidx, c, -q)
-                addcol(U, colidx, c, -q)
-                swapcol(A, colidx, c)
-                swapcol(U, colidx, c)
-        row += 1
-        colidx += 1
-    kernel = []
-    for c in range(n):
-        if all(A[i][c] == 0 for i in range(m)):
-            kernel.append(tuple(col(U, c)))
-    return kernel
+def lattice_index(vectors, n):
+    """Index of the subgroup of Z^n generated by the vectors, 0 below full
+    rank.  Column-reduce the matrix whose columns are the vectors: at full
+    rank its first n columns are a lower-triangular basis of the same
+    lattice, so the index is the absolute product of the pivots."""
+    H, _, rank = _column_reduce([[v[i] for v in vectors] for i in range(n)])
+    if rank < n:
+        return 0
+    return abs(prod(H[i][i] for i in range(n)))
 
 
 def complete_primitive_row(q):
@@ -209,34 +210,11 @@ def complete_primitive_row(q):
     Column-reduce q to (1, 0, ..., 0) by unimodular operations V; then the
     first row of V^{-1} is q and its rows form the sought basis.
     """
-    n = len(q)
-    row = list(q)
-    V = identity_matrix(n)
-
-    def addcol(M, dst, src, f):
-        for i in range(len(M)):
-            M[i][dst] += f * M[i][src]
-
-    def swapcol(M, a, b):
-        for i in range(len(M)):
-            M[i][a], M[i][b] = M[i][b], M[i][a]
-
-    def negcol(M, a):
-        for i in range(len(M)):
-            M[i][a] = -M[i][a]
-
-    for c in range(1, n):
-        while row[c] != 0:
-            if row[0] == 0 or abs(row[c]) < abs(row[0]):
-                row[0], row[c] = row[c], row[0]
-                swapcol(V, 0, c)
-            q_ = row[c] // row[0]
-            row[c] -= q_ * row[0]
-            addcol(V, c, 0, -q_)
+    (row,), V, _ = _column_reduce([q])
     if row[0] == -1:
-        row[0] = 1
-        negcol(V, 0)
-    if row[0] != 1:
+        for r in V:
+            r[0] = -r[0]
+    elif row[0] != 1:
         raise ValueError("vector %r is not primitive" % (q,))
     return mat_inverse(V)
 

@@ -473,10 +473,17 @@ def indecomposable_2d(P):
     """True when P admits no Minkowski split into two non-point summands.
 
     A convex lattice polygon is determined by its counterclockwise edge
-    vectors, which sum to zero.  P = A + B exactly when the edge multiset
-    splits into two sub-multisets that each sum to zero (keeping one
-    contiguous run of each primitive direction per summand).  Exhaustive
-    search over the splits; polygon inputs here are tiny.
+    vectors g_i p_i (p_i primitive), which sum to zero.  P = A + B exactly
+    when some choice 0 <= a_i <= g_i, neither all zero nor all full, has
+    sum a_i p_i = 0.  A choice and its complement give the same split, so
+    a_1 >= 1 loses nothing.  One pass over the edges keeps the set of
+    states (sum so far, some a_i < g_i so far), dropping sums the remaining
+    edges cannot bring back to zero (Gao-Lauder, "Decomposition of
+    polytopes and polynomials", 2001).  For P of width w and height h the
+    kept sums lie in [-w, w] x [-h, h], so there are at most
+    2 (2w + 1)(2h + 1) states, and edge i moves each in g_i + 1 ways: the
+    work is polynomial in the edge count, the lattice perimeter and the
+    size of P, with no search over splits.
     """
     if P.ambient_dim != 2:
         raise NotTwoDimensionalInput("indecomposability test is two-dimensional")
@@ -488,33 +495,30 @@ def indecomposable_2d(P):
         return gcd(*(a - b for a, b in zip(v, w))) == 1
     cycle = ccw_vertex_cycle(P)
     edges = []
-    for i in range(len(cycle)):
-        v, w = cycle[i], cycle[(i + 1) % len(cycle)]
-        e = (w[0] - v[0], w[1] - v[1])
-        g = gcd(*e)
-        edges.append(((e[0] // g, e[1] // g), g))
-    # choose a_i in [0, g_i] with sum a_i p_i = 0, not all zero, not all full
-    dirs = [p for p, _ in edges]
-    mults = [g for _, g in edges]
-
-    def search(i, sx, sy):
-        if i == len(edges):
-            return sx == 0 and sy == 0
-        # prune: remaining edges bound the achievable change in each coordinate
-        remx = sum(abs(dirs[j][0]) * mults[j] for j in range(i, len(edges)))
-        remy = sum(abs(dirs[j][1]) * mults[j] for j in range(i, len(edges)))
-        if abs(sx) > remx or abs(sy) > remy:
+    for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+        g = gcd(w[0] - v[0], w[1] - v[1])
+        edges.append(((w[0] - v[0]) // g, (w[1] - v[1]) // g, g))
+    # reach[i] bounds the sums over the edges after the i-th: (lo_x, hi_x,
+    # lo_y, hi_y); a state must lie in the negated box to return to zero
+    reach = [(0, 0, 0, 0)]
+    for px, py, g in reversed(edges[1:]):
+        lx, hx, ly, hy = reach[-1]
+        reach.append((lx + min(0, g * px), hx + max(0, g * px),
+                      ly + min(0, g * py), hy + max(0, g * py)))
+    reach.reverse()
+    px, py, g = edges[0]
+    states = {(a * px, a * py, a < g) for a in range(1, g + 1)}
+    for (px, py, g), (lx, hx, ly, hy) in zip(edges[1:], reach[1:]):
+        nxt = set()
+        for x, y, short in states:
+            for a in range(g + 1):
+                x1, y1 = x + a * px, y + a * py
+                if -hx <= x1 <= -lx and -hy <= y1 <= -ly:
+                    nxt.add((x1, y1, short or a < g))
+        if (0, 0, True) in nxt:
             return False
-        for a in range(mults[i] + 1):
-            choice[i] = a
-            if search(i + 1, sx + a * dirs[i][0], sy + a * dirs[i][1]):
-                if any(choice) and any(choice[j] < mults[j] for j in range(len(edges))):
-                    return True
-        choice[i] = 0
-        return False
-
-    choice = [0] * len(edges)
-    return not search(0, 0, 0)
+        states = nxt
+    return True
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ Also houses the Markov-triple machinery indexing the exotic-torus lifts.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from . import intlin
 from .errors import (
@@ -155,9 +155,9 @@ def toric_relation(rays, signs=None, vertex=None, fit_basis=True):
             raise DegenerateFan("rays of mixed dimension")
         if gcd(*r) != 1:
             raise NonPrimitiveRay("ray %r is not primitive" % (r,))
-    # the rays must span Z^n as a group: the index of the generated
-    # sublattice is the gcd of all maximal minors (Smith form)
-    if _lattice_index(rays, n) != 1:
+    # the rays must span Z^n as a group: the generated sublattice has
+    # index one, read off the pivots of one column reduction
+    if intlin.lattice_index(rays, n) != 1:
         raise DegenerateFan("rays do not span the full lattice")
     signs = sign_vector(signs if signs is not None else [1] * len(rays), len(rays))
     variables = tuple("y%d" % i for i in range(1, n + 1))
@@ -196,23 +196,6 @@ def user_relation(f, vertex=None, fit_basis=True):
         vertex=v,
         basis=tuple(tuple(r) for r in M),
     )
-
-
-def _lattice_index(rays, n):
-    """Index of the subgroup of Z^n generated by the rays (0 if not full rank)."""
-    # column-reduce the transpose via the integer kernel machinery: the
-    # index is |det| of any basis of the generated lattice
-    from itertools import combinations
-    best = 0
-    if len(rays) < n:
-        return 0
-    for subset in combinations(rays, n):
-        d = intlin.det([list(r) for r in subset])
-        d = abs(int(d))
-        best = gcd(best, d)
-        if best == 1:
-            return 1
-    return best
 
 
 # --------------------------------------------------------------------------
@@ -265,30 +248,6 @@ def markov_generate(bound):
                     nxt.append(m)
         frontier = nxt
     return sorted(seen)
-
-
-def markov_brute_force(bound):
-    """Independent Diophantine enumeration of a^2 + b^2 + c^2 = 3abc.
-
-    For each a <= b the equation is a quadratic in c; an integer root in
-    [b, bound] yields a triple.  Never touches the mutation tree.
-    """
-    out = set()
-    for a in range(1, bound + 1):
-        for b in range(a, bound + 1):
-            # c^2 - 3ab c + (a^2 + b^2) = 0
-            disc = 9 * a * a * b * b - 4 * (a * a + b * b)
-            if disc < 0:
-                continue
-            r = isqrt(disc)
-            if r * r != disc:
-                continue
-            for c2 in ((3 * a * b - r), (3 * a * b + r)):
-                if c2 % 2 == 0:
-                    c = c2 // 2
-                    if b <= c <= bound:
-                        out.add(MarkovTriple(a, b, c))
-    return sorted(out)
 
 
 def is_fibonacci(n):

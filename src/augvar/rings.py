@@ -467,7 +467,12 @@ class QuotientRingElem:
         return self.residue.is_zero()
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        """Equal residues over one modulus; elements over different moduli
+        are unequal, though arithmetic mixing them raises."""
+        try:
+            other = self._coerce(other)
+        except BackendMismatch:
+            return False
         if other is None:
             return NotImplemented
         return self.residue == other.residue
@@ -744,12 +749,11 @@ class TruncatedSeries:
 
     def _make(self, terms):
         """A series over this one's variables and order from terms whose
-        exponents are already valid; zero coefficients are dropped."""
+        exponents are already valid and whose coefficients are nonzero."""
         out = object.__new__(TruncatedSeries)
         object.__setattr__(out, "variables", self.variables)
         object.__setattr__(out, "order", self.order)
-        object.__setattr__(out, "terms",
-                           {e: c for e, c in terms.items() if not is_zero(c)})
+        object.__setattr__(out, "terms", terms)
         return out
 
     # -- graded numerator form ----------------------------------------------
@@ -868,7 +872,12 @@ class TruncatedSeries:
             return NotImplemented
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            out[exp] = out[exp] + c if exp in out else c
+            if exp in out:
+                c = out[exp] + c
+                if is_zero(c):
+                    del out[exp]
+                    continue
+            out[exp] = c
         return self._make(out)
 
     __radd__ = __add__
@@ -901,7 +910,8 @@ class TruncatedSeries:
     def scale(self, c):
         if c == 1:
             return self
-        return self._make({e: v * c for e, v in self.terms.items()})
+        products = ((e, v * c) for e, v in self.terms.items())
+        return self._make({e: p for e, p in products if not is_zero(p)})
 
     def __pow__(self, n):
         if not isinstance(n, int):

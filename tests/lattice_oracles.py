@@ -1,0 +1,68 @@
+"""Slow reference algorithms for the lattice layer, kept as test oracles.
+
+``minors_gcd_index`` takes the index of the lattice spanned by vectors as
+the gcd of all maximal minors, exponential in the number of vectors.
+``split_search_indecomposable`` decides polygon indecomposability by an
+exhaustive search over the edge splits, exponential in the edge count.
+The library reads the index off one column reduction and decides
+indecomposability in one pass over partial sums, so agreement is
+evidence for both.
+"""
+
+from itertools import combinations
+from math import gcd
+
+from augvar import intlin
+from augvar.polytope import ccw_vertex_cycle
+
+
+def minors_gcd_index(vectors, n):
+    """Index of the subgroup of Z^n generated by the vectors (0 if not full
+    rank): the gcd of the n x n minors (Smith form)."""
+    best = 0
+    if len(vectors) < n:
+        return 0
+    for subset in combinations(vectors, n):
+        best = gcd(best, abs(intlin.det([list(r) for r in subset])))
+        if best == 1:
+            return 1
+    return best
+
+
+def split_search_indecomposable(P):
+    """True when no choice a_i in [0, g_i], not all zero and not all full,
+    of the polygon's primitive edge steps sums to zero.  Depth-first search
+    over every choice, pruned by the reach of the remaining edges."""
+    d = P.affine_dim
+    if d == 0:
+        return True
+    if d == 1:
+        v, w = P.vertices[0], P.vertices[-1]
+        return gcd(*(a - b for a, b in zip(v, w))) == 1
+    cycle = ccw_vertex_cycle(P)
+    edges = []
+    for i in range(len(cycle)):
+        v, w = cycle[i], cycle[(i + 1) % len(cycle)]
+        e = (w[0] - v[0], w[1] - v[1])
+        g = gcd(*e)
+        edges.append(((e[0] // g, e[1] // g), g))
+    dirs = [p for p, _ in edges]
+    mults = [g for _, g in edges]
+
+    def search(i, sx, sy):
+        if i == len(edges):
+            return sx == 0 and sy == 0
+        remx = sum(abs(dirs[j][0]) * mults[j] for j in range(i, len(edges)))
+        remy = sum(abs(dirs[j][1]) * mults[j] for j in range(i, len(edges)))
+        if abs(sx) > remx or abs(sy) > remy:
+            return False
+        for a in range(mults[i] + 1):
+            choice[i] = a
+            if search(i + 1, sx + a * dirs[i][0], sy + a * dirs[i][1]):
+                if any(choice) and any(choice[j] < mults[j] for j in range(len(edges))):
+                    return True
+        choice[i] = 0
+        return False
+
+    choice = [0] * len(edges)
+    return not search(0, 0, 0)

@@ -47,12 +47,13 @@ from augvar.polytope import (
 )
 from augvar.potentials import (
     clifford_relation,
-    markov_brute_force,
     markov_fibonacci_check,
     markov_generate,
     product_spheres_relation,
 )
 from augvar.rings import TruncatedSeries, series_exp, series_log
+
+from markov_oracles import markov_brute_force
 
 F = Fraction
 

@@ -5,14 +5,18 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from augvar.augment import random_unimodular
+from augvar.errors import DegenerateFan
 from augvar.intlin import (
+    _column_reduce,
     complete_primitive_row,
     det,
     fit_cone_to_orthant,
     integer_kernel,
+    lattice_index,
     mat_inverse,
-    mat_mul,
     mat_vec,
     phase1_feasible,
     primitive_vector,
@@ -20,8 +24,17 @@ from augvar.intlin import (
     rref,
     strict_dual_vector,
 )
+from augvar.potentials import toric_relation
+
+from lattice_oracles import minors_gcd_index
 
 F = Fraction
+
+
+def mat_mul(A, B):
+    n, k, m = len(A), len(B), len(B[0])
+    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
+            for i in range(n)]
 
 
 def test_det_known_values():
@@ -166,3 +179,112 @@ def test_integer_kernel_saturation_specific():
     x, y = basis[0]
     assert 3 * x + 6 * y == 0
     assert gcd(abs(x), abs(y)) == 1
+
+
+# (q, complete_primitive_row(q)), pinned: fitted bases, and the reports
+# built on them, depend on these exact rows
+COMPLETED_ROWS = [
+    ((1, 0), [(1, 0), (0, 1)]),
+    ((0, 1), [(0, 1), (1, 0)]),
+    ((-1, 0), [(-1, 0), (0, 1)]),
+    ((2, 3), [(2, 3), (1, 1)]),
+    ((3, -2), [(3, -2), (-2, 1)]),
+    ((-5, 7), [(-5, 7), (2, -3)]),
+    ((4, 9), [(4, 9), (1, 2)]),
+    ((1, 1, 1), [(1, 1, 1), (0, 1, 0), (0, 0, 1)]),
+    ((2, 3, 5), [(2, 3, 5), (1, 1, 0), (0, 0, 1)]),
+    ((6, 10, 15), [(6, 10, 15), (1, 2, 0), (3, 5, 7)]),
+    ((-3, 0, 2), [(-3, 0, 2), (0, 1, 0), (-2, 0, 1)]),
+    ((0, 0, -1), [(0, 0, -1), (0, 1, 0), (1, 0, 0)]),
+    ((7, -4, 0, 9), [(7, -4, 0, 9), (-2, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+    ((1, 2, 3, 4), [(1, 2, 3, 4), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+    ((12, -18, 10, 15), [(12, -18, 10, 15), (1, -2, 0, 0), (2, -3, 2, 0), (6, -9, 5, 7)]),
+]
+
+
+@pytest.mark.parametrize("q, expected", COMPLETED_ROWS, ids=[str(q) for q, _ in COMPLETED_ROWS])
+def test_complete_primitive_row_pinned(q, expected):
+    assert [tuple(r) for r in complete_primitive_row(q)] == expected
+
+
+def test_complete_primitive_row_rejects_non_primitive():
+    for q in ((2, 4), (0, 0, 0), (-3, 6, 9)):
+        with pytest.raises(ValueError):
+            complete_primitive_row(q)
+
+
+def test_column_reduce_is_unimodular_echelon_form():
+    rng = random.Random(71)
+    for _ in range(80):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:
+            A.append([2 * x for x in A[0]])            # a dependent row
+        H, U, rank = _column_reduce(A)
+        assert mat_mul(A, U) == H
+        assert abs(det(U)) == 1
+        assert rank == len(rref(A)[1])
+        assert all(row[c] == 0 for row in H for c in range(rank, n))
+        # each pivot column starts one row further down than the last
+        leads = [next(i for i, row in enumerate(H) if row[c]) for c in range(rank)]
+        assert leads == sorted(set(leads))
+
+
+def _ray_sets(seed, count):
+    """Seeded (rays, n) pairs in dimensions 1-4: random small vectors,
+    some rank-deficient, some in an index-k sublattice."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 4)
+        m = rng.randint(1, n + 3)
+        rays = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)]
+        kind = rng.random()
+        if kind < 0.3:
+            k = rng.randint(2, 3)
+            rays = [(k * r[0],) + r[1:] for r in rays]
+        elif kind < 0.4 and n > 1:
+            rays = [r[:-1] + (0,) for r in rays]
+        out.append((rays, n))
+    return out
+
+
+def test_lattice_index_matches_minors_gcd():
+    for rays, n in _ray_sets(5, 300):
+        assert lattice_index(rays, n) == minors_gcd_index(rays, n), (rays, n)
+
+
+def test_lattice_index_matches_smith_form():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    for rays, n in _ray_sets(6, 120):
+        A = sympy.Matrix([[r[i] for r in rays] for i in range(n)])
+        if A.rank() < n:
+            expected = 0
+        else:
+            S = smith_normal_form(A, domain=sympy.ZZ)
+            expected = abs(int(sympy.prod([S[i, i] for i in range(n)])))
+        assert lattice_index(rays, n) == expected, (rays, n)
+
+
+def _index_two_fan(rays):
+    """Seeded primitive rays of Z^4 with even coordinate sum: they span
+    the index-2 sublattice of such vectors."""
+    rng = random.Random("index-two-fan-%d" % rays)
+    out = [(1, 1, 0, 0), (1, -1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)]
+    while len(out) < rays:
+        v = tuple(rng.randint(-3, 3) for _ in range(4))
+        if sum(v) % 2 == 0 and gcd(*v) == 1 and v not in out:
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("rays", [10, 20, 40])
+def test_index_two_fans_are_rejected(rays):
+    fan = _index_two_fan(rays)
+    assert lattice_index(fan, 4) == 2
+    if rays <= 10:
+        assert minors_gcd_index(fan, 4) == 2
+    with pytest.raises(DegenerateFan):
+        toric_relation(fan)
+    assert lattice_index(fan + [(1, 0, 0, 0)], 4) == 1

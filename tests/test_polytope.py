@@ -10,6 +10,7 @@ against the LP membership oracle of ``hull_oracles``, an independent route.
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -28,6 +29,7 @@ from augvar.polytope import (
 )
 
 from hull_oracles import in_convex_hull, lp_vertex_indices
+from lattice_oracles import split_search_indecomposable
 
 F = Fraction
 
@@ -514,6 +516,67 @@ def test_indecomposable_agrees_with_bruteforce():
         if P.affine_dim != 2:
             continue
         assert indecomposable_2d(P) == (not decomposable_bruteforce(P)), verts
+
+
+def _edge_steps(P):
+    cycle = ccw_vertex_cycle(P)
+    return [(w[0] - v[0], w[1] - v[1]) for v, w in zip(cycle, cycle[1:] + cycle[:1])]
+
+
+def test_indecomposable_matches_split_search():
+    rng = random.Random(113)
+    polygons = []
+    while len(polygons) < 150:
+        r = rng.randint(2, 6)
+        pts = [(rng.randint(-r, r), rng.randint(-r, r)) for _ in range(rng.randint(4, 16))]
+        P = LatticePolytope.from_points(pts)
+        if P.affine_dim == 2 and 4 <= len(P.vertices) <= 12:
+            polygons.append(P)
+    # scaled copies have non-primitive edges and split as P + P
+    scaled = [P.transform([[k, 0], [0, k]]) for P, k in zip(polygons[:30], itertools.cycle((2, 3)))]
+    # lower dimensions: points and segments, primitive or not
+    small = [LatticePolytope.from_points(pts) for pts in (
+        [(0, 0)], [(4, -1)], [(0, 0), (1, 3)], [(0, 0), (2, 6)], [(-1, 2), (2, -4)],
+        [(0, 0), (5, 0)], [(0, 0), (0, -1)])]
+    verdicts = []
+    for P in polygons + scaled + small:
+        verdicts.append(indecomposable_2d(P))
+        assert verdicts[-1] == split_search_indecomposable(P), P.vertices
+    assert not any(indecomposable_2d(P) for P in scaled)
+    assert 20 < sum(verdicts) < len(verdicts) - 20     # both verdicts occur
+
+
+def indecomposable_polygon(edges):
+    """A polygon with ``edges`` primitive edges, all but one pointing into
+    the open upper half-plane: the construction of the benchmark ladder."""
+    rng = random.Random("ladder-polygon-%d" % edges)
+    pool = [(x, y) for y in (1, 2, 3) for x in range(-6, 7) if gcd(x, y) == 1]
+    while True:
+        up = rng.sample(pool, edges - 1)
+        last = (-sum(v[0] for v in up), -sum(v[1] for v in up))
+        if gcd(last[0], last[1]) != 1:
+            continue
+        cycle, x, y = [], 0, 0
+        for v in sorted(up, key=lambda v: Fraction(-v[0], v[1])) + [last]:
+            cycle.append((x, y))
+            x, y = x + v[0], y + v[1]
+        return cycle
+
+
+@pytest.mark.parametrize("edges", [16, 20, 24])
+def test_ladder_polygons(edges):
+    P = LatticePolytope(2, indecomposable_polygon(edges))
+    steps = _edge_steps(P)
+    # every edge is primitive and only one points down, so a zero sum of
+    # edges that holds one upward edge must hold them all: no split exists
+    assert len(steps) == edges
+    assert all(gcd(*e) == 1 for e in steps)
+    assert sum(e[1] < 0 for e in steps) == 1 and not any(e[1] == 0 for e in steps)
+    assert indecomposable_2d(P)
+    if edges == 16:
+        assert split_search_indecomposable(P)
+    assert not indecomposable_2d(P.transform([[2, 0], [0, 2]]))
+    assert not indecomposable_2d(minkowski_sum(P, LatticePolytope(2, [(0, 0), (1, 0)])))
 
 
 def test_ccw_cycle_is_convex():

@@ -16,7 +16,6 @@ from augvar.potentials import (
     MarkovTriple,
     clifford_relation,
     is_fibonacci,
-    markov_brute_force,
     markov_fibonacci_check,
     markov_generate,
     product_spheres_relation,
@@ -25,6 +24,8 @@ from augvar.potentials import (
     user_relation,
 )
 from augvar.rings import is_zero
+
+from markov_oracles import markov_brute_force
 
 
 def test_sign_vector_formats():

@@ -272,6 +272,24 @@ def test_backend_mixing_rejected():
         QuotientRingElem.generator(T ** 2) + QuotientRingElem.generator(T ** 3)
 
 
+def test_elements_over_different_moduli_are_unequal_not_mismatched():
+    one2, one3 = QuotientRingElem(1, T ** 2), QuotientRingElem(1, T ** 3)
+    assert {one2: "x"}.get(one3) is None
+    assert one3 not in {one2}
+    assert one2 != one3 and not one2 == one3
+    assert QuotientRingElem.generator(T ** 2) != QuotientRingElem.generator(UniPoly([-2, 0, 1]))
+    # both still equal the rational they hash like
+    assert one2 == 1 == one3 and {1: "x"}.get(one3) == "x"
+    # series over different moduli compare unequal too
+    s2 = TruncatedSeries.constant(one2, ("a",), 2)
+    s3 = TruncatedSeries.constant(one3, ("a",), 2)
+    assert s2 != s3
+    with pytest.raises(BackendMismatch):
+        one2 - one3
+    with pytest.raises(BackendMismatch):
+        s2 + s3
+
+
 RATIONAL_MODULUS = UniPoly([F(-1, 3), F(1, 2), 1])       # t^2 + t/2 - 1/3
 
 
@@ -510,3 +528,19 @@ def test_series_over_nilpotent_backend():
     e = series_exp(s)
     assert e.constant_term() == 1
     assert series_log(e) == s
+
+
+def test_sums_and_scalings_that_vanish_store_no_zero_terms():
+    mu, nu = (TruncatedSeries.variable(v, ("mu", "nu"), 3) for v in ("mu", "nu"))
+    s = 1 + mu + mu * nu
+    diff = s + (-mu - mu * nu)
+    assert diff.terms == {(0, 0): 1}
+    assert (s - s).is_zero() and not (s - s).terms
+    assert s.scale(0).terms == {}
+    # alpha^2 = 0 in Q[alpha]/(alpha^3): scaling alpha^2 * mu + 1 by alpha
+    # keeps the constant alpha and drops the vanished product
+    a = QuotientRingElem.generator(T ** 3)
+    u = 1 + mu.scale(a * a)
+    v = u.scale(a)
+    assert v.terms == {(0, 0): a}
+    assert all(not c.is_zero() for c in v.terms.values())
