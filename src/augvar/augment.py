@@ -246,6 +246,34 @@ def _newton_series(relation, var, kap, target, order, seed):
     return s
 
 
+def _simple_root(relation, k, kappa, factor, seed, rational=False):
+    """The solvers' common preamble: the solved variable, kappa (by default
+    the preferred transverse root of the restriction) and the restriction
+    r = W(0, ..., 0, y_k), once kappa is checked to be a simple root of r.
+    ``rational`` demands a rational kappa."""
+    var = _var_name(relation, k)
+    _check_nonnegative_off_variable(relation, var)
+    if kappa is None:
+        kappa = find_transverse_root(relation, var, factor=factor, seed=seed).kappa
+    if rational and not isinstance(kappa, (int, Fraction)):
+        raise NoRootAvailable(
+            "nilpotent solver needs a rational root (nilpotents over a "
+            "quotient field are not supported)")
+    r = relation.set_vars_zero(var)
+    if not is_zero(r.evaluate(kappa)):
+        raise NoRootAvailable("kappa is not a root of the restriction")
+    if is_zero(r.derivative().evaluate(kappa)):
+        raise _double_root("restriction root is not simple", relation, var, 0, seed)
+    return var, kappa, r
+
+
+def _verified(sol, solver):
+    """sol, once its residual is re-checked by direct substitution."""
+    if not sol.residual().is_zero():
+        raise VerificationFailure("%s left a nonzero residual" % solver)
+    return sol
+
+
 def solve_formal_augmentation(relation, k, kappa=None, order=DEFAULT_ORDER,
                               factor=None, seed=0):
     """Newton solution of W(mu, kappa exp(s)) = 0 to total degree ``order``.
@@ -256,21 +284,11 @@ def solve_formal_augmentation(relation, k, kappa=None, order=DEFAULT_ORDER,
     solution is re-checked by direct substitution, and a nonzero residual
     raises :class:`VerificationFailure`.
     """
-    var = _var_name(relation, k)
-    _check_nonnegative_off_variable(relation, var)
-    if kappa is None:
-        kappa = find_transverse_root(relation, var, factor=factor, seed=seed).kappa
-    r = relation.set_vars_zero(var)
-    if not is_zero(r.evaluate(kappa)):
-        raise NoRootAvailable("kappa is not a root of the restriction")
-    if is_zero(r.derivative().evaluate(kappa)):
-        raise _double_root("restriction root is not simple", relation, var, 0, seed)
+    var, kappa, _ = _simple_root(relation, k, kappa, factor, seed)
     s = _newton_series(relation, var, kappa, Fraction(0), order, seed)
-    sol = AugmentationSeries(relation=relation, variable=var, kappa=kappa,
-                             series=s, order=order)
-    if not sol.residual().is_zero():
-        raise VerificationFailure("solver left a nonzero residual")
-    return sol
+    return _verified(AugmentationSeries(relation=relation, variable=var,
+                                        kappa=kappa, series=s, order=order),
+                     "solver")
 
 
 def solve_nilpotent_augmentation(factor_poly, multiplicity, k,
@@ -291,29 +309,16 @@ def solve_nilpotent_augmentation(factor_poly, multiplicity, k,
     if multiplicity == 1:
         return solve_formal_augmentation(factor_poly, k, kappa=kappa,
                                          order=order, seed=seed)
-    var = _var_name(factor_poly, k)
-    _check_nonnegative_off_variable(factor_poly, var)
-    if kappa is None:
-        kappa = find_transverse_root(factor_poly, var, seed=seed).kappa
-    if not isinstance(kappa, (int, Fraction)):
-        raise NoRootAvailable(
-            "nilpotent solver needs a rational root (nilpotents over a "
-            "quotient field are not supported)")
-    r = factor_poly.set_vars_zero(var)
-    if r.evaluate(kappa) != 0:
-        raise NoRootAvailable("kappa is not a root of the restriction")
-    if r.derivative().evaluate(kappa) == 0:
-        raise _double_root("restriction root is not simple", factor_poly, var, 0, seed)
+    var, kappa, r = _simple_root(factor_poly, k, kappa, None, seed, rational=True)
     d = multiplicity
     alpha = QuotientRingElem.generator(UniPoly.gen() ** d)
     kap = (1 + alpha) * frac(kappa)
     target = r.evaluate(kap)                # c alpha + higher, c != 0
     s = _newton_series(factor_poly, var, kap, target, order, seed)
-    sol = AugmentationSeries(relation=factor_poly, variable=var, kappa=kap,
-                             series=s, order=order, image=target,
-                             multiplicity=d)
-    if not sol.residual().is_zero():
-        raise VerificationFailure("nilpotent solver left a nonzero residual")
+    sol = _verified(AugmentationSeries(relation=factor_poly, variable=var,
+                                       kappa=kap, series=s, order=order,
+                                       image=target, multiplicity=d),
+                    "nilpotent solver")
     if not (target ** d).is_zero():
         raise VerificationFailure("image is not nilpotent of order %d" % d)
     if (target ** (d - 1)).is_zero():

@@ -375,8 +375,18 @@ def _render_text(obj, indent=0):
     return lines
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise :class:`ParseError`, so
+    that they exit with status 1 like every other input error; argparse
+    itself would exit with status 2.  Subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="augvar",
         description="Exact computations with augmentation varieties, disk "
                     "potentials, Newton polytopes, and multiple-cover identities.")
@@ -492,9 +502,11 @@ def build_parser():
 
 
 def run(argv=None):
+    """Run one subcommand and return its exit code.  Out-of-range values,
+    which the library rejects with ValueError, are input errors too."""
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if hasattr(args, "order"):
             if args.order is None:
                 args.order = _default_order()
@@ -510,6 +522,9 @@ def run(argv=None):
         return 2
     except AugvarError as err:
         print("input error: %s: %s" % (type(err).__name__, err), file=sys.stderr)
+        return 1
+    except ValueError as err:
+        print("input error: %s" % err, file=sys.stderr)
         return 1
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))

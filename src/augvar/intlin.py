@@ -1,14 +1,15 @@
 """Exact integer and rational linear algebra.
 
 Small dense routines over Fraction / int used by the polytope and Laurent
-machinery: determinants, inverses of unimodular matrices, rational null
-spaces, a phase-one simplex for finding interior vectors of dual cones,
-and the exact convex-hull engine.
+machinery: determinants, inverses of unimodular matrices, a phase-one
+simplex for finding interior vectors of dual cones, and the exact
+convex-hull engine.
 
 One unimodular column reduction, :func:`_column_reduce`, serves every
-integer lattice question: saturated integer kernels, the index of the
+integer lattice question: the affine lattice frame of a point set (its
+dimension, integer coordinates and membership test), the index of the
 lattice spanned by a set of vectors, and the completion of a primitive
-vector to a lattice basis.
+vector to a lattice basis.  No rational null space is taken.
 
 The hull engine works in integers only: Andrew's monotone chain in the
 plane, and beneath-beyond over a triangulated boundary in dimension three
@@ -95,7 +96,10 @@ def mat_inverse(M):
 
 
 def rref(rows):
-    """Reduced row echelon form over Q.  Returns (rows, pivot columns)."""
+    """Reduced row echelon form over Q.  Returns (rows, pivot columns).
+
+    Nothing in the library calls it; the tests use it as a rank oracle and
+    ``perfbench/tracer.py`` wraps it by name."""
     A = [[Fraction(x) for x in row] for row in rows]
     pivots = []
     r = 0
@@ -116,23 +120,6 @@ def rref(rows):
         if r == len(A):
             break
     return A[:r], pivots
-
-
-def rational_nullspace(rows):
-    """Basis of {x : rows . x = 0} over Q, as integer primitive vectors."""
-    if not rows:
-        return []
-    n = len(rows[0])
-    R, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -R[i][f]
-        basis.append(primitive_vector(vec))
-    return basis
 
 
 def primitive_vector(v):
@@ -183,14 +170,47 @@ def _column_reduce(rows):
     return H, U, rank
 
 
-def integer_kernel(rows):
-    """Basis of the integer kernel {x in Z^n : rows . x = 0}: the columns
-    of U past the rank in the column reduction rows . U = H.  U is
-    unimodular, so the basis is saturated."""
-    if not rows:
-        return []
-    _, U, rank = _column_reduce(rows)
-    return [tuple(r[c] for r in U) for c in range(rank, len(U))]
+def affine_frame(points):
+    """The saturated affine lattice of integer points, from one column
+    reduction of their differences.
+
+    Returns (d, U, reduced): U is unimodular with (p - p0) U = h for every
+    point p, where p0 = points[0] and h is zero past the affine dimension
+    d, and ``reduced`` lists h[:d] for every point.  U is unimodular, so
+    x -> ((x - p0) U)[:d] maps the lattice points of the affine hull
+    bijectively onto Z^d, and a rational x lies on the affine hull exactly
+    when ((x - p0) U)[d:] is zero.  A full-dimensional set keeps U = I, so
+    its reduced points are the plain differences.  Below full dimension
+    the pivot block is size-reduced, as in the Hermite normal form (Cohen,
+    "A Course in Computational Algebraic Number Theory", 1993, 2.4): each
+    pivot is made positive and the entries left of it are reduced by the
+    nearest multiple of it, with the same column steps on U, which keeps
+    the coordinates small.  A reduction whose rank does not match its
+    columns raises :class:`VerificationFailure`.
+    """
+    p0 = points[0]
+    n = len(p0)
+    diffs = [[a - b for a, b in zip(p, p0)] for p in points]
+    H, U, d = _column_reduce(diffs)
+    if d == n:
+        return d, identity_matrix(n), [tuple(r) for r in diffs]
+    leads = [next((i for i, r in enumerate(H) if r[c]), None) for c in range(d)]
+    if None in leads or any(r[c] for r in H for c in range(d, n)):
+        raise VerificationFailure("column reduction of rank %d does not match "
+                                  "its columns" % d)
+    for c, i in enumerate(leads):
+        if H[i][c] < 0:
+            for M in (H, U):
+                for r in M:
+                    r[c] = -r[c]
+        piv = H[i][c]
+        for j in range(c):
+            f = (2 * H[i][j] + piv) // (2 * piv)
+            if f:
+                for M in (H, U):
+                    for r in M:
+                        r[j] -= f * r[c]
+    return d, U, [tuple(r[:d]) for r in H]
 
 
 def lattice_index(vectors, n):
@@ -313,17 +333,7 @@ def strict_dual_vector(generators):
     sol = phase1_feasible(A, b)
     if sol is None:
         return None
-    qvec = [sol[i] - sol[n + i] for i in range(n)]
-    den = 1
-    for x in qvec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in qvec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    return primitive_vector([sol[i] - sol[n + i] for i in range(n)])
 
 
 def fit_cone_to_orthant(generators):
@@ -564,13 +574,10 @@ def _hull(points):
 def hull_vertices(points):
     """Indices of the hull vertices of distinct integer points, ascending.
 
-    The points may span any affine dimension.  They are projected to the
-    pivot coordinates of their difference vectors; the projection is
-    injective on their affine hull, so it keeps the vertices.
+    The points may span any affine dimension.  The hull runs on their
+    coordinates in :func:`affine_frame`, which is injective on the points.
     """
-    base = points[0]
-    rows, _ = echelon([[a - b for a, b in zip(p, base)] for p in points[1:]])
-    if not rows:
+    d, _, reduced = affine_frame(points)
+    if d == 0:
         return [0]
-    cols = sorted(piv for piv, _ in rows)
-    return convex_hull([tuple(p[j] for j in cols) for p in points])[0]
+    return convex_hull(reduced)[0]

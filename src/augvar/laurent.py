@@ -427,11 +427,13 @@ def clear_to_vertex(f, v):
     """y^{-v} f for a vertex v of the Newton polytope of f.
 
     The result has nonzero constant term and Newton polytope touching the
-    origin.  Raises :class:`NotAVertex` when v is not a vertex.
+    origin.  Raises :class:`NotAVertex` when v is not a vertex, and
+    :class:`PreconditionViolation` when a coordinate of v is not an
+    integer value.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot clear the zero polynomial")
-    v = tuple(int(x) for x in v)
+    v = intlin.lattice_point(v)
     if v not in f.terms or not _is_vertex(v, list(f.terms)):
         raise NotAVertex("%r is not a vertex of the Newton polytope" % (v,))
     return f.shift(tuple(-x for x in v))

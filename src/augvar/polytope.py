@@ -5,15 +5,19 @@ invariants (normalized volume, lattice point count, edge lattice lengths),
 two-dimensional integral indecomposability, and the suspension-induction
 irreducibility certificate for Laurent polynomials.
 
-Everything is exact.  Points are first rewritten in coordinates of their
-saturated affine lattice; the integer hull engine of :mod:`augvar.intlin`
-(monotone chain in the plane, beneath-beyond above it) then yields the
-vertices, the facets and, above the plane, a triangulated boundary
-together.  Membership, edges and the counterclockwise polygon cycle are
-read off its output.  So are the invariants: the normalized volume sums
-cones from one vertex over the boundary, the lattice point count is
-Pick's formula in the plane and, above it, a walk over the projections
-onto the first k coordinates bounded by their own hull facets.
+Everything is exact.  One column reduction of the points' differences
+(:func:`augvar.intlin.affine_frame`) gives the frame of their saturated
+affine lattice: its dimension, the points' integer coordinates in it and
+the membership test for the affine hull, with no rational null space.  The
+integer hull engine of :mod:`augvar.intlin` (monotone chain in the plane,
+beneath-beyond above it) runs once on those coordinates, in the
+constructor, and yields the vertices, the facets and, above the plane, a
+triangulated boundary together.  Membership, edges and the
+counterclockwise polygon cycle are read off its output.  So are the
+invariants: the normalized volume sums cones from one vertex over the
+boundary, the lattice point count is Pick's formula in the plane and,
+above it, a walk over the projections onto the first k coordinates
+bounded by their own hull facets.
 """
 
 import itertools
@@ -25,7 +29,6 @@ from .errors import (
     DimensionMismatch,
     NotTwoDimensionalInput,
     PreconditionViolation,
-    VerificationFailure,
     ZeroPolynomial,
 )
 from .laurent import clear_to_vertex, clear_to_vertex_fitted
@@ -34,44 +37,44 @@ from .laurent import clear_to_vertex, clear_to_vertex_fitted
 class LatticePolytope:
     """Convex hull of integer points, stored by its vertex set.
 
-    The constructor runs the hull engine once and keeps only the hull
-    vertices, so the vertex list is hull-minimal and lexicographically
-    sorted, and equal polytopes compare equal structurally.
+    The constructor builds the affine lattice frame and runs the hull
+    engine once, and keeps the hull vertices, their frame coordinates and
+    the hull's boundary.  So the vertex list is hull-minimal and
+    lexicographically sorted, and equal polytopes compare equal
+    structurally.
     """
 
-    __slots__ = ("ambient_dim", "vertices", "_cache")
+    __slots__ = ("ambient_dim", "vertices", "affine_dim", "_frame", "_red",
+                 "_bound", "_cache")
 
     def __init__(self, ambient_dim, points):
         """Hull of integer points in Z^ambient_dim; non-vertices are dropped.
 
         Coordinates must be integer values, such as ints or Fraction(4, 2);
-        any other value raises :class:`PreconditionViolation`.  The engine
-        runs on the points in reduced coordinates.  The lexicographically
-        smallest point is a vertex and the points span the same affine
-        lattice as the vertices, so the reduction, the dimension, the
-        facets and the boundary simplices carry over to the cache as they
-        would be computed from the vertices.
+        any other value raises :class:`PreconditionViolation`.  One column
+        reduction of the differences from the lexicographically smallest
+        point, which is a vertex, gives the frame of the saturated affine
+        lattice (:func:`augvar.intlin.affine_frame`), and the engine runs on
+        the points in its coordinates.
         """
         pts = sorted({intlin.lattice_point(p) for p in points})
         if not pts:
             raise ValueError("a polytope needs at least one point")
         if any(len(p) != ambient_dim for p in pts):
             raise DimensionMismatch("point length != ambient dimension")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "vertices", tuple(pts))
-        object.__setattr__(self, "_cache", {})
-        d = self.affine_dim
-        if d == 0:
-            return
-        red, basis = self._reduced()
-        vertices, facets, simplices = intlin._hull(red)
-        position = {i: k for k, i in enumerate(vertices)}
-        object.__setattr__(self, "vertices", tuple(pts[i] for i in vertices))
-        self._cache["reduced"] = (tuple(red[i] for i in vertices), basis)
-        self._cache["boundary"] = (
-            [(n, c, frozenset(position[i] for i in eq if i in position))
-             for n, c, eq in facets] if d >= 2 else [],
-            simplices, red)
+        d, U, red = intlin.affine_frame(pts)
+        keep, facets, simplices = intlin._hull(red) if d else ([0], [], None)
+        position = {i: k for k, i in enumerate(keep)}
+        facets = [(n, c, frozenset(position[i] for i in eq if i in position))
+                  for n, c, eq in facets] if d >= 2 else []
+        for name, value in (("ambient_dim", ambient_dim),
+                            ("vertices", tuple(pts[i] for i in keep)),
+                            ("affine_dim", d),
+                            ("_frame", U),
+                            ("_red", tuple(red[i] for i in keep)),
+                            ("_bound", (facets, simplices, red)),
+                            ("_cache", {})):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticePolytope is immutable")
@@ -113,72 +116,21 @@ class LatticePolytope:
         return LatticePolytope(
             self.ambient_dim, [intlin.mat_vec(M, v) for v in self.vertices])
 
-    @property
-    def affine_dim(self):
-        if "adim" not in self._cache:
-            v0 = self.vertices[0]
-            diffs = [tuple(a - b for a, b in zip(v, v0)) for v in self.vertices[1:]]
-            self._cache["adim"] = len(intlin.echelon(diffs)[0])
-        return self._cache["adim"]
-
     def _reduced(self):
-        """Vertices rewritten in coordinates of the saturated affine lattice.
-
-        Returns (reduced vertices, basis rows) where the reduction is a
+        """The vertices in coordinates of the saturated affine lattice, a
         bijection between the polytope's affine lattice points and Z^d,
-        d = affine_dim.  All lattice quantities (edge gcds, normalized
-        volume, point counts) are preserved.
-        """
-        if "reduced" not in self._cache:
-            reduced = []
-            for v in self.vertices:
-                coords = self._coordinates(v)
-                if coords is None or any(c.denominator != 1 for c in coords):
-                    raise VerificationFailure(
-                        "vertex %r has no integer coordinates in the saturated "
-                        "basis" % (v,))
-                reduced.append(tuple(int(c) for c in coords))
-            self._cache["reduced"] = (tuple(reduced), self._frame()[0])
-        return self._cache["reduced"]
-
-    def _frame(self):
-        """(basis, pivots, inverse) of the saturated affine lattice.
-
-        ``basis`` holds d integer rows spanning the lattice of the affine
-        hull, ``pivots`` d ambient coordinates on which those rows are
-        independent, and ``inverse`` the inverse of that d x d block.
-        """
-        if "frame" not in self._cache:
-            d = self.affine_dim
-            if d == 0:
-                basis = []
-            elif d == self.ambient_dim:
-                basis = intlin.identity_matrix(d)
-            else:
-                v0 = self.vertices[0]
-                normals = intlin.rational_nullspace(
-                    [tuple(a - b for a, b in zip(v, v0)) for v in self.vertices])
-                basis = intlin.integer_kernel(normals)
-                if len(basis) != d:
-                    raise VerificationFailure(
-                        "saturation basis has rank %d, affine hull has dimension %d"
-                        % (len(basis), d))
-            pivots = sorted(p for p, _ in intlin.echelon(basis)[0])
-            if len(pivots) != d:
-                raise VerificationFailure("saturation basis rows are dependent")
-            inverse = intlin.mat_inverse([[b[p] for b in basis] for p in pivots])
-            self._cache["frame"] = (basis, pivots, inverse)
-        return self._cache["frame"]
+        d = affine_dim, that keeps every lattice quantity (edge gcds,
+        normalized volume, point counts)."""
+        return self._red
 
     def _coordinates(self, point):
-        """Exact coordinates of point - vertices[0] in the saturated basis,
+        """Coordinates ((point - vertices[0]) U)[:d] in the affine frame U,
         or None when the point is off the affine hull."""
-        basis, pivots, inverse = self._frame()
         diff = [a - b for a, b in zip(point, self.vertices[0])]
-        coords = [sum(r[k] * diff[p] for k, p in enumerate(pivots)) for r in inverse]
-        back = [sum(c * b[i] for c, b in zip(coords, basis))
-                for i in range(self.ambient_dim)]
-        return coords if back == diff else None
+        h = [sum(x * r[j] for x, r in zip(diff, self._frame))
+             for j in range(self.ambient_dim)]
+        d = self.affine_dim
+        return None if any(h[d:]) else h[:d]
 
     # -- faces ---------------------------------------------------------------
 
@@ -192,13 +144,7 @@ class LatticePolytope:
         triangulation as tuples of indices into ``points``, the reduced
         points the engine ran on; None below dimension three.
         """
-        if "boundary" not in self._cache:
-            verts, _ = self._reduced()
-            facets, simplices = [], None
-            if self.affine_dim >= 2:
-                _, facets, simplices = intlin._hull(verts)
-            self._cache["boundary"] = (facets, simplices, verts)
-        return self._cache["boundary"]
+        return self._bound
 
     def _facets_reduced(self):
         return self._boundary()[0]
@@ -211,7 +157,6 @@ class LatticePolytope:
             return []
         if d == 1:
             return [(verts[0], verts[-1])]
-        red, _ = self._reduced()
         facets = self._facets_reduced()
         out = []
         for i, j in itertools.combinations(range(len(verts)), 2):
@@ -233,7 +178,7 @@ class LatticePolytope:
         if x is None:
             return False
         if self.affine_dim == 1:
-            vals = [v[0] for v in self._reduced()[0]]
+            vals = [v[0] for v in self._reduced()]
             return min(vals) <= x[0] <= max(vals)
         return all(sum(a * b for a, b in zip(n, x)) <= c
                    for n, c, _ in self._facets_reduced())
@@ -250,7 +195,7 @@ class LatticePolytope:
         on first use.
         """
         if "volume" not in self._cache:
-            red, _ = self._reduced()
+            red = self._reduced()
             d = self.affine_dim
             v0 = red[0]
             if d == 0:
@@ -289,7 +234,7 @@ class LatticePolytope:
         walk runs over those prefixes and adds the length of the last
         coordinate's range without enumerating it.
         """
-        red, _ = self._reduced()
+        red = self._reduced()
         d = self.affine_dim
         if d == 0:
             return 1
@@ -532,7 +477,7 @@ def _is_simplex(P):
 def _lattice_height_above_facet(P, facet_vertex_set, apex):
     """Lattice distance of apex from the affine hull of the facet, measured
     in the reduced coordinates of P."""
-    red, _ = P._reduced()
+    red = P._reduced()
     index = {v: i for i, v in enumerate(P.vertices)}
     for n, c, eq in P._facets_reduced():
         if eq == frozenset(index[v] for v in facet_vertex_set):

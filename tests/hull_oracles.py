@@ -11,6 +11,8 @@ from fractions import Fraction
 
 from augvar import intlin
 
+from lattice_oracles import rational_nullspace
+
 
 def in_convex_hull(point, points):
     """Exact test whether point lies in the convex hull of points."""
@@ -49,7 +51,7 @@ def subset_facets(points):
         base = points[subset[0]]
         rows = [tuple(points[i][j] - base[j] for j in range(d))
                 for i in subset[1:]]
-        normals = intlin.rational_nullspace(rows)
+        normals = rational_nullspace(rows)
         if len(normals) != 1:
             continue
         n = normals[0]

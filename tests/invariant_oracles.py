@@ -24,14 +24,14 @@ def pyramid_volume(verts, d):
     P = LatticePolytope(d, verts)
     if P.affine_dim < d:
         return 0
-    red, _ = P._reduced()
+    red = P._reduced()
     v0 = red[0]
     total = 0
     for n, c, eq in P._facets_reduced():
         h = abs(sum(a * b for a, b in zip(n, v0)) - c)
         if h:
             F = LatticePolytope(d, [red[i] for i in sorted(eq)])
-            total += h * pyramid_volume(list(F._reduced()[0]), d - 1)
+            total += h * pyramid_volume(list(F._reduced()), d - 1)
     return total
 
 
@@ -95,7 +95,7 @@ def fm_count(ineqs, d):
 def reference_invariants(P):
     """(normalized volume, lattice point count) of P by the oracles, in the
     reduced lattice of its affine hull; P.affine_dim >= 1."""
-    red, _ = P._reduced()
+    red = P._reduced()
     d = P.affine_dim
     volume = pyramid_volume(list(red), d)
     if d == 1:

@@ -1,5 +1,10 @@
 """Slow reference algorithms for the lattice layer, kept as test oracles.
 
+``rational_nullspace`` takes the null space over Q by reduced row echelon
+form, and ``integer_kernel`` the saturated integer kernel; together,
+``integer_kernel(rational_nullspace(diffs))`` is a reference basis of the
+saturated lattice of an affine hull, which the library reads off one
+column reduction of the differences instead (``intlin.affine_frame``).
 ``minors_gcd_index`` takes the index of the lattice spanned by vectors as
 the gcd of all maximal minors, exponential in the number of vectors.
 ``split_search_indecomposable`` decides polygon indecomposability by an
@@ -9,11 +14,39 @@ indecomposability in one pass over partial sums, so agreement is
 evidence for both.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from augvar import intlin
 from augvar.polytope import ccw_vertex_cycle
+
+
+def rational_nullspace(rows):
+    """Basis of {x : rows . x = 0} over Q, as integer primitive vectors."""
+    if not rows:
+        return []
+    n = len(rows[0])
+    R, pivots = intlin.rref(rows)
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * n
+        vec[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            vec[p] = -R[i][f]
+        basis.append(intlin.primitive_vector(vec))
+    return basis
+
+
+def integer_kernel(rows):
+    """Basis of the integer kernel {x in Z^n : rows . x = 0}: the columns
+    of U past the rank in the column reduction rows . U = H.  U is
+    unimodular, so the basis is saturated."""
+    if not rows:
+        return []
+    _, U, rank = intlin._column_reduce(rows)
+    return [tuple(r[c] for r in U) for c in range(rank, len(U))]
 
 
 def minors_gcd_index(vectors, n):

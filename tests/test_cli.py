@@ -302,6 +302,32 @@ def test_missing_file_is_input_error(capsys):
     assert "file not found" in err
 
 
+BAD_VALUES = [
+    ["solve-aug", "--clifford", "3", "--order", "abc"],       # argparse usage error
+    ["partitions", "--ell", "0"],
+    ["markov", "--bound", "-1"],
+    ["solve-nilpotent", "--clifford", "3", "--multiplicity", "0"],
+    ["chord-degrees", "--sheets", "1"],
+    ["chord-degrees", "--theta-over-pi", "abc"],
+    ["localize", "--m", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_VALUES, ids=[" ".join(a) for a in BAD_VALUES])
+def test_bad_flag_values_are_input_errors(capsys, argv):
+    code, out, err = _capture(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "input error: " in err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["markov", "--help"])
+    assert exc.value.code == 0
+    assert "--bound" in capsys.readouterr().out
+
+
 def test_malformed_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -101,9 +102,8 @@ def test_lower_dimensional_supports_on_a_plane(ambient):
         assert all(v[0] == v[1] + 1 for v in P.vertices)
         assert list(P.vertices) == [pts[i] for i in lp_vertex_indices(pts)]
         assert intlin.hull_vertices(pts) == lp_vertex_indices(pts)
-        red, _ = P._reduced()
         if P.affine_dim >= 2:
-            assert P._facets_reduced() == subset_facets(list(red))
+            assert P._facets_reduced() == subset_facets(list(P._reduced()))
 
 
 def test_collinear_points_keep_their_endpoints():
@@ -133,6 +133,8 @@ def test_hull_vertices_matches_lp_on_random_subspaces():
 
 
 def test_from_points_cache_matches_lazy_computation():
+    # the constructor builds the frame and the boundary from all the points
+    # it is given; a polytope rebuilt from the vertices alone must agree
     rng = random.Random(77)
     for trial in range(40):
         ambient = 2 + trial % 3
@@ -142,11 +144,17 @@ def test_from_points_cache_matches_lazy_computation():
             pts = [(p[1] + 1,) + p[1:] for p in pts]     # on x0 = x1 + 1
         P = LatticePolytope.from_points(pts)
         fresh = LatticePolytope(P.ambient_dim, P.vertices)
-        fresh._cache.clear()                 # recompute from the vertices
-        assert P.affine_dim == fresh.affine_dim
-        assert P._reduced() == fresh._reduced()
-        assert P._frame() == fresh._frame()
-        assert P._facets_reduced() == fresh._facets_reduced()
+        assert fresh == P
+        assert fresh.invariants() == P.invariants()
+        assert fresh.edges() == P.edges()
+        probes = [tuple(rng.randint(-3, 3) for _ in range(ambient)) for _ in range(12)]
+        probes += [(p[1] + 1,) + p[1:] for p in probes]
+        probes += [tuple(Fraction(a + b, 2) for a, b in zip(p, q))
+                   for p, q in itertools.combinations(pts + probes[:4], 2)]
+        assert [fresh.contains(x) for x in probes] == [P.contains(x) for x in probes]
+        if P.affine_dim == ambient:
+            assert fresh._reduced() == P._reduced()
+            assert fresh._facets_reduced() == P._facets_reduced()
 
 
 def test_engine_rejects_points_that_do_not_span():
@@ -168,16 +176,26 @@ def test_engine_check_raises_on_a_facet_that_does_not_support(monkeypatch):
         intlin.convex_hull([(0, 0), (1, 0), (0, 1)])
 
 
-def test_wrong_rank_kernel_raises_verification_failure(monkeypatch):
-    real = intlin.integer_kernel
-    monkeypatch.setattr(intlin, "integer_kernel", lambda rows: real(rows)[:-1])
-    with pytest.raises(VerificationFailure):
-        LatticePolytope(3, [(1, 0, 0), (2, 1, 0), (1, 0, 3)])._reduced()
-    with pytest.raises(VerificationFailure):
-        LatticePolytope.from_points([(1, 0, 0), (2, 1, 0), (1, 0, 3), (3, 2, 1)])
+def _under_reported(real):
+    def reduce(rows):
+        H, U, rank = real(rows)
+        return H, U, rank - 1
+    return reduce
 
 
-def test_wrong_rank_kernel_check_survives_python_O():
+def test_under_reported_rank_raises_verification_failure(monkeypatch):
+    monkeypatch.setattr(intlin, "_column_reduce", _under_reported(intlin._column_reduce))
+    for pts in ([(1, 0, 0), (2, 1, 0), (1, 0, 3)],                 # a plane in Z^3
+                [(1, 0, 0), (2, 1, 0), (1, 0, 3), (3, 2, 1)],
+                [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],      # full-dimensional
+                [(0, 1), (2, 5)]):                                 # a segment
+        with pytest.raises(VerificationFailure):
+            LatticePolytope.from_points(pts)
+        with pytest.raises(VerificationFailure):
+            intlin.hull_vertices(pts)
+
+
+def test_under_reported_rank_check_survives_python_O():
     script = textwrap.dedent("""
         import sys
         from augvar import intlin
@@ -185,15 +203,20 @@ def test_wrong_rank_kernel_check_survives_python_O():
         from augvar.polytope import LatticePolytope
         if sys.flags.optimize != 1:
             sys.exit("not running under -O")
-        real = intlin.integer_kernel
-        intlin.integer_kernel = lambda rows: real(rows)[:-1]
-        try:
-            LatticePolytope(3, [(1, 0, 0), (2, 1, 0), (1, 0, 3)])._reduced()
-        except VerificationFailure:
-            print("raised")
+        real = intlin._column_reduce
+        def reduce(rows):
+            H, U, rank = real(rows)
+            return H, U, rank - 1
+        intlin._column_reduce = reduce
+        for pts in ([(1, 0, 0), (2, 1, 0), (1, 0, 3)],
+                    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]):
+            try:
+                LatticePolytope.from_points(pts)
+            except VerificationFailure:
+                print("raised")
         """)
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "raised"
+    assert done.stdout.split() == ["raised", "raised"]

@@ -11,22 +11,21 @@ from augvar.augment import random_unimodular
 from augvar.errors import DegenerateFan
 from augvar.intlin import (
     _column_reduce,
+    affine_frame,
     complete_primitive_row,
     det,
     fit_cone_to_orthant,
-    integer_kernel,
     lattice_index,
     mat_inverse,
     mat_vec,
     phase1_feasible,
     primitive_vector,
-    rational_nullspace,
     rref,
     strict_dual_vector,
 )
 from augvar.potentials import toric_relation
 
-from lattice_oracles import minors_gcd_index
+from lattice_oracles import integer_kernel, minors_gcd_index, rational_nullspace
 
 F = Fraction
 
@@ -288,3 +287,57 @@ def test_index_two_fans_are_rejected(rays):
     with pytest.raises(DegenerateFan):
         toric_relation(fan)
     assert lattice_index(fan + [(1, 0, 0, 0)], 4) == 1
+
+
+def _affine_point_sets(seed, count):
+    """Seeded point sets of every affine dimension in ambient dimension
+    2-5: a shifted image of a box of coefficients under random generators,
+    which need not be a basis of the saturated lattice."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = 2 + len(out) % 4
+        k = len(out) // 4 % (n + 1)
+        gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        shift = [rng.randint(-3, 3) for _ in range(n)]
+        pts = list(dict.fromkeys(
+            tuple(s + sum(c * g[j] for c, g in zip(coefs, gens))
+                  for j, s in enumerate(shift))
+            for coefs in [[rng.randint(-2, 2) for _ in range(k)]
+                          for _ in range(rng.randint(1, 10))]))
+        out.append(pts)
+    return out
+
+
+def test_affine_frame_matches_the_oracle_saturated_basis():
+    dims = set()
+    for pts in _affine_point_sets(2026, 240):
+        n = len(pts[0])
+        diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts]
+        d, U, reduced = affine_frame(pts)
+        dims.add((n, d))
+        assert d == len(rref(diffs)[1])
+        assert abs(det(U)) == 1
+        assert all(type(x) is int for r in reduced for x in r)
+        H = mat_mul(diffs, U)
+        assert all(h[d:] == [0] * (n - d) for h in H), pts
+        assert [tuple(h[:d]) for h in H] == reduced
+        if d == n:
+            assert U == [[int(i == j) for j in range(n)] for i in range(n)]
+        else:
+            # size-reduced pivot block: each pivot positive, the entries
+            # left of it within half of it
+            for c in range(d):
+                lead = next(h for h in H if h[c])
+                assert lead[c] > 0
+                assert all(-lead[c] <= 2 * lead[j] < lead[c] for j in range(c))
+        # the old basis of the saturated lattice has integer coordinates in
+        # the frame, with a coordinate matrix of determinant +-1
+        normals = rational_nullspace(diffs)
+        basis = integer_kernel(normals) if normals else \
+            [[int(i == j) for j in range(n)] for i in range(n)]
+        assert len(basis) == d
+        coords = mat_mul(basis, U)
+        assert all(c[d:] == [0] * (n - d) for c in coords)
+        assert abs(det([c[:d] for c in coords])) == 1, pts
+    assert dims == {(n, d) for n in range(2, 6) for d in range(n + 1)}

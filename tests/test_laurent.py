@@ -110,6 +110,18 @@ def test_clear_rejects_non_vertex():
         clear_to_vertex(f, (1, 0))
 
 
+def test_clear_rejects_non_integer_vertex_instead_of_truncating():
+    y1, y2 = gens()
+    f = 1 + y1 + y2
+    # int() would truncate each of these to the vertex (0, 0)
+    for v in ((F(1, 2), 0), (F(1, 3), F(1, 2)), (0.5, 0)):
+        with pytest.raises(PreconditionViolation):
+            clear_to_vertex(f, v)
+        with pytest.raises(PreconditionViolation):
+            clear_to_vertex_fitted(f, v)
+    assert clear_to_vertex(f, (F(0), F(2, 2) - 1)) == f
+
+
 def test_clear_rejects_edge_midpoint_and_facet_interior_point():
     y1, y2 = gens()
     f = 1 + y1 ** 2 * y2 ** 2 + y1 * y2 + y1 ** 2 - y1

@@ -134,6 +134,14 @@ def test_lifted_relation_invariants():
         assert not is_zero(spec.lifted_relation.constant_term())
 
 
+def test_user_relation_rejects_non_integer_vertex():
+    y1, y2 = LaurentPoly.gens(("y1", "y2"))
+    for fit in (True, False):
+        with pytest.raises(PreconditionViolation):
+            user_relation(1 + y1 + y2, vertex=(Fraction(1, 3), Fraction(1, 2)),
+                          fit_basis=fit)
+
+
 def test_user_relation_clears_and_fits():
     y1, y2 = LaurentPoly.gens(("y1", "y2"))
     f = y1 + y2 - (y1 * y2) ** -1
