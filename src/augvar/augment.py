@@ -16,11 +16,15 @@ dW = y_k dW/dy_k.  So the update is
     s  <-  s - F(s) / dW(mu, kappa exp(s)),
 
 and the divisor is invertible because its constant term kappa r'(kappa)
-is nonzero for a transverse root of the restriction r.  If F(s) vanishes
-below degree v, the update makes it vanish below degree 2v, so the
-verified order doubles at each step (Brent and Kung, *Fast algorithms for
-manipulating formal power series*, 1978) and order n takes about log2(n)
-steps.  A residual with a term below the verified degree stops the loop
+is nonzero for a transverse root of the restriction r.  F(s) and the
+divisor come from one set of products: with W grouped once as
+sum_j C_j(mu) y_k^j and Y = kappa exp(s), a step forms T_j = C_j Y^j,
+and then F(s) = sum_j T_j and dW(mu, Y) = sum_j j T_j.
+
+If F(s) vanishes below degree v, the update makes it vanish below degree
+2v, so the verified order doubles at each step (Brent and Kung, *Fast
+algorithms for manipulating formal power series*, 1978) and order n takes
+about log2(n) steps.  A residual with a term below the verified degree stops the loop
 with :class:`DoubleRoot`, whose ``variable`` and ``order`` name the
 variable and the order reached.  The returned series is re-checked by an
 independent substitution, and a nonzero result raises
@@ -47,9 +51,11 @@ from .errors import (
     MissingAssignment,
     NegativeExponentAtZero,
     NoRootAvailable,
+    NotInvertible,
+    NotInvertibleAtPoint,
     VerificationFailure,
 )
-from .laurent import LaurentPoly, grlex_key
+from .laurent import LaurentPoly, _power_table, grlex_key
 from .rings import (
     DEFAULT_ORDER,
     QuotientRingElem,
@@ -213,33 +219,73 @@ def _check_nonnegative_off_variable(relation, var):
                 "apply a unimodular basis change first")
 
 
+def _grouped_by_exponent(relation, k):
+    """W = sum_j C_j(mu) y_k^j as {j: terms of C_j}, each C_j keyed by the
+    exponents of mu, the variables other than y_k."""
+    groups = {}
+    for exp, c in relation.terms.items():
+        groups.setdefault(exp[k], {})[exp[:k] + exp[k + 1:]] = c
+    return groups
+
+
+def _value_and_slope(groups, var, y):
+    """(W, y dW/dy) at (mu, y) for W grouped as {j: C_j} and a series y
+    over mu, from one set of products T_j = C_j y^j: W = sum_j T_j and
+    y dW/dy = sum_j j T_j.  A constant C_j or y enters as a scalar through
+    ``scale``, as in :meth:`LaurentPoly.evaluate`."""
+    like = y
+    if y.is_constant():
+        y = y.constant_term()
+    try:
+        powers = _power_table(y, groups)
+    except (NotInvertible, ZeroDivisionError) as err:
+        raise NotInvertibleAtPoint(
+            "value for %r is not invertible: %s" % (var, err)) from None
+    value = slope = TruncatedSeries.zero(like.variables, like.order)
+    for j, terms in groups.items():
+        c = TruncatedSeries(like.variables, like.order, terms)
+        if c.is_zero():
+            continue
+        if c.is_constant():
+            c = c.constant_term()
+        if j == 0:
+            t = c
+        elif isinstance(powers[j], TruncatedSeries):
+            t = powers[j] * c if isinstance(c, TruncatedSeries) else powers[j].scale(c)
+        else:
+            t = c.scale(powers[j]) if isinstance(c, TruncatedSeries) else c * powers[j]
+        value = value + t
+        if j:
+            slope = slope + (t.scale(j) if isinstance(t, TruncatedSeries) else t * j)
+    return value, slope
+
+
 def _newton_series(relation, var, kap, target, order, seed):
     """Solve W(mu, kap exp(s)) = target for s with zero constant term by
     the Newton loop described in the module docstring.
 
     ``v`` is the degree below which the residual is known to vanish; each
     step works at truncation p = min(2v - 1, order) and verifies up to p,
-    so order 10 takes four steps.
+    so order 10 takes four steps.  W is grouped by the exponent of ``var``
+    once, and each step takes the residual and the slope from the same
+    products C_j Y^j; the solvers' final check substitutes independently.
     """
-    k = relation.variables.index(var)
-    dW = LaurentPoly(relation.variables,
-                     {e: c * e[k] for e, c in relation.terms.items() if e[k]})
+    groups = _grouped_by_exponent(relation, relation.variables.index(var))
     mu_vars = _mu_variables(relation, var)
     s = TruncatedSeries.zero(mu_vars, order)
     v = 1
     while v <= order:
         p = min(2 * v - 1, order)
         s = TruncatedSeries(mu_vars, p, s.terms)
-        point = {u: TruncatedSeries.variable(u, mu_vars, p) for u in mu_vars}
-        point[var] = series_exp(s).scale(kap)
-        residual = relation.evaluate(point) - target
+        value, slope = _value_and_slope(groups, var, series_exp(s).scale(kap))
+        residual = value - target
         if not residual.is_zero():
             if residual.valuation() < v:
                 raise _double_root(
                     "iteration stalled in %r at order %d: residual has a "
                     "degree-%d term" % (var, v - 1, residual.valuation()),
                     relation, var, v - 1, seed)
-            slope = dW.evaluate(point).invert()
+            slope = slope.invert()
             s = s - (residual.scale(slope.constant_term()) if slope.is_constant()
                      else residual * slope)
         v = p + 1

@@ -190,8 +190,10 @@ class LaurentPoly:
         return power(self, n, lambda: LaurentPoly.one(self.variables))
 
     def shift(self, delta):
-        """Multiply by the monomial with exponent vector delta."""
-        delta = tuple(int(d) for d in delta)
+        """Multiply by the monomial with exponent vector delta.  A
+        coordinate of delta that is not an integer value raises
+        :class:`PreconditionViolation` instead of being truncated."""
+        delta = intlin.lattice_point(delta)
         return LaurentPoly(self.variables,
                            {tuple(a + b for a, b in zip(e, delta)): c
                             for e, c in self.terms.items()})

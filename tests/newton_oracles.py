@@ -1,20 +1,25 @@
 """Slow reference solvers kept as oracles for the Newton solver.
 
-These are the routines the library used before the Newton loop: a
-fixed-slope iteration that gains one order per step, and the power-sum
-exponential.  Series coefficients are unique for a given root, so the
-library must reproduce their results exactly.
+These are the routines the library used before the current Newton step: a
+fixed-slope iteration that gains one order per step, the power-sum
+exponential, and the Newton step that substitutes into the relation and
+into its derivative y_k dW/dy_k separately.  Series coefficients are
+unique for a given root, so the library must reproduce their results
+exactly; the two-substitution step must also raise the same errors.
 """
 
 from fractions import Fraction
 from math import factorial
 
+from augvar.augment import _double_root
+from augvar.laurent import LaurentPoly
 from augvar.rings import (
     QuotientRingElem,
     TruncatedSeries,
     UniPoly,
     frac,
     invert_scalar,
+    series_exp,
 )
 
 
@@ -60,3 +65,32 @@ def fixed_slope_nilpotent(relation, d, var, kappa, order):
     target = r.evaluate(kap)
     slope = kap * r.derivative().evaluate(kap)
     return kap, target, _fixed_slope(relation, var, kap, target, slope, order)
+
+
+def two_evaluation_newton(relation, var, kap, target, order, seed):
+    """The Newton loop of ``augment._newton_series`` with the residual
+    W(mu, kap exp(s)) - target and the slope dW(mu, kap exp(s)),
+    dW = y_k dW/dy_k, each from its own ``LaurentPoly.evaluate``."""
+    k = relation.variables.index(var)
+    dW = LaurentPoly(relation.variables,
+                     {e: c * e[k] for e, c in relation.terms.items() if e[k]})
+    mu_vars = tuple(v for v in relation.variables if v != var)
+    s = TruncatedSeries.zero(mu_vars, order)
+    v = 1
+    while v <= order:
+        p = min(2 * v - 1, order)
+        s = TruncatedSeries(mu_vars, p, s.terms)
+        point = {u: TruncatedSeries.variable(u, mu_vars, p) for u in mu_vars}
+        point[var] = series_exp(s).scale(kap)
+        residual = relation.evaluate(point) - target
+        if not residual.is_zero():
+            if residual.valuation() < v:
+                raise _double_root(
+                    "iteration stalled in %r at order %d: residual has a "
+                    "degree-%d term" % (var, v - 1, residual.valuation()),
+                    relation, var, v - 1, seed)
+            slope = dW.evaluate(point).invert()
+            s = s - (residual.scale(slope.constant_term()) if slope.is_constant()
+                     else residual * slope)
+        v = p + 1
+    return s

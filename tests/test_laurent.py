@@ -122,6 +122,17 @@ def test_clear_rejects_non_integer_vertex_instead_of_truncating():
     assert clear_to_vertex(f, (F(0), F(2, 2) - 1)) == f
 
 
+def test_shift_rejects_non_integer_exponent_instead_of_truncating():
+    y1, y2 = gens()
+    f = 1 + y1 + y2
+    # int() would truncate these to (0, 0) and (1, 0)
+    for delta in ((F(1, 2), 0), (F(3, 2), 0), (0, -0.5)):
+        with pytest.raises(PreconditionViolation):
+            f.shift(delta)
+    assert f.shift((F(4, 2), 0)) == y1 ** 2 * f
+    assert f.shift([-1, F(2, 2)]) == y1 ** -1 * y2 * f
+
+
 def test_clear_rejects_edge_midpoint_and_facet_interior_point():
     y1, y2 = gens()
     f = 1 + y1 ** 2 * y2 ** 2 + y1 * y2 + y1 ** 2 - y1

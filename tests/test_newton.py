@@ -2,8 +2,9 @@
 
 The Newton loop must give exactly the series of the fixed-slope,
 one-order-per-step iteration it replaced (kept in ``newton_oracles``) over
-Q, over Q[t]/(m) and over Q[t]/(t^d); ``series_exp`` must match
-the power-sum exponential and sympy.  Verification failures must raise
+Q, over Q[t]/(m) and over Q[t]/(t^d), and exactly the series and errors
+of the step that substituted into W and dW separately; ``series_exp`` must
+match the power-sum exponential and sympy.  Verification failures must raise
 :class:`VerificationFailure`, also under ``python -O``.
 """
 
@@ -23,7 +24,12 @@ from augvar.augment import (
     solve_formal_augmentation,
     solve_nilpotent_augmentation,
 )
-from augvar.errors import DoubleRoot, VerificationFailure
+from augvar.errors import (
+    DoubleRoot,
+    NotInvertible,
+    NotInvertibleAtPoint,
+    VerificationFailure,
+)
 from augvar.laurent import LaurentPoly
 from augvar.potentials import clifford_relation
 from augvar.rings import (
@@ -37,6 +43,7 @@ from newton_oracles import (
     fixed_slope_formal,
     fixed_slope_nilpotent,
     power_sum_exp,
+    two_evaluation_newton,
 )
 
 F = Fraction
@@ -114,20 +121,131 @@ def test_newton_matches_fixed_slope_in_nilpotent_ring(d):
 
 
 def test_newton_takes_log_order_steps(monkeypatch):
-    """Order 10 takes four steps (verified orders 1, 3, 7, 10); each step
-    evaluates the relation and its derivative once, and the final check
-    substitutes once more."""
-    calls = []
-    real = LaurentPoly.evaluate
+    """Order 10 takes four steps (verified orders 1, 3, 7, 10): each step
+    takes one exponential, and the final check one more.  The relation is
+    substituted once, by the final check; the steps never call evaluate."""
+    exps, evaluations = [], []
+    real_exp, real_evaluate = augment.series_exp, LaurentPoly.evaluate
 
-    def counting(self, point):
-        calls.append(next(iter(point.values())).order if point else None)
-        return real(self, point)
+    def counting_exp(s):
+        exps.append(s.order)
+        return real_exp(s)
 
-    monkeypatch.setattr(LaurentPoly, "evaluate", counting)
+    def counting_evaluate(self, point):
+        evaluations.append(next(iter(point.values())).order if point else None)
+        return real_evaluate(self, point)
+
+    monkeypatch.setattr(augment, "series_exp", counting_exp)
+    monkeypatch.setattr(LaurentPoly, "evaluate", counting_evaluate)
     rel = clifford_relation(3, "+,+,-").lifted_relation
     solve_formal_augmentation(rel, "y2", order=10)
-    assert calls == [1, 1, 3, 3, 7, 7, 10, 10, 10]
+    assert exps == [1, 3, 7, 10, 10]
+    assert evaluations == [10]
+
+
+def _with_negative_powers(rng, rel):
+    """rel plus terms with a negative exponent of the solved (last)
+    variable, each times a positive power of some mu, so the restriction
+    stays a polynomial."""
+    vs = rel.variables
+    for _ in range(rng.randint(0, 2)):
+        exp = [rng.randint(0, 1) for _ in vs[:-1]] + [rng.randint(-2, -1)]
+        exp[rng.randrange(len(vs) - 1)] += 1
+        rel = rel + LaurentPoly.monomial(F(rng.choice([-2, -1, 1, 3])), exp, vs)
+    return rel
+
+
+_QUADRATICS = ((-2, 0), (-3, 0), (-1, 1), (-5, 1), (3, 1))    # q + p y + y^2
+
+
+def _differential_case(rng, i):
+    """(kind, relation, var, kap, target, order) for the i-th seeded case: a
+    formal, quotient-root or nilpotent solve (multiplicity 2-4), or one
+    the solvers' preamble would reject (a non-root or zero kap, or a
+    double root), so both steps raise."""
+    nvars = 2 + i % 2
+    order = rng.randint(3, 5) if nvars == 3 else rng.randint(4, 8)
+    kind = rng.choice(("formal", "formal", "quotient", "nilpotent", "nilpotent",
+                       "non-root", "double"))
+    kappa = rng.choice([F(1), F(-1), F(2), F(-2), F(1, 2), F(3, 2)])
+    rel = _relation_with_root(rng, nvars, kappa)
+    var = rel.variables[-1]
+    target = F(0)
+    if kind == "quotient":
+        q, p = rng.choice(_QUADRATICS)
+        yk = LaurentPoly.variable(var, rel.variables)
+        rel = rel - rel.set_vars_zero(var).evaluate(yk) \
+            + (q + p * yk + yk ** 2) * (1 + yk ** 2)
+        kappa = find_transverse_root(rel, var, factor=UniPoly([q, p, 1])).kappa
+    elif kind == "nilpotent":
+        d = rng.randint(2, 4)
+        kappa = (1 + QuotientRingElem.generator(UniPoly.gen() ** d)) * kappa
+        target = rel.set_vars_zero(var).evaluate(kappa)
+    elif kind == "non-root":
+        kappa = rng.choice([F(0), F(5), F(-7, 3)])
+    elif kind == "double":
+        yk = LaurentPoly.variable(var, rel.variables)
+        rel = rel - rel.set_vars_zero(var).evaluate(yk) + (1 - yk * (1 / kappa)) ** 2
+    return kind, _with_negative_powers(rng, rel), var, kappa, target, order
+
+
+def _outcome(solve, *args):
+    try:
+        return "series", solve(*args)
+    except Exception as err:                # compared by class and message
+        extra = (getattr(err, "variable", None), getattr(err, "order", None),
+                 getattr(err, "suggested_transform", None))
+        return type(err), str(err), extra
+
+
+def test_one_pass_step_matches_two_evaluation_step():
+    """240 seeded relations in 2 and 3 variables, with negative exponents
+    of the solved variable off the restriction: the grouped step gives the
+    series of the two-substitution step, and raises the same error with
+    the same message whenever that one raises."""
+    rng = random.Random(7600)
+    seen = set()
+    for i in range(240):
+        kind, rel, var, kap, target, order = _differential_case(rng, i)
+        args = (rel, var, kap, target, order, i)
+        got = _outcome(augment._newton_series, *args)
+        expected = _outcome(two_evaluation_newton, *args)
+        assert got == expected, (kind, str(rel), kap)
+        seen.add((kind, got[0]))
+    assert {("formal", "series"), ("quotient", "series"), ("nilpotent", "series"),
+            ("non-root", DoubleRoot), ("non-root", NotInvertibleAtPoint),
+            ("double", NotInvertible)} <= seen
+
+
+def _perturbed_grouping(monkeypatch):
+    """The solver's grouping with y1 added to C_1, the coefficient of the
+    solved variable: the steps then solve a different relation."""
+    real = augment._grouped_by_exponent
+
+    def perturbed(relation, k):
+        groups = real(relation, k)
+        mu = (1,) + (0,) * (len(relation.variables) - 2)
+        c1 = dict(groups[1])
+        c1[mu] = c1.get(mu, 0) + 1
+        groups[1] = c1
+        return groups
+
+    monkeypatch.setattr(augment, "_grouped_by_exponent", perturbed)
+
+
+def test_final_check_does_not_share_the_grouped_step(monkeypatch):
+    """The solvers' final check substitutes into the relation itself, so a
+    series solved for a perturbed grouping is caught."""
+    rel = clifford_relation(3, "+,+,-").lifted_relation
+    y1, y = LaurentPoly.gens(("y1", "y"))
+    solve_formal_augmentation(rel, "y2", order=6)
+    solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=6)
+    _perturbed_grouping(monkeypatch)
+    with pytest.raises(VerificationFailure, match="^solver left a nonzero residual"):
+        solve_formal_augmentation(rel, "y2", order=6)
+    with pytest.raises(VerificationFailure,
+                       match="^nilpotent solver left a nonzero residual"):
+        solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=6)
 
 
 # --------------------------------------------------------------------------
@@ -328,3 +446,25 @@ def test_no_series_product_has_a_constant_operand(monkeypatch):
         (2, 0, 1): 1, (0, 2, 2): 1})
     solve_formal_augmentation(rel, "y3", order=12)
     assert operands and not any(operands)
+
+
+def test_constant_coefficient_of_the_solved_variable_is_scaled(monkeypatch):
+    """A constant C_j, here the coefficient -1 of y in 1 + y1 - y and the
+    constant coefficients of a Clifford relation, multiplies the series
+    y^j through ``scale``; the steps after the first multiply no constant."""
+    operands = []
+    real = TruncatedSeries.__mul__
+
+    def recording(self, other):
+        operands.append(self.is_constant() or other.is_constant())
+        return real(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", recording)
+    monkeypatch.setattr(TruncatedSeries, "__rmul__", recording)
+    y1, y = LaurentPoly.gens(("y1", "y"))
+    solve_formal_augmentation(1 + y1 - y + y1 * y ** 2, "y", order=9)
+    solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=9)
+    solve_formal_augmentation(clifford_relation(3, "+,+,-").lifted_relation, "y2",
+                              order=9)
+    assert operands and not any(operands)
+
