@@ -19,7 +19,9 @@ and the divisor is invertible because its constant term kappa r'(kappa)
 is nonzero for a transverse root of the restriction r.  F(s) and the
 divisor come from one set of products: with W grouped once as
 sum_j C_j(mu) y_k^j and Y = kappa exp(s), a step forms T_j = C_j Y^j,
-and then F(s) = sum_j T_j and dW(mu, Y) = sum_j j T_j.
+and then F(s) = sum_j T_j and dW(mu, Y) = sum_j j T_j.  Every product
+here is a plain ``*``; a constant C_j, Y^j or divisor is applied through
+``scale`` by :meth:`TruncatedSeries.__mul__` itself.
 
 If F(s) vanishes below degree v, the update makes it vanish below degree
 2v, so the verified order doubles at each step (Brent and Kung, *Fast
@@ -231,32 +233,20 @@ def _grouped_by_exponent(relation, k):
 def _value_and_slope(groups, var, y):
     """(W, y dW/dy) at (mu, y) for W grouped as {j: C_j} and a series y
     over mu, from one set of products T_j = C_j y^j: W = sum_j T_j and
-    y dW/dy = sum_j j T_j.  A constant C_j or y enters as a scalar through
-    ``scale``, as in :meth:`LaurentPoly.evaluate`."""
-    like = y
-    if y.is_constant():
-        y = y.constant_term()
+    y dW/dy = sum_j j T_j.  A constant C_j or y^j is applied through
+    ``scale`` by :meth:`TruncatedSeries.__mul__`, not here."""
     try:
         powers = _power_table(y, groups)
     except (NotInvertible, ZeroDivisionError) as err:
         raise NotInvertibleAtPoint(
             "value for %r is not invertible: %s" % (var, err)) from None
-    value = slope = TruncatedSeries.zero(like.variables, like.order)
+    value = slope = TruncatedSeries.zero(y.variables, y.order)
     for j, terms in groups.items():
-        c = TruncatedSeries(like.variables, like.order, terms)
-        if c.is_zero():
-            continue
-        if c.is_constant():
-            c = c.constant_term()
-        if j == 0:
-            t = c
-        elif isinstance(powers[j], TruncatedSeries):
-            t = powers[j] * c if isinstance(c, TruncatedSeries) else powers[j].scale(c)
-        else:
-            t = c.scale(powers[j]) if isinstance(c, TruncatedSeries) else c * powers[j]
-        value = value + t
+        t = TruncatedSeries(y.variables, y.order, terms)
         if j:
-            slope = slope + (t.scale(j) if isinstance(t, TruncatedSeries) else t * j)
+            t = powers[j] * t
+            slope = slope + t.scale(j)
+        value = value + t
     return value, slope
 
 
@@ -285,9 +275,7 @@ def _newton_series(relation, var, kap, target, order, seed):
                     "iteration stalled in %r at order %d: residual has a "
                     "degree-%d term" % (var, v - 1, residual.valuation()),
                     relation, var, v - 1, seed)
-            slope = slope.invert()
-            s = s - (residual.scale(slope.constant_term()) if slope.is_constant()
-                     else residual * slope)
+            s = s - residual * slope.invert()
         v = p + 1
     return s
 

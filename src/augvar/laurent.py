@@ -281,11 +281,12 @@ class LaurentPoly:
 
         Values may be scalars from any one backend or truncated series;
         negative exponents require the assigned value to be invertible.
-        Each power of a value comes from the previous one in its table.  A
-        constant series is evaluated as its scalar, and a scalar
-        coefficient is applied to a series term with ``scale``, so no
-        series product has a constant operand.  When any value is a
-        series, so is the result.
+        Each power of a value comes from the previous one in its table,
+        and each term is its coefficient times its powers, multiplied
+        with ``*``.  No series product has a constant operand, since
+        :meth:`TruncatedSeries.__mul__` applies a scalar or a constant
+        series through ``scale``.  When any value is a series, so is the
+        result.
         """
         missing = [v for v in self.variables if v not in point]
         if missing:
@@ -294,11 +295,8 @@ class LaurentPoly:
         powers = []
         for i, v in enumerate(self.variables):
             val = point[v]
-            if isinstance(val, TruncatedSeries):
-                if like is None:
-                    like = val
-                if val.is_constant():
-                    val = val.constant_term()
+            if like is None and isinstance(val, TruncatedSeries):
+                like = val
             try:
                 powers.append(_power_table(val, {e[i] for e in self.terms}))
             except (NotInvertible, ZeroDivisionError) as err:
@@ -306,15 +304,10 @@ class LaurentPoly:
                     "value for %r is not invertible: %s" % (v, err)) from None
         acc = None
         for exp, c in self.terms.items():
-            scalar, series = c, None
+            term = c
             for i, e in enumerate(exp):
                 if e != 0:
-                    p = powers[i][e]
-                    if isinstance(p, TruncatedSeries):
-                        series = p if series is None else series * p
-                    else:
-                        scalar = scalar * p
-            term = scalar if series is None else series.scale(scalar)
+                    term = term * powers[i][e]
             acc = term if acc is None else acc + term
         if acc is None:
             acc = Fraction(0)

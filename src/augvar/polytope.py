@@ -250,8 +250,7 @@ class LatticePolytope:
                       if k < d else facets)
             levels.append(([(n, c) for n, c, _ in shadow if n[-1] > 0],
                            [(n, c) for n, c, _ in shadow if n[-1] < 0]))
-        lo, hi = _interval(levels[0][0] + levels[0][1])
-        return sum(_count_fibres(levels, 1, (x,)) for x in range(lo, hi + 1))
+        return _count_fibres(levels, 0, ())
 
     def edge_lattice_lengths(self):
         return tuple(sorted(
@@ -276,7 +275,8 @@ def _edge_length(points, pair):
 
 
 def _count_fibres(levels, k, prefix):
-    """Lattice points over an integer prefix of length k.
+    """Lattice points over an integer prefix of length k (the empty
+    prefix for k = 0, whose projection is a segment).
 
     ``levels[k]`` holds the facet inequalities of the projection onto the
     first k + 1 coordinates whose last coefficient is positive and
@@ -289,25 +289,6 @@ def _count_fibres(levels, k, prefix):
     if k == len(levels) - 1:
         return hi - lo + 1
     return sum(_count_fibres(levels, k + 1, prefix + (x,)) for x in range(lo, hi + 1))
-
-
-def _interval(ineqs):
-    """Integer interval satisfying scalar inequalities a x <= c."""
-    lo, hi = None, None
-    for n, c in ineqs:
-        a = n[0]
-        if a > 0:
-            bound = c // a  # floor(c/a)
-            hi = bound if hi is None else min(hi, bound)
-        elif a < 0:
-            bound = _ceil_div(-c, -a)  # ceil(c/a)
-            lo = bound if lo is None else max(lo, bound)
-        elif c < 0:
-            return None, None
-    if lo is None or hi is None or lo > hi:
-        # a polytope slice is always bounded, so None here means empty
-        return None, None
-    return lo, hi
 
 
 def _ceil_div(a, b):

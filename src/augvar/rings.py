@@ -27,6 +27,13 @@ No Fraction is built inside the loop; each output part is divided by one
 gcd, and each output coefficient is built once at the end.  Every backend
 goes through the same loop.  The public ``terms`` map keeps exact scalars.
 
+Which product a pair of operands takes is decided in one place,
+:meth:`TruncatedSeries.__mul__`: a scalar of any backend, or a constant
+series, multiplies the other operand coefficient by coefficient through
+:meth:`TruncatedSeries.scale`, and only two non-constant series reach
+the kernel.  Callers multiply series with ``*`` and never dispatch on
+constancy themselves.
+
 Rational roots of a univariate polynomial (:func:`rational_roots`) come
 from lifting its roots modulo a small prime l to l-adic precision
 M > 2 max(|f(0)|, |lead f|)^2 and reconstructing each fraction from its
@@ -704,12 +711,6 @@ SCALAR_TYPES = (int, Fraction, QuotientRingElem)
 # truncated multivariate power series
 # --------------------------------------------------------------------------
 
-def _scalar_compatible(a, b):
-    """Reject mixing quotient elements over different moduli."""
-    if (isinstance(a, QuotientRingElem) and isinstance(b, QuotientRingElem)
-            and a.modulus != b.modulus):
-        raise BackendMismatch("different quotient moduli")
-
 
 class TruncatedSeries:
     """Multivariate power series truncated past total degree ``order``.
@@ -717,9 +718,12 @@ class TruncatedSeries:
     Terms are a map from exponent tuples (nonnegative, total degree at most
     ``order``) to coefficients in one scalar backend.  Zero coefficients are
     never stored, and a non-integer exponent raises
-    :class:`PreconditionViolation`.  Products, inverses, exponentials and
-    logarithms go through one graded kernel, :func:`_convolve`, which works
-    on the numerator/denominator form described in the module docstring.
+    :class:`PreconditionViolation`.  Products of two non-constant series,
+    inverses, exponentials and logarithms go through one graded kernel,
+    :func:`_convolve`, which works on the numerator/denominator form
+    described in the module docstring; a product with a scalar or a
+    constant series is :meth:`scale`.  Operands whose quotient-ring
+    coefficients have different moduli raise :class:`BackendMismatch`.
     """
 
     __slots__ = ("variables", "order", "terms")
@@ -820,11 +824,21 @@ class TruncatedSeries:
             raise VariableMismatch("series over different variables")
         if self.order != other.order:
             raise VariableMismatch("series with different truncation orders")
-        for a in self.terms.values():
-            for b in other.terms.values():
-                _scalar_compatible(a, b)
-                break
-            break
+        self._check_modulus(other._modulus())
+
+    def _modulus(self):
+        """The modulus of the first quotient-ring coefficient, or None."""
+        for c in self.terms.values():
+            if isinstance(c, QuotientRingElem):
+                return c.modulus
+        return None
+
+    def _check_modulus(self, m):
+        """Reject a quotient modulus ``m`` other than this series' own."""
+        if m is not None:
+            n = self._modulus()
+            if n is not None and n != m:
+                raise BackendMismatch("different quotient moduli")
 
     def is_zero(self):
         return not self.terms
@@ -895,11 +909,22 @@ class TruncatedSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        """Degree n of the product is sum_{i+j=n} a_i b_j, one kernel call
-        per degree, over one denominator per operand."""
-        other = self._coerce(other)
-        if other is None:
+        """The product with a scalar or a series.
+
+        A scalar, or a constant series, multiplies the other operand
+        through :meth:`scale`, so the graded kernel only sees two
+        non-constant series.  There, degree n of the product is
+        sum_{i+j=n} a_i b_j, one kernel call per degree, over one
+        denominator per operand."""
+        if isinstance(other, SCALAR_TYPES):
+            return self.scale(other)
+        if not isinstance(other, TruncatedSeries):
             return NotImplemented
+        self._check(other)
+        if other.is_constant():
+            return self.scale(other.constant_term())
+        if self.is_constant():
+            return other.scale(self.constant_term())
         a, b = self._graded(), other._graded()
         return self._from_graded(
             [_convolve([(a[i], b[n - i]) for i in range(n + 1)])
@@ -908,6 +933,13 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def scale(self, c):
+        """The product with the scalar ``c``, coefficient by coefficient;
+        anything but an int, Fraction or quotient-ring element raises
+        TypeError."""
+        if not isinstance(c, SCALAR_TYPES):
+            raise TypeError("cannot scale a series by %r" % (c,))
+        if isinstance(c, QuotientRingElem):
+            self._check_modulus(c.modulus)
         if c == 1:
             return self
         products = ((e, v * c) for e, v in self.terms.items())

@@ -425,22 +425,27 @@ def test_series_exp_makes_no_series_products(monkeypatch):
     assert calls == []
 
 
-def test_no_series_product_has_a_constant_operand(monkeypatch):
-    """Scalar coefficients and constant values are applied with ``scale``:
-    on the 7-term order-12 ladder relation, where 57 of 123 products once
-    had a constant operand, none has one."""
-    def constant(x):
-        return not isinstance(x, TruncatedSeries) or all(not any(e) for e in x.terms)
-
+def _kernel_operands(monkeypatch):
+    """A list that records, for every operand a series product hands to
+    the graded kernel (``_graded`` called from ``__mul__``), whether it is
+    constant."""
     operands = []
-    real = TruncatedSeries.__mul__
+    real = TruncatedSeries._graded
 
-    def counting(self, other):
-        operands.append(constant(self) or constant(other))
-        return real(self, other)
+    def recording(self):
+        if sys._getframe(1).f_code.co_name == "__mul__":
+            operands.append(self.is_constant())
+        return real(self)
 
-    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
-    monkeypatch.setattr(TruncatedSeries, "__rmul__", counting)
+    monkeypatch.setattr(TruncatedSeries, "_graded", recording)
+    return operands
+
+
+def test_no_series_product_has_a_constant_operand(monkeypatch):
+    """On the 7-term order-12 ladder relation, where 57 of 123 products
+    once had a constant operand, no kernel product has one: constants are
+    applied with ``scale`` inside the product."""
+    operands = _kernel_operands(monkeypatch)
     rel = LaurentPoly(("y1", "y2", "y3"), {
         (0, 0, 0): 2, (1, 0, 0): 1, (0, 0, 1): -3, (1, 1, 0): 1, (0, 0, 2): 1,
         (2, 0, 1): 1, (0, 2, 2): 1})
@@ -451,16 +456,8 @@ def test_no_series_product_has_a_constant_operand(monkeypatch):
 def test_constant_coefficient_of_the_solved_variable_is_scaled(monkeypatch):
     """A constant C_j, here the coefficient -1 of y in 1 + y1 - y and the
     constant coefficients of a Clifford relation, multiplies the series
-    y^j through ``scale``; the steps after the first multiply no constant."""
-    operands = []
-    real = TruncatedSeries.__mul__
-
-    def recording(self, other):
-        operands.append(self.is_constant() or other.is_constant())
-        return real(self, other)
-
-    monkeypatch.setattr(TruncatedSeries, "__mul__", recording)
-    monkeypatch.setattr(TruncatedSeries, "__rmul__", recording)
+    y^j through ``scale``; no kernel product has a constant operand."""
+    operands = _kernel_operands(monkeypatch)
     y1, y = LaurentPoly.gens(("y1", "y"))
     solve_formal_augmentation(1 + y1 - y + y1 * y ** 2, "y", order=9)
     solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=9)

@@ -1,5 +1,6 @@
 """Tests for the exact coefficient rings and truncated series."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -544,3 +545,46 @@ def test_sums_and_scalings_that_vanish_store_no_zero_terms():
     v = u.scale(a)
     assert v.terms == {(0, 0): a}
     assert all(not c.is_zero() for c in v.terms.values())
+
+
+def _constant_operands():
+    return [3, F(-2, 5), QuotientRingElem(UniPoly([1, F(1, 2)]), T ** 3),
+            TruncatedSeries.constant(F(7, 2), ("mu", "nu"), 3)]
+
+
+@pytest.mark.parametrize("c", _constant_operands(),
+                         ids=["int", "fraction", "quotient", "constant_series"])
+def test_scalar_and_constant_operands_are_scaled_not_convolved(monkeypatch, c):
+    mu, nu = (TruncatedSeries.variable(v, ("mu", "nu"), 3) for v in ("mu", "nu"))
+    s = 1 + mu.scale(F(1, 3)) + mu * nu - nu * nu
+    expected = s.scale(c.constant_term() if isinstance(c, TruncatedSeries) else c)
+
+    def refuse(self):
+        raise AssertionError("a constant operand reached the graded kernel")
+
+    monkeypatch.setattr(TruncatedSeries, "_graded", refuse)
+    assert s * c == expected
+    assert c * s == expected
+
+
+@pytest.mark.parametrize("c", [0.5, "2", UniPoly([1, 1]), _mu()],
+                         ids=["float", "str", "unipoly", "series"])
+def test_scale_rejects_non_scalars(c):
+    with pytest.raises(TypeError):
+        _mu().scale(c)
+
+
+def test_series_over_different_moduli_do_not_mix():
+    """Every quotient coefficient is compared, not only the first term of
+    each operand: a leading rational coefficient hides nothing, and the
+    one of another modulus is no identity."""
+    a = QuotientRingElem.generator(UniPoly([-2, 0, 1]))
+    b = QuotientRingElem.generator(UniPoly([-3, 0, 1]))
+    s = TruncatedSeries(("x",), 4, {(0,): 1, (1,): a})
+    for other in (TruncatedSeries(("x",), 4, {(2,): b}), b,
+                  TruncatedSeries.constant(b, ("x",), 4), b * 0 + 1):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(BackendMismatch):
+                op(s, other)
+            with pytest.raises(BackendMismatch):
+                op(other, s)
