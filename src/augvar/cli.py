@@ -13,6 +13,7 @@ every report embeds its configuration.  All numbers are exact fractions.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -65,7 +66,7 @@ def _load_laurent(path):
     obj = _load_json(path)
     try:
         return LaurentPoly.from_obj(obj)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
         raise ParseError("%s: not a Laurent polynomial file (%s)" % (path, err)) \
             from None
 
@@ -111,6 +112,14 @@ def _parse_vertex(text):
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ParseError("vertex must be comma-separated integers, got %r" % text) \
+            from None
+
+
+def _fraction_flag(text, flag):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError("%s must be a rational number, got %r" % (flag, text)) \
             from None
 
 
@@ -211,7 +220,7 @@ def _cmd_solve_aug(args, report):
         obj = _load_json(args.factor)
         try:
             factor = UniPoly([Fraction(c) for c in obj["modulus"]])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
             raise ParseError("%s: expected {\"modulus\": [\"c0\", ...]}"
                              % args.factor) from None
     var = args.var if args.var else relation.variables[-1]
@@ -288,7 +297,7 @@ def _cmd_check_candidate(args, report):
         cand = AugCandidate.from_obj(obj)
     except AugvarError as err:
         raise ParseError("%s: %s" % (args.input, err)) from None
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
         raise ParseError("%s: malformed candidate (%s)" % (args.input, err)) \
             from None
     check = dga_relation_check(cand)
@@ -314,6 +323,8 @@ def _cmd_markov(args, report):
 
 
 def _cmd_localize(args, report):
+    if args.d_max < 1:
+        raise ParseError("--d-max must be >= 1, got %d" % args.d_max)
     rows = []
     for d in range(1, args.d_max + 1):
         p = localization.hl_cover_weights(d)
@@ -336,9 +347,10 @@ def _cmd_localize(args, report):
 
 
 def _cmd_chord_degrees(args, report):
-    params = ChordDegreeParams(sheets=args.sheets,
-                               theta_over_pi=Fraction(args.theta_over_pi),
-                               slope=Fraction(args.slope))
+    params = ChordDegreeParams(
+        sheets=args.sheets,
+        theta_over_pi=_fraction_flag(args.theta_over_pi, "--theta-over-pi"),
+        slope=_fraction_flag(args.slope, "--slope"))
     rows = []
     for j in range(1, args.sheets + 1):
         for k in range(1, args.sheets + 1):
@@ -501,12 +513,21 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser :func:`run` reuses for every request, built on the
+    first call rather than at import.  Reuse is safe: ``parse_args`` makes
+    a fresh namespace each time, no default is mutable, ``AUGVAR_ORDER``
+    is read by :func:`_default_order` at run time, and usage errors look
+    up ``sys.stderr`` when they are raised."""
+    return build_parser()
+
+
 def run(argv=None):
     """Run one subcommand and return its exit code.  Out-of-range values,
     which the library rejects with ValueError, are input errors too."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if hasattr(args, "order"):
             if args.order is None:
                 args.order = _default_order()

@@ -722,8 +722,9 @@ class TruncatedSeries:
     inverses, exponentials and logarithms go through one graded kernel,
     :func:`_convolve`, which works on the numerator/denominator form
     described in the module docstring; a product with a scalar or a
-    constant series is :meth:`scale`.  Operands whose quotient-ring
-    coefficients have different moduli raise :class:`BackendMismatch`.
+    constant series is :meth:`scale`.  The quotient-ring coefficients of
+    a series share one modulus: terms over two moduli, or operands over
+    different ones, raise :class:`BackendMismatch`.
     """
 
     __slots__ = ("variables", "order", "terms")
@@ -733,6 +734,7 @@ class TruncatedSeries:
         if not isinstance(order, int) or order < 0:
             raise ValueError("truncation order must be a nonnegative integer")
         clean = {}
+        first = None
         for exp, c in (terms or {}).items():
             exp = lattice_point(exp)
             if len(exp) != len(variables):
@@ -741,6 +743,11 @@ class TruncatedSeries:
                 raise ValueError("series exponents must be nonnegative")
             if sum(exp) > order:
                 continue
+            if isinstance(c, QuotientRingElem):
+                if first is None:
+                    first = c
+                elif c._ring is not first._ring and c.modulus != first.modulus:
+                    raise BackendMismatch("different quotient moduli")
             if is_zero(c):
                 continue
             clean[exp] = c

@@ -14,6 +14,7 @@ checks that no sign choice on the same support certifies Irreducible.
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -324,14 +325,16 @@ def test_criterion_12_cli_determinism(tmp_path):
         "ell": 2, "y": {"1": ["-2", "1"], "2": ["1", "-2"]},
         "a": {"12": "0", "21": "0"}, "signs": [1, 1, 1]}))
     fills = {"{POT}": str(pot), "{TRI}": str(tri), "{CAND}": str(cand)}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
     ok = True
     for argv in ALL_SUBCOMMAND_ARGVS:
         argv = [fills.get(a, a) for a in argv]
         for fmt in ("text", "json"):
             cmd = [sys.executable, "-m", "augvar.cli"] + argv + ["--format", fmt]
-            first = subprocess.run(cmd, capture_output=True)
-            second = subprocess.run(cmd, capture_output=True)
-            same = (first.stdout == second.stdout
+            first = subprocess.run(cmd, capture_output=True, env=env)
+            second = subprocess.run(cmd, capture_output=True, env=env)
+            same = (first.stdout != b"" and first.stdout == second.stdout
                     and first.returncode == second.returncode)
             ok = ok and same
     assert _verdict(12, ok, "byte-identical reports across repeated runs of "

@@ -1,19 +1,38 @@
 """Tests for the command-line front end: reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from augvar import cli
 from augvar.cli import run
 from augvar.rings import TruncatedSeries
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _capture(capsys, argv):
     code = run(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _redirected(argv):
+    """Exit code, stdout and stderr of one request, each stream redirected
+    to a buffer of its own."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _subprocess_env():
+    return dict(os.environ, PYTHONPATH=SRC)
 
 
 # ------------------------------------------------------------------ solvers
@@ -310,6 +329,7 @@ BAD_VALUES = [
     ["chord-degrees", "--sheets", "1"],
     ["chord-degrees", "--theta-over-pi", "abc"],
     ["localize", "--m", "0"],
+    ["localize", "--d-max", "0"],
 ]
 
 
@@ -348,6 +368,42 @@ def test_non_integer_exponent_is_input_error(tmp_path, capsys):
     assert "PreconditionViolation" in err and "non-integer" in err
 
 
+ZERO_LAURENT = {"vars": ["y1", "y2"],
+                "terms": [{"exp": [0, 0], "coef": "1/0"},
+                          {"exp": [1, 0], "coef": "1"}]}
+ZERO_MODULUS_LAURENT = {"vars": ["y1", "y2"],
+                        "terms": [{"exp": [0, 0], "coef": "1"},
+                                  {"exp": [1, 0], "coef": {"residue": ["1"],
+                                                           "modulus": ["1/0", "0", "1"]}}]}
+ZERO_CANDIDATE = {"ell": 2, "y": {"1": ["-2", "1/0"], "2": ["1", "-2"]},
+                  "a": {"12": "0", "21": "0"}, "signs": [1, 1, 1]}
+ZERO_FILES = [
+    (["newton", "--input"], ZERO_LAURENT),
+    (["solve-aug", "--input"], ZERO_MODULUS_LAURENT),
+    (["solve-aug", "--clifford", "3", "--factor"], {"modulus": ["1/0", "0", "1"]}),
+    (["check-candidate", "--input"], ZERO_CANDIDATE),
+]
+
+
+@pytest.mark.parametrize("argv,obj", ZERO_FILES,
+                         ids=["laurent", "laurent-modulus", "factor", "candidate"])
+def test_zero_denominator_in_a_file_is_input_error(tmp_path, capsys, argv, obj):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = _capture(capsys, argv + [str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: %s: " % path)
+
+
+@pytest.mark.parametrize("flag", ["--theta-over-pi", "--slope"])
+def test_zero_denominator_in_a_flag_is_input_error(capsys, flag):
+    code, out, err = _capture(capsys, ["chord-degrees", flag, "1/0"])
+    assert code == 1
+    assert out == ""
+    assert err == "input error: %s must be a rational number, got '1/0'\n" % flag
+
+
 def test_wrong_schema_is_input_error(tmp_path, capsys):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"something": 1}))
@@ -377,7 +433,84 @@ def test_reports_byte_identical_across_processes():
     argv = [sys.executable, "-m", "augvar.cli", "solve-aug", "--clifford", "3",
             "--signs", "+,+,-", "--order", "6", "--seed", "3",
             "--format", "json"]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+    first = subprocess.run(argv, capture_output=True, env=_subprocess_env())
+    second = subprocess.run(argv, capture_output=True, env=_subprocess_env())
     assert first.returncode == second.returncode == 0
-    assert first.stdout == second.stdout
+    assert first.stdout and first.stdout == second.stdout
+
+
+# ------------------------------------------------------------- parser reuse
+
+REUSE_SEQUENCE = [
+    ["solve-aug", "--clifford", "3", "--signs", "+,+,-", "--order", "6",
+     "--format", "json"],
+    ["solve-aug", "--clifford", "3", "--order", "abc"],      # usage error
+    ["newton", "--input", "/nonexistent.json"],              # input error
+    ["markov", "--bound", "40"],
+    ["chord-degrees", "--sheets", "4", "--format", "json"],
+]
+
+
+def test_shared_parser_matches_fresh_parsers():
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        cli._parser.cache_clear()
+        fresh.append(_redirected(argv))
+    cli._parser.cache_clear()
+    shared = [_redirected(argv) for argv in REUSE_SEQUENCE]
+    assert cli._parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 1, 1, 0, 0]
+    assert shared[1][2].startswith("usage: augvar solve-aug")
+
+
+def test_build_parser_still_builds_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._parser()
+    assert cli._parser() is cli._parser()
+
+
+def test_import_does_not_build_the_parser():
+    probe = "import augvar.cli as c; print(c._parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_subprocess_env())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
+
+
+def test_flag_values_do_not_carry_over(tmp_path):
+    fan = ["potential", "--kind", "toric", "--fan", str(_fan_file(tmp_path)),
+           "--format", "json"]
+    parts = ["partitions", "--ell", "3", "--format", "json"]
+    runs = [_redirected(argv) for argv in (fan + ["--no-fit"], fan, parts + ["--no-check"],
+                                           parts, parts + ["--check"])]
+    assert [code for code, _, _ in runs] == [0] * 5
+    seen = [json.loads(out) for _, out, _ in runs]
+    assert [r["config"]["no_fit"] for r in seen[:2]] == [True, False]
+    assert [r["config"]["check"] for r in seen[2:]] == [False, True, True]
+    assert ["witness" in r["result"]["components"][0] for r in seen[2:]] == [False, True, True]
+    cli._parser.cache_clear()
+    assert _redirected(fan) == runs[1]
+    assert _redirected(parts) == runs[3]
+
+
+def test_order_environment_is_read_per_request(monkeypatch):
+    argv = ["solve-aug", "--clifford", "3", "--format", "json"]
+    orders = []
+    for env in ("4", "7", "5"):
+        monkeypatch.setenv("AUGVAR_ORDER", env)
+        code, out, _ = _redirected(argv)
+        assert code == 0
+        report = json.loads(out)
+        orders.append((report["config"]["order"],
+                       report["result"]["residual_order_checked"]))
+    assert orders == [(4, 4), (7, 7), (5, 5)]
+
+
+def test_usage_error_goes_to_the_stderr_of_its_own_call():
+    first = _redirected(["markov", "--bound", "5"])
+    code, out, err = _redirected(["markov", "--bound", "five"])
+    assert first[0] == 0 and first[2] == ""
+    assert code == 1 and out == ""
+    assert err.startswith("usage: augvar markov")
+    assert "input error: argument --bound: invalid int value: 'five'" in err

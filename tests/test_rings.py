@@ -291,6 +291,20 @@ def test_elements_over_different_moduli_are_unequal_not_mismatched():
         s2 + s3
 
 
+def test_series_constructor_rejects_mixed_moduli():
+    a = QuotientRingElem.generator(UniPoly([-2, 0, 1]))
+    b = QuotientRingElem.generator(UniPoly([-3, 0, 1]))
+    with pytest.raises(BackendMismatch):
+        TruncatedSeries(("x",), 4, {(1,): a, (2,): b})
+    with pytest.raises(BackendMismatch):
+        TruncatedSeries(("x",), 4, {(0,): F(1, 2), (1,): a, (3,): b * 0})
+    # one modulus, built as separate equal moduli, and rationals beside it
+    c = QuotientRingElem.generator(UniPoly([-2, 0, 1]))
+    s = TruncatedSeries(("x",), 4, {(0,): 1, (1,): a, (2,): c})
+    assert s.terms == {(0,): 1, (1,): a, (2,): a}
+    assert s + s == s.scale(2)
+
+
 RATIONAL_MODULUS = UniPoly([F(-1, 3), F(1, 2), 1])       # t^2 + t/2 - 1/3
 
 
