@@ -569,15 +569,3 @@ def _hull(points):
     vertices = [i for i in sorted(through) if len(through[i]) >= d
                 and len(echelon(through[i], d)[0]) == d]
     return vertices, facets, simplices
-
-
-def hull_vertices(points):
-    """Indices of the hull vertices of distinct integer points, ascending.
-
-    The points may span any affine dimension.  The hull runs on their
-    coordinates in :func:`affine_frame`, which is injective on the points.
-    """
-    d, _, reduced = affine_frame(points)
-    if d == 0:
-        return [0]
-    return convex_hull(reduced)[0]

@@ -22,6 +22,7 @@ from .errors import (
     VariableMismatch,
     ZeroPolynomial,
 )
+from .polytope import newton_polytope
 from .rings import (
     SCALAR_TYPES,
     QuotientRingElem,
@@ -414,10 +415,6 @@ def coeff_from_obj(obj):
 # vertex clearing
 # --------------------------------------------------------------------------
 
-def _is_vertex(exp, support):
-    return support.index(exp) in intlin.hull_vertices(support)
-
-
 def clear_to_vertex(f, v):
     """y^{-v} f for a vertex v of the Newton polytope of f.
 
@@ -429,7 +426,7 @@ def clear_to_vertex(f, v):
     if f.is_zero():
         raise ZeroPolynomial("cannot clear the zero polynomial")
     v = intlin.lattice_point(v)
-    if v not in f.terms or not _is_vertex(v, list(f.terms)):
+    if v not in newton_polytope(f).vertices:
         raise NotAVertex("%r is not a vertex of the Newton polytope" % (v,))
     return f.shift(tuple(-x for x in v))
 

@@ -18,6 +18,10 @@ invariants: the normalized volume sums cones from one vertex over the
 boundary, the lattice point count is Pick's formula in the plane and,
 above it, a walk over the projections onto the first k coordinates
 bounded by their own hull facets.
+
+It imports nothing from :mod:`augvar.laurent`, whose ``clear_to_vertex``
+checks its vertex against :func:`newton_polytope`: the layers run
+laurent -> polytope -> intlin.
 """
 
 import itertools
@@ -29,9 +33,9 @@ from .errors import (
     DimensionMismatch,
     NotTwoDimensionalInput,
     PreconditionViolation,
+    VerificationFailure,
     ZeroPolynomial,
 )
-from .laurent import clear_to_vertex, clear_to_vertex_fitted
 
 
 class LatticePolytope:
@@ -470,11 +474,13 @@ def _lattice_height_above_facet(P, facet_vertex_set, apex):
 def irreducibility_certificate(f, facet_restrictions=()):
     """Certify irreducibility of a Laurent polynomial up to monomial units.
 
-    Two routes, both conservative (the verdict is Irreducible only when a
-    proof exists; the check never claims reducibility):
+    f is first cleared at its lexicographically smallest exponent, which
+    is always a vertex of its Newton polytope.  Two routes, both
+    conservative (the verdict is Irreducible only when a proof exists; the
+    check never claims reducibility):
 
-    * ambient dimension 2: clear to a vertex and test integral
-      indecomposability of the Newton polygon;
+    * ambient dimension 2: test integral indecomposability of the Newton
+      polygon;
     * higher dimension: ``facet_restrictions`` names variables to peel off
       one at a time.  At each level the cleared Newton polytope must be a
       simplex, the terms surviving ``var = 0`` must span exactly the facet
@@ -486,28 +492,37 @@ def irreducibility_certificate(f, facet_restrictions=()):
     """
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial is not irreducible")
-    g = _cleared(f)
+    g = f.shift(tuple(-x for x in min(f.terms)))
+    return _certify(g, tuple(facet_restrictions))
+
+
+def _certify(g, facet_restrictions, P=None):
+    """The certificate for g, whose smallest exponent is the origin, with
+    P its Newton polytope when the caller has built it: a restriction
+    keeps that origin, so its hull is handed down as is."""
     if len(g.terms) == 1:
         return Verdict("inconclusive", witness="monomial input is a unit")
-    if len(f.variables) == 1 and not facet_restrictions:
+    if len(g.variables) == 1 and not facet_restrictions:
         # cleared univariate: irreducible exactly when linear
         top = max(e[0] for e in g.terms)
         if top == 1:
             return Verdict("irreducible", witness="primitive Newton segment")
         return Verdict("inconclusive", witness="Newton segment is not primitive")
-    if len(f.variables) == 2 and not facet_restrictions:
+    if len(g.variables) > 2 and not facet_restrictions:
+        return Verdict("inconclusive",
+                       witness="no facet restriction chain supplied")
+    var = facet_restrictions[0] if facet_restrictions else None
+    if var is not None and var not in g.variables:
+        raise PreconditionViolation("unknown restriction variable %r" % var)
+    if P is None:
         P = newton_polytope(g)
+        if any(P.vertices[0]):
+            raise VerificationFailure("the smallest exponent is not a vertex")
+    if var is None:
         if indecomposable_2d(P):
             return Verdict("irreducible", witness="2d indecomposable Newton polygon")
         return Verdict("inconclusive",
                        witness="Newton polygon admits a Minkowski split")
-    if not facet_restrictions:
-        return Verdict("inconclusive",
-                       witness="no facet restriction chain supplied")
-    var = facet_restrictions[0]
-    if var not in g.variables:
-        raise PreconditionViolation("unknown restriction variable %r" % var)
-    P = newton_polytope(g)
     if P.affine_dim != len(g.variables) or not _is_simplex(P):
         return Verdict("inconclusive",
                        witness="cleared Newton polytope is not a full simplex")
@@ -521,28 +536,18 @@ def irreducibility_certificate(f, facet_restrictions=()):
     if height != 1:
         return Verdict("inconclusive",
                        witness="apex is not at lattice height one over the facet")
-    restriction = g.set_var_zero(var)
-    if restriction.is_zero():
-        return Verdict("inconclusive", witness="restriction vanished")
+    restriction = g.set_var_zero(var)     # keeps the constant term of g
     Q = newton_polytope(restriction)
     expected = sorted(v[:k] + v[k + 1:] for v in base_verts)
     if sorted(Q.vertices) != expected:
         return Verdict("inconclusive",
                        witness="restriction support does not match the facet")
-    sub = irreducibility_certificate(restriction, tuple(facet_restrictions[1:]))
+    sub = _certify(restriction, facet_restrictions[1:], Q)
     if sub.kind != "irreducible":
         return Verdict("inconclusive",
                        witness="facet restriction not certified: " + sub.witness)
     return Verdict("irreducible",
                    witness="suspension over certified facet %r" % (var,))
-
-
-def _cleared(f):
-    """Clear f at its grlex-minimal Newton vertex (no-op when the constant
-    term is already a vertex)."""
-    P = newton_polytope(f)
-    v = min(P.vertices)
-    return clear_to_vertex(f, v)
 
 
 __all__ = [
@@ -556,6 +561,4 @@ __all__ = [
     "indecomposable_2d",
     "irreducibility_certificate",
     "ccw_vertex_cycle",
-    "clear_to_vertex",
-    "clear_to_vertex_fitted",
 ]

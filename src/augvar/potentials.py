@@ -21,9 +21,9 @@ from .errors import (
     NonPrimitiveRay,
     NotANormalizedTriple,
     SignLengthMismatch,
+    ZeroPolynomial,
 )
 from .laurent import LaurentPoly, clear_to_vertex, clear_to_vertex_fitted
-from .polytope import newton_polytope
 
 
 def sign_vector(spec, length=None):
@@ -136,6 +136,19 @@ def product_spheres_relation(variant, signs=None):
     )
 
 
+def _cleared(f, vertex, fit_basis):
+    """(v, relation, basis) for f cleared at v, by default its smallest
+    exponent, always a Newton vertex."""
+    if f.is_zero():
+        raise ZeroPolynomial("the zero polynomial has no Newton polytope")
+    v = tuple(vertex) if vertex is not None else min(f.terms)
+    if fit_basis:
+        rel, M = clear_to_vertex_fitted(f, v)
+    else:
+        rel, M = clear_to_vertex(f, v), intlin.identity_matrix(len(f.variables))
+    return v, rel, M
+
+
 def toric_relation(rays, signs=None, vertex=None, fit_basis=True):
     """Hori-Vafa style potential for a toric fan, cleared at a vertex.
 
@@ -165,12 +178,7 @@ def toric_relation(rays, signs=None, vertex=None, fit_basis=True):
     for eps, r in zip(signs, rays):
         terms[r] = terms.get(r, Fraction(0)) + eps
     base = LaurentPoly(variables, terms)
-    P = newton_polytope(base)
-    v = tuple(vertex) if vertex is not None else min(P.vertices)
-    if fit_basis:
-        rel, M = clear_to_vertex_fitted(base, v)
-    else:
-        rel, M = clear_to_vertex(base, v), intlin.identity_matrix(n)
+    v, rel, M = _cleared(base, vertex, fit_basis)
     return PotentialSpec(
         source="toric(%d rays)" % len(rays),
         base_potential=base,
@@ -182,13 +190,9 @@ def toric_relation(rays, signs=None, vertex=None, fit_basis=True):
 
 
 def user_relation(f, vertex=None, fit_basis=True):
-    """Wrap a user-supplied Laurent potential, clearing it at a vertex."""
-    P = newton_polytope(f)
-    v = tuple(vertex) if vertex is not None else min(P.vertices)
-    if fit_basis:
-        rel, M = clear_to_vertex_fitted(f, v)
-    else:
-        rel, M = clear_to_vertex(f, v), intlin.identity_matrix(len(f.variables))
+    """Wrap a user-supplied Laurent potential, clearing it at a vertex
+    (default: the lexicographically smallest exponent)."""
+    v, rel, M = _cleared(f, vertex, fit_basis)
     return PotentialSpec(
         source="user-supplied",
         base_potential=f,

@@ -32,6 +32,11 @@ def _spans(points):
     return len(intlin.echelon(rows)[0]) == d
 
 
+def _lp_vertices(pts):
+    """The LP oracle's vertices, sorted as ``LatticePolytope`` keeps them."""
+    return sorted(pts[i] for i in lp_vertex_indices(pts))
+
+
 def _random_support(rng, d, n, box):
     """n distinct points of [-box, box]^d spanning Z^d, in random order."""
     while True:
@@ -101,7 +106,6 @@ def test_lower_dimensional_supports_on_a_plane(ambient):
         P = LatticePolytope.from_points(pts)
         assert all(v[0] == v[1] + 1 for v in P.vertices)
         assert list(P.vertices) == [pts[i] for i in lp_vertex_indices(pts)]
-        assert intlin.hull_vertices(pts) == lp_vertex_indices(pts)
         if P.affine_dim >= 2:
             assert P._facets_reduced() == subset_facets(list(P._reduced()))
 
@@ -113,11 +117,11 @@ def test_collinear_points_keep_their_endpoints():
         P = LatticePolytope.from_points(pts)
         assert P.affine_dim == 1
         assert P.vertices == (min(pts), max(pts))
-        assert intlin.hull_vertices(pts) == lp_vertex_indices(pts)
-    assert intlin.hull_vertices([(3, -1, 2)]) == [0]
+        assert _lp_vertices(pts) == list(P.vertices)
+    assert _lp_vertices([(3, -1, 2)]) == list(LatticePolytope.from_points([(3, -1, 2)]).vertices)
 
 
-def test_hull_vertices_matches_lp_on_random_subspaces():
+def test_from_points_vertices_match_lp_on_random_subspaces():
     rng = random.Random(61)
     for _ in range(60):
         ambient = rng.randint(2, 4)
@@ -129,7 +133,7 @@ def test_hull_vertices_matches_lp_on_random_subspaces():
                       for coefs in [[rng.randint(-2, 2) for _ in range(k)]
                                     for _ in range(rng.randint(1, 8))]})
         rng.shuffle(pts)
-        assert intlin.hull_vertices(pts) == lp_vertex_indices(pts), pts
+        assert list(LatticePolytope.from_points(pts).vertices) == _lp_vertices(pts), pts
 
 
 def test_from_points_cache_matches_lazy_computation():
@@ -191,8 +195,6 @@ def test_under_reported_rank_raises_verification_failure(monkeypatch):
                 [(0, 1), (2, 5)]):                                 # a segment
         with pytest.raises(VerificationFailure):
             LatticePolytope.from_points(pts)
-        with pytest.raises(VerificationFailure):
-            intlin.hull_vertices(pts)
 
 
 def test_under_reported_rank_check_survives_python_O():

@@ -14,8 +14,14 @@ from math import gcd
 
 import pytest
 
+from augvar import intlin, polytope
 from augvar.augment import random_unimodular
-from augvar.errors import DimensionMismatch, NotTwoDimensionalInput, PreconditionViolation
+from augvar.errors import (
+    DimensionMismatch,
+    NotTwoDimensionalInput,
+    PreconditionViolation,
+    VerificationFailure,
+)
 from augvar.laurent import LaurentPoly
 from augvar.polytope import (
     LatticePolytope,
@@ -27,6 +33,7 @@ from augvar.polytope import (
     newton_polytope,
     polytope_invariants,
 )
+from augvar.potentials import toric_relation, user_relation
 
 from hull_oracles import in_convex_hull, lp_vertex_indices
 from lattice_oracles import split_search_indecomposable
@@ -678,3 +685,32 @@ def test_certificate_never_claims_irreducible_for_known_products():
             continue
         verdict = irreducibility_certificate(f * g)
         assert verdict.kind == "inconclusive"
+
+
+def test_one_hull_per_support(monkeypatch):
+    calls = []
+    original = intlin._hull
+    monkeypatch.setattr(intlin, "_hull", lambda points: calls.append(1) or original(points))
+    y1, y2 = LaurentPoly.gens(("y1", "y2"))
+    z1, z2, z3 = LaurentPoly.gens(("y1", "y2", "y3"))
+    f = 3 - y1 ** 2 + 2 * y1 * y2 + 5 * y1 ** -1 * y2 ** 2 - 2 * y1 * y2 ** -1
+    irreducibility_certificate(f)
+    assert len(calls) == 1
+    user_relation(f)
+    assert len(calls) == 2
+    toric_relation([(1, 0), (0, 1), (-1, -1)])
+    assert len(calls) == 3
+    # the restriction's hull is the polygon of the next level
+    irreducibility_certificate(1 + z1 + 2 * z2 - z3, ("y3",))
+    assert len(calls) == 5
+
+
+def test_certificate_checks_the_cleared_vertex(monkeypatch):
+    # the certificate rests on the smallest exponent being a hull vertex;
+    # a hull that disagrees raises, also under python -O
+    y1, y2 = LaurentPoly.gens(("y1", "y2"))
+    original = polytope.newton_polytope
+    monkeypatch.setattr(polytope, "newton_polytope",
+                        lambda g: original(g).translate((1, 0)))
+    with pytest.raises(VerificationFailure):
+        irreducibility_certificate(y1 ** -1 * (1 + y1 + y2))

@@ -1,5 +1,6 @@
 """Tests for potential builders and Markov triples."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,10 @@ from augvar.errors import (
     NotANormalizedTriple,
     PreconditionViolation,
     SignLengthMismatch,
+    ZeroPolynomial,
 )
-from augvar.laurent import LaurentPoly
+from augvar.laurent import LaurentPoly, clear_to_vertex_fitted
+from augvar.polytope import newton_polytope
 from augvar.potentials import (
     MarkovTriple,
     clifford_relation,
@@ -148,6 +151,35 @@ def test_user_relation_clears_and_fits():
     spec = user_relation(f)
     assert not is_zero(spec.lifted_relation.constant_term())
     assert all(x >= 0 for e in spec.lifted_relation.terms for x in e)
+
+
+def test_zero_potentials_raise_zero_polynomial():
+    with pytest.raises(ZeroPolynomial):
+        user_relation(LaurentPoly.zero(("y1", "y2")))
+    with pytest.raises(ZeroPolynomial):                 # the rays cancel
+        toric_relation([(1, 0), (0, 1), (1, 0), (0, 1)], signs=[1, 1, -1, -1])
+
+
+def test_default_vertex_is_the_smallest_hull_vertex():
+    # differential: the relation builders clear at the smallest exponent
+    # without a hull; the oracle reads the smallest vertex off the hull
+    rng = random.Random(16)
+    for trial in range(60):
+        n = 2 + trial % 3
+        variables = tuple("y%d" % i for i in range(1, n + 1))
+        gens = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        shift = [rng.randint(-3, 3) for _ in range(n)]
+        terms = {tuple(s + sum(c * g[j] for c, g in zip(coefs, gens))
+                       for j, s in enumerate(shift)): rng.choice([-3, -1, 1, 2])
+                 for coefs in [[rng.randint(-2, 2) for _ in gens]
+                               for _ in range(rng.randint(1, 7))]}
+        f = LaurentPoly(variables, terms)
+        v = min(newton_polytope(f).vertices)
+        spec = user_relation(f)
+        assert spec.vertex == v, f
+        rel, M = clear_to_vertex_fitted(f, v)
+        assert spec.lifted_relation == rel
+        assert spec.basis == tuple(tuple(r) for r in M)
 
 
 def test_relation_vanishes_on_witness_point():

@@ -42,6 +42,24 @@ def _foreign_imports(tree):
     return out
 
 
+def _augvar_modules(tree):
+    """Names of the augvar modules imported, relatively or absolutely."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["augvar" if node.level else None,
+                                            node.module]))
+            names = ([module + "." + alias.name for alias in node.names]
+                     if module == "augvar" else [module])
+        else:
+            continue
+        out.update(name.split(".")[1] for name in names
+                   if name.startswith("augvar."))
+    return out
+
+
 def test_every_module_is_checked():
     assert {p.stem for p in MODULES} >= {"rings", "polytope", "augment", "cli"}
 
@@ -67,3 +85,19 @@ def test_no_assert_statements(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_are_stdlib_or_augvar(path):
     assert _foreign_imports(_tree(path)) == []
+
+
+def test_augvar_imports_are_read():
+    tree = ast.parse("from . import rings\n"
+                     "from .errors import DoubleRoot\n"
+                     "from augvar.intlin import det\n"
+                     "from augvar import cli\n"
+                     "import augvar.augment, os\n")
+    assert _augvar_modules(tree) == {"rings", "errors", "intlin", "cli", "augment"}
+
+
+def test_polytope_imports_nothing_from_laurent():
+    # laurent.clear_to_vertex builds on polytope.newton_polytope, so an
+    # import back from laurent would close a cycle
+    path = pathlib.Path(augvar.__file__).parent / "polytope.py"
+    assert "laurent" not in _augvar_modules(_tree(path))
