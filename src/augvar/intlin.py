@@ -5,6 +5,13 @@ machinery: determinants, inverses of unimodular matrices, a phase-one
 simplex for finding interior vectors of dual cones, and the exact
 convex-hull engine.
 
+The phase-one simplex is integer-preserving (Edmonds 1967, Bareiss 1968,
+the idiom of :func:`det`): its tableau is the rational one times the
+basis determinant, so every entry stays an integer and every division is
+exact.  Its sign tests and ratio comparisons are those of the rational
+tableau, so Bland's rule makes the same pivots and returns the same
+vector; the ``Fraction`` version survives only as a test oracle.
+
 One unimodular column reduction, :func:`_column_reduce`, serves every
 integer lattice question: the affine lattice frame of a point set (its
 dimension, integer coordinates and membership test), the index of the
@@ -243,80 +250,117 @@ def complete_primitive_row(q):
 # exact phase-one simplex
 # --------------------------------------------------------------------------
 
+def _pivot(T, l, e, D):
+    """Pivot the integer tableau T on p = T[l][e] > 0, in place.
+
+    Every row but the pivot row becomes (p row - row[e] T[l]) // D, the
+    fraction-free step of Edmonds and Bareiss: each entry stays the old
+    basis determinant times the rational tableau entry, so every division
+    is exact.  Returns p, the new common denominator."""
+    prow = T[l]
+    p = prow[e]
+    for i, row in enumerate(T):
+        f = row[e]
+        if i == l or (not f and p == D):
+            continue
+        if f:
+            T[i] = [(p * x - f * y) // D for x, y in zip(row, prow)]
+        else:
+            T[i] = [p * x // D for x in row]
+    return p
+
+
 def phase1_feasible(A, b):
     """Solve A x = b, x >= 0 over Q exactly.
 
     Returns a feasible x as a list of Fractions, or None.  Phase-one
     simplex with Bland's rule, which cannot cycle.
+
+    The tableau is integer-preserving.  With L the lcm of the denominators
+    of A and b, it is [L A | I | L b], each row negated when its b_i < 0,
+    with the reduced costs of the artificial objective as one more row;
+    all of it is kept as integers over one common denominator D > 0, the
+    last pivot (see :func:`_pivot`).  Bland's entering variable is the
+    first nonbasic column with a positive reduced cost; the leaving row
+    has the smallest ratio, compared by cross-multiplication, with ties
+    to the smaller basis index.  The artificial columns are those of the
+    rational tableau [A | I | b] scaled by 1/L, which scales their reduced
+    costs and ratios uniformly, so every sign test and comparison, and
+    hence every pivot, is the one the rational tableau would make.  The
+    answer is checked against A and b before it is returned; a failed
+    check raises :class:`VerificationFailure`.
     """
     m = len(A)
     n = len(A[0]) if m else 0
+    rows = [list(A[i]) + [b[i]] for i in range(m)]
+    L = 1
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                d = Fraction(x).denominator
+                L = L * d // gcd(L, d)
     T = []
-    rhs = []
-    for i in range(m):
-        row = [Fraction(x) for x in A[i]]
-        bi = Fraction(b[i])
-        if bi < 0:
+    for i, row in enumerate(rows):
+        row = [x * L if type(x) is int else int(Fraction(x) * L) for x in row]
+        if row[-1] < 0:
             row = [-x for x in row]
-            bi = -bi
-        T.append(row + [Fraction(1 if j == i else 0) for j in range(m)])
-        rhs.append(bi)
-    basis = [n + i for i in range(m)]
+        unit = [0] * m
+        unit[i] = 1
+        T.append(row[:-1] + unit + row[-1:])
     total = n + m
-    # objective: minimize sum of artificials; reduced costs
-    cost = [Fraction(0)] * total
-    for j in range(n, total):
-        cost[j] = Fraction(1)
-    # z_j - c_j computed from scratch each pivot (sizes are tiny)
+    # reduced costs of "minimize the sum of the artificials" at the
+    # all-artificial basis: the column sums, zero on the artificials
+    R = [sum(col) for col in zip(*T)] if m else [0]
+    R[n:total] = [0] * m
+    T.append(R)
+    basis = list(range(n, total))
+    basic = [False] * n + [True] * m
+    D = 1
     while True:
-        # reduced costs for current basis
-        y = [cost[basis[i]] for i in range(m)]
-        entering = None
-        for j in range(total):
-            if j in basis:
-                continue
-            zj = sum(y[i] * T[i][j] for i in range(m))
-            if zj - cost[j] > 0:
-                entering = j
-                break  # Bland: first improving index
+        R = T[m]
+        entering = next((j for j in range(total) if not basic[j] and R[j] > 0), None)
         if entering is None:
             break
         leaving = None
-        best = None
         for i in range(m):
-            if T[i][entering] > 0:
-                ratio = rhs[i] / T[i][entering]
-                if best is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
+            a = T[i][entering]
+            if a > 0:
+                if leaving is None:
+                    leaving = i
+                    continue
+                lhs = T[i][-1] * T[leaving][entering]
+                rhs = T[leaving][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:
             return None  # unbounded phase-one cannot happen with b >= 0
-        piv = T[leaving][entering]
-        T[leaving] = [x / piv for x in T[leaving]]
-        rhs[leaving] /= piv
-        for i in range(m):
-            if i != leaving and T[i][entering] != 0:
-                f = T[i][entering]
-                T[i] = [x - f * y2 for x, y2 in zip(T[i], T[leaving])]
-                rhs[i] -= f * rhs[leaving]
+        D = _pivot(T, leaving, entering, D)
+        basic[basis[leaving]] = False
+        basic[entering] = True
         basis[leaving] = entering
-    value = sum(rhs[i] for i in range(m) if basis[i] >= n)
-    if value != 0:
+    if T[m][-1]:        # D times the sum of the basic artificials
         return None
-    x = [Fraction(0)] * n
+    X = [0] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = rhs[i]
-    return x
+            X[basis[i]] = T[i][-1]
+    if any(x < 0 for x in X) or any(
+            sum(a * x for a, x in zip(A[i], X) if x) != D * b[i] for i in range(m)):
+        raise VerificationFailure("phase-one simplex answer %r / %d does not "
+                                  "solve A x = b, x >= 0" % (X, D))
+    return [Fraction(x, D) for x in X]
 
 
 def strict_dual_vector(generators):
-    """An integer vector q with <q, u> >= 1 for every generator u.
+    """A primitive integer vector q with <q, u> > 0 for every nonzero
+    generator u, so <q, u> >= 1 when the generators are integer.
 
     Exists exactly when the cone spanned by the generators is pointed.
     Returns None otherwise.  Used to fit a tangent cone into the positive
-    orthant.
+    orthant.  The LP asks for <q, u> >= 1; rescaling its answer to a
+    primitive vector keeps every product positive, and an integer product
+    then stays at least 1.  A q that is not positive on every generator
+    raises :class:`VerificationFailure`.
     """
     gens = [g for g in generators if any(x != 0 for x in g)]
     if not gens:
@@ -326,14 +370,17 @@ def strict_dual_vector(generators):
     m = len(gens)
     A = []
     for i, u in enumerate(gens):
-        row = [Fraction(x) for x in u] + [Fraction(-x) for x in u]
-        row += [Fraction(-1) if j == i else Fraction(0) for j in range(m)]
+        row = list(u) + [-x for x in u] + [0] * m
+        row[2 * n + i] = -1
         A.append(row)
-    b = [Fraction(1)] * m
-    sol = phase1_feasible(A, b)
+    sol = phase1_feasible(A, [1] * m)
     if sol is None:
         return None
-    return primitive_vector([sol[i] - sol[n + i] for i in range(n)])
+    q = primitive_vector([sol[i] - sol[n + i] for i in range(n)])
+    if any(sum(a * x for a, x in zip(q, u)) <= 0 for u in gens):
+        raise VerificationFailure("strict dual vector %r is not positive on "
+                                  "every generator" % (q,))
+    return q
 
 
 def fit_cone_to_orthant(generators):

@@ -484,9 +484,10 @@ def irreducibility_certificate(f, facet_restrictions=()):
     * higher dimension: ``facet_restrictions`` names variables to peel off
       one at a time.  At each level the cleared Newton polytope must be a
       simplex, the terms surviving ``var = 0`` must span exactly the facet
-      opposite a lattice-height-one apex, and the restriction must certify
-      irreducible one level down.  Any factorization would then force one
-      factor's polytope to a point.
+      opposite a lattice-height-one apex (after ``var -> 1/var`` when the
+      apex has a negative exponent in var), and the restriction must
+      certify irreducible one level down.  Any factorization would then
+      force one factor's polytope to a point.
 
     Returns a :class:`Verdict` of kind "irreducible" or "inconclusive".
     """
@@ -536,6 +537,12 @@ def _certify(g, facet_restrictions, P=None):
     if height != 1:
         return Verdict("inconclusive",
                        witness="apex is not at lattice height one over the facet")
+    if apexes[0][k] < 0:
+        # var -> 1/var is unimodular: it keeps the base facet and the
+        # height and puts the whole support on var's nonnegative side
+        flip = intlin.identity_matrix(len(g.variables))
+        flip[k][k] = -1
+        g = g.substitute_monomial(flip)
     restriction = g.set_var_zero(var)     # keeps the constant term of g
     Q = newton_polytope(restriction)
     expected = sorted(v[:k] + v[k + 1:] for v in base_verts)

@@ -1,9 +1,13 @@
-"""Slow reference algorithms for convex hulls, kept as test oracles.
+"""Slow reference algorithms for convex hulls and linear programs, kept as
+test oracles.
 
-``in_convex_hull`` answers membership with one exact phase-one LP, and
-``subset_facets`` enumerates supporting hyperplanes through every d-subset
-of the points.  Both take other routes than the library's hull engine
-(monotone chain / beneath-beyond), so agreement is evidence for both.
+``fraction_phase1_feasible`` is the phase-one simplex over ``Fraction``s
+that the library's integer-preserving one replaced: the same Bland pivots,
+with the reduced costs recomputed at every step.  ``in_convex_hull``
+answers membership with one such LP, and ``subset_facets`` enumerates
+supporting hyperplanes through every d-subset of the points.  These two
+take other routes than the library's hull engine (monotone chain /
+beneath-beyond), so agreement is evidence for both.
 """
 
 import itertools
@@ -12,6 +16,92 @@ from fractions import Fraction
 from augvar import intlin
 
 from lattice_oracles import rational_nullspace
+
+
+def fraction_phase1_feasible(A, b, entering_trail=None):
+    """Solve A x = b, x >= 0 over Q exactly: a list of Fractions, or None.
+
+    Phase-one simplex over Fractions with Bland's rule.  When given,
+    ``entering_trail`` collects the entering column of every pivot.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    T = []
+    rhs = []
+    for i in range(m):
+        row = [Fraction(x) for x in A[i]]
+        bi = Fraction(b[i])
+        if bi < 0:
+            row = [-x for x in row]
+            bi = -bi
+        T.append(row + [Fraction(1 if j == i else 0) for j in range(m)])
+        rhs.append(bi)
+    basis = [n + i for i in range(m)]
+    total = n + m
+    # objective: minimize sum of artificials; reduced costs
+    cost = [Fraction(0)] * total
+    for j in range(n, total):
+        cost[j] = Fraction(1)
+    while True:
+        # reduced costs for current basis, from scratch
+        y = [cost[basis[i]] for i in range(m)]
+        entering = None
+        for j in range(total):
+            if j in basis:
+                continue
+            zj = sum(y[i] * T[i][j] for i in range(m))
+            if zj - cost[j] > 0:
+                entering = j
+                break  # Bland: first improving index
+        if entering is None:
+            break
+        leaving = None
+        best = None
+        for i in range(m):
+            if T[i][entering] > 0:
+                ratio = rhs[i] / T[i][entering]
+                if best is None or ratio < best or \
+                        (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            return None  # unbounded phase-one cannot happen with b >= 0
+        if entering_trail is not None:
+            entering_trail.append(entering)
+        piv = T[leaving][entering]
+        T[leaving] = [x / piv for x in T[leaving]]
+        rhs[leaving] /= piv
+        for i in range(m):
+            if i != leaving and T[i][entering] != 0:
+                f = T[i][entering]
+                T[i] = [x - f * y2 for x, y2 in zip(T[i], T[leaving])]
+                rhs[i] -= f * rhs[leaving]
+        basis[leaving] = entering
+    value = sum(rhs[i] for i in range(m) if basis[i] >= n)
+    if value != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = rhs[i]
+    return x
+
+
+def fraction_strict_dual_vector(generators):
+    """The library's strict dual vector LP, solved by
+    :func:`fraction_phase1_feasible`: a primitive q with <q, u> >= 1 on
+    every nonzero generator u, or None."""
+    gens = [g for g in generators if any(x != 0 for x in g)]
+    if not gens:
+        return None
+    n, m = len(gens[0]), len(gens)
+    A = [[Fraction(x) for x in u] + [Fraction(-x) for x in u]
+         + [Fraction(-1 if j == i else 0) for j in range(m)]
+         for i, u in enumerate(gens)]
+    sol = fraction_phase1_feasible(A, [Fraction(1)] * m)
+    if sol is None:
+        return None
+    return intlin.primitive_vector([sol[i] - sol[n + i] for i in range(n)])
 
 
 def in_convex_hull(point, points):
@@ -23,7 +113,7 @@ def in_convex_hull(point, points):
     A = [[Fraction(p[i]) for p in pts] for i in range(n)]
     A.append([Fraction(1)] * len(pts))
     b = [Fraction(x) for x in point] + [Fraction(1)]
-    return intlin.phase1_feasible(A, b) is not None
+    return fraction_phase1_feasible(A, b) is not None
 
 
 def lp_vertex_indices(points):

@@ -8,7 +8,8 @@ from math import gcd
 import pytest
 
 from augvar.augment import random_unimodular
-from augvar.errors import DegenerateFan
+from augvar import intlin
+from augvar.errors import DegenerateFan, VerificationFailure
 from augvar.intlin import (
     _column_reduce,
     affine_frame,
@@ -25,6 +26,7 @@ from augvar.intlin import (
 )
 from augvar.potentials import toric_relation
 
+from hull_oracles import fraction_phase1_feasible, fraction_strict_dual_vector
 from lattice_oracles import integer_kernel, minors_gcd_index, rational_nullspace
 
 F = Fraction
@@ -123,6 +125,144 @@ def test_strict_dual_vector_pointed_cone():
 
 def test_strict_dual_vector_non_pointed():
     assert strict_dual_vector([(1, 0), (-1, 0)]) is None
+
+
+# the cone that clearing poly2d at its smallest exponent (-1, 2) leaves, in
+# the order clear_to_vertex_fitted hands it to fit_cone_to_orthant
+POLY2D_CONE = [(1, -2), (3, -2), (2, -1), (1, 1), (2, -3), (4, -1), (2, -2)]
+
+
+def _strict_dual_lp(gens):
+    """The LP that strict_dual_vector solves: [u | -u | -e_i] x = 1."""
+    m = len(gens)
+    return ([list(u) + [-x for x in u] + [-int(j == i) for j in range(m)]
+             for i, u in enumerate(gens)], [1] * m)
+
+
+def _lp_instances(rng):
+    """Seeded LPs of four shapes: strict-dual cones, rational systems with
+    negative right-hand sides, systems built to tie in the ratio test, and
+    the empty system."""
+    yield [], []
+    for _ in range(700):
+        d = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-2, 2) for _ in range(d))
+                for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.5:              # pointed: push toward a direction
+            w = [rng.randint(1, 2) for _ in range(d)]
+            gens = [tuple(a + 2 * b for a, b in zip(g, w)) for g in gens]
+        if rng.random() < 0.3:
+            gens.append(rng.choice(gens))    # repeated generator
+        if rng.random() < 0.2:
+            gens.insert(rng.randrange(len(gens) + 1), (0,) * d)   # zero generator
+        yield _strict_dual_lp(gens)
+    for _ in range(700):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        A = [[F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])) for _ in range(n)]
+             for _ in range(m)]
+        b = [F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(m)]
+        yield A, b
+    for _ in range(700):
+        m, n = rng.randint(1, 3), rng.randint(1, 5)
+        A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        b = [rng.choice([0, 0, 1, -1]) for _ in range(m)]
+        # scaled copies of rows and zero right-hand sides tie in the ratio test
+        for i in range(m):
+            k = rng.choice([1, 2, 3])
+            A.append([k * x for x in A[i]])
+            b.append(k * b[i])
+        yield A, b
+
+
+def test_phase1_feasible_matches_fraction_oracle():
+    rng = random.Random(17)
+    seen = {True: 0, False: 0}
+    count = 0
+    for A, b in _lp_instances(rng):
+        x = phase1_feasible(A, b)
+        assert x == fraction_phase1_feasible(A, b), (A, b)
+        seen[x is None] += 1
+        count += 1
+    assert count >= 2000
+    assert min(seen.values()) > 300      # feasible and infeasible alike
+
+
+def test_phase1_feasible_ratio_tie_goes_to_smaller_basis_index():
+    # entering column 0 ties rows 0 and 1 (ratio 1); artificial 2 < 3 leaves
+    A, b = [[1, 1], [2, 2]], [1, 2]
+    trail = []
+    assert phase1_feasible(A, b) == fraction_phase1_feasible(A, b, trail) == [1, 0]
+    assert trail == [0]
+    assert phase1_feasible([], []) == fraction_phase1_feasible([], []) == []
+
+
+def test_phase1_tableau_stays_integer_on_rational_input(monkeypatch):
+    pivot = intlin._pivot
+    kinds = set()
+
+    def checked(T, l, e, D):
+        kinds.update(type(x) for row in T for x in row)
+        kinds.add(type(D))
+        return pivot(T, l, e, D)
+
+    monkeypatch.setattr(intlin, "_pivot", checked)
+    A = [[F(1, 2), F(-2, 3), F(3)], [F(5, 4), 1, F(-1, 6)]]
+    b = [F(-1, 3), F(7, 2)]
+    assert phase1_feasible(A, b) == fraction_phase1_feasible(A, b)
+    assert kinds == {int}
+
+
+def test_strict_dual_vector_matches_fraction_oracle():
+    rng = random.Random(23)
+    for _ in range(400):
+        d = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-2, 2) for _ in range(d))
+                for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.5:
+            gens = [tuple(F(x, rng.choice([1, 2, 3])) for x in g) for g in gens]
+        q = strict_dual_vector(gens)
+        assert q == fraction_strict_dual_vector(gens), gens
+        if q is not None:
+            assert all(sum(a * x for a, x in zip(q, u)) > 0 for u in gens if any(u))
+
+
+def test_strict_dual_pivot_path_is_pinned(monkeypatch):
+    """Bland's order fixes every fitted basis: the poly2d cone takes ten
+    pivots, entering the columns the Fraction oracle enters."""
+    pivot = intlin._pivot
+    entering = []
+
+    def recorded(T, l, e, D):
+        entering.append(e)
+        return pivot(T, l, e, D)
+
+    monkeypatch.setattr(intlin, "_pivot", recorded)
+    q = strict_dual_vector(POLY2D_CONE)
+    trail = []
+    fraction_phase1_feasible(*_strict_dual_lp(POLY2D_CONE), trail)
+    assert entering == trail == [0, 3, 5, 8, 9, 1, 10, 6, 8, 3]
+    assert q == fraction_strict_dual_vector(POLY2D_CONE)
+
+
+def test_phase1_feasible_verifies_its_answer(monkeypatch):
+    pivot = intlin._pivot
+
+    def corrupted(T, l, e, D):
+        p = pivot(T, l, e, D)
+        T[l][-1] += p                   # the basic value grows by one
+        return p
+
+    monkeypatch.setattr(intlin, "_pivot", corrupted)
+    with pytest.raises(VerificationFailure):
+        phase1_feasible([[1, 1]], [2])
+
+
+def test_strict_dual_vector_verifies_its_answer(monkeypatch):
+    primitive = intlin.primitive_vector
+    monkeypatch.setattr(intlin, "primitive_vector",
+                        lambda v: tuple(-x for x in primitive(v)))
+    with pytest.raises(VerificationFailure):
+        strict_dual_vector(POLY2D_CONE)
 
 
 def test_fit_cone_to_orthant_random():

@@ -25,6 +25,7 @@ from augvar.errors import (
 from augvar.laurent import LaurentPoly
 from augvar.polytope import (
     LatticePolytope,
+    Verdict,
     certify_distinct,
     ccw_vertex_cycle,
     indecomposable_2d,
@@ -643,6 +644,24 @@ def test_certificate_suspension_route():
     f = 1 + y1 + y2 + y3
     verdict = irreducibility_certificate(f, ("y3",))
     assert verdict.kind == "irreducible"
+
+
+def test_certificate_suspension_with_apex_below_the_facet():
+    # the apex (1, 1, -1) lies on y3's negative side; y3 -> 1/y3 peels it
+    vs = ("y1", "y2", "y3")
+    y1, y2, y3 = LaurentPoly.gens(vs)
+    for f in (1 + y1 + y2 + y1 * y2 * y3 ** -1, y3 + y1 * y3 + y2 * y3 + y1 * y2):
+        verdict = irreducibility_certificate(f, ("y3",))
+        assert verdict == Verdict("irreducible",
+                                  witness="suspension over certified facet 'y3'")
+
+
+def test_certificate_peel_of_simplex3_unchanged():
+    vs = ("y1", "y2", "y3")
+    y1, y2, y3 = LaurentPoly.gens(vs)
+    f = 1 + y1 + 2 * y2 - y3
+    assert irreducibility_certificate(f, ("y3",)) == Verdict(
+        "irreducible", witness="suspension over certified facet 'y3'")
 
 
 def test_certificate_suspension_over_clifford_facet():
