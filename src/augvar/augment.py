@@ -259,6 +259,14 @@ def _newton_series(relation, var, kap, target, order, seed):
     so order 10 takes four steps.  W is grouped by the exponent of ``var``
     once, and each step takes the residual and the slope from the same
     products C_j Y^j; the solvers' final check substitutes independently.
+
+    The residual vanishes below degree v, so the correction residual /
+    slope needs the slope inverse only through degree p - v: the step
+    inverts the slope truncated at p - v and multiplies at p, and the
+    inverse terms it drops would meet the residual only past degree p
+    (Bernstein, *Removing redundancy in high-precision Newton iteration*,
+    2004).  Changing the truncation of s, the slope and its inverse
+    repacks their degree parts and builds no coefficient.
     """
     groups = _grouped_by_exponent(relation, relation.variables.index(var))
     mu_vars = _mu_variables(relation, var)
@@ -266,7 +274,7 @@ def _newton_series(relation, var, kap, target, order, seed):
     v = 1
     while v <= order:
         p = min(2 * v - 1, order)
-        s = TruncatedSeries(mu_vars, p, s.terms)
+        s = s._at_order(p)
         value, slope = _value_and_slope(groups, var, series_exp(s).scale(kap))
         residual = value - target
         if not residual.is_zero():
@@ -275,7 +283,7 @@ def _newton_series(relation, var, kap, target, order, seed):
                     "iteration stalled in %r at order %d: residual has a "
                     "degree-%d term" % (var, v - 1, residual.valuation()),
                     relation, var, v - 1, seed)
-            s = s - residual * slope.invert()
+            s = s - residual * slope._at_order(p - v).invert()._at_order(p)
         v = p + 1
     return s
 

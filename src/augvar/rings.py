@@ -11,21 +11,25 @@ Three backends, all with exact arithmetic and no floating point anywhere:
 plus truncated multivariate power series over any of the scalar backends
 (:class:`TruncatedSeries`) with exponential and logarithm.
 
-Series coefficient arithmetic has one graded kernel, :func:`_convolve`,
-behind the product, :meth:`TruncatedSeries.invert`, :func:`series_exp`
-and :func:`series_log`.  It works on a series split into homogeneous
-degree parts.  Each scalar becomes a numerator over an int denominator:
-a Fraction or int gives two ints, and a quotient-ring element gives its
-residue as an int coefficient vector (:class:`_IntResidue`) over the
-lcm of the residue's coefficient denominators.  A part stores its
-numerators over one int denominator (one per operand of a product, one
-per computed part of a recurrence), and the kernel multiplies and adds
-numerators with plain ``*`` and ``+``: over Q a multiply-add is two int
-operations, and over Q[t]/(m) it is an int convolution reduced by the
-monic integer form of m (a truncation for m = t^d) and an int vector sum.
-No Fraction is built inside the loop; each output part is divided by one
-gcd, and each output coefficient is built once at the end.  Every backend
-goes through the same loop.  The public ``terms`` map keeps exact scalars.
+A series is stored in its graded integer form, and all series arithmetic
+reads and writes that form.  The series is split into homogeneous degree
+parts.  Each scalar becomes a numerator over an int denominator: a
+Fraction or int gives two ints, and a quotient-ring element gives its
+residue as an int coefficient vector (:class:`_IntResidue`) over the lcm
+of the residue's coefficient denominators.  A part stores its numerators
+over one int denominator of its own.  Sums, differences and scalings
+work part by part on numerators over the lcm of the denominators.
+Products, :meth:`TruncatedSeries.invert`, :func:`series_exp` and
+:func:`series_log` share one graded kernel, :func:`_convolve`, which
+multiplies and adds numerators with plain ``*`` and ``+``: over Q a
+multiply-add is two int operations, and over Q[t]/(m) it is an int
+convolution reduced by the monic integer form of m (a truncation for
+m = t^d) and an int vector sum.  Every operation ends each output part
+with one gcd reduction (:func:`_reduced`), and every backend goes through
+the same code.  No Fraction is built by series arithmetic.  The public
+``terms`` map of exact scalars is a read-only view: a computed series
+builds it from its parts, one scalar per coefficient, the first time it
+is read, and keeps it.
 
 Which product a pair of operands takes is decided in one place,
 :meth:`TruncatedSeries.__mul__`: a scalar of any backend, or a constant
@@ -41,12 +45,15 @@ residue, so their cost is polynomial in the bit size of the
 coefficients, not in the size of a root.
 
 Values are immutable after construction and every operation is pure, so
-everything here can be shared freely between threads.
+everything here can be shared freely between threads.  A series caches
+its ``terms`` view on first read; two threads that race to build it
+build equal maps, and either may be kept.
 """
 
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, lcm
+from types import MappingProxyType
 
 from .errors import (
     BackendMismatch,
@@ -635,7 +642,8 @@ class _IntResidue:
     coefficient vector in powers of s (see :class:`_IntModulus`), reduced
     mod M.  ``*`` is an integer convolution reduced mod M, in which only
     the entries below deg M are computed when M is a power of s; ``+`` is a
-    vector sum; both also take an int, which stands for a constant."""
+    vector sum; both also take an int, which stands for a constant.  A
+    residue is false when it is zero."""
 
     __slots__ = ("coeffs", "ring")
 
@@ -647,8 +655,8 @@ class _IntResidue:
         if other.ring is not self.ring and other.ring.modulus != self.ring.modulus:
             raise BackendMismatch("different quotient moduli")
 
-    def is_zero(self):
-        return not any(self.coeffs)
+    def __bool__(self):
+        return any(self.coeffs)
 
     def __neg__(self):
         return _IntResidue([-c for c in self.coeffs], self.ring)
@@ -715,25 +723,32 @@ SCALAR_TYPES = (int, Fraction, QuotientRingElem)
 class TruncatedSeries:
     """Multivariate power series truncated past total degree ``order``.
 
-    Terms are a map from exponent tuples (nonnegative, total degree at most
-    ``order``) to coefficients in one scalar backend.  Zero coefficients are
-    never stored, and a non-integer exponent raises
-    :class:`PreconditionViolation`.  Products of two non-constant series,
-    inverses, exponentials and logarithms go through one graded kernel,
-    :func:`_convolve`, which works on the numerator/denominator form
-    described in the module docstring; a product with a scalar or a
-    constant series is :meth:`scale`.  The quotient-ring coefficients of
-    a series share one modulus: terms over two moduli, or operands over
-    different ones, raise :class:`BackendMismatch`.
+    A series is stored as its ``order + 1`` homogeneous degree parts in
+    the numerator/denominator form of the module docstring, and all
+    arithmetic reads and writes that form.  ``terms``, the map from
+    exponent tuples (nonnegative, total degree at most ``order``) to
+    nonzero coefficients in one scalar backend, is a read-only view: the
+    validated input of the constructor, or, for a computed series, built
+    from the parts on first read and then kept.  A non-integer exponent
+    raises :class:`PreconditionViolation`, and a coefficient that is not
+    an int, Fraction or quotient-ring element raises TypeError.  Products
+    of two non-constant series, inverses, exponentials and logarithms go
+    through one graded kernel, :func:`_convolve`; a product with a scalar
+    or a constant series is :meth:`scale`; sums and negation work part by
+    part.  The quotient-ring coefficients of a series share one modulus:
+    terms over two moduli, or operands over different ones, raise
+    :class:`BackendMismatch`.
     """
 
-    __slots__ = ("variables", "order", "terms")
+    __slots__ = ("variables", "order", "_parts", "_terms")
 
     def __init__(self, variables, order, terms=None):
         variables = tuple(variables)
-        if not isinstance(order, int) or order < 0:
+        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
             raise ValueError("truncation order must be a nonnegative integer")
+        base = order + 1
         clean = {}
+        split = {}
         first = None
         for exp, c in (terms or {}).items():
             exp = lattice_point(exp)
@@ -741,65 +756,103 @@ class TruncatedSeries:
                 raise VariableMismatch("exponent length != variable count")
             if any(e < 0 for e in exp):
                 raise ValueError("series exponents must be nonnegative")
-            if sum(exp) > order:
+            degree = sum(exp)
+            if degree > order:
                 continue
             if isinstance(c, QuotientRingElem):
                 if first is None:
                     first = c
                 elif c._ring is not first._ring and c.modulus != first.modulus:
                     raise BackendMismatch("different quotient moduli")
+            elif not isinstance(c, (int, Fraction)):
+                raise TypeError("cannot use %r as a series coefficient" % (c,))
             if is_zero(c):
                 continue
             clean[exp] = c
+            key = 0
+            for e in reversed(exp):
+                key = key * base + e
+            split.setdefault(degree, []).append((key,) + _ratio(c))
+        parts = [([], 1)] * base
+        for degree, part in split.items():
+            den = lcm(*(d for _, _, d in part))
+            parts[degree] = ([(key, n if d == den else n * (den // d)) for key, n, d in part],
+                             den)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_terms", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
-    def _make(self, terms):
-        """A series over this one's variables and order from terms whose
-        exponents are already valid and whose coefficients are nonzero."""
+    def _make(self, parts, order=None):
+        """A series over this one's variables, truncated past ``order``
+        (by default this one's), with the degree parts ``parts``, whose
+        numerators are nonzero; its ``terms`` view is built when first
+        read."""
         out = object.__new__(TruncatedSeries)
         object.__setattr__(out, "variables", self.variables)
-        object.__setattr__(out, "order", self.order)
-        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "order", self.order if order is None else order)
+        object.__setattr__(out, "_parts", parts)
+        object.__setattr__(out, "_terms", None)
         return out
 
     # -- graded numerator form ----------------------------------------------
 
     def _graded(self):
-        """This series as ``order + 1`` degree parts ``(items, den)``, one
-        common int ``den`` for all of them.  ``items`` lists ``(key,
-        numerator)`` for the terms of that total degree; the coefficient
-        is numerator / den.  ``key`` packs the exponent in base
-        ``order + 1``, so adding keys adds exponents."""
-        base = self.order + 1
-        split = [(exp,) + _ratio(c) for exp, c in self.terms.items()]
-        den = lcm(*(d for _, _, d in split))
-        items = [[] for _ in range(base)]
-        for exp, n, d in split:
-            key = 0
-            for e in reversed(exp):
-                key = key * base + e
-            items[sum(exp)].append((key, n if d == den else n * (den // d)))
-        return [(part, den) for part in items]
+        """This series as ``order + 1`` degree parts ``(items, den)``, the
+        form in which the kernel reads it.  ``items`` lists ``(key,
+        numerator)`` for the terms of that total degree, and the
+        coefficient is numerator / den, one int ``den`` per part.  ``key``
+        packs the exponent in base ``order + 1``, so adding keys adds
+        exponents."""
+        return self._parts
 
-    def _from_graded(self, parts):
-        """The series over this one's variables and order whose degree
-        parts ``(items, den)`` came from :func:`_convolve`."""
+    @property
+    def terms(self):
+        """The coefficients as a read-only map {exponent tuple: scalar}."""
+        view = self._terms
+        if view is None:
+            view = self._view()
+            object.__setattr__(self, "_terms", view)
+        return view
+
+    def _view(self):
+        """The ``terms`` map of a computed series, one scalar per
+        coefficient built from the degree parts."""
         base = self.order + 1
         nvars = len(self.variables)
         terms = {}
-        for items, den in parts:
+        for items, den in self._parts:
             for key, n in items:
                 exp = []
                 for _ in range(nvars):
                     key, e = divmod(key, base)
                     exp.append(e)
                 terms[tuple(exp)] = _scalar(n, den)
-        return self._make(terms)
+        return MappingProxyType(terms)
+
+    def _at_order(self, order):
+        """This series truncated, or padded with zero parts, to the
+        truncation ``order``; keys are repacked from base ``self.order +
+        1`` to base ``order + 1``."""
+        if order == self.order:
+            return self
+        old = self.order + 1
+        powers = [(order + 1) ** i for i in range(len(self.variables))]
+        parts = []
+        for items, den in self._parts[:order + 1]:
+            moved = []
+            for key, n in items:
+                new = 0
+                for w in powers:
+                    key, e = divmod(key, old)
+                    new += e * w
+                moved.append((new, n))
+            parts.append((moved, den))
+        parts += [([], 1)] * (order - self.order)
+        return self._make(parts, order)
 
     # -- constructors ------------------------------------------------------
 
@@ -835,9 +888,10 @@ class TruncatedSeries:
 
     def _modulus(self):
         """The modulus of the first quotient-ring coefficient, or None."""
-        for c in self.terms.values():
-            if isinstance(c, QuotientRingElem):
-                return c.modulus
+        for items, _ in self._parts:
+            for _, n in items:
+                if type(n) is not int:
+                    return n.ring.modulus
         return None
 
     def _check_modulus(self, m):
@@ -848,24 +902,25 @@ class TruncatedSeries:
                 raise BackendMismatch("different quotient moduli")
 
     def is_zero(self):
-        return not self.terms
+        return not any(items for items, _ in self._parts)
 
     def is_constant(self):
         """True when no term has positive degree (the zero series too)."""
-        return not self.terms or (
-            len(self.terms) == 1 and (0,) * len(self.variables) in self.terms)
+        return not any(items for items, _ in self._parts[1:])
 
     def constant_term(self):
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+        items, den = self._parts[0]
+        return _scalar(items[0][1], den) if items else Fraction(0)
 
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), Fraction(0))
 
     def valuation(self):
         """Minimal total degree of a nonzero term; None for the zero series."""
-        if not self.terms:
-            return None
-        return min(sum(e) for e in self.terms)
+        for n, (items, _) in enumerate(self._parts):
+            if items:
+                return n
+        return None
 
     def __eq__(self, other):
         if isinstance(other, SCALAR_TYPES):
@@ -887,30 +942,44 @@ class TruncatedSeries:
         self._check(other)
         return other
 
+    def _sum(self, other, sign):
+        """self + sign * other for sign = 1 or -1, one degree part at a
+        time over the lcm of the two part denominators."""
+        parts = []
+        for (a, da), (b, db) in zip(self._parts, other._parts):
+            if not b:
+                parts.append((a, da))
+                continue
+            if not a and sign == 1:
+                parts.append((b, db))
+                continue
+            den = lcm(da, db)
+            fa, fb = den // da, sign * (den // db)
+            acc = dict(a) if fa == 1 else {k: n * fa for k, n in a}
+            for k, n in b:
+                if fb != 1:
+                    n = n * fb
+                acc[k] = acc[k] + n if k in acc else n
+            parts.append(_reduced(acc.items(), den))
+        return self._make(parts)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            if exp in out:
-                c = out[exp] + c
-                if is_zero(c):
-                    del out[exp]
-                    continue
-            out[exp] = c
-        return self._make(out)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make({e: -c for e, c in self.terms.items()})
+        return self._make([([(k, -n) for k, n in items], den)
+                           for items, den in self._parts])
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -922,7 +991,7 @@ class TruncatedSeries:
         through :meth:`scale`, so the graded kernel only sees two
         non-constant series.  There, degree n of the product is
         sum_{i+j=n} a_i b_j, one kernel call per degree, over one
-        denominator per operand."""
+        denominator per operand part."""
         if isinstance(other, SCALAR_TYPES):
             return self.scale(other)
         if not isinstance(other, TruncatedSeries):
@@ -933,24 +1002,25 @@ class TruncatedSeries:
         if self.is_constant():
             return other.scale(self.constant_term())
         a, b = self._graded(), other._graded()
-        return self._from_graded(
-            [_convolve([(a[i], b[n - i]) for i in range(n + 1)])
-             for n in range(self.order + 1)])
+        return self._make([_convolve([(a[i], b[n - i]) for i in range(n + 1)])
+                           for n in range(self.order + 1)])
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        """The product with the scalar ``c``, coefficient by coefficient;
-        anything but an int, Fraction or quotient-ring element raises
-        TypeError."""
+        """The product with the scalar ``c``, part by part: numerators
+        times the numerator of c over the part denominator times the
+        denominator of c.  Anything but an int, Fraction or quotient-ring
+        element raises TypeError."""
         if not isinstance(c, SCALAR_TYPES):
             raise TypeError("cannot scale a series by %r" % (c,))
         if isinstance(c, QuotientRingElem):
             self._check_modulus(c.modulus)
         if c == 1:
             return self
-        products = ((e, v * c) for e, v in self.terms.items())
-        return self._make({e: p for e, p in products if not is_zero(p)})
+        n0, d0 = _ratio(c)
+        return self._make([_reduced([(k, n * n0) for k, n in items], den * d0)
+                           if items else (items, den) for items, den in self._parts])
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -981,7 +1051,7 @@ class TruncatedSeries:
         parts = [([(0, n0)], d0)]
         for n in range(1, self.order + 1):
             parts.append(_convolve([(f[k], parts[n - k]) for k in range(1, n + 1)]))
-        return self._from_graded(parts)
+        return self._make(parts)
 
 
 def _ratio(c):
@@ -996,45 +1066,22 @@ def _ratio(c):
 
 
 def _scalar(n, den):
-    """The coefficient n / den for an int den >= 1: a Fraction for an int
-    n, a quotient-ring element for an :class:`_IntResidue` n, built once
-    from its already reduced residue."""
+    """The coefficient n / den for an int den >= 1: an int or Fraction for
+    an int n (an int exactly when den divides n), a quotient-ring element
+    for an :class:`_IntResidue` n, built once from its already reduced
+    residue."""
     if type(n) is int:
-        return Fraction(n, den)
+        return n if den == 1 else Fraction(n, den)
     ring = n.ring
     return ring.element(ring.join(n.coeffs, den))
 
 
-def _convolve(pairs, divisor=1):
-    """The one coefficient loop: sum a * b / divisor over ``pairs`` of
-    degree parts ``(items, den)`` as made by ``TruncatedSeries._graded``.
-
-    Numerators are multiplied and added with plain ``*`` and ``+``: ints
-    for rational coefficients, :class:`_IntResidue` int vectors for
-    quotient-ring ones.  The result is one degree part over the lcm of the
-    pair denominators times ``divisor``, with zero numerators dropped, and
-    numerators and denominator divided by the gcd of the denominator and
-    every int coefficient of the numerators.
-    """
-    den = 1
-    for (_, da), (_, db) in pairs:
-        den = lcm(den, da * db)
-    acc = {}
-    for (a, da), (b, db) in pairs:
-        if not a or not b:
-            continue
-        f = den // (da * db)
-        for k1, n1 in a:
-            if f != 1:
-                n1 = n1 * f
-            for k2, n2 in b:
-                k = k1 + k2
-                if k in acc:
-                    acc[k] += n1 * n2
-                else:
-                    acc[k] = n1 * n2
-    den *= divisor
-    items = [(k, n) for k, n in acc.items() if not is_zero(n)]
+def _reduced(items, den):
+    """The degree part of the ``(key, numerator)`` pairs ``items`` over the
+    int ``den``, with zero numerators dropped, and numerators and
+    denominator divided by the gcd of the denominator and every int
+    coefficient of the numerators."""
+    items = [(k, n) for k, n in items if n]
     if den != 1:
         g = den
         for _, n in items:
@@ -1047,6 +1094,36 @@ def _convolve(pairs, divisor=1):
     return items, den
 
 
+def _convolve(pairs, divisor=1):
+    """The one coefficient loop: sum a * b / divisor over ``pairs`` of
+    degree parts ``(items, den)`` as returned by
+    ``TruncatedSeries._graded``.
+
+    Numerators are multiplied and added with plain ``*`` and ``+``: ints
+    for rational coefficients, :class:`_IntResidue` int vectors for
+    quotient-ring ones.  The result is one degree part over the lcm of the
+    denominators of the pairs with two nonzero parts times ``divisor``,
+    reduced by :func:`_reduced`.
+    """
+    pairs = [(a, b, da * db) for (a, da), (b, db) in pairs if a and b]
+    den = 1
+    for _, _, d in pairs:
+        den = lcm(den, d)
+    acc = {}
+    for a, b, d in pairs:
+        f = den // d
+        for k1, n1 in a:
+            if f != 1:
+                n1 = n1 * f
+            for k2, n2 in b:
+                k = k1 + k2
+                if k in acc:
+                    acc[k] += n1 * n2
+                else:
+                    acc[k] = n1 * n2
+    return _reduced(acc.items(), den * divisor)
+
+
 def series_exp(s):
     """exp(s) for a series with zero constant term, one homogeneous degree
     at a time.
@@ -1057,17 +1134,18 @@ def series_exp(s):
         n E_n = sum_{k=1..n} k s_k E_{n-k}
 
     for the degree-n parts E_n of E and s_k of s.  Each E_n is one kernel
-    call over the weighted parts k s_k, which share the denominator of s,
+    call over the weighted parts k s_k, each over the denominator of s_k,
     and the parts of E already found, each over its own denominator.
     """
-    if not is_zero(s.constant_term()):
+    graded = s._graded()
+    if graded[0][0]:
         raise NonzeroConstantTerm("series exponential needs zero constant term")
     weighted = [([(key, k * n) for key, n in items], den)
-                for k, (items, den) in enumerate(s._graded())]
+                for k, (items, den) in enumerate(graded)]
     parts = [([(0, 1)], 1)]
     for n in range(1, s.order + 1):
         parts.append(_convolve([(weighted[k], parts[n - k]) for k in range(1, n + 1)], n))
-    return s._from_graded(parts)
+    return s._make(parts)
 
 
 def series_log(u):
@@ -1080,8 +1158,7 @@ def series_log(u):
         n L_n = n u_n - sum_{k=1..n-1} k L_k u_{n-k}.
 
     Each L_n is one kernel call: u_n paired with the constant n, and each
-    -k L_k, over its own denominator, paired with u_{n-k}, whose parts
-    share the denominator of u.
+    -k L_k paired with u_{n-k}, every part over its own denominator.
     """
     if u.constant_term() != 1:
         raise ConstantTermNotOne("series logarithm needs constant term one")
@@ -1094,4 +1171,4 @@ def series_log(u):
         items, den = _convolve(pairs, n)
         parts.append((items, den))
         weighted.append(([(key, -n * x) for key, x in items], den))
-    return u._from_graded(parts)
+    return u._make(parts)

@@ -1,15 +1,14 @@
 """Slow reference solvers kept as oracles for the Newton solver.
 
 These are the routines the library used before the current Newton step: a
-fixed-slope iteration that gains one order per step, the power-sum
-exponential, and the Newton step that substitutes into the relation and
-into its derivative y_k dW/dy_k separately.  Series coefficients are
+fixed-slope iteration that gains one order per step, with the power-sum
+exponential of ``series_oracles``, and the Newton step that substitutes
+into the relation and into its derivative y_k dW/dy_k separately.  Series coefficients are
 unique for a given root, so the library must reproduce their results
 exactly; the two-substitution step must also raise the same errors.
 """
 
 from fractions import Fraction
-from math import factorial
 
 from augvar.augment import _double_root
 from augvar.laurent import LaurentPoly
@@ -22,17 +21,7 @@ from augvar.rings import (
     series_exp,
 )
 
-
-def power_sum_exp(s):
-    """exp(s) = sum s^j / j! with one full series product per term."""
-    out = TruncatedSeries.one(s.variables, s.order)
-    power = TruncatedSeries.one(s.variables, s.order)
-    for j in range(1, s.order + 1):
-        power = power * s
-        if power.is_zero():
-            break
-        out = out + power.scale(Fraction(1, factorial(j)))
-    return out
+from series_oracles import power_sum_exp
 
 
 def _fixed_slope(relation, var, kap, target, slope, order):

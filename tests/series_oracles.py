@@ -1,17 +1,46 @@
 """Slow reference series routines kept as oracles for the graded kernel.
 
-``geometric_invert`` and ``power_sum_log`` are the inverse and logarithm
-the library used before the degree-by-degree recurrences: one full
-series product per term of a geometric or power series.  ``naive_mul``
-multiplies two coefficient maps term by term in the scalars' own
-arithmetic, with no numerator/denominator split.  Series coefficients are
-unique, so the library must reproduce all three exactly, for every
-scalar backend.
+``naive_add``, ``naive_neg`` and ``naive_scale`` are the sum, negation
+and scaling the library used before series were stored as graded integer
+parts: term by term on coefficient maps, in the scalars' own arithmetic.
+``naive_mul`` multiplies two coefficient maps term by term, with no
+numerator/denominator split.  ``geometric_invert``, ``power_sum_exp`` and
+``power_sum_log`` are the inverse, exponential and logarithm as one full
+product per term of a geometric or power series.  Every routine here
+reads ``terms`` and builds its result with the ``TruncatedSeries``
+constructor, so none of them runs the library's series arithmetic.
+Series coefficients are unique, so the library must reproduce all of
+them exactly, for every scalar backend.
 """
 
 from fractions import Fraction
+from math import factorial
 
 from augvar.rings import TruncatedSeries, invert_scalar, is_zero
+
+
+def naive_add(a, b):
+    """a + b for two series over the same variables and order."""
+    out = dict(a.terms)
+    for exp, c in b.terms.items():
+        if exp in out:
+            c = out[exp] + c
+            if is_zero(c):
+                del out[exp]
+                continue
+        out[exp] = c
+    return TruncatedSeries(a.variables, a.order, out)
+
+
+def naive_neg(a):
+    return TruncatedSeries(a.variables, a.order, {e: -c for e, c in a.terms.items()})
+
+
+def naive_scale(a, c):
+    """a times the scalar c, coefficient by coefficient."""
+    products = ((e, v * c) for e, v in a.terms.items())
+    return TruncatedSeries(a.variables, a.order,
+                           {e: p for e, p in products if not is_zero(p)})
 
 
 def naive_mul(a, b):
@@ -28,29 +57,42 @@ def naive_mul(a, b):
                            {e: c for e, c in out.items() if not is_zero(c)})
 
 
+def _one(f):
+    return TruncatedSeries.one(f.variables, f.order)
+
+
 def geometric_invert(f):
     """f^{-1} = c^{-1} sum_j (-(f/c - 1))^j, with one product per term."""
-    c = f.constant_term()
-    cinv = invert_scalar(c)
-    v = f.scale(cinv) - 1                 # valuation >= 1
-    out = TruncatedSeries.one(f.variables, f.order)
-    term = TruncatedSeries.one(f.variables, f.order)
+    cinv = invert_scalar(f.constant_term())
+    v = naive_neg(naive_add(naive_scale(f, cinv), naive_neg(_one(f))))
+    out = term = _one(f)
     for _ in range(f.order):
-        term = term * (-v)
-        if term.is_zero():
+        term = naive_mul(term, v)
+        if not term.terms:
             break
-        out = out + term
-    return out.scale(cinv)
+        out = naive_add(out, term)
+    return naive_scale(out, cinv)
+
+
+def power_sum_exp(s):
+    """exp(s) = sum s^j / j! for s with zero constant term."""
+    out = power = _one(s)
+    for j in range(1, s.order + 1):
+        power = naive_mul(power, s)
+        if not power.terms:
+            break
+        out = naive_add(out, naive_scale(power, Fraction(1, factorial(j))))
+    return out
 
 
 def power_sum_log(u):
     """log(u) = sum (-1)^{j-1} (u-1)^j / j, with one product per term."""
-    v = u - 1
+    v = naive_add(u, naive_neg(_one(u)))
     out = TruncatedSeries.zero(u.variables, u.order)
-    power = TruncatedSeries.one(u.variables, u.order)
+    power = _one(u)
     for j in range(1, u.order + 1):
-        power = power * v
-        if power.is_zero():
+        power = naive_mul(power, v)
+        if not power.terms:
             break
-        out = out + power.scale(Fraction((-1) ** (j - 1), j))
+        out = naive_add(out, naive_scale(power, Fraction((-1) ** (j - 1), j)))
     return out

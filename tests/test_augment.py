@@ -413,6 +413,12 @@ def test_chord_degrees_three_sheets():
     assert reeb_chord_degree(params, 3, 2) == (F(1, 3), 1)
 
 
+def test_solver_rejects_a_bool_order():
+    rel = clifford_relation(3, "+,+,-").lifted_relation
+    with pytest.raises(ValueError):
+        solve_formal_augmentation(rel, "y2", order=True)
+
+
 def test_chord_degree_bounds_checked():
     params = ChordDegreeParams(sheets=3, theta_over_pi=F(2, 9), slope=F(3))
     with pytest.raises(IndexOutOfRange):

@@ -42,9 +42,9 @@ from augvar.rings import (
 from newton_oracles import (
     fixed_slope_formal,
     fixed_slope_nilpotent,
-    power_sum_exp,
     two_evaluation_newton,
 )
+from series_oracles import power_sum_exp
 
 F = Fraction
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -141,6 +141,35 @@ def test_newton_takes_log_order_steps(monkeypatch):
     solve_formal_augmentation(rel, "y2", order=10)
     assert exps == [1, 3, 7, 10, 10]
     assert evaluations == [10]
+
+
+def test_newton_inverts_the_slope_at_the_precision_it_needs(monkeypatch):
+    """On an order-10 relation shaped like the benchmark's three-variable
+    ones, the steps (v, p) = (1, 1), (2, 3), (4, 7), (8, 10) invert the
+    slope truncated at p - v.  Neither the loop nor the solver's final
+    check builds a ``terms`` view, and the series equals the
+    two-substitution step's."""
+    rel = LaurentPoly(("y1", "y2", "y3"), {
+        (0, 0, 0): 2, (1, 0, 0): 1, (0, 0, 1): -3, (1, 1, 0): 1, (0, 0, 2): 1,
+        (2, 0, 1): 1, (0, 2, 2): 1})
+    inverts, views = [], []
+    real_invert, real_view = TruncatedSeries.invert, TruncatedSeries._view
+
+    def recording_invert(self):
+        inverts.append(self.order)
+        return real_invert(self)
+
+    def counting_view(self):
+        views.append(self.order)
+        return real_view(self)
+
+    monkeypatch.setattr(TruncatedSeries, "invert", recording_invert)
+    monkeypatch.setattr(TruncatedSeries, "_view", counting_view)
+    s = augment._newton_series(rel, "y3", F(1), F(0), 10, 0)
+    assert inverts == [0, 1, 3, 2]
+    sol = solve_formal_augmentation(rel, "y3", order=10)
+    assert views == []
+    assert sol.series == s == two_evaluation_newton(rel, "y3", F(1), F(0), 10, 0)
 
 
 def _with_negative_powers(rng, rel):

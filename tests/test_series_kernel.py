@@ -4,13 +4,17 @@ Products, inverses and logarithms of seeded random series over Q,
 Q[t]/(t^3 - 2), Q[t]/(t^3) and Q[t]/(t^2 + t/2 - 1/3), a modulus with
 non-integer coefficients, must equal, exactly, the naive
 term-by-term product and the geometric-series inverse and power-sum
-logarithm kept in ``series_oracles``.  Pinned cases cover series that mix
-int and Fraction coefficients, a 30-digit denominator, quotient-ring
-residues with 20-digit denominators, and rational coefficients beside
-quotient-field ones in one series.
+logarithm kept in ``series_oracles``.  Seeded chains of sums, negations,
+scalings, products, inverses, exponentials, logarithms and order changes
+on the stored degree parts must end at the series the term-by-term
+oracles reach.  Pinned cases cover series that mix int and Fraction
+coefficients, a 30-digit denominator, quotient-ring residues with
+20-digit denominators, and rational coefficients beside quotient-field
+ones in one series.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,11 +24,20 @@ from augvar.rings import (
     QuotientRingElem,
     TruncatedSeries,
     UniPoly,
+    invert_scalar,
     series_exp,
     series_log,
 )
 
-from series_oracles import geometric_invert, naive_mul, power_sum_log
+from series_oracles import (
+    geometric_invert,
+    naive_add,
+    naive_mul,
+    naive_neg,
+    naive_scale,
+    power_sum_exp,
+    power_sum_log,
+)
 
 F = Fraction
 MODULUS = UniPoly([-2, 0, 0, 1])            # t^3 - 2, irreducible
@@ -152,3 +165,122 @@ def test_quotient_residues_with_20_digit_denominators(modulus):
     w = u.scale(y.invert())
     assert series_log(w).terms == power_sum_log(w).terms
     assert series_exp(series_log(w)) == w
+
+
+# --------------------------------------------------------------------------
+# part arithmetic against the term-by-term oracles
+# --------------------------------------------------------------------------
+
+CHAIN_MODULI = {"rational": None, "quotient": MODULUS, "nilpotent": NIL_MODULUS}
+CHAIN_OPS = ("add", "sub", "neg", "scale", "mul", "square", "invert", "exp", "log",
+             "order")
+
+
+def _chain_scalar(rng, backend):
+    """An int or a Fraction over Q, and now and then beside the
+    quotient-ring elements of the other backends; over Q[t]/(t^3), mostly
+    non-units (constant residue term zero), whose products can vanish."""
+    if backend == "rational" or rng.random() < 0.15:
+        return rng.randint(-4, 4) if rng.random() < 0.4 else _rational(rng)
+    cs = [_rational(rng) for _ in range(3)]
+    if backend == "nilpotent" and rng.random() < 0.6:
+        cs[0] = 0
+    return QuotientRingElem(UniPoly(cs), CHAIN_MODULI[backend])
+
+
+def _chain_series(rng, backend, order):
+    terms = {(0, 0): _chain_scalar(rng, backend)} if rng.random() < 0.7 else {}
+    for _ in range(rng.randint(1, 5)):
+        a = rng.randint(0, order)
+        terms[(a, rng.randint(0, order - a))] = _chain_scalar(rng, backend)
+    return TruncatedSeries(VS, order, terms)
+
+
+def _unit(c):
+    if isinstance(c, QuotientRingElem) and c.modulus == NIL_MODULUS:
+        return c.residue[0] != 0
+    return c != 0
+
+
+def _vanished(a, b, out):
+    """How many terms of the product ``out`` of a and b have one
+    contributing pair of terms and are missing: zero-divisor products."""
+    pairs = Counter(tuple(x + y for x, y in zip(e1, e2)) for e1 in a.terms for e2 in b.terms)
+    return sum(1 for e, k in pairs.items()
+               if k == 1 and sum(e) <= out.order and e not in out.terms)
+
+
+def _step(rng, backend, lib, ref, drops):
+    """One random operation, applied to the library series ``lib`` with
+    the library's arithmetic and to ``ref`` with the oracles; the library
+    side never reads ``terms``.  The operation is chosen from what ``ref``
+    admits."""
+    c = ref.constant_term()
+    op = rng.choice(CHAIN_OPS)
+    if op in ("invert", "log") and not _unit(c):
+        op = "scale"
+    if op in ("add", "sub", "mul", "square"):
+        other = ref if op == "square" else _chain_series(rng, backend, ref.order)
+        if op == "add":
+            return lib + other, naive_add(ref, other)
+        if op == "sub":
+            return lib - other, naive_add(ref, naive_neg(other))
+        out = naive_mul(ref, other)
+        drops["mul"] += _vanished(ref, other, out)
+        return lib * (lib if op == "square" else other), out
+    if op == "neg":
+        return -lib, naive_neg(ref)
+    if op == "scale":
+        k = _chain_scalar(rng, backend) if rng.random() < 0.9 else rng.choice([0, 1, -1])
+        out = naive_scale(ref, k)
+        drops["scale"] += k != 0 and len(out.terms) < len(ref.terms)
+        return lib.scale(k), out
+    if op == "invert":
+        return lib.invert(), geometric_invert(ref)
+    if op == "exp":
+        shifted = naive_add(ref, naive_neg(TruncatedSeries.constant(c, VS, ref.order)))
+        return series_exp(lib - c), power_sum_exp(shifted)
+    if op == "log":
+        cinv = invert_scalar(c)
+        return series_log(lib.scale(cinv)), power_sum_log(naive_scale(ref, cinv))
+    order = rng.choice([q for q in range(max(0, ref.order - 2), 6) if q != ref.order])
+    return lib._at_order(order), TruncatedSeries(VS, order, ref.terms)
+
+
+@pytest.mark.parametrize("backend", sorted(CHAIN_MODULI))
+def test_part_arithmetic_matches_term_oracles_on_random_chains(backend):
+    """170 seeded chains of 3-8 operations per backend, 510 in all, with
+    sums, differences, negation, scaling, products, inverses,
+    exponentials, logarithms and truncation orders moved up and down.
+    In Q[t]/(t^3), products and scalings by zero divisors drop terms."""
+    rng = random.Random("kernel-chain-" + backend)
+    drops = Counter()
+    for _ in range(170):
+        lib = ref = _chain_series(rng, backend, rng.randint(1, 5))
+        for _ in range(rng.randint(3, 8)):
+            lib, ref = _step(rng, backend, lib, ref, drops)
+        assert lib.order == ref.order
+        assert dict(lib.terms) == dict(ref.terms)
+        assert lib == ref
+    if backend == "nilpotent":
+        assert drops["mul"] and drops["scale"]
+
+
+# --------------------------------------------------------------------------
+# immutability and validation
+# --------------------------------------------------------------------------
+
+def test_terms_are_read_only():
+    x = TruncatedSeries.variable("x", ("x", "y"), 4)
+    y = TruncatedSeries.variable("y", ("x", "y"), 4)
+    for s in (x, x + y, x * y):
+        with pytest.raises(TypeError):
+            s.terms[(0, 0)] = F(7)
+    assert (x * y).terms == {(1, 1): 1}
+    assert x.terms == {(1, 0): 1}
+
+
+@pytest.mark.parametrize("order", [-1, 2.0, True, False])
+def test_truncation_order_must_be_a_nonnegative_int(order):
+    with pytest.raises(ValueError):
+        TruncatedSeries(VS, order)
