@@ -20,14 +20,23 @@ vector to a lattice basis.  No rational null space is taken.
 
 The hull engine works in integers only: Andrew's monotone chain in the
 plane, and beneath-beyond over a triangulated boundary in dimension three
-and up, with facet normals from fraction-free (Bareiss) cofactor
-determinants.  It returns vertices and facets together, and above the
-plane also the boundary simplices that volumes are summed over.  It checks
-its own output, raising :class:`VerificationFailure` when a check fails.
+and up, with facet normals from cofactor determinants (Bareiss, and a
+closed form for the 2x2 minors of dimension three).  Beneath-beyond
+inserts the points far first, by decreasing squared distance from their
+centroid, and starts from the first affinely independent ones in that
+order: a wide start simplex swallows most of the later points, so far
+fewer boundary simplices are built and discarded than in lexicographic
+order.  The order changes only how coplanar facets are triangulated, and
+the volume summed over the boundary simplices does not depend on the
+triangulation.  The engine returns vertices and facets together, and
+above the plane also the boundary simplices that volumes are summed over.
+It checks its own output, raising :class:`VerificationFailure` when a
+check fails.
 """
 
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 
 from .errors import PreconditionViolation, VerificationFailure
 
@@ -53,7 +62,11 @@ def mat_vec(M, v):
 
 def det(M):
     """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination, in which every division is exact."""
+    elimination, in which every division is exact.  A 2x2 matrix, the
+    minor of every 3-D hull normal, is a d - b c in closed form."""
+    if len(M) == 2:
+        (a, b), (c, e) = M
+        return a * e - b * c
     A = [list(r) for r in M]
     n = len(A)
     sign, prev = 1, 1
@@ -418,7 +431,9 @@ def fit_cone_to_orthant(generators):
 # --------------------------------------------------------------------------
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    """Integer dot product; it stops at the shorter argument, so a normal
+    dotted with a prefix of a point sums over the prefix only."""
+    return sum(map(mul, a, b))
 
 
 def echelon(vectors, cap=None):
@@ -517,13 +532,32 @@ def _beneath_beyond(points):
     so far and are skipped.  Coplanar simplices stay separate.  Returns a
     dict from each boundary simplex (sorted index tuple) to its
     (normal, offset); the facets are its distinct values.
+
+    Points go in far first: by decreasing squared distance from the
+    centroid, in integers as sum((m x_j - S_j)^2) for m points with
+    coordinate sums S, ties to the smaller index.  The first point
+    maximises a strictly convex function, so it is a hull vertex, and the
+    start simplex is the first affinely independent points in that order,
+    a wide one.  Most later points then fall inside the hull so far and
+    cost one visibility scan, where lexicographic order makes every point
+    a vertex of the hull so far and rebuilds the boundary around it
+    (Clarkson and Shor, "Applications of random sampling in computational
+    geometry II", 1989, argue the same for a random order).  The order
+    decides only how coplanar facets are triangulated: the facets, their
+    points and the vertices are those of the hull.  A volume summed over
+    the simplices, as cones from one point of the hull, is the same for
+    every triangulation, since each one's cones tile the hull once.
     """
     d = len(points[0])
-    base = points[0]
-    _, used = echelon([[a - b for a, b in zip(p, base)] for p in points[1:]], d)
+    m = len(points)
+    sums = [sum(col) for col in zip(*points)]
+    order = sorted(range(m), key=lambda i: (
+        -sum((m * x - s) ** 2 for x, s in zip(points[i], sums)), i))
+    base = points[order[0]]
+    _, used = echelon([[a - b for a, b in zip(points[i], base)] for i in order[1:]], d)
     if len(used) < d:
         raise PreconditionViolation("hull points do not span Z^%d" % d)
-    start = [0] + [k + 1 for k in used]
+    start = [order[0]] + [order[k + 1] for k in used]
     interior = tuple(sum(points[i][j] for i in start) for j in range(d))
     scale = d + 1
     simplices = {}     # sorted tuple of d point indices -> (normal, offset)
@@ -540,9 +574,10 @@ def _beneath_beyond(points):
     for k in range(d + 1):
         add(tuple(sorted(start[:k] + start[k + 1:])))
     taken = set(start)
-    for i, p in enumerate(points):
+    for i in order:
         if i in taken:
             continue
+        p = points[i]
         visible = {s for s, (n, c) in simplices.items() if _dot(n, p) > c}
         horizon = []
         for simplex in visible:
@@ -575,8 +610,18 @@ def convex_hull(points):
 
     Dimension 1 takes the extremes, dimension 2 the monotone chain, higher
     dimensions beneath-beyond.  Every facet is checked to support all
-    points; a failed check raises :class:`VerificationFailure`.
+    points; a failed check raises :class:`VerificationFailure`.  Input
+    that is empty, has points of length zero or of differing lengths,
+    repeats a point or has a coordinate that is not an integer value
+    raises :class:`PreconditionViolation`.
     """
+    points = [lattice_point(p) for p in points]
+    if not points or not points[0]:
+        raise PreconditionViolation("a hull needs points of positive length")
+    if any(len(p) != len(points[0]) for p in points):
+        raise PreconditionViolation("hull points differ in length")
+    if len(set(points)) != len(points):
+        raise PreconditionViolation("hull points repeat a point")
     return _hull(points)[:2]
 
 

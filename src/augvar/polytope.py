@@ -302,13 +302,11 @@ def _ceil_div(a, b):
 def _range_for_prefix(pos, neg, prefix):
     hi = None
     for n, c in pos:
-        rest = c - sum(n[i] * prefix[i] for i in range(len(prefix)))
-        bound = rest // n[-1]
+        bound = (c - intlin._dot(n, prefix)) // n[-1]
         hi = bound if hi is None else min(hi, bound)
     lo = None
     for n, c in neg:
-        rest = c - sum(n[i] * prefix[i] for i in range(len(prefix)))
-        bound = _ceil_div(-rest, -n[-1])
+        bound = _ceil_div(intlin._dot(n, prefix) - c, -n[-1])
         lo = bound if lo is None else max(lo, bound)
     if lo is None or hi is None or lo > hi:
         return None, None

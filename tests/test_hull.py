@@ -32,6 +32,14 @@ def _spans(points):
     return len(intlin.echelon(rows)[0]) == d
 
 
+GRID_3 = list(itertools.product(range(3), repeat=3))
+GRID_4 = list(itertools.product(range(3), repeat=4))
+CUBE_WITH_FACET_CENTRES = list(itertools.product((0, 2), repeat=3)) + [
+    tuple(v if j == i else 1 for j in range(3)) for i in range(3) for v in (0, 2)]
+CROSS_3D = sorted([(0, 0, 0)] + [tuple(s if j == i else 0 for j in range(3))
+                                 for i in range(3) for s in (-2, -1, 1, 2)])
+
+
 def _lp_vertices(pts):
     """The LP oracle's vertices, sorted as ``LatticePolytope`` keeps them."""
     return sorted(pts[i] for i in lp_vertex_indices(pts))
@@ -77,9 +85,12 @@ def test_engine_on_edge_and_facet_interior_points():
          (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 0)],
         [(0, 0, 0, 0), (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3),
          (1, 1, 1, 0), (0, 1, 1, 1), (1, 1, 0, 1)],           # points in facet interiors
+        CUBE_WITH_FACET_CENTRES,
+        CROSS_3D,
     ]
     rng = random.Random(44)
     for pts in cases:
+        pts = list(pts)
         for _ in range(2):
             rng.shuffle(pts)
             _assert_matches_oracles(list(pts))
@@ -222,3 +233,93 @@ def test_under_reported_rank_check_survives_python_O():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["raised", "raised"]
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (1, 0), (0, 1), (1, 0)],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)],
+    [(2,), (Fraction(4, 2),), (5,)],                  # equal once made integer
+])
+def test_convex_hull_rejects_repeated_points(points):
+    with pytest.raises(PreconditionViolation, match="repeat"):
+        intlin.convex_hull(points)
+
+
+@pytest.mark.parametrize("points", [[], [()], [(), ()]])
+def test_convex_hull_rejects_empty_input(points):
+    with pytest.raises(PreconditionViolation, match="positive length"):
+        intlin.convex_hull(points)
+
+
+def test_convex_hull_rejects_points_of_differing_lengths():
+    with pytest.raises(PreconditionViolation, match="differ in length"):
+        intlin.convex_hull([(0, 0, 0), (1, 0, 0), (0, 1), (0, 0, 1)])
+
+
+@pytest.mark.parametrize("points", [
+    [(0,), (Fraction(1, 2),), (2,)],
+    [(0, 0), (1, 0), (0, Fraction(1, 2))],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 0.5)],
+])
+def test_convex_hull_rejects_non_integer_coordinates(points):
+    with pytest.raises(PreconditionViolation, match="non-integer"):
+        intlin.convex_hull(points)
+
+
+def test_convex_hull_accepts_integer_valued_coordinates():
+    assert intlin.convex_hull([(0, 0), (Fraction(4, 2), 0), (0, 1)]) == \
+        intlin.convex_hull([(0, 0), (2, 0), (0, 1)])
+
+
+def _hull_by_coordinates(points):
+    """The engine's answer with indices replaced by points, plus the
+    volume summed over its triangulated boundary."""
+    vertices, facets, simplices = intlin._hull(points)
+    corners = sorted(points[i] for i in vertices)
+    v0 = corners[0]
+    volume = sum(abs(intlin.det([[a - b for a, b in zip(points[i], v0)] for i in s]))
+                 for s in simplices)
+    return (corners, [(n, c, frozenset(points[i] for i in eq)) for n, c, eq in facets],
+            volume)
+
+
+@pytest.mark.parametrize("name", ["random-3d", "random-4d", "grid-3", "grid-4",
+                                  "cube-with-facet-centres"])
+def test_hull_does_not_depend_on_the_input_order(name):
+    rng = random.Random(name)
+    if name.startswith("random"):
+        d = int(name[-2])
+        supports = [_random_support(rng, d, rng.randint(d + 2, 14), 2) for _ in range(12)]
+    else:
+        supports = [{"grid-3": GRID_3, "grid-4": GRID_4,
+                     "cube-with-facet-centres": CUBE_WITH_FACET_CENTRES}[name]]
+    for pts in supports:
+        orders = [sorted(pts), sorted(pts, reverse=True)]
+        for _ in range(4):
+            orders.append(rng.sample(pts, len(pts)))
+        answer = _hull_by_coordinates(orders[0])
+        assert all(_hull_by_coordinates(p) == answer for p in orders[1:]), pts
+        P = LatticePolytope.from_points(pts)
+        assert P.normalized_volume() == answer[2]
+        for p in orders:
+            Q = LatticePolytope.from_points(p)
+            assert (Q.normalized_volume(), Q.lattice_point_count()) == \
+                (P.normalized_volume(), P.lattice_point_count())
+
+
+# Simplices beneath-beyond builds on lexicographic input: (far-first
+# insertion, lexicographic insertion as before it).
+@pytest.mark.parametrize("points, built, lexicographic", [
+    (GRID_3, 17, 95), (GRID_4, 71, 767), (CROSS_3D, 11, 39)])
+def test_far_first_insertion_builds_fewer_simplices(monkeypatch, points, built,
+                                                    lexicographic):
+    calls = []
+    real = intlin._hyperplane
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(intlin, "_hyperplane", counting)
+    intlin._hull(sorted(points))
+    assert len(calls) == built < lexicographic

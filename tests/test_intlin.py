@@ -61,6 +61,45 @@ def test_det_matches_permutation_expansion():
         assert det(M) == expansion, M
 
 
+def _laplace_det(M):
+    """Determinant by cofactor expansion along the first row."""
+    if not M:
+        return 1
+    return sum((-1) ** j * M[0][j] * _laplace_det([r[:j] + r[j + 1:] for r in M[1:]])
+               for j in range(len(M)) if M[0][j])
+
+
+def _det_cases():
+    rng = random.Random(31)
+    cases = [[], [[0]], [[-4]],
+             [[0, 1], [1, 0]], [[0, 3], [0, 5]], [[2, 4], [1, 2]], [[0, 0], [0, 0]],
+             [[0, 1, 2], [0, 0, 1], [3, 1, 1]], [[0, 2, 1], [1, 1, 1], [2, 0, 1]],
+             [[1, 2, 3], [2, 4, 6], [0, 1, 5]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]]
+    for n in range(6):
+        for _ in range(25):
+            M = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if n and rng.random() < 0.3:
+                for r in M[:rng.randint(1, n)]:
+                    r[0] = 0                          # forces a row swap
+            if n >= 2 and rng.random() < 0.2:
+                M[-1] = [2 * x for x in M[rng.randrange(n - 1)]]   # singular
+            cases.append(M)
+    return cases
+
+
+def test_det_matches_laplace_expansion():
+    for M in _det_cases():
+        assert det(M) == _laplace_det(M), M
+        assert det([tuple(r) for r in M]) == _laplace_det(M), M
+
+
+def test_dot_stops_at_the_shorter_argument():
+    assert intlin._dot((1, 2, 3), (4, 5)) == 14
+    assert intlin._dot((4, 5), (1, 2, 3)) == 14
+    assert intlin._dot((7, -1), ()) == 0
+    assert intlin._dot((2, -3, 5), (1, 1, 1)) == 4
+
+
 def test_mat_inverse_unimodular_is_integer():
     M = [[2, 1], [1, 1]]
     Minv = mat_inverse(M)
