@@ -20,8 +20,8 @@ vector to a lattice basis.  No rational null space is taken.
 
 The hull engine works in integers only: Andrew's monotone chain in the
 plane, and beneath-beyond over a triangulated boundary in dimension three
-and up, with facet normals from cofactor determinants (Bareiss, and a
-closed form for the 2x2 minors of dimension three).  Beneath-beyond
+and up, with facet normals from cofactor determinants (closed forms for
+the 2x2 and 3x3 minors of dimensions three and four).  Beneath-beyond
 inserts the points far first, by decreasing squared distance from their
 centroid, and starts from the first affinely independent ones in that
 order: a wide start simplex swallows most of the later points, so far
@@ -30,7 +30,9 @@ order.  The order changes only how coplanar facets are triangulated, and
 the volume summed over the boundary simplices does not depend on the
 triangulation.  The engine returns vertices and facets together, and
 above the plane also the boundary simplices that volumes are summed over.
-It checks its own output, raising :class:`VerificationFailure` when a
+A point is a vertex when the facets through it meet in that point alone,
+a set intersection of the facets' point sets with no rank test.  The
+engine checks its own output, raising :class:`VerificationFailure` when a
 check fails.
 """
 
@@ -62,11 +64,16 @@ def mat_vec(M, v):
 
 def det(M):
     """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination, in which every division is exact.  A 2x2 matrix, the
-    minor of every 3-D hull normal, is a d - b c in closed form."""
+    elimination, in which every division is exact.  The 2x2 and 3x3
+    matrices, the minors of every 3-D and 4-D hull normal and the 3-D
+    volume simplices, take the closed form of the cofactor expansion
+    along the first row instead."""
     if len(M) == 2:
         (a, b), (c, e) = M
         return a * e - b * c
+    if len(M) == 3:
+        (a, b, c), (e, f, g), (h, i, j) = M
+        return a * (f * j - g * i) - b * (e * j - g * h) + c * (e * i - f * h)
     A = [list(r) for r in M]
     n = len(A)
     sign, prev = 1, 1
@@ -605,15 +612,20 @@ def convex_hull(points):
     vertices in ascending order.  ``facets`` is sorted by (normal, offset)
     and holds (normal, offset, indices) for every facet: the inequality
     <normal, x> <= offset with a primitive integer normal, and the indices
-    of all points on the facet.  A point is a vertex exactly when the
-    normals of the facets through it have rank d.
+    of all points on the facet.  A point is a vertex exactly when the point
+    sets of the facets through it intersect in that point alone: the
+    smallest face containing a point is the intersection of the facets
+    through it (Ziegler, "Lectures on Polytopes", 2.1), and a face of
+    dimension one or more holds at least two of the points, its vertices.
 
     Dimension 1 takes the extremes, dimension 2 the monotone chain, higher
     dimensions beneath-beyond.  Every facet is checked to support all
-    points; a failed check raises :class:`VerificationFailure`.  Input
-    that is empty, has points of length zero or of differing lengths,
-    repeats a point or has a coordinate that is not an integer value
-    raises :class:`PreconditionViolation`.
+    points and to hold at least d vertices, as a (d - 1)-dimensional face
+    must, so a boundary that lost a facet does not pass; a failed check
+    raises :class:`VerificationFailure`.  Input that is empty, has points
+    of length zero or of differing lengths, repeats a point or has a
+    coordinate that is not an integer value raises
+    :class:`PreconditionViolation`.
     """
     points = [lattice_point(p) for p in points]
     if not points or not points[0]:
@@ -633,6 +645,10 @@ def _hull(points):
     sorted tuples of d point indices; they cover the boundary once, so
     the cones over them from any point of the hull tile it.  Below
     dimension three it is None.
+
+    Each point collects the point sets ``eq`` of the facets through it,
+    and it is a vertex when they intersect in it alone; ``echelon`` runs
+    only in beneath-beyond, once, for the start simplex.
     """
     d = len(points[0])
     simplices = None
@@ -657,7 +673,12 @@ def _hull(points):
         eq = frozenset(i for i, v in enumerate(vals) if v == c)
         facets.append((normal, c, eq))
         for i in eq:
-            through.setdefault(i, []).append(normal)
+            through.setdefault(i, []).append(eq)
     vertices = [i for i in sorted(through) if len(through[i]) >= d
-                and len(echelon(through[i], d)[0]) == d]
+                and len(frozenset.intersection(*through[i])) == 1]
+    corners = set(vertices)
+    for normal, c, eq in facets:
+        if len(eq & corners) < d:
+            raise VerificationFailure("hull facet %r <= %d holds fewer than %d "
+                                      "vertices" % (normal, c, d))
     return vertices, facets, simplices

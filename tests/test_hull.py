@@ -323,3 +323,115 @@ def test_far_first_insertion_builds_fewer_simplices(monkeypatch, points, built,
     monkeypatch.setattr(intlin, "_hyperplane", counting)
     intlin._hull(sorted(points))
     assert len(calls) == built < lexicographic
+
+
+def test_dropped_facet_raises_verification_failure(monkeypatch):
+    # without the x = 2 facet of the cube {0,2}^3 the other facets meet in
+    # four vertices only, so the facets y = 0, y = 2, z = 0 and z = 2 each
+    # hold two of them
+    def dropped(points):
+        return {s: h for s, h in real(points).items() if h != ((1, 0, 0), 2)}
+
+    real = intlin._beneath_beyond
+    cube = list(itertools.product((0, 2), repeat=3))
+    monkeypatch.setattr(intlin, "_beneath_beyond", dropped)
+    with pytest.raises(VerificationFailure, match="fewer than 3 vertices"):
+        intlin._hull(cube)
+    with pytest.raises(VerificationFailure):
+        LatticePolytope.from_points(cube)
+
+
+def test_dropped_facet_check_survives_python_O():
+    script = textwrap.dedent("""
+        import itertools, sys
+        from augvar import intlin
+        from augvar.errors import VerificationFailure
+        if sys.flags.optimize != 1:
+            sys.exit("not running under -O")
+        real = intlin._beneath_beyond
+        def dropped(points):
+            return {s: h for s, h in real(points).items() if h != ((1, 0, 0), 2)}
+        intlin._beneath_beyond = dropped
+        try:
+            intlin._hull(list(itertools.product((0, 2), repeat=3)))
+        except VerificationFailure:
+            print("raised")
+        """)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["raised"]
+
+
+# echelon calls inside one _hull: the vertices come from facet incidence,
+# so only beneath-beyond's start simplex takes a rank.
+@pytest.mark.parametrize("points, calls", [
+    ([(3,), (0,), (5,), (1,)], 0),
+    (_random_support(random.Random(2024), 2, 20, 4), 0),
+    (list(itertools.product(range(3), repeat=2)), 0),
+    (GRID_3, 1), (CROSS_3D, 1), (CUBE_WITH_FACET_CENTRES, 1), (GRID_4, 1)])
+def test_vertices_take_no_rank_test(monkeypatch, points, calls):
+    made = []
+    real = intlin.echelon
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(intlin, "echelon", counting)
+    intlin._hull(points)
+    assert len(made) == calls
+
+
+def _with_edge_points(rng, d, n):
+    """n random even points spanning Z^d plus the midpoints of random
+    pairs of them: points on edges, on facets and inside, so that most
+    boundary points are not vertices."""
+    corners = [tuple(2 * x for x in p) for p in _random_support(rng, d, n, 2)]
+    pairs = list(itertools.combinations(corners, 2))
+    mids = {tuple((a + b) // 2 for a, b in zip(p, q))
+            for p, q in rng.sample(pairs, min(len(pairs), 3 * n))}
+    pts = sorted(set(corners) | mids)
+    rng.shuffle(pts)
+    return pts
+
+
+def _vertex_cases():
+    rng = random.Random(2051)
+    cases = [[(3,), (0,), (5,), (1,), (-2,)],
+             list(itertools.product(range(4), repeat=2)),
+             GRID_3, CUBE_WITH_FACET_CENTRES, CROSS_3D,
+             list(itertools.product(range(2), repeat=4)),
+             list(itertools.product(range(2), repeat=5))]
+    for d, trials, n in [(1, 4, 4), (2, 12, 9), (3, 10, 7), (4, 6, 6), (5, 4, 7)]:
+        for k in range(trials):
+            cases.append(_with_edge_points(rng, d, n))
+            if k % 2:
+                cases.append(_random_support(rng, d, n, 2))
+    return cases
+
+
+def test_vertices_match_the_lp_oracle():
+    boundary = corners = 0
+    for pts in _vertex_cases():
+        vertices, facets, _ = intlin._hull(pts)
+        assert vertices == lp_vertex_indices(pts), pts
+        boundary += len(frozenset().union(*(eq for _, _, eq in facets)))
+        corners += len(vertices)
+    assert 2 * corners < boundary       # most boundary points are not vertices
+
+
+def test_from_points_vertices_match_lp_in_a_hyperplane_of_z4():
+    # an injective linear map Z^3 -> Z^4 puts a 3-D support in a
+    # hyperplane of Z^4; the hull runs in the reduced frame
+    M = [(1, 1, 0), (0, 1, -1), (2, 0, 1), (1, 1, 1)]
+    rng = random.Random(3034)
+    supports = [GRID_3, CUBE_WITH_FACET_CENTRES, CROSS_3D]
+    supports += [_with_edge_points(rng, 3, 6) for _ in range(6)]
+    for support in supports:
+        pts = [tuple(intlin._dot(r, x) + s for r, s in zip(M, (1, -2, 0, 3)))
+               for x in support]
+        P = LatticePolytope.from_points(pts)
+        assert (P.ambient_dim, P.affine_dim) == (4, 3)
+        assert list(P.vertices) == _lp_vertices(pts), support

@@ -84,6 +84,18 @@ def _det_cases():
             if n >= 2 and rng.random() < 0.2:
                 M[-1] = [2 * x for x in M[rng.randrange(n - 1)]]   # singular
             cases.append(M)
+    # the closed-form 3x3 determinant on large entries, and singular 3x3
+    # matrices: a zero row, a repeated or scaled row, a combination row
+    for big in (10 ** 6, 10 ** 12):
+        for _ in range(40):
+            a, b, c = ([rng.randint(-big, big) for _ in range(3)] for _ in range(3))
+            s, t = rng.randint(-5, 5), rng.randint(-5, 5)
+            cases.append([a, b, c])
+            for rows in ([a, b, [0, 0, 0]], [a, b, a], [a, [s * x for x in a], b],
+                         [a, b, [s * x + t * y for x, y in zip(a, b)]]):
+                rng.shuffle(rows)
+                cases.append(rows)
+    cases.append([[10 ** 12, 0, 0], [0, 10 ** 12, 0], [0, 0, -(10 ** 12)]])
     return cases
 
 
