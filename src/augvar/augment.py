@@ -230,19 +230,20 @@ def _grouped_by_exponent(relation, k):
     return groups
 
 
-def _value_and_slope(groups, var, y):
-    """(W, y dW/dy) at (mu, y) for W grouped as {j: C_j} and a series y
-    over mu, from one set of products T_j = C_j y^j: W = sum_j T_j and
-    y dW/dy = sum_j j T_j.  A constant C_j or y^j is applied through
-    ``scale`` by :meth:`TruncatedSeries.__mul__`, not here."""
+def _value_and_slope(groups, var, y, zero):
+    """(W, y dW/dy) at (mu, y) for W grouped as {j: C_j}, each C_j a
+    series at the truncation of the series y over mu, from one set of
+    products T_j = C_j y^j: W = sum_j T_j and y dW/dy = sum_j j T_j, both
+    summed from ``zero``, the zero series at that truncation.  A constant
+    C_j or y^j is applied through ``scale`` by
+    :meth:`TruncatedSeries.__mul__`, not here."""
     try:
         powers = _power_table(y, groups)
     except (NotInvertible, ZeroDivisionError) as err:
         raise NotInvertibleAtPoint(
             "value for %r is not invertible: %s" % (var, err)) from None
-    value = slope = TruncatedSeries.zero(y.variables, y.order)
-    for j, terms in groups.items():
-        t = TruncatedSeries(y.variables, y.order, terms)
+    value = slope = zero
+    for j, t in groups.items():
         if j:
             t = powers[j] * t
             slope = slope + t.scale(j)
@@ -257,8 +258,10 @@ def _newton_series(relation, var, kap, target, order, seed):
     ``v`` is the degree below which the residual is known to vanish; each
     step works at truncation p = min(2v - 1, order) and verifies up to p,
     so order 10 takes four steps.  W is grouped by the exponent of ``var``
-    once, and each step takes the residual and the slope from the same
-    products C_j Y^j; the solvers' final check substitutes independently.
+    once, into series C_j at the full order, and each step takes the
+    residual and the slope from the same products C_j Y^j of their
+    truncations at p, so no step calls the series constructor; the
+    solvers' final check substitutes independently.
 
     The residual vanishes below degree v, so the correction residual /
     slope needs the slope inverse only through degree p - v: the step
@@ -268,15 +271,18 @@ def _newton_series(relation, var, kap, target, order, seed):
     2004).  Changing the truncation of s, the slope and its inverse
     repacks their degree parts and builds no coefficient.
     """
-    groups = _grouped_by_exponent(relation, relation.variables.index(var))
     mu_vars = _mu_variables(relation, var)
-    s = TruncatedSeries.zero(mu_vars, order)
+    groups = {j: TruncatedSeries(mu_vars, order, terms) for j, terms
+              in _grouped_by_exponent(relation, relation.variables.index(var)).items()}
+    goal = TruncatedSeries.constant(target, mu_vars, order)
+    s = zero = TruncatedSeries.zero(mu_vars, order)
     v = 1
     while v <= order:
         p = min(2 * v - 1, order)
         s = s._at_order(p)
-        value, slope = _value_and_slope(groups, var, series_exp(s).scale(kap))
-        residual = value - target
+        value, slope = _value_and_slope({j: c._at_order(p) for j, c in groups.items()}, var,
+                                        series_exp(s).scale(kap), zero._at_order(p))
+        residual = value - goal._at_order(p)
         if not residual.is_zero():
             if residual.valuation() < v:
                 raise _double_root(

@@ -11,20 +11,26 @@ Three backends, all with exact arithmetic and no floating point anywhere:
 plus truncated multivariate power series over any of the scalar backends
 (:class:`TruncatedSeries`) with exponential and logarithm.
 
+A quotient-ring element has one integer form and no other state: an int
+vector in powers of s = D t (D the least common denominator of the
+modulus's coefficients), reduced by the monic integer form of m, over one
+int denominator coprime to the vector's content.  Its arithmetic works on
+that pair, and its ``residue`` in t is a view built on first read.
+
 A series is stored in its graded integer form, and all series arithmetic
 reads and writes that form.  The series is split into homogeneous degree
 parts.  Each scalar becomes a numerator over an int denominator: a
-Fraction or int gives two ints, and a quotient-ring element gives its
-residue as an int coefficient vector (:class:`_IntResidue`) over the lcm
-of the residue's coefficient denominators.  A part stores its numerators
-over one int denominator of its own.  Sums, differences and scalings
-work part by part on numerators over the lcm of the denominators.
-Products, :meth:`TruncatedSeries.invert`, :func:`series_exp` and
-:func:`series_log` share one graded kernel, :func:`_convolve`, which
-multiplies and adds numerators with plain ``*`` and ``+``: over Q a
-multiply-add is two int operations, and over Q[t]/(m) it is an int
-convolution reduced by the monic integer form of m (a truncation for
-m = t^d) and an int vector sum.  Every operation ends each output part
+Fraction or int gives two ints, and a quotient-ring element gives its int
+vector, as an element over the denominator 1, and its denominator.  A
+part stores its numerators over one int denominator of its own.  Sums,
+differences and scalings work part by part on numerators over the lcm of
+the denominators.  Products, :meth:`TruncatedSeries.invert`,
+:func:`series_exp` and :func:`series_log` share one graded kernel,
+:func:`_convolve`, which multiplies and adds numerators with plain ``*``
+and ``+``: over Q a multiply-add is two int operations, and over Q[t]/(m)
+a product of two elements over the denominator 1 is an int convolution
+reduced by the integer form of m (a truncation for m = t^d), with no gcd,
+and a sum is an int vector sum.  Every operation ends each output part
 with one gcd reduction (:func:`_reduced`), and every backend goes through
 the same code.  No Fraction is built by series arithmetic.  The public
 ``terms`` map of exact scalars is a read-only view: a computed series
@@ -46,8 +52,9 @@ coefficients, not in the size of a root.
 
 Values are immutable after construction and every operation is pure, so
 everything here can be shared freely between threads.  A series caches
-its ``terms`` view on first read; two threads that race to build it
-build equal maps, and either may be kept.
+its ``terms`` view and a quotient-ring element its ``residue`` on first
+read; two threads that race to build one build equal values, and either
+may be kept.
 """
 
 from fractions import Fraction
@@ -435,15 +442,22 @@ class QuotientRingElem:
     class of t is nilpotent of order d and an element inverts exactly when
     its constant term is nonzero.  Any other modulus raises ValueError.
 
-    ``residue`` is the reduced representative, a :class:`UniPoly` of degree
-    below deg m.  Products and reductions run on the integer form of the
-    ring (:class:`_IntModulus`); a product by an int or Fraction scales the
-    residue coefficient by coefficient.
+    An element is stored only in the integer form of its ring
+    (:class:`_IntModulus`): an int vector of length deg m in powers of
+    s = D t, reduced mod M, over one int denominator ``den >= 1`` coprime
+    to the vector's content.  Sums, products, scalar products and ``==``
+    work on that pair; a product of two elements over ``den = 1``, such as
+    the numerators of the series kernel, is an integer convolution reduced
+    by M and nothing more.  ``residue``, the reduced representative as a
+    :class:`UniPoly` of degree below deg m, is a view built from the pair
+    on first read and then kept.  ``residue`` and ``modulus`` are
+    read-only, and no operation changes an element.  An element is false
+    exactly when it is zero, as an int or Fraction is.
     """
 
-    __slots__ = ("residue", "modulus", "_ring")
+    __slots__ = ("_ring", "_nums", "_den", "_residue")
 
-    def __init__(self, residue, modulus):
+    def __new__(cls, residue, modulus):
         if not isinstance(modulus, UniPoly):
             modulus = UniPoly(modulus)
         if modulus.degree < 1:
@@ -453,32 +467,43 @@ class QuotientRingElem:
             raise ValueError("modulus must be squarefree or a power of t")
         if not isinstance(residue, UniPoly):
             residue = UniPoly.constant(residue)
-        ring = _IntModulus(modulus)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "_ring", ring)
-        object.__setattr__(self, "residue", ring.reduce(residue))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotientRingElem is immutable")
+        return _IntModulus(modulus).split(residue.coeffs)
 
     @classmethod
     def generator(cls, modulus):
         """The class of t."""
         return cls(UniPoly.gen(), modulus)
 
+    @property
+    def modulus(self):
+        return self._ring.modulus
+
+    @property
+    def residue(self):
+        """The reduced representative, built from the integer pair the
+        first time it is read."""
+        view = self._residue
+        if view is None:
+            view = self._ring.join(self._nums, self._den)
+            self._residue = view
+        return view
+
     def _coerce(self, other):
         if isinstance(other, QuotientRingElem):
-            if other._ring is not self._ring and other.modulus != self.modulus:
+            if other._ring is not self._ring and other._ring.modulus != self._ring.modulus:
                 raise BackendMismatch("different quotient moduli")
             return other
         if isinstance(other, (int, Fraction)):
-            return self._ring.element(UniPoly.constant(other))
+            return self._ring.constant(other)
         if isinstance(other, UniPoly):
-            return self._ring.element(self._ring.reduce(other))
+            return self._ring.split(other.coeffs)
         return None
 
     def is_zero(self):
-        return self.residue.is_zero()
+        return not any(self._nums)
+
+    def __bool__(self):
+        return any(self._nums)
 
     def __eq__(self, other):
         """Equal residues over one modulus; elements over different moduli
@@ -489,41 +514,58 @@ class QuotientRingElem:
             return False
         if other is None:
             return NotImplemented
-        return self.residue == other.residue
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
         return hash(self.residue)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._ring.element(self.residue + other.residue)
+        if type(other) is not QuotientRingElem or other._ring is not self._ring:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, da, b, db = self._nums, self._den, other._nums, other._den
+        if da == db:
+            return self._ring.element([x + y for x, y in zip(a, b)], da)
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        return self._ring.element([x * fa + y * fb for x, y in zip(a, b)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._ring.element(-self.residue)
+        return self._ring.element([-c for c in self._nums], self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._ring.element(self.residue - other.residue)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return self._ring.element(UniPoly.zero())
-            return self._ring.element(_poly(tuple(c * other for c in self.residue.coeffs)))
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        (a, da), (b, db) = _ratio(self), _ratio(other)
-        return _scalar(a * b, da * db)
+        ring = self._ring
+        if type(other) is not QuotientRingElem or other._ring is not ring:
+            if isinstance(other, (int, Fraction)):
+                c = other.numerator
+                return ring.element([x * c for x in self._nums], self._den * other.denominator)
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self._nums, other._nums
+        nb = len(b)
+        while nb > 1 and not b[nb - 1]:     # a sparse b costs its nonzero prefix only
+            nb -= 1
+        b = b[:nb]
+        n = ring.width
+        out = [0] * n
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b[:n - i], i):
+                    out[j] += x * y
+        return ring.element(ring.reduce_ints(out), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -532,7 +574,7 @@ class QuotientRingElem:
             raise ValueError("integer powers only")
         if n < 0:
             return self.invert() ** (-n)
-        return power(self, n, lambda: self._ring.element(UniPoly.one()))
+        return power(self, n, lambda: self._ring.constant(1))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -544,25 +586,17 @@ class QuotientRingElem:
         return self.invert() * other
 
     def invert(self):
-        """Inverse mod m by the half-extended Euclid."""
+        """Inverse mod m by the half-extended Euclid on the residue."""
         g, s = _half_ext_gcd(self.residue, self.modulus)
         if not g.is_constant():
             raise NotInvertible(
                 "gcd(residue, modulus) = %s is nonconstant" % g.format("t"))
-        return self._ring.element(s * (1 / g.leading()))
+        return self._ring.split(s.coeffs) * (1 / g.leading())
 
     def __str__(self):
         return "(%s mod %s)" % (self.residue.format("t"), self.modulus.format("t"))
 
     __repr__ = __str__
-
-
-def _poly(coeffs):
-    """The UniPoly with the Fraction tuple ``coeffs``, whose last entry is
-    nonzero, without re-coercing or stripping."""
-    out = object.__new__(UniPoly)
-    object.__setattr__(out, "coeffs", coeffs)
-    return out
 
 
 class _IntModulus:
@@ -571,14 +605,14 @@ class _IntModulus:
     With D the least common denominator of the m_i, the class s = D t is a
     root of the monic integer polynomial M(s) = D^d m(s / D), whose
     coefficients are m_i D^(d-i).  A residue sum r_i t^i is written in
-    powers of s as sum (r_i / D^i) s^i and stored as an int vector over
-    one int denominator (:class:`_IntResidue`), so a product is an integer
-    convolution reduced by M, with no Fraction, and a rational modulus
-    stays exact on the same path.  For m = t^d, D = 1 and M = t^d, so the
-    reduction is a truncation.
+    powers of s as sum (r_i / D^i) s^i, an int vector of length d over one
+    int denominator, so a product is an integer convolution reduced by M,
+    with no Fraction, and a rational modulus stays exact on the same path.
+    For m = t^d, D = 1 and M = t^d, so the reduction is a truncation and
+    a product computes only the entries below d.
     """
 
-    __slots__ = ("modulus", "degree", "low", "scale")
+    __slots__ = ("modulus", "degree", "low", "scale", "width")
 
     def __init__(self, modulus):
         d = modulus.degree
@@ -588,32 +622,40 @@ class _IntModulus:
         self.scale = scale
         self.low = [(i, c.numerator * (scale ** (d - i) // c.denominator))
                     for i, c in enumerate(modulus.coeffs[:d]) if c]
+        self.width = 2 * d - 1 if self.low else d      # product entries before reduction
 
-    def element(self, residue):
-        """The element with residue ``residue``, which must already be
-        reduced mod m; m was checked when the first element over it was
-        built."""
+    def element(self, nums, den=1):
+        """The element nums / den in lowest terms, for a reduced int
+        vector ``nums`` of length d and an int den >= 1; a den of 1 takes
+        no gcd."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [c // g for c in nums]
+                den //= g
         out = object.__new__(QuotientRingElem)
-        object.__setattr__(out, "modulus", self.modulus)
-        object.__setattr__(out, "_ring", self)
-        object.__setattr__(out, "residue", residue)
+        out._ring = self
+        out._nums = nums
+        out._den = den
+        out._residue = None
         return out
 
+    def constant(self, c):
+        """The element of the int or Fraction ``c``."""
+        return self.element([c.numerator] + [0] * (self.degree - 1), c.denominator)
+
     def split(self, coeffs):
-        """Rational t-coefficients as (_IntResidue, den) in powers of s."""
+        """The element with the rational t-coefficients ``coeffs``."""
         scale = self.scale
         dens = [c.denominator * scale ** i for i, c in enumerate(coeffs)]
         den = lcm(*dens)
-        nums = [c.numerator * (den // e) for c, e in zip(coeffs, dens)]
-        return _IntResidue(nums, self), den
+        nums = self.reduce_ints([c.numerator * (den // e) for c, e in zip(coeffs, dens)])
+        return self.element(nums + [0] * (self.degree - len(nums)), den)
 
     def join(self, nums, den):
-        """The reduced residue (nums / den in powers of s) as a UniPoly."""
-        n = len(nums)
-        while n and not nums[n - 1]:
-            n -= 1
+        """The residue nums / den, read in powers of s, as a UniPoly in t."""
         scale = self.scale
-        return _poly(tuple(Fraction(nums[i] * scale ** i, den) for i in range(n)))
+        return UniPoly([Fraction(c * scale ** i, den) for i, c in enumerate(nums)])
 
     def reduce_ints(self, nums):
         """The int list ``nums`` (powers of s, consumed) modulo M."""
@@ -628,77 +670,6 @@ class _IntModulus:
                             nums[k - d + i] -= top * c
             del nums[d:]
         return nums
-
-    def reduce(self, poly):
-        """The UniPoly ``poly`` modulo m."""
-        if poly.degree < self.degree:
-            return poly
-        num, den = self.split(poly.coeffs)
-        return self.join(self.reduce_ints(num.coeffs), den)
-
-
-class _IntResidue:
-    """The numerator of a quotient-ring scalar in the series kernel: an int
-    coefficient vector in powers of s (see :class:`_IntModulus`), reduced
-    mod M.  ``*`` is an integer convolution reduced mod M, in which only
-    the entries below deg M are computed when M is a power of s; ``+`` is a
-    vector sum; both also take an int, which stands for a constant.  A
-    residue is false when it is zero."""
-
-    __slots__ = ("coeffs", "ring")
-
-    def __init__(self, coeffs, ring):
-        self.coeffs = coeffs
-        self.ring = ring
-
-    def _check(self, other):
-        if other.ring is not self.ring and other.ring.modulus != self.ring.modulus:
-            raise BackendMismatch("different quotient moduli")
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __neg__(self):
-        return _IntResidue([-c for c in self.coeffs], self.ring)
-
-    def __add__(self, other):
-        if type(other) is int:
-            out = list(self.coeffs) or [0]
-            out[0] += other
-            return _IntResidue(out, self.ring)
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _IntResidue(out, self.ring)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        ring = self.ring
-        if type(other) is int:
-            return _IntResidue([c * other for c in self.coeffs], ring)
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _IntResidue([], ring)
-        n = len(a) + len(b) - 1
-        if not ring.low and n > ring.degree:
-            n = ring.degree
-        out = [0] * n
-        for i, x in enumerate(a[:n]):
-            if x:
-                for j, y in enumerate(b[:n - i], i):
-                    out[j] += x * y
-        return _IntResidue(ring.reduce_ints(out), ring)
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, g):
-        return _IntResidue([c // g for c in self.coeffs], self.ring)
 
 
 def _half_ext_gcd(a, m):
@@ -724,7 +695,8 @@ class TruncatedSeries:
     """Multivariate power series truncated past total degree ``order``.
 
     A series is stored as its ``order + 1`` homogeneous degree parts in
-    the numerator/denominator form of the module docstring, and all
+    the numerator/denominator form of the module docstring (int
+    numerators, or quotient-ring elements over the denominator 1), and all
     arithmetic reads and writes that form.  ``terms``, the map from
     exponent tuples (nonnegative, total degree at most ``order``) to
     nonzero coefficients in one scalar backend, is a read-only view: the
@@ -891,7 +863,7 @@ class TruncatedSeries:
         for items, _ in self._parts:
             for _, n in items:
                 if type(n) is not int:
-                    return n.ring.modulus
+                    return n.modulus
         return None
 
     def _check_modulus(self, m):
@@ -1055,41 +1027,38 @@ class TruncatedSeries:
 
 
 def _ratio(c):
-    """A scalar as (numerator, denominator): two ints for an int or a
-    Fraction; for a quotient-ring element, its residue as an
-    :class:`_IntResidue` over one int denominator, the lcm of the residue's
-    coefficient denominators (times powers of the modulus's scale D when
-    D != 1)."""
+    """A scalar as (numerator, denominator) with an int denominator: two
+    ints for an int or a Fraction; for a quotient-ring element, its int
+    vector as an element over den = 1, and its den."""
     if isinstance(c, (int, Fraction)):
         return c.numerator, c.denominator
-    return c._ring.split(c.residue.coeffs)
+    return (c if c._den == 1 else c._ring.element(c._nums)), c._den
 
 
 def _scalar(n, den):
     """The coefficient n / den for an int den >= 1: an int or Fraction for
-    an int n (an int exactly when den divides n), a quotient-ring element
-    for an :class:`_IntResidue` n, built once from its already reduced
-    residue."""
+    an int n (an int exactly when den divides n), and for a quotient-ring
+    numerator over den = 1 the element in lowest terms."""
     if type(n) is int:
         return n if den == 1 else Fraction(n, den)
-    ring = n.ring
-    return ring.element(ring.join(n.coeffs, den))
+    return n._ring.element(n._nums, den)
 
 
 def _reduced(items, den):
     """The degree part of the ``(key, numerator)`` pairs ``items`` over the
     int ``den``, with zero numerators dropped, and numerators and
     denominator divided by the gcd of the denominator and every int
-    coefficient of the numerators."""
+    numerator or int vector entry of a quotient-ring numerator."""
     items = [(k, n) for k, n in items if n]
     if den != 1:
         g = den
         for _, n in items:
-            g = gcd(g, n) if type(n) is int else gcd(g, *n.coeffs)
+            g = gcd(g, n) if type(n) is int else gcd(g, *n._nums)
             if g == 1:
                 break
         if g != 1:
-            items = [(k, n // g) for k, n in items]
+            items = [(k, n // g if type(n) is int
+                      else n._ring.element([c // g for c in n._nums])) for k, n in items]
             den //= g
     return items, den
 
@@ -1100,8 +1069,9 @@ def _convolve(pairs, divisor=1):
     ``TruncatedSeries._graded``.
 
     Numerators are multiplied and added with plain ``*`` and ``+``: ints
-    for rational coefficients, :class:`_IntResidue` int vectors for
-    quotient-ring ones.  The result is one degree part over the lcm of the
+    for rational coefficients, and for quotient-ring ones elements over the
+    denominator 1, whose product is an int convolution reduced mod M with
+    no gcd.  The result is one degree part over the lcm of the
     denominators of the pairs with two nonzero parts times ``divisor``,
     reduced by :func:`_reduced`.
     """

@@ -110,6 +110,39 @@ def test_solve_aug_with_quotient_factor(tmp_path, capsys):
                                          "modulus": ["-2", "0", "1"]}
 
 
+# The result block of the request below at the commit before the quotient
+# ring kept only its integer form; its modulus has D = 2, which no digest in
+# perfbench/cli_digests.json covers.
+RATIONAL_MODULUS_RESULT = (
+    '{"kappa":{"modulus":["-1/3","1/2","1"],"residue":["0","1"]},'
+    '"relation":"-1/3 + y1 + 1/2*y2 + 3*y1*y2 + y2^2","residual_order_checked":6,'
+    '"series":[{"coef":{"modulus":["-1/3","1/2","1"],"residue":["-51/19","-90/19"]},'
+    '"exp":[1]},{"coef":{"modulus":["-1/3","1/2","1"],"residue":["-2529/722",'
+    '"-1809/361"]},"exp":[2]},{"coef":{"modulus":["-1/3","1/2","1"],"residue":'
+    '["-39735/6859","-35478/6859"]},"exp":[3]},{"coef":{"modulus":["-1/3","1/2","1"],'
+    '"residue":["-6889941/521284","-3223881/260642"]},"exp":[4]},{"coef":{"modulus":'
+    '["-1/3","1/2","1"],"residue":["-431346141/12380495","-104400090/2476099"]},'
+    '"exp":[5]},{"coef":{"modulus":["-1/3","1/2","1"],"residue":'
+    '["-8298616455/94091762","-5165083827/47045881"]},"exp":[6]}],"solved_variable":"y2"}')
+
+
+def test_solve_aug_over_rational_modulus_is_pinned(tmp_path, capsys):
+    rel = {"vars": ["y1", "y2"],
+           "terms": [{"exp": [0, 0], "coef": "-1/3"}, {"exp": [1, 0], "coef": "1"},
+                     {"exp": [0, 1], "coef": "1/2"}, {"exp": [1, 1], "coef": "3"},
+                     {"exp": [0, 2], "coef": "1"}]}
+    rel_path = tmp_path / "rel.json"
+    rel_path.write_text(json.dumps(rel))
+    factor_path = tmp_path / "factor.json"
+    factor_path.write_text(json.dumps({"modulus": ["-1/3", "1/2", "1"]}))
+    code, out, _ = _capture(capsys, [
+        "solve-aug", "--input", str(rel_path), "--factor", str(factor_path),
+        "--order", "6", "--format", "json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert json.dumps(result, sort_keys=True, separators=(",", ":")) == RATIONAL_MODULUS_RESULT
+
+
 def test_solve_nilpotent_report(capsys):
     code, out, _ = _capture(capsys, [
         "solve-nilpotent", "--clifford", "2", "--signs", "+,-",

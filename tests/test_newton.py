@@ -172,6 +172,32 @@ def test_newton_inverts_the_slope_at_the_precision_it_needs(monkeypatch):
     assert sol.series == s == two_evaluation_newton(rel, "y3", F(1), F(0), 10, 0)
 
 
+def test_series_constructor_calls_per_solve_do_not_grow_with_newton_steps(monkeypatch):
+    """The groups C_j, the target and the zero series are built once per
+    solve at the full order, and a step takes their truncations: orders 1,
+    3, 10 and 20 (one, two, four and five steps) make as many constructor
+    calls as each other, in both solvers."""
+    calls = []
+    real = TruncatedSeries.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(TruncatedSeries, "__init__", counting_init)
+    rel = clifford_relation(3, "+,+,-").lifted_relation
+    y1, y = LaurentPoly.gens(("y1", "y"))
+    solves = (lambda order: solve_formal_augmentation(rel, "y2", order=order),
+              lambda order: solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=order))
+    for solve in solves:
+        counts = []
+        for order in (1, 3, 10, 20):
+            calls.clear()
+            solve(order)
+            counts.append(len(calls))
+        assert len(set(counts)) == 1, counts
+
+
 def _with_negative_powers(rng, rel):
     """rel plus terms with a negative exponent of the solved (last)
     variable, each times a positive power of some mu, so the restriction

@@ -14,7 +14,7 @@ from augvar.errors import (
     ZeroPolynomial,
 )
 from augvar import rings
-from augvar.laurent import LaurentPoly
+from augvar.laurent import LaurentPoly, coeff_to_obj
 from augvar.rings import (
     QuotientRingElem,
     TruncatedSeries,
@@ -368,16 +368,60 @@ def test_rational_modulus_reduction_is_exact():
 
 
 @pytest.mark.parametrize("modulus", [T ** 4, UniPoly([-2, 1, 0, 1]), RATIONAL_MODULUS,
-                                     UniPoly([F(3, 10), F(-7, 4), F(5, 6), 1])],
-                         ids=["t^4", "t^3+t-2", "t^2+t/2-1/3", "t^3+5t^2/6-7t/4+3/10"])
+                                     UniPoly([F(3, 10), F(-7, 4), F(5, 6), 1]),
+                                     UniPoly([-1, 0, 1])],
+                         ids=["t^4", "t^3+t-2", "t^2+t/2-1/3", "t^3+5t^2/6-7t/4+3/10",
+                              "t^2-1"])
 def test_products_match_fraction_polynomial_remainder(modulus):
+    """Every operation of the integer form against the Fraction UniPoly
+    remainder: zero test, products, sums, differences, scalar products,
+    inverses (NotInvertible exactly when gcd(p, m) is nonconstant, as for
+    t - 1 mod the reducible t^2 - 1), equality and hash."""
     rng = random.Random("products-" + str(modulus))
+    pairs = [(UniPoly([-1, 1]), UniPoly([1, 1]))]          # t - 1 and t + 1
+    dens = [1, 2, 3, 7, 10 ** 20 + 39]
     for _ in range(30):
-        p, q = (UniPoly([F(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 10 ** 20 + 39]))
-                         for _ in range(rng.randint(0, 6))]) for _ in range(2))
+        pairs.append(tuple(UniPoly([F(rng.randint(-9, 9), rng.choice(dens))
+                                    for _ in range(rng.randint(0, 6))]) for _ in range(2)))
+    for p, q in pairs:
         x, y = QuotientRingElem(p, modulus), QuotientRingElem(q, modulus)
-        assert x.residue == p % modulus
+        r = p % modulus
+        assert x.residue == r and bool(x) == (not x.is_zero()) == (not r.is_zero())
         assert (x * y).residue == (p * q) % modulus
+        assert (x + y).residue == (p + q) % modulus
+        assert (x - y).residue == (p - q) % modulus
+        for c in (0, -3, 10 ** 25, F(2, 9), F(-7, 10 ** 20 + 39)):
+            assert (x * c).residue == (c * x).residue == (p * c) % modulus
+        same = QuotientRingElem(p + q * modulus, modulus)
+        assert x == same and x == r and hash(x) == hash(same) == hash(r)
+        assert (x == y) == ((p - q) % modulus).is_zero()
+        if uni_gcd(p, modulus).is_constant():
+            assert (x.invert().residue * p) % modulus == UniPoly.one()
+        else:
+            with pytest.raises(NotInvertible):
+                x.invert()
+
+
+def test_residue_is_built_on_first_read_and_kept(monkeypatch):
+    """A computed element keeps only its integer pair until ``residue`` is
+    read; the view is built once, and ==, hash and coeff_to_obj read the
+    same values before and after."""
+    m = RATIONAL_MODULUS
+    t = QuotientRingElem.generator(m)
+    joins = []
+    real = rings._IntModulus.join
+    monkeypatch.setattr(rings._IntModulus, "join",
+                        lambda self, nums, den: joins.append(den) or real(self, nums, den))
+    a = (t + F(2, 7)) * (t - 5)
+    b = (t - 5) * (t + F(2, 7)) + t * 0
+    assert a == b and a != t and joins == []
+    before = (hash(b), coeff_to_obj(b))
+    joins.clear()
+    view = a.residue
+    assert len(joins) == 1
+    assert a.residue is view and len(joins) == 1
+    assert view == (UniPoly([F(2, 7), 1]) * UniPoly([-5, 1])) % m
+    assert a == b and (hash(a), coeff_to_obj(a)) == before
 
 
 # --------------------------------------------------------------------------
