@@ -51,7 +51,6 @@ from .errors import (
     DoubleRoot,
     IndexOutOfRange,
     MissingAssignment,
-    NegativeExponentAtZero,
     NoRootAvailable,
     NotInvertible,
     NotInvertibleAtPoint,
@@ -134,9 +133,15 @@ def find_transverse_root(relation, k, factor=None, seed=0):
     Q[t]/(m).  Irreducibility of m is not checked: the caller must supply
     an irreducible m for the quotient to be a field.
 
-    Raises :class:`NoRootAvailable` or :class:`DoubleRoot`; the latter
-    carries a seeded suggested unimodular substitution for retrying in
-    generic coordinates.
+    r and ``witness`` = r'(kappa) are computed once for either kind of
+    root, and the solvers reuse them unchecked: a rational kappa is a root
+    because :func:`rational_roots` evaluates each candidate exactly, a
+    root class because m divides r.
+
+    Raises :class:`NegativeExponentAtZero` (from
+    :meth:`LaurentPoly.set_vars_zero`), :class:`NoRootAvailable` or
+    :class:`DoubleRoot`; the last carries a seeded suggested unimodular
+    substitution for retrying in generic coordinates.
     """
     var = _var_name(relation, k)
     r = relation.set_vars_zero(var)
@@ -148,24 +153,21 @@ def find_transverse_root(relation, k, factor=None, seed=0):
     roots = [x for x in rational_roots(r) if x != 0]
     if roots:
         kappa = roots[0]
-        witness = r.derivative().evaluate(kappa)
-        if witness == 0:
-            raise _double_root("rational root %s of the restriction is not simple"
-                               % kappa, relation, var, 0, seed)
-        return TransverseRoot(kappa, witness, var, r)
-    if factor is None:
+        root = "rational root %s of the restriction" % kappa
+    elif factor is None:
         raise NoRootAvailable(
             "no rational root; supply a squarefree factor of %s" % r.format("y"))
-    m = (factor if isinstance(factor, UniPoly) else UniPoly(factor)).monic()
-    if m.degree < 1 or not is_squarefree(m):
-        raise NoRootAvailable("supplied factor must be nonconstant and squarefree")
-    if not (r % m).is_zero():
-        raise NoRootAvailable("supplied factor does not divide the restriction")
-    kappa = QuotientRingElem.generator(m)
+    else:
+        m = (factor if isinstance(factor, UniPoly) else UniPoly(factor)).monic()
+        if m.degree < 1 or not is_squarefree(m):
+            raise NoRootAvailable("supplied factor must be nonconstant and squarefree")
+        if not (r % m).is_zero():
+            raise NoRootAvailable("supplied factor does not divide the restriction")
+        kappa = QuotientRingElem.generator(m)
+        root = "root class of %s" % m.format("t")
     witness = r.derivative().evaluate(kappa)
     if is_zero(witness):
-        raise _double_root("root class of %s is not simple" % m.format("t"),
-                           relation, var, 0, seed)
+        raise _double_root("%s is not simple" % root, relation, var, 0, seed)
     return TransverseRoot(kappa, witness, var, r)
 
 
@@ -210,15 +212,6 @@ class AugmentationSeries:
 
 def _mu_variables(relation, var):
     return tuple(v for v in relation.variables if v != var)
-
-
-def _check_nonnegative_off_variable(relation, var):
-    k = relation.variables.index(var)
-    for exp in relation.terms:
-        if any(e < 0 for i, e in enumerate(exp) if i != k):
-            raise NegativeExponentAtZero(
-                "relation has negative exponents in the zeroed variables; "
-                "apply a unimodular basis change first")
 
 
 def _grouped_by_exponent(relation, k):
@@ -294,19 +287,21 @@ def _newton_series(relation, var, kap, target, order, seed):
     return s
 
 
-def _simple_root(relation, k, kappa, factor, seed, rational=False):
-    """The solvers' common preamble: the solved variable, kappa (by default
-    the preferred transverse root of the restriction) and the restriction
-    r = W(0, ..., 0, y_k), once kappa is checked to be a simple root of r.
-    ``rational`` demands a rational kappa."""
-    var = _var_name(relation, k)
-    _check_nonnegative_off_variable(relation, var)
+def _simple_root(relation, k, kappa, factor, seed):
+    """The solvers' common preamble: the solved variable, kappa and the
+    restriction r = W(0, ..., 0, y_k).
+
+    With no ``kappa`` these are :func:`find_transverse_root`'s, which has
+    already checked that kappa is a simple root of r.  A given kappa is
+    checked here, once: :class:`NoRootAvailable` when r(kappa) != 0,
+    :class:`DoubleRoot` when r'(kappa) = 0.  Either way r comes from
+    :meth:`LaurentPoly.set_vars_zero`, which raises
+    :class:`NegativeExponentAtZero` for a negative exponent off y_k.
+    """
     if kappa is None:
-        kappa = find_transverse_root(relation, var, factor=factor, seed=seed).kappa
-    if rational and not isinstance(kappa, (int, Fraction)):
-        raise NoRootAvailable(
-            "nilpotent solver needs a rational root (nilpotents over a "
-            "quotient field are not supported)")
+        root = find_transverse_root(relation, k, factor=factor, seed=seed)
+        return root.variable, root.kappa, root.restriction
+    var = _var_name(relation, k)
     r = relation.set_vars_zero(var)
     if not is_zero(r.evaluate(kappa)):
         raise NoRootAvailable("kappa is not a root of the restriction")
@@ -351,13 +346,19 @@ def solve_nilpotent_augmentation(factor_poly, multiplicity, k,
     Newton loop as the formal solver, with that constant as the target.
 
     ``multiplicity`` = 1 degenerates to the honest formal solver (alpha = 0).
+    Otherwise a given ``kappa`` must be an int or a Fraction: any other
+    value raises :class:`NoRootAvailable` before anything is evaluated.
     """
     if multiplicity < 1:
         raise ValueError("multiplicity must be >= 1")
     if multiplicity == 1:
         return solve_formal_augmentation(factor_poly, k, kappa=kappa,
                                          order=order, seed=seed)
-    var, kappa, r = _simple_root(factor_poly, k, kappa, None, seed, rational=True)
+    if kappa is not None and not isinstance(kappa, (int, Fraction)):
+        raise NoRootAvailable(
+            "nilpotent solver needs a rational root (nilpotents over a "
+            "quotient field are not supported)")
+    var, kappa, r = _simple_root(factor_poly, k, kappa, None, seed)
     d = multiplicity
     alpha = QuotientRingElem.generator(UniPoly.gen() ** d)
     kap = (1 + alpha) * frac(kappa)
@@ -405,7 +406,9 @@ class PartitionComponent:
 
 
 def _partitions_le2(items):
-    """All partitions of items (a list) into blocks of size one or two."""
+    """All partitions of items (a sorted list) into blocks of size one or
+    two, each exactly once, as tuples of sorted blocks in increasing order
+    of their least element."""
     if not items:
         yield ()
         return
@@ -448,12 +451,7 @@ def enumerate_partition_components(ell, sheet_relation, spin_labels=None):
     if len(spin_labels) != ell:
         raise ValueError("need one spin label per sheet")
     components = []
-    seen = set()
-    for part in _partitions_le2(list(range(1, ell + 1))):
-        blocks = tuple(sorted(part))
-        if blocks in seen:
-            continue
-        seen.add(blocks)
+    for blocks in _partitions_le2(list(range(1, ell + 1))):
         if any(len(b) == 2 and spin_labels[b[0] - 1] != spin_labels[b[1] - 1]
                for b in blocks):
             continue
@@ -555,12 +553,12 @@ class CheckResult:
         return self.passed
 
 
-def _sheet_relation_value(cand, j):
-    """eps_0 + sum_i eps_i y_{i,j} for sheet j."""
-    signs = cand.signs[j - 1]
+def _sheet_value(signs, row):
+    """eps_0 + sum_i eps_i y_i for one sheet's ``signs`` (constant slot
+    first) and values ``row``; a shorter row sums only its own slots."""
     total = Fraction(signs[0])
-    for i, v in enumerate(cand.y[j - 1], start=1):
-        total += signs[i] * v
+    for e, v in zip(signs[1:], row):
+        total += e * v
     return total
 
 
@@ -585,7 +583,7 @@ def dga_relation_check(cand):
     nv = len(cand.y[0])
     # diagonal relations
     for j in range(1, ell + 1):
-        total = _sheet_relation_value(cand, j)
+        total = _sheet_value(cand.signs[j - 1], cand.y[j - 1])
         for k in range(1, ell + 1):
             if k != j:
                 total += cand.a_value(j, k) * cand.a_value(k, j)
@@ -639,21 +637,14 @@ def build_partition_witness(blocks, signs, nvars, ell=None):
         t = start
         while True:
             row = [Fraction(t + 7 * i) for i in range(nvars)]
+            eps = signs[sheet - 1]
             if on_variety:
                 # solve the last coordinate from the sheet relation
-                eps = signs[sheet - 1]
-                head = Fraction(eps[0])
-                for i in range(nvars - 1):
-                    head += eps[1 + i] * row[i]
-                row[-1] = -head * eps[nvars]
+                row[-1] = -_sheet_value(eps, row[:-1]) * eps[nvars]
             ok = all(v != 0 for v in row)
             if ok and not on_variety:
                 # keep the pair point off the variety
-                eps = signs[sheet - 1]
-                total = Fraction(eps[0])
-                for i in range(nvars):
-                    total += eps[1 + i] * row[i]
-                ok = total != 0
+                ok = _sheet_value(eps, row) != 0
             if ok:
                 ok = all(row[i] not in used[i] for i in range(nvars))
             if ok:
@@ -677,12 +668,11 @@ def build_partition_witness(blocks, signs, nvars, ell=None):
         for k in range(1, ell + 1):
             if j != k:
                 a[(j, k)] = Fraction(0)
-    cand0 = AugCandidate(ell, tuple(y), tuple(sorted(a.items())), signs)
     for b in blocks:
         if len(b) == 2:
             j, k = b
             a[(j, k)] = Fraction(1)
-            a[(k, j)] = -_sheet_relation_value(cand0, j)
+            a[(k, j)] = -_sheet_value(signs[j - 1], y[j - 1])
     return AugCandidate(ell, tuple(y), tuple(sorted(a.items())), signs)
 
 

@@ -133,10 +133,9 @@ def _relation_for_solver(args):
     raise ParseError("need --input FILE or --clifford N")
 
 
-def _series_obj(series):
-    from .laurent import grlex_key
-    return [{"exp": list(e), "coef": coeff_to_obj(series.terms[e])}
-            for e in sorted(series.terms, key=grlex_key)]
+def _series_obj(sol):
+    return [{"exp": list(e), "coef": coeff_to_obj(c)}
+            for e, c in sol.series_coefficients()]
 
 
 # ----------------------------------------------------------------- handlers
@@ -234,7 +233,7 @@ def _cmd_solve_aug(args, report):
         "relation": str(relation),
         "solved_variable": sol.variable,
         "kappa": coeff_to_obj(sol.kappa),
-        "series": _series_obj(sol.series),
+        "series": _series_obj(sol),
         "residual_order_checked": sol.order,
     }
     return 0
@@ -255,7 +254,7 @@ def _cmd_solve_nilpotent(args, report):
         "multiplicity": sol.multiplicity,
         "kappa": coeff_to_obj(sol.kappa),
         "image_of_relation": coeff_to_obj(sol.image),
-        "series": _series_obj(sol.series),
+        "series": _series_obj(sol),
         "residual_order_checked": sol.order,
     }
     return 0

@@ -37,7 +37,7 @@ check fails.
 """
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import PreconditionViolation, VerificationFailure
@@ -150,17 +150,12 @@ def rref(rows):
 
 
 def primitive_vector(v):
-    """Scale a rational vector to a primitive integer vector (gcd 1)."""
-    den = 1
-    for x in v:
-        x = Fraction(x)
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(Fraction(x) * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g == 0:
-        return tuple(ints)
+    """Scale a rational vector to a primitive integer vector (gcd 1); a
+    zero or empty vector comes back as a tuple of its zeros."""
+    v = [Fraction(x) for x in v]
+    den = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints) or 1
     return tuple(x // g for x in ints)
 
 

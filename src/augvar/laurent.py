@@ -238,16 +238,19 @@ class LaurentPoly:
     def set_vars_zero(self, keep):
         """Set every variable except ``keep`` to zero; univariate result.
 
-        Undefined (raises) when a dropped variable occurs with a negative
-        exponent, or when a surviving term is not polynomial in ``keep``.
+        Undefined: raises :class:`NegativeExponentAtZero` when a dropped
+        variable occurs with a negative exponent (the message suggests a
+        unimodular basis change), or when a surviving term is not
+        polynomial in ``keep``.  This is the solvers' only check of the
+        exponents off the solved variable.
         """
         k = self._var_index(keep)
         coeffs = {}
         for exp, c in self.terms.items():
             if any(e < 0 for i, e in enumerate(exp) if i != k):
                 raise NegativeExponentAtZero(
-                    "term %s has a negative exponent in a variable set to zero"
-                    % (exp,))
+                    "term %s has a negative exponent in a variable set to zero; "
+                    "apply a unimodular basis change first" % (exp,))
             if any(e > 0 for i, e in enumerate(exp) if i != k):
                 continue
             if exp[k] < 0:

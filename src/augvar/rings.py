@@ -70,7 +70,7 @@ from .errors import (
     VariableMismatch,
     ZeroPolynomial,
 )
-from .intlin import lattice_point
+from .intlin import lattice_point, primitive_vector
 
 DEFAULT_ORDER = 16
 
@@ -377,17 +377,9 @@ def rational_roots(p):
         shift += 1
     roots = [Fraction(0)] if shift else []
     if len(coeffs) - shift > 1:
-        f = _primitive(squarefree_part(UniPoly(coeffs[shift:])).coeffs)
+        f = primitive_vector(squarefree_part(UniPoly(coeffs[shift:])).coeffs)
         roots.extend(cand for cand in _lifted_candidates(f) if p.evaluate(cand) == 0)
     return sorted(roots, key=lambda r: (abs(r), -r))
-
-
-def _primitive(coeffs):
-    """Rational (or integer) coefficients scaled to coprime integers."""
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = gcd(*ints)
-    return [c // g for c in ints]
 
 
 def _eval_mod(f, x, m):

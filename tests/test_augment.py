@@ -172,8 +172,31 @@ def test_solve_in_quotient_field():
 def test_solver_rejects_negative_exponents_off_variable():
     y1, y2 = LaurentPoly.gens(VS)
     rel = 1 + y1 ** -1 + y2
-    with pytest.raises(NegativeExponentAtZero):
-        solve_formal_augmentation(rel, "y2", order=4)
+    for kappa in (None, F(-1)):
+        with pytest.raises(NegativeExponentAtZero, match="unimodular basis change"):
+            solve_formal_augmentation(rel, "y2", kappa=kappa, order=4)
+        with pytest.raises(NegativeExponentAtZero, match="unimodular basis change"):
+            solve_nilpotent_augmentation(rel, 2, "y2", kappa=kappa, order=4)
+
+
+def test_given_kappa_that_is_not_a_root_is_rejected():
+    y1, y2 = LaurentPoly.gens(VS)
+    rel = 1 + y1 + y2                   # restriction 1 + y: root -1
+    for solve in (lambda **kw: solve_formal_augmentation(rel, "y2", **kw),
+                  lambda **kw: solve_nilpotent_augmentation(rel, 2, "y2", **kw)):
+        with pytest.raises(NoRootAvailable, match="kappa is not a root"):
+            solve(kappa=F(2), order=4)
+
+
+def test_nilpotent_solver_rejects_non_rational_kappa_before_evaluating(monkeypatch):
+    y1, y2 = LaurentPoly.gens(VS)
+    rel = 1 + y1 + y2
+    monkeypatch.setattr(LaurentPoly, "set_vars_zero",
+                        lambda *args: pytest.fail("kappa was evaluated"))
+    root = QuotientRingElem(UniPoly([-1]), UniPoly([-2, 0, 1]))
+    for kappa in (root, "-1"):
+        with pytest.raises(NoRootAvailable, match="needs a rational root"):
+            solve_nilpotent_augmentation(rel, 2, "y2", kappa=kappa, order=4)
 
 
 def test_iterates_only_refine_known_orders():
@@ -292,10 +315,26 @@ def test_nilpotent_rejects_double_root():
 # --------------------------------------------------------------------------
 
 def test_component_counts():
+    """Without spin labels the components are the partitions into blocks
+    of size <= 2, counted by the involution numbers, none repeated."""
     spec = clifford_relation(3)
-    assert len(enumerate_partition_components(2, spec)) == 2
-    assert len(enumerate_partition_components(3, spec)) == 4
-    assert len(enumerate_partition_components(4, spec)) == 10
+    for ell, count in zip(range(1, 7), (1, 2, 4, 10, 26, 76)):
+        blocks = [c.blocks for c in enumerate_partition_components(ell, spec)]
+        assert len(blocks) == len(set(blocks)) == count
+
+
+def test_partition_witness_is_pinned():
+    """Pair {1, 2} shares the point (2, 9), where sheet 1's relation
+    1 - 2 + 9 is 8, so a_21 = -8; singleton 3 sits on 1 + y1 - y2 = 0."""
+    w = build_partition_witness(((1, 2), (3,)),
+                                ((1, -1, 1), (1, -1, 1), (1, 1, -1)), 2)
+    assert w.to_obj() == {
+        "ell": 3,
+        "y": {"1": ["2", "9"], "2": ["2", "9"], "3": ["13", "14"]},
+        "a": {"12": "1", "13": "0", "21": "-8", "23": "0", "31": "0", "32": "0"},
+        "signs": [[1, -1, 1], [1, -1, 1], [1, 1, -1]],
+    }
+    assert dga_relation_check(w).passed
 
 
 def test_spin_filter():

@@ -198,6 +198,33 @@ def test_series_constructor_calls_per_solve_do_not_grow_with_newton_steps(monkey
         assert len(set(counts)) == 1, counts
 
 
+def test_default_kappa_solve_takes_the_restriction_and_its_slope_once(monkeypatch):
+    """With no kappa given, the solvers use find_transverse_root's
+    restriction and root as they are: one set_vars_zero per solve (the
+    preamble used to take it twice), and one r'(kappa).  The other
+    derivatives are the squarefree tests of rational_roots and, over
+    Q[t]/(t^2 - 2), of the supplied factor."""
+    calls = {"set_vars_zero": 0, "derivative": 0}
+    for cls, name in ((LaurentPoly, "set_vars_zero"), (UniPoly, "derivative")):
+        def counting(self, *args, _real=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(cls, name, counting)
+    rel = clifford_relation(3, "+,+,-").lifted_relation
+    y1, y = LaurentPoly.gens(("y1", "y"))
+    quadratic = -2 + y1 + 3 * y1 * y + y ** 2
+    solves = (
+        (lambda: solve_formal_augmentation(rel, "y2", order=6), 2),
+        (lambda: solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=6), 2),
+        (lambda: solve_formal_augmentation(quadratic, "y", order=6,
+                                           factor=UniPoly([-2, 0, 1])), 4),
+    )
+    for solve, derivatives in solves:
+        calls.update(set_vars_zero=0, derivative=0)
+        solve()
+        assert calls == {"set_vars_zero": 1, "derivative": derivatives}
+
+
 def _with_negative_powers(rng, rel):
     """rel plus terms with a negative exponent of the solved (last)
     variable, each times a positive power of some mu, so the restriction
