@@ -44,7 +44,7 @@ deterministic witness construction, and exact Reeb-chord degrees.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
@@ -84,13 +84,13 @@ class TransverseRoot:
     restriction: UniPoly
 
 
-def random_unimodular(n, seed, steps=4):
-    """Seeded random unimodular matrix: a short product of elementary
+def random_unimodular(n, seed):
+    """Seeded random unimodular matrix: a product of four elementary
     shears, swaps and sign flips with small entries, kept small so Newton
     polytopes do not blow up under the substitution."""
     rng = random.Random(seed)
     M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
+    for _ in range(4):
         op = rng.choice(("shear", "swap", "neg")) if n > 1 else "neg"
         if op == "shear":
             i, j = rng.sample(range(n), 2)
@@ -293,14 +293,19 @@ def _simple_root(relation, k, kappa, factor, seed):
 
     With no ``kappa`` these are :func:`find_transverse_root`'s, which has
     already checked that kappa is a simple root of r.  A given kappa is
-    checked here, once: :class:`NoRootAvailable` when r(kappa) != 0,
-    :class:`DoubleRoot` when r'(kappa) = 0.  Either way r comes from
+    checked here, once: :class:`NoRootAvailable` when it is not an int, a
+    Fraction or a :class:`QuotientRingElem` (before anything is
+    evaluated) or when r(kappa) != 0, :class:`DoubleRoot` when
+    r'(kappa) = 0.  Either way r comes from
     :meth:`LaurentPoly.set_vars_zero`, which raises
     :class:`NegativeExponentAtZero` for a negative exponent off y_k.
     """
     if kappa is None:
         root = find_transverse_root(relation, k, factor=factor, seed=seed)
         return root.variable, root.kappa, root.restriction
+    if not isinstance(kappa, (int, Fraction, QuotientRingElem)):
+        raise NoRootAvailable("kappa must be an int, a Fraction or a "
+                              "QuotientRingElem, not %s" % type(kappa).__name__)
     var = _var_name(relation, k)
     r = relation.set_vars_zero(var)
     if not is_zero(r.evaluate(kappa)):
@@ -491,15 +496,6 @@ class AugCandidate:
     a: tuple                     # tuple of ((j, k), value) sorted
     signs: tuple                 # signs[j-1] = sign vector for sheet j
 
-    def y_value(self, sheet, i):
-        return self.y[sheet - 1][i - 1]
-
-    def a_value(self, j, k):
-        for (jj, kk), v in self.a:
-            if (jj, kk) == (j, k):
-                return v
-        raise MissingAssignment("no value for chord a_%d%d" % (j, k))
-
     @classmethod
     def from_obj(cls, obj):
         ell = int(obj["ell"])
@@ -556,7 +552,7 @@ class CheckResult:
 def _sheet_value(signs, row):
     """eps_0 + sum_i eps_i y_i for one sheet's ``signs`` (constant slot
     first) and values ``row``; a shorter row sums only its own slots."""
-    total = Fraction(signs[0])
+    total = signs[0]
     for e, v in zip(signs[1:], row):
         total += e * v
     return total
@@ -575,44 +571,49 @@ def dga_relation_check(cand):
       coordinate i:  a_jk (y_{i,k} - y_{i,j}) = 0.
 
     Passes exactly when all values vanish; the first violated relation (in
-    the order above) is reported.
+    the order above) is reported.  The first mixed chord without a value,
+    in (j, k) order, raises :class:`MissingAssignment` before any relation
+    is evaluated.
     """
     ell = cand.ell
     if ell not in (2, 3):
         raise IndexOutOfRange("relation check is hard-coded for 2 or 3 sheets")
-    nv = len(cand.y[0])
+    a = dict(cand.a)
+    pairs = [(j, k) for j in range(1, ell + 1) for k in range(1, ell + 1) if j != k]
+    for jk in pairs:
+        if jk not in a:
+            raise MissingAssignment("no value for chord a_%d%d" % jk)
+    y = cand.y
+    nv = len(y[0])
     # diagonal relations
     for j in range(1, ell + 1):
-        total = _sheet_value(cand.signs[j - 1], cand.y[j - 1])
+        total = _sheet_value(cand.signs[j - 1], y[j - 1])
         for k in range(1, ell + 1):
             if k != j:
-                total += cand.a_value(j, k) * cand.a_value(k, j)
+                total += a[j, k] * a[k, j]
         if total != 0:
             return CheckResult(False, "delta(a_%d%d)" % (j, j), total)
     # covers of the constant disk (three sheets)
     if ell == 3:
         for (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            value = cand.a_value(i, j) * cand.a_value(j, k)
+            value = a[i, j] * a[j, k]
             if value != 0:
                 return CheckResult(False, "delta(a_%d%d)" % (i, k), value)
     # chord/diagonal compatibility
-    for j in range(1, ell + 1):
-        for k in range(1, ell + 1):
-            if j == k:
-                continue
-            ajk = cand.a_value(j, k)
-            if ajk == 0:
-                continue
-            for i in range(1, nv + 1):
-                value = ajk * (cand.y_value(k, i) - cand.y_value(j, i))
-                if value != 0:
-                    return CheckResult(
-                        False, "a_%d%d*(y_%d,%d - y_%d,%d)" % (j, k, i, k, i, j),
-                        value)
+    for j, k in pairs:
+        ajk = a[j, k]
+        if ajk == 0:
+            continue
+        for i in range(nv):
+            value = ajk * (y[k - 1][i] - y[j - 1][i])
+            if value != 0:
+                return CheckResult(
+                    False, "a_%d%d*(y_%d,%d - y_%d,%d)" % (j, k, i + 1, k, i + 1, j),
+                    value)
     return CheckResult(True)
 
 
-def build_partition_witness(blocks, signs, nvars, ell=None):
+def build_partition_witness(blocks, signs, nvars):
     """Deterministic witness candidate for one partition component.
 
     Singleton sheets get points exactly on their sheet variety, pair sheets
@@ -623,10 +624,10 @@ def build_partition_witness(blocks, signs, nvars, ell=None):
 
     The sheet relation here is the Clifford-type one encoded by ``signs``
     (constant slot plus one sign per variable), which is linear in the last
-    variable and therefore solvable exactly.
+    variable and therefore solvable exactly, so every value is an int.
     """
     blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
-    ell = ell or max(max(b) for b in blocks)
+    ell = max(max(b) for b in blocks)
     if isinstance(signs[0], int):
         signs = tuple(tuple(signs) for _ in range(ell))
     used = [set() for _ in range(nvars)]    # values used per coordinate
@@ -636,7 +637,7 @@ def build_partition_witness(blocks, signs, nvars, ell=None):
         """First row of values with offset >= start meeting all constraints."""
         t = start
         while True:
-            row = [Fraction(t + 7 * i) for i in range(nvars)]
+            row = [t + 7 * i for i in range(nvars)]
             eps = signs[sheet - 1]
             if on_variety:
                 # solve the last coordinate from the sheet relation
@@ -663,15 +664,11 @@ def build_partition_witness(blocks, signs, nvars, ell=None):
         for i in range(nvars):
             used[i].add(row[i])
         offset += 11
-    a = {}
-    for j in range(1, ell + 1):
-        for k in range(1, ell + 1):
-            if j != k:
-                a[(j, k)] = Fraction(0)
+    a = {(j, k): 0 for j in range(1, ell + 1) for k in range(1, ell + 1) if j != k}
     for b in blocks:
         if len(b) == 2:
             j, k = b
-            a[(j, k)] = Fraction(1)
+            a[(j, k)] = 1
             a[(k, j)] = -_sheet_value(signs[j - 1], y[j - 1])
     return AugCandidate(ell, tuple(y), tuple(sorted(a.items())), signs)
 
@@ -681,21 +678,16 @@ def witness_for_component(component, signs, nvars):
 
 
 def perturbations(cand):
-    """All single-value +1 perturbations of a candidate, with labels."""
+    """All single-value +1 perturbations of a candidate, with labels: the
+    y values sheet by sheet, then the chords in the (sorted) order of ``a``."""
     out = []
-    for j in range(1, cand.ell + 1):
-        for i in range(1, len(cand.y[0]) + 1):
-            y = [list(r) for r in cand.y]
-            y[j - 1][i - 1] += 1
-            out.append(("y_%d,%d" % (i, j),
-                        AugCandidate(cand.ell, tuple(tuple(r) for r in y),
-                                     cand.a, cand.signs)))
-    for (j, k), v in cand.a:
-        a = dict(cand.a)
-        a[(j, k)] = v + 1
-        out.append(("a_%d%d" % (j, k),
-                    AugCandidate(cand.ell, cand.y, tuple(sorted(a.items())),
-                                 cand.signs)))
+    for j, row in enumerate(cand.y):
+        for i, v in enumerate(row):
+            y = cand.y[:j] + (row[:i] + (v + 1,) + row[i + 1:],) + cand.y[j + 1:]
+            out.append(("y_%d,%d" % (i + 1, j + 1), replace(cand, y=y)))
+    for n, (jk, v) in enumerate(cand.a):
+        a = cand.a[:n] + ((jk, v + 1),) + cand.a[n + 1:]
+        out.append(("a_%d%d" % jk, replace(cand, a=a)))
     return out
 
 

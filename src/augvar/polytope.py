@@ -48,8 +48,22 @@ class LatticePolytope:
     structurally.
     """
 
-    __slots__ = ("ambient_dim", "vertices", "affine_dim", "_frame", "_red",
-                 "_bound", "_cache")
+    __slots__ = (
+        "ambient_dim", "vertices", "affine_dim", "_frame",
+        # _red: the vertices in coordinates of the saturated affine lattice,
+        # a bijection between the polytope's affine lattice points and Z^d,
+        # d = affine_dim, that keeps every lattice quantity (edge gcds,
+        # normalized volume, point counts).
+        "_red",
+        # _bound: (facets, simplices, points) of the full-dimensional
+        # reduction.  ``facets`` is a list of (normal, offset, vertex index
+        # frozenset) with primitive integer normals, inequality <n, x> <= c,
+        # sorted by (normal, offset), from the hull engine; empty below
+        # dimension two.  ``simplices`` lists the boundary simplices of the
+        # engine's triangulation as tuples of indices into ``points``, the
+        # reduced points the engine ran on; None below dimension three.
+        "_bound",
+        "_cache")
 
     def __init__(self, ambient_dim, points):
         """Hull of integer points in Z^ambient_dim; non-vertices are dropped.
@@ -120,13 +134,6 @@ class LatticePolytope:
         return LatticePolytope(
             self.ambient_dim, [intlin.mat_vec(M, v) for v in self.vertices])
 
-    def _reduced(self):
-        """The vertices in coordinates of the saturated affine lattice, a
-        bijection between the polytope's affine lattice points and Z^d,
-        d = affine_dim, that keeps every lattice quantity (edge gcds,
-        normalized volume, point counts)."""
-        return self._red
-
     def _coordinates(self, point):
         """Coordinates ((point - vertices[0]) U)[:d] in the affine frame U,
         or None when the point is off the affine hull."""
@@ -138,21 +145,6 @@ class LatticePolytope:
 
     # -- faces ---------------------------------------------------------------
 
-    def _boundary(self):
-        """(facets, simplices, points) of the full-dimensional reduction.
-
-        ``facets`` is a list of (normal, offset, vertex index frozenset)
-        with primitive integer normals, inequality <n, x> <= c, sorted by
-        (normal, offset), from the hull engine; empty below dimension two.
-        ``simplices`` lists the boundary simplices of the engine's
-        triangulation as tuples of indices into ``points``, the reduced
-        points the engine ran on; None below dimension three.
-        """
-        return self._bound
-
-    def _facets_reduced(self):
-        return self._boundary()[0]
-
     def edges(self):
         """Vertex pairs forming 1-faces, as pairs of ambient vertices."""
         verts = self.vertices
@@ -161,7 +153,7 @@ class LatticePolytope:
             return []
         if d == 1:
             return [(verts[0], verts[-1])]
-        facets = self._facets_reduced()
+        facets = self._bound[0]
         out = []
         for i, j in itertools.combinations(range(len(verts)), 2):
             containing = [eq for (_, _, eq) in facets if i in eq and j in eq]
@@ -182,10 +174,10 @@ class LatticePolytope:
         if x is None:
             return False
         if self.affine_dim == 1:
-            vals = [v[0] for v in self._reduced()]
+            vals = [v[0] for v in self._red]
             return min(vals) <= x[0] <= max(vals)
         return all(sum(a * b for a, b in zip(n, x)) <= c
-                   for n, c, _ in self._facets_reduced())
+                   for n, c, _ in self._bound[0])
 
     # -- invariants ------------------------------------------------------------
 
@@ -199,7 +191,7 @@ class LatticePolytope:
         on first use.
         """
         if "volume" not in self._cache:
-            red = self._reduced()
+            red = self._red
             d = self.affine_dim
             v0 = red[0]
             if d == 0:
@@ -209,9 +201,9 @@ class LatticePolytope:
             elif d == 2:
                 volume = sum((c - sum(a * b for a, b in zip(n, v0)))
                              * _edge_length(red, eq)
-                             for n, c, eq in self._facets_reduced())
+                             for n, c, eq in self._bound[0])
             else:
-                _, simplices, points = self._boundary()
+                _, simplices, points = self._bound
                 volume = sum(
                     abs(intlin.det([[a - b for a, b in zip(points[i], v0)] for i in s]))
                     for s in simplices)
@@ -238,13 +230,13 @@ class LatticePolytope:
         walk runs over those prefixes and adds the length of the last
         coordinate's range without enumerating it.
         """
-        red = self._reduced()
+        red = self._red
         d = self.affine_dim
         if d == 0:
             return 1
         if d == 1:
             return self._volume() + 1
-        facets = self._facets_reduced()
+        facets = self._bound[0]
         if d == 2:
             boundary = sum(_edge_length(red, eq) for _, _, eq in facets)
             return (self._volume() + boundary) // 2 + 1
@@ -460,9 +452,9 @@ def _is_simplex(P):
 def _lattice_height_above_facet(P, facet_vertex_set, apex):
     """Lattice distance of apex from the affine hull of the facet, measured
     in the reduced coordinates of P."""
-    red = P._reduced()
+    red = P._red
     index = {v: i for i, v in enumerate(P.vertices)}
-    for n, c, eq in P._facets_reduced():
+    for n, c, eq in P._bound[0]:
         if eq == frozenset(index[v] for v in facet_vertex_set):
             a = red[index[apex]]
             return abs(sum(x * y for x, y in zip(n, a)) - c)

@@ -24,14 +24,14 @@ def pyramid_volume(verts, d):
     P = LatticePolytope(d, verts)
     if P.affine_dim < d:
         return 0
-    red = P._reduced()
+    red = P._red
     v0 = red[0]
     total = 0
-    for n, c, eq in P._facets_reduced():
+    for n, c, eq in P._bound[0]:
         h = abs(sum(a * b for a, b in zip(n, v0)) - c)
         if h:
             F = LatticePolytope(d, [red[i] for i in sorted(eq)])
-            total += h * pyramid_volume(list(F._reduced()), d - 1)
+            total += h * pyramid_volume(list(F._red), d - 1)
     return total
 
 
@@ -95,9 +95,9 @@ def fm_count(ineqs, d):
 def reference_invariants(P):
     """(normalized volume, lattice point count) of P by the oracles, in the
     reduced lattice of its affine hull; P.affine_dim >= 1."""
-    red = P._reduced()
+    red = P._red
     d = P.affine_dim
     volume = pyramid_volume(list(red), d)
     if d == 1:
         return volume, volume + 1
-    return volume, fm_count([(n, c) for n, c, _ in P._facets_reduced()], d)
+    return volume, fm_count([(n, c) for n, c, _ in P._bound[0]], d)

@@ -1,5 +1,7 @@
 """Tests for the augmentation solvers, partitions, DGA checks, and degrees."""
 
+import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -189,14 +191,23 @@ def test_given_kappa_that_is_not_a_root_is_rejected():
 
 
 def test_nilpotent_solver_rejects_non_rational_kappa_before_evaluating(monkeypatch):
+    """A kappa of the wrong type is rejected by name before the relation is
+    restricted: the nilpotent solver at d >= 2 takes only rationals, the
+    formal solver (and the nilpotent one at d = 1, which hands over to it)
+    only ints, Fractions and quotient-ring elements."""
     y1, y2 = LaurentPoly.gens(VS)
     rel = 1 + y1 + y2
     monkeypatch.setattr(LaurentPoly, "set_vars_zero",
                         lambda *args: pytest.fail("kappa was evaluated"))
     root = QuotientRingElem(UniPoly([-1]), UniPoly([-2, 0, 1]))
-    for kappa in (root, "-1"):
+    for kappa in (root, "-1", -1.0):
         with pytest.raises(NoRootAvailable, match="needs a rational root"):
             solve_nilpotent_augmentation(rel, 2, "y2", kappa=kappa, order=4)
+    for kappa in ("-1", -1.0, [-1]):
+        with pytest.raises(NoRootAvailable, match="kappa must be an int"):
+            solve_formal_augmentation(rel, "y2", kappa=kappa, order=3)
+        with pytest.raises(NoRootAvailable, match="kappa must be an int"):
+            solve_nilpotent_augmentation(rel, 1, "y2", kappa=kappa, order=3)
 
 
 def test_iterates_only_refine_known_orders():
@@ -335,6 +346,60 @@ def test_partition_witness_is_pinned():
         "signs": [[1, -1, 1], [1, -1, 1], [1, 1, -1]],
     }
     assert dga_relation_check(w).passed
+
+
+def test_partition_witness_perturbation_labels_are_pinned():
+    w = build_partition_witness(((1, 2), (3,)),
+                                ((1, -1, 1), (1, -1, 1), (1, 1, -1)), 2)
+    assert [label for label, _ in perturbations(w)] == [
+        "y_1,1", "y_2,1", "y_1,2", "y_2,2", "y_1,3", "y_2,3",
+        "a_12", "a_13", "a_21", "a_23", "a_31", "a_32"]
+
+
+def _witnesses():
+    """Every witness for two and three sheets, over every sign vector in
+    {+1, -1}^3, with and without the spin labels a, b, a."""
+    for ell in (2, 3):
+        for signs in itertools.product((1, -1), repeat=3):
+            spec = clifford_relation(3, signs)
+            for spins in (None, ["a", "b", "a"][:ell]):
+                for comp in enumerate_partition_components(ell, spec, spins):
+                    yield witness_for_component(comp, spec.signs, 2)
+
+
+def test_partition_witness_values_are_ints():
+    for w in _witnesses():
+        values = [v for row in w.y for v in row] + [v for _, v in w.a]
+        assert all(type(v) is int for v in values), w
+
+
+def test_int_witness_checks_like_its_fraction_copy():
+    """The int witness and a Fraction copy of it give one report, one
+    verdict and the same perturbation verdicts, label by label."""
+    count = 0
+    for w in _witnesses():
+        copy = replace(w, y=tuple(tuple(F(v) for v in row) for row in w.y),
+                       a=tuple((jk, F(v)) for jk, v in w.a))
+        assert all(type(v) is F for _, v in copy.a)
+        assert copy.to_obj() == w.to_obj()
+        assert dga_relation_check(copy) == dga_relation_check(w)
+        ours, theirs = perturbations(w), perturbations(copy)
+        assert [label for label, _ in ours] == [label for label, _ in theirs]
+        for (label, p), (_, q) in zip(ours, theirs):
+            assert dga_relation_check(p) == dga_relation_check(q), label
+            count += 1
+    assert count > 0
+
+
+def test_dga_check_missing_chord_raises_before_any_relation():
+    """delta(a_11) fails here, but a_23 has no value: the check names the
+    missing chord instead of reporting the failed relation."""
+    a = {(j, k): F(0) for j in (1, 2, 3) for k in (1, 2, 3) if j != k}
+    del a[(2, 3)]
+    cand = AugCandidate(3, ((F(1), F(1)), (F(-2), F(1)), (F(1), F(-2))),
+                        tuple(sorted(a.items())), ((1, 1, 1),) * 3)
+    with pytest.raises(MissingAssignment, match="a_23"):
+        dga_relation_check(cand)
 
 
 def test_spin_filter():

@@ -290,6 +290,22 @@ def test_partitions_spin_filter(capsys):
     assert "{1,2}|{3}" in labels and "{1}|{2}|{3}" in labels
 
 
+def test_closed_stdout_ends_quietly_with_exit_code_one():
+    """A reader that stops after one line, as ``| head -1`` does: the
+    report (about 236 KB) outgrows the pipe buffer, and the broken pipe
+    ends the run with exit code 1 and no traceback."""
+    argv = [sys.executable, "-m", "augvar.cli", "partitions", "--ell", "8",
+            "--no-check", "--format", "json"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_subprocess_env())
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err, err.decode()
+
+
 def test_check_candidate_pass_and_fail(tmp_path, capsys):
     good = {"ell": 2, "y": {"1": ["-2", "1"], "2": ["1", "-2"]},
             "a": {"12": "0", "21": "0"}, "signs": [1, 1, 1]}

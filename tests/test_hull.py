@@ -118,7 +118,7 @@ def test_lower_dimensional_supports_on_a_plane(ambient):
         assert all(v[0] == v[1] + 1 for v in P.vertices)
         assert list(P.vertices) == [pts[i] for i in lp_vertex_indices(pts)]
         if P.affine_dim >= 2:
-            assert P._facets_reduced() == subset_facets(list(P._reduced()))
+            assert P._bound[0] == subset_facets(list(P._red))
 
 
 def test_collinear_points_keep_their_endpoints():
@@ -168,8 +168,8 @@ def test_from_points_cache_matches_lazy_computation():
                    for p, q in itertools.combinations(pts + probes[:4], 2)]
         assert [fresh.contains(x) for x in probes] == [P.contains(x) for x in probes]
         if P.affine_dim == ambient:
-            assert fresh._reduced() == P._reduced()
-            assert fresh._facets_reduced() == P._facets_reduced()
+            assert fresh._red == P._red
+            assert fresh._bound[0] == P._bound[0]
 
 
 def test_engine_rejects_points_that_do_not_span():

@@ -99,7 +99,7 @@ def test_polygon_in_z3_count_matches_box_count():
     P = LatticePolytope(3, [(0, 0, 0), (4, 2, 0), (3, 0, -1), (-1, 1, 1)])
     assert P.affine_dim == 2
     assert P.normalized_volume() == 0
-    assert P._volume() == pyramid_volume(list(P._reduced()), 2)
+    assert P._volume() == pyramid_volume(list(P._red), 2)
     assert P.lattice_point_count() == _box_count(P)
     rng = random.Random(6600)
     for _ in range(8):
