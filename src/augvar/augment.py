@@ -54,6 +54,7 @@ from .errors import (
     NoRootAvailable,
     NotInvertible,
     NotInvertibleAtPoint,
+    PreconditionViolation,
     VerificationFailure,
 )
 from .laurent import LaurentPoly, _power_table, grlex_key
@@ -263,6 +264,11 @@ def _newton_series(relation, var, kap, target, order, seed):
     (Bernstein, *Removing redundancy in high-precision Newton iteration*,
     2004).  Changing the truncation of s, the slope and its inverse
     repacks their degree parts and builds no coefficient.
+
+    The slope's constant term c is kap r'(kap) at every step, because s
+    has no constant term, so only the first step that corrects inverts c.
+    The constant term of that step's slope inverse is c^{-1}, and every
+    later step hands it to :meth:`TruncatedSeries.invert`.
     """
     mu_vars = _mu_variables(relation, var)
     groups = {j: TruncatedSeries(mu_vars, order, terms) for j, terms
@@ -270,6 +276,7 @@ def _newton_series(relation, var, kap, target, order, seed):
     goal = TruncatedSeries.constant(target, mu_vars, order)
     s = zero = TruncatedSeries.zero(mu_vars, order)
     v = 1
+    inverse = None                          # c^{-1}, once a step has corrected
     while v <= order:
         p = min(2 * v - 1, order)
         s = s._at_order(p)
@@ -282,7 +289,10 @@ def _newton_series(relation, var, kap, target, order, seed):
                     "iteration stalled in %r at order %d: residual has a "
                     "degree-%d term" % (var, v - 1, residual.valuation()),
                     relation, var, v - 1, seed)
-            s = s - residual * slope._at_order(p - v).invert()._at_order(p)
+            step = slope._at_order(p - v).invert(inverse)
+            if inverse is None:
+                inverse = step.constant_term()
+            s = s - residual * step._at_order(p)
         v = p + 1
     return s
 
@@ -625,23 +635,35 @@ def build_partition_witness(blocks, signs, nvars):
     The sheet relation here is the Clifford-type one encoded by ``signs``
     (constant slot plus one sign per variable), which is linear in the last
     variable and therefore solvable exactly, so every value is an int.
+    When the signs of the other variables sum to zero (always, for one
+    variable per sheet), that solved value does not depend on the offset,
+    and a singleton sheet whose value is zero or already used raises
+    :class:`PreconditionViolation` naming the sheets: no witness with
+    pairwise distinct values exists.
     """
     blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
     ell = max(max(b) for b in blocks)
     if isinstance(signs[0], int):
         signs = tuple(tuple(signs) for _ in range(ell))
-    used = [set() for _ in range(nvars)]    # values used per coordinate
+    used = [{} for _ in range(nvars)]       # per coordinate, value -> sheet
     y = [None] * ell
 
     def fresh_row(start, on_variety, sheet):
         """First row of values with offset >= start meeting all constraints."""
+        eps = signs[sheet - 1]
+        fixed = on_variety and sum(eps[1:nvars]) == 0    # solved value ignores t
         t = start
         while True:
             row = [t + 7 * i for i in range(nvars)]
-            eps = signs[sheet - 1]
             if on_variety:
                 # solve the last coordinate from the sheet relation
-                row[-1] = -_sheet_value(eps, row[:-1]) * eps[nvars]
+                row[-1] = last = -_sheet_value(eps, row[:-1]) * eps[nvars]
+                if fixed and (last == 0 or last in used[-1]):
+                    raise PreconditionViolation(
+                        "sheet %d needs y_%d = %d on its variety at every offset, %s, so "
+                        "no witness has pairwise distinct values"
+                        % (sheet, nvars, last, "as sheet %d does" % used[-1][last]
+                           if last in used[-1] else "and the value must be nonzero"))
             ok = all(v != 0 for v in row)
             if ok and not on_variety:
                 # keep the pair point off the variety
@@ -662,7 +684,7 @@ def build_partition_witness(blocks, signs, nvars):
             y[b[0] - 1] = tuple(row)
             y[b[1] - 1] = tuple(row)
         for i in range(nvars):
-            used[i].add(row[i])
+            used[i][row[i]] = b[0]
         offset += 11
     a = {(j, k): 0 for j in range(1, ell + 1) for k in range(1, ell + 1) if j != k}
     for b in blocks:

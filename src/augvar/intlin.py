@@ -150,9 +150,9 @@ def rref(rows):
 
 
 def primitive_vector(v):
-    """Scale a rational vector to a primitive integer vector (gcd 1); a
-    zero or empty vector comes back as a tuple of its zeros."""
-    v = [Fraction(x) for x in v]
+    """Scale a vector of ints and Fractions to a primitive integer vector
+    (gcd 1), building no Fraction; a zero or empty vector comes back as a
+    tuple of its zeros."""
     den = lcm(*(x.denominator for x in v))
     ints = [x.numerator * (den // x.denominator) for x in v]
     g = gcd(*ints) or 1

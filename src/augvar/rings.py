@@ -48,7 +48,11 @@ Rational roots of a univariate polynomial (:func:`rational_roots`) come
 from lifting its roots modulo a small prime l to l-adic precision
 M > 2 max(|f(0)|, |lead f|)^2 and reconstructing each fraction from its
 residue, so their cost is polynomial in the bit size of the
-coefficients, not in the size of a root.
+coefficients, not in the size of a root.  The squarefree part f is
+computed in integers: the polynomial gcd behind :func:`rational_roots`,
+:func:`uni_gcd`, :func:`squarefree_part` and :func:`is_squarefree` is
+one primitive integer remainder sequence (:func:`_int_gcd`), and the only
+polynomial Euclid on Fractions left is the inverse in Q[t]/(m).
 
 Values are immutable after construction and every operation is pure, so
 everything here can be shared freely between threads.  A series caches
@@ -327,23 +331,70 @@ class UniPoly:
 
 def uni_gcd(p, q):
     """Monic greatest common divisor; uni_gcd(p, 0) is monic(p)."""
-    while not q.is_zero():
-        p, q = q, p % q
-    return p.monic()
+    return UniPoly(_int_gcd(primitive_vector(p.coeffs), primitive_vector(q.coeffs))).monic()
 
 
 def squarefree_part(p):
     """p / gcd(p, p'), made monic.  Undefined for the zero polynomial."""
     if p.is_zero():
         raise ZeroPolynomial("squarefree part of the zero polynomial")
-    g = uni_gcd(p, p.derivative())
-    return (p // g).monic()
+    return UniPoly(_squarefree_ints(primitive_vector(p.coeffs))).monic()
 
 
 def is_squarefree(p):
     if p.is_zero():
         return False
-    return uni_gcd(p, p.derivative()).is_constant()
+    f = primitive_vector(p.coeffs)
+    return len(_int_gcd(f, _int_derivative(f))) == 1
+
+
+# Integer polynomials below are ascending int coefficient sequences with no
+# trailing zero; the zero polynomial is empty.
+
+def _primitive(f):
+    g = gcd(*f)
+    return f if g <= 1 else [c // g for c in f]
+
+
+def _int_derivative(f):
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _int_gcd(f, g):
+    """The gcd of the primitive integer polynomial f and the integer
+    polynomial g, primitive with a positive leading coefficient, by the
+    primitive remainder sequence (Collins, *Subresultants and reduced
+    polynomial remainder sequences*, 1967): each pseudo-remainder is
+    divided by its content, so every step stays in integers."""
+    while g:
+        g = _primitive(g)
+        r = list(f)
+        lead, top = g[-1], len(g) - 1
+        while len(r) > top:
+            c, k = r[-1], len(r) - 1 - top
+            r = [x * lead for x in r]
+            for i, x in enumerate(g, k):
+                r[i] -= c * x
+            while r and not r[-1]:
+                r.pop()
+        f, g = g, r
+    return [-c for c in f] if f and f[-1] < 0 else f
+
+
+def _squarefree_ints(f):
+    """The squarefree part of the primitive integer polynomial f != 0, f
+    divided exactly by its primitive gcd with f', leading coefficient
+    positive."""
+    g = _int_gcd(f, _int_derivative(f))
+    q = [0] * (len(f) - len(g) + 1)
+    r = list(f)
+    lead = g[-1]
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + len(g) - 1] // lead
+        if c:
+            for i, x in enumerate(g, k):
+                r[i] -= c * x
+    return [-c for c in q] if q[-1] < 0 else q
 
 
 def rational_roots(p):
@@ -356,8 +407,10 @@ def rational_roots(p):
     The roots come from p-adic lifting (Loos, *Computing rational zeros of
     integral polynomials by p-adic expansion*, SIAM J. Comput. 1983), so
     the cost is polynomial in the bit size of the coefficients.  Past the
-    zero root, the squarefree part of p is scaled to a primitive integer
-    polynomial f.  A root a/b of f in lowest terms has b | lead(f) and
+    zero root, p is scaled to a primitive integer polynomial, and its
+    squarefree part f is taken in integers: an exact division by its
+    primitive gcd with its derivative, so no Fraction or UniPoly is built
+    before the lift.  A root a/b of f in lowest terms has b | lead(f) and
     a | f(0), so for a prime l not dividing lead(f) it reduces to a root
     of f mod l.  The smallest such l at which every root of f mod l is
     simple is used; every prime not dividing lead(f) disc(f) qualifies,
@@ -375,10 +428,12 @@ def rational_roots(p):
     shift = 0
     while coeffs[shift] == 0:
         shift += 1
-    roots = [Fraction(0)] if shift else []
+    roots = []
     if len(coeffs) - shift > 1:
-        f = primitive_vector(squarefree_part(UniPoly(coeffs[shift:])).coeffs)
-        roots.extend(cand for cand in _lifted_candidates(f) if p.evaluate(cand) == 0)
+        f = _squarefree_ints(primitive_vector(coeffs[shift:]))
+        roots = [cand for cand in _lifted_candidates(f) if p.evaluate(cand) == 0]
+    if shift:
+        roots.append(Fraction(0))
     return sorted(roots, key=lambda r: (abs(r), -r))
 
 
@@ -954,8 +1009,10 @@ class TruncatedSeries:
         A scalar, or a constant series, multiplies the other operand
         through :meth:`scale`, so the graded kernel only sees two
         non-constant series.  There, degree n of the product is
-        sum_{i+j=n} a_i b_j, one kernel call per degree, over one
-        denominator per operand part."""
+        sum_{i+j=n} a_i b_j over one denominator per operand part.  Only
+        nonzero parts are paired, in ascending i for each n, and only a
+        degree that receives a pair takes a kernel call, so a monomial or
+        a sparse operand costs its nonzero parts alone."""
         if isinstance(other, SCALAR_TYPES):
             return self.scale(other)
         if not isinstance(other, TruncatedSeries):
@@ -965,9 +1022,16 @@ class TruncatedSeries:
             return self.scale(other.constant_term())
         if self.is_constant():
             return other.scale(self.constant_term())
-        a, b = self._graded(), other._graded()
-        return self._make([_convolve([(a[i], b[n - i]) for i in range(n + 1)])
-                           for n in range(self.order + 1)])
+        order = self.order
+        b = [(j, part) for j, part in enumerate(other._graded()) if part[0]]
+        pairs = [[] for _ in range(order + 1)]
+        for i, part in enumerate(self._graded()):
+            if part[0]:
+                for j, other_part in b:
+                    if i + j > order:
+                        break
+                    pairs[i + j].append((part, other_part))
+        return self._make([_convolve(ps) if ps else ([], 1) for ps in pairs])
 
     __rmul__ = __mul__
 
@@ -993,7 +1057,7 @@ class TruncatedSeries:
             return self.invert() ** (-n)
         return power(self, n, lambda: TruncatedSeries.one(self.variables, self.order))
 
-    def invert(self):
+    def invert(self, inverse=None):
         """Inverse of a series f with invertible constant term c, one
         homogeneous degree at a time.
 
@@ -1005,11 +1069,16 @@ class TruncatedSeries:
         of f, scaled once by -c^{-1}, and the parts of g already found;
         every part carries its own denominator, reduced by one gcd when
         its numerators are ints.
+
+        ``inverse``, when given, is c^{-1}, known to the caller, and is
+        used as it is; otherwise c is inverted here.  A zero c raises
+        :class:`NotInvertible` either way.
         """
-        c = self.constant_term()
-        if is_zero(c):
+        if not self._parts[0][0]:
             raise NotInvertible("series with zero constant term")
-        n0, d0 = _ratio(invert_scalar(c))
+        if inverse is None:
+            inverse = invert_scalar(self.constant_term())
+        n0, d0 = _ratio(inverse)
         f = [([(key, -n * n0) for key, n in items], den * d0)
              for items, den in self._graded()]
         parts = [([(0, n0)], d0)]

@@ -1,9 +1,16 @@
-"""Slow reference root finder kept as an oracle for ``rational_roots``.
+"""Slow reference routines kept as oracles for ``rational_roots`` and the
+integer polynomial gcd.
 
-This is the divisor search the library used before p-adic lifting: every
-rational root a/b in lowest terms has a | a0 and b | an, so trying each
-pair of divisors finds them all.  Trial division runs to sqrt(|a0|), so
-keep the constant and leading coefficients small when calling it.
+``divisor_roots`` is the divisor search the library used before p-adic
+lifting: every rational root a/b in lowest terms has a | a0 and b | an, so
+trying each pair of divisors finds them all.  Trial division runs to
+sqrt(|a0|), so keep the constant and leading coefficients small when
+calling it.
+
+``fraction_gcd``, ``fraction_squarefree_part`` and
+``fraction_is_squarefree`` are the gcd, squarefree part and squarefree
+test the library used before its integer remainder sequence: the
+Euclidean algorithm on ``UniPoly`` with Fraction coefficients.
 """
 
 from fractions import Fraction
@@ -43,3 +50,20 @@ def divisor_roots(p):
                 if p.evaluate(cand) == 0:
                     roots.add(cand)
     return sorted(roots, key=lambda r: (abs(r), -r))
+
+
+def fraction_gcd(p, q):
+    """Monic gcd of two UniPoly by the Euclidean algorithm over Q;
+    fraction_gcd(p, 0) is monic(p)."""
+    while not q.is_zero():
+        p, q = q, p % q
+    return p.monic()
+
+
+def fraction_squarefree_part(p):
+    """p / gcd(p, p'), made monic, for a nonzero UniPoly p."""
+    return (p // fraction_gcd(p, p.derivative())).monic()
+
+
+def fraction_is_squarefree(p):
+    return not p.is_zero() and fraction_gcd(p, p.derivative()).is_constant()

@@ -27,6 +27,7 @@ from augvar.errors import (
     MissingAssignment,
     NegativeExponentAtZero,
     NoRootAvailable,
+    PreconditionViolation,
 )
 from augvar.laurent import LaurentPoly
 from augvar.potentials import clifford_relation
@@ -354,6 +355,30 @@ def test_partition_witness_perturbation_labels_are_pinned():
     assert [label for label, _ in perturbations(w)] == [
         "y_1,1", "y_2,1", "y_1,2", "y_2,2", "y_1,3", "y_2,3",
         "a_12", "a_13", "a_21", "a_23", "a_31", "a_32"]
+
+
+def test_partition_witness_without_distinct_values_raises():
+    """With one variable per sheet, or signs of the other variables that
+    cancel, a singleton sheet's solved value is the same at every offset:
+    two singletons with one value, or one whose value is zero, raise
+    PreconditionViolation naming the sheets instead of searching forever."""
+    with pytest.raises(PreconditionViolation,
+                       match=r"^sheet 2 needs y_1 = -1 .*, as sheet 1 does,"):
+        build_partition_witness(((1,), (2,)), (1, 1), 1)
+    with pytest.raises(PreconditionViolation,
+                       match=r"^sheet 3 needs y_1 = 1 .*, as sheet 2 does,"):
+        build_partition_witness(((1,), (2,), (3,)), ((1, 1), (1, -1), (1, -1)), 1)
+    with pytest.raises(PreconditionViolation,
+                       match=r"^sheet 2 needs y_3 = 6 .*, as sheet 1 does,"):
+        build_partition_witness(((1,), (2,)), (1, 1, -1, 1), 3)
+    with pytest.raises(PreconditionViolation,
+                       match=r"^sheet 1 needs y_1 = 0 .*, and the value must be nonzero"):
+        build_partition_witness(((1,),), (0, 1), 1)
+    # one singleton, or singletons with different values, still get a witness
+    w = build_partition_witness(((1,), (2,)), ((1, 1), (1, -1)), 1)
+    assert w.y == ((-1,), (1,)) and dga_relation_check(w).passed
+    w = build_partition_witness(((1, 2), (3,)), (1, 1, -1, 1), 3)
+    assert dga_relation_check(w).passed
 
 
 def _witnesses():

@@ -82,7 +82,8 @@ def test_solve_aug_double_root_exit_2(tmp_path, capsys):
 
 def test_solver_stall_reports_variable_and_order(capsys, monkeypatch):
     real = TruncatedSeries.invert
-    monkeypatch.setattr(TruncatedSeries, "invert", lambda self: real(self).scale(2))
+    monkeypatch.setattr(TruncatedSeries, "invert",
+                        lambda self, inverse=None: real(self, inverse).scale(2))
     for argv in (["solve-aug", "--clifford", "3"],
                  ["solve-nilpotent", "--clifford", "3", "--multiplicity", "2"]):
         code, out, _ = _capture(capsys, argv + ["--order", "6", "--format", "json"])
@@ -304,6 +305,21 @@ def test_closed_stdout_ends_quietly_with_exit_code_one():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert b"Traceback" not in err, err.decode()
+
+
+@pytest.mark.parametrize("opts", [["--nvars", "1"], ["--nvars", "3", "--signs=+,+,-,+"]],
+                         ids=["one-variable", "cancelling-signs"])
+def test_partitions_without_distinct_witness_values_exit_one(opts):
+    """Two singleton sheets whose solved on-variety value ignores the
+    offset: the request used to search for distinct values forever, and
+    now ends at once as an input error naming the sheets."""
+    argv = [sys.executable, "-m", "augvar.cli", "partitions", "--ell", "2"] + opts
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=20,
+                          env=_subprocess_env())
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("input error: PreconditionViolation: sheet 2 needs y_")
+    assert "as sheet 1 does" in done.stderr
 
 
 def test_check_candidate_pass_and_fail(tmp_path, capsys):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from augvar import augment
+from augvar import augment, laurent, rings
 from augvar.augment import (
     AugmentationSeries,
     find_transverse_root,
@@ -146,18 +146,19 @@ def test_newton_takes_log_order_steps(monkeypatch):
 def test_newton_inverts_the_slope_at_the_precision_it_needs(monkeypatch):
     """On an order-10 relation shaped like the benchmark's three-variable
     ones, the steps (v, p) = (1, 1), (2, 3), (4, 7), (8, 10) invert the
-    slope truncated at p - v.  Neither the loop nor the solver's final
-    check builds a ``terms`` view, and the series equals the
-    two-substitution step's."""
+    slope truncated at p - v; the first inverts the slope's constant term
+    and every later one is handed that inverse.  Neither the loop nor the
+    solver's final check builds a ``terms`` view, and the series equals
+    the two-substitution step's."""
     rel = LaurentPoly(("y1", "y2", "y3"), {
         (0, 0, 0): 2, (1, 0, 0): 1, (0, 0, 1): -3, (1, 1, 0): 1, (0, 0, 2): 1,
         (2, 0, 1): 1, (0, 2, 2): 1})
     inverts, views = [], []
     real_invert, real_view = TruncatedSeries.invert, TruncatedSeries._view
 
-    def recording_invert(self):
-        inverts.append(self.order)
-        return real_invert(self)
+    def recording_invert(self, inverse=None):
+        inverts.append((self.order, inverse))
+        return real_invert(self, inverse)
 
     def counting_view(self):
         views.append(self.order)
@@ -166,10 +167,46 @@ def test_newton_inverts_the_slope_at_the_precision_it_needs(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "invert", recording_invert)
     monkeypatch.setattr(TruncatedSeries, "_view", counting_view)
     s = augment._newton_series(rel, "y3", F(1), F(0), 10, 0)
-    assert inverts == [0, 1, 3, 2]
+    assert [order for order, _ in inverts] == [0, 1, 3, 2]
+    assert inverts[0][1] is None
+    assert all(inverse == -1 for _, inverse in inverts[1:])     # 1 / (kappa r'(kappa))
     sol = solve_formal_augmentation(rel, "y3", order=10)
     assert views == []
     assert sol.series == s == two_evaluation_newton(rel, "y3", F(1), F(0), 10, 0)
+
+
+def test_one_slope_constant_inverse_per_solve(monkeypatch):
+    """The slope's constant term kappa r'(kappa) is inverted once per
+    _newton_series call, at its first correcting step, though every step
+    of these order-10 solves corrects: a formal solve, a quotient-field
+    solve with a supplied factor and a nilpotent d = 3 solve.  Over
+    Q[t]/(m) that inverse is the one QuotientRingElem.invert of the
+    solve."""
+    counts = {"newton": 0, "series": 0, "scalar": 0, "quotient": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(augment, "_newton_series", counting("newton", augment._newton_series))
+    monkeypatch.setattr(TruncatedSeries, "invert", counting("series", TruncatedSeries.invert))
+    monkeypatch.setattr(rings, "invert_scalar", counting("scalar", rings.invert_scalar))
+    monkeypatch.setattr(laurent, "invert_scalar", counting("scalar", laurent.invert_scalar))
+    monkeypatch.setattr(QuotientRingElem, "invert", counting("quotient", QuotientRingElem.invert))
+    y1, y = LaurentPoly.gens(("y1", "y"))
+    solves = (
+        (lambda: solve_formal_augmentation(clifford_relation(3, "+,+,-").lifted_relation,
+                                           "y2", order=10), 0),
+        (lambda: solve_formal_augmentation(-2 + y1 + 3 * y1 * y + y ** 2, "y", order=10,
+                                           factor=UniPoly([-2, 0, 1])), 1),
+        (lambda: solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=10), 1),
+    )
+    for solve, quotient in solves:
+        counts.update(newton=0, series=0, scalar=0, quotient=0)
+        solve()
+        assert counts == {"newton": 1, "series": 4, "scalar": 1, "quotient": quotient}
 
 
 def test_series_constructor_calls_per_solve_do_not_grow_with_newton_steps(monkeypatch):
@@ -202,8 +239,10 @@ def test_default_kappa_solve_takes_the_restriction_and_its_slope_once(monkeypatc
     """With no kappa given, the solvers use find_transverse_root's
     restriction and root as they are: one set_vars_zero per solve (the
     preamble used to take it twice), and one r'(kappa).  The other
-    derivatives are the squarefree tests of rational_roots and, over
-    Q[t]/(t^2 - 2), of the supplied factor."""
+    derivatives are gone: the squarefree tests of rational_roots and, over
+    Q[t]/(t^2 - 2), of the supplied factor differentiate integer
+    coefficient lists, so r'(kappa) is the one UniPoly derivative of each
+    solve (there were 2, 2 and 4)."""
     calls = {"set_vars_zero": 0, "derivative": 0}
     for cls, name in ((LaurentPoly, "set_vars_zero"), (UniPoly, "derivative")):
         def counting(self, *args, _real=getattr(cls, name), _name=name):
@@ -214,10 +253,10 @@ def test_default_kappa_solve_takes_the_restriction_and_its_slope_once(monkeypatc
     y1, y = LaurentPoly.gens(("y1", "y"))
     quadratic = -2 + y1 + 3 * y1 * y + y ** 2
     solves = (
-        (lambda: solve_formal_augmentation(rel, "y2", order=6), 2),
-        (lambda: solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=6), 2),
+        (lambda: solve_formal_augmentation(rel, "y2", order=6), 1),
+        (lambda: solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=6), 1),
         (lambda: solve_formal_augmentation(quadratic, "y", order=6,
-                                           factor=UniPoly([-2, 0, 1])), 4),
+                                           factor=UniPoly([-2, 0, 1])), 1),
     )
     for solve, derivatives in solves:
         calls.update(set_vars_zero=0, derivative=0)
@@ -336,9 +375,11 @@ def test_final_check_does_not_share_the_grouped_step(monkeypatch):
 
 def _doubled_inverse(monkeypatch):
     """A derivative inverse twice too large: a step no longer fixes the
-    next orders, which the per-step check must catch."""
+    next orders, which the per-step check must catch.  The stand-in takes
+    and forwards the slope constant's inverse as ``invert`` does."""
     real = TruncatedSeries.invert
-    monkeypatch.setattr(TruncatedSeries, "invert", lambda self: real(self).scale(2))
+    monkeypatch.setattr(TruncatedSeries, "invert",
+                        lambda self, inverse=None: real(self, inverse).scale(2))
 
 
 def test_formal_stall_names_variable_and_order(monkeypatch):

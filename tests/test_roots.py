@@ -4,7 +4,9 @@
 (``root_oracles.divisor_roots``) on seeded small polynomials, and with
 sympy's factorization, gcd and series logarithm where sympy is
 installed.  Roots of 40 digits and more must come back in seconds, which
-the divisor search cannot do.
+the divisor search cannot do.  The integer squarefree part and gcd are
+compared with the Fraction Euclid they replaced (``root_oracles``) and
+with sympy on seeded products of repeated factors.
 """
 
 import os
@@ -16,10 +18,24 @@ from fractions import Fraction
 
 import pytest
 
+from augvar import rings
 from augvar.errors import ZeroPolynomial
-from augvar.rings import TruncatedSeries, UniPoly, rational_roots, series_log, uni_gcd
+from augvar.rings import (
+    TruncatedSeries,
+    UniPoly,
+    is_squarefree,
+    rational_roots,
+    series_log,
+    squarefree_part,
+    uni_gcd,
+)
 
-from root_oracles import divisor_roots
+from root_oracles import (
+    divisor_roots,
+    fraction_gcd,
+    fraction_is_squarefree,
+    fraction_squarefree_part,
+)
 
 F = Fraction
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -184,3 +200,134 @@ def test_series_log_matches_sympy():
         expected = {(a, b): F(int(c.numerator), int(c.denominator))
                     for (_, a, b), c in rs_log(p, t, order + 1).terms()}
         assert series_log(u).terms == expected
+
+
+# --------------------------------------------------------------------------
+# the integer squarefree part against the Fraction Euclid and sympy
+# --------------------------------------------------------------------------
+
+def _repeated_factor_case(rng, i):
+    """(p, q, roots) for the i-th seeded case: p a product of rational
+    linear factors, each to a power 1-3, times y^z and a rational content;
+    q = p' or a second such product sharing factors with p; roots the
+    distinct rational roots of p.  Every third case takes factors b y - a
+    with |a| near 10^12, so coefficients of p reach 10^24 and beyond."""
+    big = i % 3 == 0
+    p, q, roots = UniPoly([F(rng.choice([1, -1, 3, -7]), rng.choice([1, 2, 5]))]), None, set()
+    shared = []
+    for _ in range(rng.randint(1, 3)):
+        num = rng.randint(10 ** 12 - 999, 10 ** 12) if big else rng.randint(1, 40)
+        root = F(rng.choice((num, -num)), rng.randint(1, 9))
+        roots.add(root)
+        factor = _linear(root) ** rng.randint(1, 3)
+        p = p * factor
+        shared.append(factor)
+    z = rng.choice((0, 0, 1, 2))
+    if z:
+        p = p * UniPoly([0, 1]) ** z
+        roots.add(F(0))
+    if i % 2:
+        q = p.derivative()
+    else:
+        q = UniPoly([F(rng.randint(1, 9), rng.randint(1, 4))])
+        for factor in rng.sample(shared, rng.randint(1, len(shared))):
+            q = q * factor
+        q = q * _linear(F(rng.randint(-50, 50), rng.randint(1, 5)))
+    return p, q, sorted(roots, key=lambda r: (abs(r), -r))
+
+
+CASES = 1000
+
+
+def test_integer_squarefree_part_and_gcd_match_fraction_euclid():
+    """1000 seeded products of repeated rational factors, a third of them
+    with coefficients past 10^12 and some with a zero root: squarefree
+    part, squarefree test, gcd (with p' and with a product sharing
+    factors) and rational roots equal the Fraction Euclid's and the
+    known roots."""
+    rng = random.Random(8600)
+    kinds = {"zero": 0, "repeated": 0, "big": 0}
+    for i in range(CASES):
+        p, q, roots = _repeated_factor_case(rng, i)
+        sqf = squarefree_part(p)
+        assert sqf == fraction_squarefree_part(p), p
+        assert is_squarefree(p) == fraction_is_squarefree(p) == (sqf.degree == p.degree)
+        assert uni_gcd(p, q) == fraction_gcd(p, q), (p, q)
+        assert uni_gcd(q, p) == fraction_gcd(q, p), (p, q)
+        assert rational_roots(p) == roots, p
+        kinds["zero"] += F(0) in roots
+        kinds["repeated"] += sqf.degree < p.degree
+        kinds["big"] += max(abs(c.numerator) for c in p.coeffs) > 10 ** 12
+    assert min(kinds.values()) >= 150, kinds
+
+
+def test_integer_squarefree_part_and_gcd_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(8600)
+    for i in range(CASES):
+        p, q, _ = _repeated_factor_case(rng, i)
+        sp, sq = _to_sympy(sympy, p, x), _to_sympy(sympy, q, x)
+        assert squarefree_part(p) == _from_sympy(sp.sqf_part().monic()), p
+        assert uni_gcd(p, q) == _from_sympy(sympy.gcd(sp, sq).monic()), (p, q)
+
+
+def test_gcd_edge_cases_match_fraction_euclid():
+    zero, five = UniPoly(), UniPoly([5])
+    p = UniPoly([F(-3, 4), 0, F(1, 2)]) * UniPoly([1, 1]) ** 2
+    for a, b in ((zero, zero), (zero, p), (p, zero), (five, p), (p, five),
+                 (p, p), (p, -p), (-p, p.derivative())):
+        assert uni_gcd(a, b) == fraction_gcd(a, b)
+    for a in (five, UniPoly([0, F(-2, 3)]), p, -p, p * p):
+        assert squarefree_part(a) == fraction_squarefree_part(a)
+        assert is_squarefree(a) == fraction_is_squarefree(a)
+    assert not is_squarefree(zero)
+    with pytest.raises(ZeroPolynomial):
+        squarefree_part(zero)
+
+
+def test_squarefree_routines_share_the_integer_gcd(monkeypatch):
+    """uni_gcd, squarefree_part and is_squarefree each take one integer
+    gcd and no UniPoly division."""
+    calls = []
+    real = rings._int_gcd
+
+    def counting(f, g):
+        calls.append(1)
+        return real(f, g)
+
+    def refuse(self, other):
+        raise AssertionError("a polynomial division over Q")
+
+    monkeypatch.setattr(rings, "_int_gcd", counting)
+    monkeypatch.setattr(UniPoly, "__divmod__", refuse)
+    p = UniPoly([F(-3, 4), 0, F(1, 2)]) * UniPoly([1, 1]) ** 2
+    for routine, args in ((uni_gcd, (p, p.derivative())), (squarefree_part, (p,)),
+                          (is_squarefree, (p,))):
+        calls.clear()
+        routine(*args)
+        assert len(calls) == 1, routine.__name__
+
+
+def test_rational_roots_builds_no_fraction_or_unipoly_before_the_lift():
+    """Every Python call made by rational_roots up to the p-adic lift is
+    traced: none constructs a Fraction or a UniPoly."""
+    p = UniPoly([0, 0, F(-6, 5), F(1, 5), F(1, 5)]) * UniPoly([F(2, 3), 1]) ** 2
+    seen = []
+
+    def tracer(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            seen.append((os.path.basename(code.co_filename), code.co_name))
+
+    sys.setprofile(tracer)
+    try:
+        roots = rational_roots(p)
+    finally:
+        sys.setprofile(None)
+    assert roots == [0, F(-2, 3), 2, -3]
+    before = seen[:seen.index(("rings.py", "_lifted_candidates"))]
+    assert ("rings.py", "_squarefree_ints") in before
+    assert not [call for call in before
+                if call in (("rings.py", "__init__"), ("rings.py", "derivative"))
+                or call[0] == "fractions.py" and call[1] in ("__new__", "_from_coprime_ints")]

@@ -4,10 +4,11 @@ Products, inverses and logarithms of seeded random series over Q,
 Q[t]/(t^3 - 2), Q[t]/(t^3) and Q[t]/(t^2 + t/2 - 1/3), a modulus with
 non-integer coefficients, must equal, exactly, the naive
 term-by-term product and the geometric-series inverse and power-sum
-logarithm kept in ``series_oracles``.  Seeded chains of sums, negations,
-scalings, products, inverses, exponentials, logarithms and order changes
-on the stored degree parts must end at the series the term-by-term
-oracles reach.  Pinned cases cover series that mix int and Fraction
+logarithm kept in ``series_oracles``, also for monomial, sparse and
+gapped operands, whose products pair nonzero degree parts only.  Seeded
+chains of sums, negations, scalings, products, inverses, exponentials,
+logarithms and order changes on the stored degree parts must end at the
+series the term-by-term oracles reach.  Pinned cases cover series that mix int and Fraction
 coefficients, a 30-digit denominator, quotient-ring residues with
 20-digit denominators, and rational coefficients beside quotient-field
 ones in one series.
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from augvar import rings
 from augvar.errors import PreconditionViolation
 from augvar.rings import (
     QuotientRingElem,
@@ -92,6 +94,77 @@ def test_product_matches_naive_product(backend):
         a = _series(rng, backend, rng.choice([None, "unit"]))
         b = _series(rng, backend, rng.choice([None, "unit"]))
         assert (a * b).terms == naive_mul(a, b).terms
+
+
+SPARSE_MODULI = {"rational": None, "nilpotent-t3": NIL_MODULUS,
+                 "quotient-t2-2": UniPoly([-2, 0, 1])}
+
+
+def _sparse_operands(rng, modulus, order):
+    """Pairs of series in three variables at ``order``: monomials, a few
+    scattered terms, and operands whose nonzero degree parts have empty
+    parts between them (gapped), with and without a unit constant term."""
+    vs = ("x", "y", "z")
+
+    def scalar():
+        c = F(rng.choice([-7, -2, -1, 1, 3, 5]), rng.choice([1, 2, 9]))
+        if modulus is None:
+            return c
+        return QuotientRingElem(UniPoly([c, _rational(rng), _rational(rng)]), modulus)
+
+    def term(degree):
+        a = rng.randint(0, degree)
+        b = rng.randint(0, degree - a)
+        return (a, b, degree - a - b)
+
+    def series(degrees, constant=False):
+        terms = {term(d): scalar() for d in degrees}
+        if constant:
+            terms[(0, 0, 0)] = F(rng.choice([1, -2, 3]))
+        return TruncatedSeries(vs, order, terms)
+
+    out = []
+    for _ in range(6):
+        out.append((series([rng.randint(1, order)]), series([rng.randint(1, order)])))
+        out.append((series([rng.randint(1, order)]),
+                    series(rng.sample(range(1, order + 1), 3), constant=True)))
+        gaps = [1, order // 2, order]                       # empty parts between
+        out.append((series(gaps + [gaps[1]], constant=rng.random() < 0.5),
+                    series([2, order - 1], constant=rng.random() < 0.5)))
+        out.append((series([rng.randint(1, order) for _ in range(4)]),
+                    series([rng.randint(1, order) for _ in range(4)], constant=True)))
+    return out
+
+
+@pytest.mark.parametrize("backend", sorted(SPARSE_MODULI))
+def test_product_of_sparse_and_gapped_operands(backend, monkeypatch):
+    """Monomial, sparse and gapped operands over Q, Q[t]/(t^3) and
+    Q[t]/(t^2 - 2): the product equals the term-by-term one, and the
+    kernel runs once per output degree that some pair of nonzero parts
+    reaches, and for no other."""
+    calls = []
+    real = rings._convolve
+
+    def counting(pairs, divisor=1):
+        calls.append(len(pairs))
+        return real(pairs, divisor)
+
+    monkeypatch.setattr(rings, "_convolve", counting)
+    rng = random.Random("kernel-sparse-" + backend)
+    for order in (4, 9):
+        for a, b in _sparse_operands(rng, SPARSE_MODULI[backend], order):
+            for x, y in ((a, b), (b, a)):
+                calls.clear()
+                got = x * y
+                assert got.terms == naive_mul(x, y).terms
+                if x.is_constant() or y.is_constant():
+                    assert calls == []
+                    continue
+                da = [i for i, (items, _) in enumerate(x._parts) if items]
+                db = [j for j, (items, _) in enumerate(y._parts) if items]
+                reached = {i + j for i in da for j in db if i + j <= order}
+                assert len(calls) == len(reached)
+                assert sum(calls) == sum(1 for i in da for j in db if i + j <= order)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
