@@ -8,29 +8,24 @@ of the one-variable restriction W(0, ..., 0, y_k):
 * solve W(mu_1, ..., mu_{k-1}, kappa exp(s)) = 0 for a power series s with
   zero constant term, truncated past a given total degree.
 
-The series comes from Newton's method on F(s) = W(mu, kappa exp(s)).  By
-the chain rule through kappa exp(s), the derivative of F at s is
-multiplication by the series dW(mu, kappa exp(s)), where
-dW = y_k dW/dy_k.  So the update is
+The series is solved one total degree at a time.  Group W once as
+sum_j C_j(mu) y_k^j and put D_j = kappa^j C_j; then F(s) = W(mu, kappa
+exp(s)) = sum_j D_j exp(j s).  Since s has no constant term, the
+degree-n part of F is R_n + c s_n, where R_n involves only s_1, ...,
+s_{n-1} and c = kappa r'(kappa) is the constant sum_j j D_j[0], nonzero
+for a transverse root of the restriction r.  So
 
-    s  <-  s - F(s) / dW(mu, kappa exp(s)),
+    s_n = -R_n / c,
 
-and the divisor is invertible because its constant term kappa r'(kappa)
-is nonzero for a transverse root of the restriction r.  F(s) and the
-divisor come from one set of products: with W grouped once as
-sum_j C_j(mu) y_k^j and Y = kappa exp(s), a step forms T_j = C_j Y^j,
-and then F(s) = sum_j T_j and dW(mu, Y) = sum_j j T_j.  Every product
-here is a plain ``*``; a constant C_j, Y^j or divisor is applied through
-``scale`` by :meth:`TruncatedSeries.__mul__` itself.
-
-If F(s) vanishes below degree v, the update makes it vanish below degree
-2v, so the verified order doubles at each step (Brent and Kung, *Fast
-algorithms for manipulating formal power series*, 1978) and order n takes
-about log2(n) steps.  A residual with a term below the verified degree stops the loop
-with :class:`DoubleRoot`, whose ``variable`` and ``order`` name the
-variable and the order reached.  The returned series is re-checked by an
-independent substitution, and a nonzero result raises
-:class:`VerificationFailure`.
+and each degree part of s, and of every exp(j s), is found once, with
+one pass of each product: the relaxed evaluation of van der Hoeven
+(*Relax, but don't be too lazy*, 2002), done by
+:func:`rings.solve_exp_sum`.  c is inverted at most once per solve, and
+no series is inverted.  Degree 0 is the check r(kappa) = target, and it
+is the only place the loop can stall: a nonzero degree-0 residual raises
+:class:`DoubleRoot`, whose ``variable`` and ``order`` name the variable
+and order 0.  The returned series is re-checked by an independent
+substitution, and a nonzero result raises :class:`VerificationFailure`.
 
 The nilpotent variant runs the same loop over Q[t]/(t^d)[[mu]], where
 alpha, the class of t, is nilpotent of order d.  It puts kappa (1 + alpha)
@@ -52,22 +47,25 @@ from .errors import (
     IndexOutOfRange,
     MissingAssignment,
     NoRootAvailable,
+    NonzeroConstantTerm,
     NotInvertible,
     NotInvertibleAtPoint,
     PreconditionViolation,
     VerificationFailure,
 )
-from .laurent import LaurentPoly, _power_table, grlex_key
+from .laurent import LaurentPoly, grlex_key
 from .rings import (
     DEFAULT_ORDER,
     QuotientRingElem,
     TruncatedSeries,
     UniPoly,
     frac,
+    invert_scalar,
     is_squarefree,
     is_zero,
     rational_roots,
     series_exp,
+    solve_exp_sum,
 )
 
 
@@ -224,77 +222,36 @@ def _grouped_by_exponent(relation, k):
     return groups
 
 
-def _value_and_slope(groups, var, y, zero):
-    """(W, y dW/dy) at (mu, y) for W grouped as {j: C_j}, each C_j a
-    series at the truncation of the series y over mu, from one set of
-    products T_j = C_j y^j: W = sum_j T_j and y dW/dy = sum_j j T_j, both
-    summed from ``zero``, the zero series at that truncation.  A constant
-    C_j or y^j is applied through ``scale`` by
-    :meth:`TruncatedSeries.__mul__`, not here."""
-    try:
-        powers = _power_table(y, groups)
-    except (NotInvertible, ZeroDivisionError) as err:
-        raise NotInvertibleAtPoint(
-            "value for %r is not invertible: %s" % (var, err)) from None
-    value = slope = zero
-    for j, t in groups.items():
-        if j:
-            t = powers[j] * t
-            slope = slope + t.scale(j)
-        value = value + t
-    return value, slope
+def _series_solution(relation, var, kap, target, order, seed):
+    """Solve W(mu, kap exp(s)) = target for s with zero constant term,
+    degree by degree, as the module docstring describes.
 
-
-def _newton_series(relation, var, kap, target, order, seed):
-    """Solve W(mu, kap exp(s)) = target for s with zero constant term by
-    the Newton loop described in the module docstring.
-
-    ``v`` is the degree below which the residual is known to vanish; each
-    step works at truncation p = min(2v - 1, order) and verifies up to p,
-    so order 10 takes four steps.  W is grouped by the exponent of ``var``
-    once, into series C_j at the full order, and each step takes the
-    residual and the slope from the same products C_j Y^j of their
-    truncations at p, so no step calls the series constructor; the
-    solvers' final check substitutes independently.
-
-    The residual vanishes below degree v, so the correction residual /
-    slope needs the slope inverse only through degree p - v: the step
-    inverts the slope truncated at p - v and multiplies at p, and the
-    inverse terms it drops would meet the residual only past degree p
-    (Bernstein, *Removing redundancy in high-precision Newton iteration*,
-    2004).  Changing the truncation of s, the slope and its inverse
-    repacks their degree parts and builds no coefficient.
-
-    The slope's constant term c is kap r'(kap) at every step, because s
-    has no constant term, so only the first step that corrects inverts c.
-    The constant term of that step's slope inverse is c^{-1}, and every
-    later step hands it to :meth:`TruncatedSeries.invert`.
+    W is grouped once by the exponent j of ``var`` into series C_j at the
+    full order, and :func:`solve_exp_sum` solves sum_j D_j exp(j s) =
+    target for D_j = kap^j C_j.  A negative j takes kap^-1 once; a zero or
+    non-invertible kap then raises :class:`NotInvertibleAtPoint` before
+    anything else is checked.  The only stall is at degree 0, where
+    r(kap) != target raises :class:`DoubleRoot`; the solvers' final check
+    substitutes independently.
     """
     mu_vars = _mu_variables(relation, var)
-    groups = {j: TruncatedSeries(mu_vars, order, terms) for j, terms
-              in _grouped_by_exponent(relation, relation.variables.index(var)).items()}
-    goal = TruncatedSeries.constant(target, mu_vars, order)
-    s = zero = TruncatedSeries.zero(mu_vars, order)
-    v = 1
-    inverse = None                          # c^{-1}, once a step has corrected
-    while v <= order:
-        p = min(2 * v - 1, order)
-        s = s._at_order(p)
-        value, slope = _value_and_slope({j: c._at_order(p) for j, c in groups.items()}, var,
-                                        series_exp(s).scale(kap), zero._at_order(p))
-        residual = value - goal._at_order(p)
-        if not residual.is_zero():
-            if residual.valuation() < v:
-                raise _double_root(
-                    "iteration stalled in %r at order %d: residual has a "
-                    "degree-%d term" % (var, v - 1, residual.valuation()),
-                    relation, var, v - 1, seed)
-            step = slope._at_order(p - v).invert(inverse)
-            if inverse is None:
-                inverse = step.constant_term()
-            s = s - residual * step._at_order(p)
-        v = p + 1
-    return s
+    groups = _grouped_by_exponent(relation, relation.variables.index(var))
+    if any(j < 0 for j in groups):
+        if is_zero(kap):
+            raise NotInvertibleAtPoint("value for %r is not invertible: series with "
+                                       "zero constant term" % var)
+        try:
+            inverse = invert_scalar(kap)
+        except NotInvertible as err:
+            raise NotInvertibleAtPoint(
+                "value for %r is not invertible: %s" % (var, err)) from None
+    coefficients = {j: TruncatedSeries(mu_vars, order, terms).scale(
+        kap ** j if j >= 0 else inverse ** -j) for j, terms in groups.items()}
+    try:
+        return solve_exp_sum(coefficients, target)
+    except NonzeroConstantTerm:
+        raise _double_root("iteration stalled in %r at order 0: residual has a "
+                           "degree-0 term" % var, relation, var, 0, seed) from None
 
 
 def _simple_root(relation, k, kappa, factor, seed):
@@ -303,8 +260,8 @@ def _simple_root(relation, k, kappa, factor, seed):
 
     With no ``kappa`` these are :func:`find_transverse_root`'s, which has
     already checked that kappa is a simple root of r.  A given kappa is
-    checked here, once: :class:`NoRootAvailable` when it is not an int, a
-    Fraction or a :class:`QuotientRingElem` (before anything is
+    checked here, once: :class:`NoRootAvailable` when it is a bool or not
+    an int, a Fraction or a :class:`QuotientRingElem` (before anything is
     evaluated) or when r(kappa) != 0, :class:`DoubleRoot` when
     r'(kappa) = 0.  Either way r comes from
     :meth:`LaurentPoly.set_vars_zero`, which raises
@@ -313,7 +270,7 @@ def _simple_root(relation, k, kappa, factor, seed):
     if kappa is None:
         root = find_transverse_root(relation, k, factor=factor, seed=seed)
         return root.variable, root.kappa, root.restriction
-    if not isinstance(kappa, (int, Fraction, QuotientRingElem)):
+    if isinstance(kappa, bool) or not isinstance(kappa, (int, Fraction, QuotientRingElem)):
         raise NoRootAvailable("kappa must be an int, a Fraction or a "
                               "QuotientRingElem, not %s" % type(kappa).__name__)
     var = _var_name(relation, k)
@@ -334,16 +291,17 @@ def _verified(sol, solver):
 
 def solve_formal_augmentation(relation, k, kappa=None, order=DEFAULT_ORDER,
                               factor=None, seed=0):
-    """Newton solution of W(mu, kappa exp(s)) = 0 to total degree ``order``.
+    """Solution of W(mu, kappa exp(s)) = 0 to total degree ``order``.
 
     ``kappa`` defaults to the preferred transverse root of the restriction.
-    Each Newton step doubles the order to which the residual is known to
-    vanish, so O(log order) steps suffice.  The residual of the returned
+    The series is solved degree by degree, each degree part of s once
+    (van der Hoeven's relaxed evaluation; see the module docstring), and
+    the loop can stall only at degree 0.  The residual of the returned
     solution is re-checked by direct substitution, and a nonzero residual
     raises :class:`VerificationFailure`.
     """
     var, kappa, _ = _simple_root(relation, k, kappa, factor, seed)
-    s = _newton_series(relation, var, kappa, Fraction(0), order, seed)
+    s = _series_solution(relation, var, kappa, Fraction(0), order, seed)
     return _verified(AugmentationSeries(relation=relation, variable=var,
                                         kappa=kappa, series=s, order=order),
                      "solver")
@@ -358,12 +316,17 @@ def solve_nilpotent_augmentation(factor_poly, multiplicity, k,
     image of W_i is the mu-independent constant W_i(0, ..., kappa(1+alpha)),
     nilpotent of order exactly ``multiplicity``; the image of W_i^d is then
     zero while the (d-1)-st power survives.  The series comes from the same
-    Newton loop as the formal solver, with that constant as the target.
+    degree-by-degree loop as the formal solver, with that constant as the
+    target, so it too can stall only at degree 0.
 
-    ``multiplicity`` = 1 degenerates to the honest formal solver (alpha = 0).
-    Otherwise a given ``kappa`` must be an int or a Fraction: any other
-    value raises :class:`NoRootAvailable` before anything is evaluated.
+    ``multiplicity`` must be an int (not a bool), or ValueError is raised
+    before anything is evaluated; = 1 degenerates to the honest formal
+    solver (alpha = 0).  Otherwise a given ``kappa`` must be an int or a
+    Fraction: any other value raises :class:`NoRootAvailable` before
+    anything is evaluated.
     """
+    if isinstance(multiplicity, bool) or not isinstance(multiplicity, int):
+        raise ValueError("multiplicity must be an int, not %s" % type(multiplicity).__name__)
     if multiplicity < 1:
         raise ValueError("multiplicity must be >= 1")
     if multiplicity == 1:
@@ -378,7 +341,7 @@ def solve_nilpotent_augmentation(factor_poly, multiplicity, k,
     alpha = QuotientRingElem.generator(UniPoly.gen() ** d)
     kap = (1 + alpha) * frac(kappa)
     target = r.evaluate(kap)                # c alpha + higher, c != 0
-    s = _newton_series(factor_poly, var, kap, target, order, seed)
+    s = _series_solution(factor_poly, var, kap, target, order, seed)
     sol = _verified(AugmentationSeries(relation=factor_poly, variable=var,
                                        kappa=kap, series=s, order=order,
                                        image=target, multiplicity=d),

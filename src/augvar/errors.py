@@ -22,7 +22,9 @@ class NotInvertible(AugvarError):
 
 
 class NonzeroConstantTerm(AugvarError):
-    """Series exponential requires a series with zero constant term."""
+    """A series that must have zero constant term has a nonzero one: the
+    argument of the series exponential, or the degree-0 residual of
+    ``rings.solve_exp_sum``."""
 
 
 class ConstantTermNotOne(AugvarError):

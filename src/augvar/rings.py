@@ -9,7 +9,9 @@ Three backends, all with exact arithmetic and no floating point anywhere:
   for m = t^d (the nilpotent rings of scheme-level witnesses),
 
 plus truncated multivariate power series over any of the scalar backends
-(:class:`TruncatedSeries`) with exponential and logarithm.
+(:class:`TruncatedSeries`) with exponential and logarithm, and the
+degree-by-degree solve of sum_j D_j exp(j s) = target behind the
+augmentation solvers (:func:`solve_exp_sum`).
 
 A quotient-ring element has one integer form and no other state: an int
 vector in powers of s = D t (D the least common denominator of the
@@ -25,14 +27,14 @@ vector, as an element over the denominator 1, and its denominator.  A
 part stores its numerators over one int denominator of its own.  Sums,
 differences and scalings work part by part on numerators over the lcm of
 the denominators.  Products, :meth:`TruncatedSeries.invert`,
-:func:`series_exp` and :func:`series_log` share one graded kernel,
-:func:`_convolve`, which multiplies and adds numerators with plain ``*``
-and ``+``: over Q a multiply-add is two int operations, and over Q[t]/(m)
-a product of two elements over the denominator 1 is an int convolution
-reduced by the integer form of m (a truncation for m = t^d), with no gcd,
-and a sum is an int vector sum.  Every operation ends each output part
-with one gcd reduction (:func:`_reduced`), and every backend goes through
-the same code.  No Fraction is built by series arithmetic.  The public
+:func:`series_exp`, :func:`series_log` and :func:`solve_exp_sum` share
+one graded kernel, :func:`_convolve`, which multiplies and adds
+numerators with plain ``*`` and ``+``: over Q a multiply-add is two int
+operations, and over Q[t]/(m) a product of two elements over the
+denominator 1 is an int convolution reduced by the integer form of m (a
+truncation for m = t^d), with no gcd, and a sum is an int vector sum.
+Every operation ends each output part with one gcd reduction
+(:func:`_reduced`), and every backend goes through the same code.  No Fraction is built by series arithmetic.  The public
 ``terms`` map of exact scalars is a read-only view: a computed series
 builds it from its parts, one scalar per coefficient, the first time it
 is read, and keeps it.
@@ -805,14 +807,13 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
-    def _make(self, parts, order=None):
-        """A series over this one's variables, truncated past ``order``
-        (by default this one's), with the degree parts ``parts``, whose
-        numerators are nonzero; its ``terms`` view is built when first
-        read."""
+    def _make(self, parts):
+        """A series over this one's variables and at this one's
+        truncation, with the degree parts ``parts``, whose numerators are
+        nonzero; its ``terms`` view is built when first read."""
         out = object.__new__(TruncatedSeries)
         object.__setattr__(out, "variables", self.variables)
-        object.__setattr__(out, "order", self.order if order is None else order)
+        object.__setattr__(out, "order", self.order)
         object.__setattr__(out, "_parts", parts)
         object.__setattr__(out, "_terms", None)
         return out
@@ -851,27 +852,6 @@ class TruncatedSeries:
                     exp.append(e)
                 terms[tuple(exp)] = _scalar(n, den)
         return MappingProxyType(terms)
-
-    def _at_order(self, order):
-        """This series truncated, or padded with zero parts, to the
-        truncation ``order``; keys are repacked from base ``self.order +
-        1`` to base ``order + 1``."""
-        if order == self.order:
-            return self
-        old = self.order + 1
-        powers = [(order + 1) ** i for i in range(len(self.variables))]
-        parts = []
-        for items, den in self._parts[:order + 1]:
-            moved = []
-            for key, n in items:
-                new = 0
-                for w in powers:
-                    key, e = divmod(key, old)
-                    new += e * w
-                moved.append((new, n))
-            parts.append((moved, den))
-        parts += [([], 1)] * (order - self.order)
-        return self._make(parts, order)
 
     # -- constructors ------------------------------------------------------
 
@@ -963,24 +943,8 @@ class TruncatedSeries:
 
     def _sum(self, other, sign):
         """self + sign * other for sign = 1 or -1, one degree part at a
-        time over the lcm of the two part denominators."""
-        parts = []
-        for (a, da), (b, db) in zip(self._parts, other._parts):
-            if not b:
-                parts.append((a, da))
-                continue
-            if not a and sign == 1:
-                parts.append((b, db))
-                continue
-            den = lcm(da, db)
-            fa, fb = den // da, sign * (den // db)
-            acc = dict(a) if fa == 1 else {k: n * fa for k, n in a}
-            for k, n in b:
-                if fb != 1:
-                    n = n * fb
-                acc[k] = acc[k] + n if k in acc else n
-            parts.append(_reduced(acc.items(), den))
-        return self._make(parts)
+        time."""
+        return self._make([_part_sum(a, b, sign) for a, b in zip(self._parts, other._parts)])
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -1057,7 +1021,7 @@ class TruncatedSeries:
             return self.invert() ** (-n)
         return power(self, n, lambda: TruncatedSeries.one(self.variables, self.order))
 
-    def invert(self, inverse=None):
+    def invert(self):
         """Inverse of a series f with invertible constant term c, one
         homogeneous degree at a time.
 
@@ -1068,17 +1032,11 @@ class TruncatedSeries:
         (Brent-Kung 1978).  Each g_n is one kernel call over the parts
         of f, scaled once by -c^{-1}, and the parts of g already found;
         every part carries its own denominator, reduced by one gcd when
-        its numerators are ints.
-
-        ``inverse``, when given, is c^{-1}, known to the caller, and is
-        used as it is; otherwise c is inverted here.  A zero c raises
-        :class:`NotInvertible` either way.
+        its numerators are ints.  A zero c raises :class:`NotInvertible`.
         """
         if not self._parts[0][0]:
             raise NotInvertible("series with zero constant term")
-        if inverse is None:
-            inverse = invert_scalar(self.constant_term())
-        n0, d0 = _ratio(inverse)
+        n0, d0 = _ratio(invert_scalar(self.constant_term()))
         f = [([(key, -n * n0) for key, n in items], den * d0)
              for items, den in self._graded()]
         parts = [([(0, n0)], d0)]
@@ -1122,6 +1080,24 @@ def _reduced(items, den):
                       else n._ring.element([c // g for c in n._nums])) for k, n in items]
             den //= g
     return items, den
+
+
+def _part_sum(a, b, sign=1):
+    """The degree part a + sign * b, for sign = 1 or -1, over the lcm of
+    the two part denominators."""
+    (a, da), (b, db) = a, b
+    if not b:
+        return a, da
+    if not a and sign == 1:
+        return b, db
+    den = lcm(da, db)
+    fa, fb = den // da, sign * (den // db)
+    acc = dict(a) if fa == 1 else {k: n * fa for k, n in a}
+    for k, n in b:
+        if fb != 1:
+            n = n * fb
+        acc[k] = acc[k] + n if k in acc else n
+    return _reduced(acc.items(), den)
 
 
 def _convolve(pairs, divisor=1):
@@ -1203,3 +1179,62 @@ def series_log(u):
         parts.append((items, den))
         weighted.append(([(key, -n * x) for key, x in items], den))
     return u._make(parts)
+
+
+def solve_exp_sum(groups, target):
+    """The series s with zero constant term that solves
+
+        sum_j D_j exp(j s) = target
+
+    for ``groups`` {j: D_j}, a nonempty map from ints to series over one
+    set of variables at one truncation order, and a scalar ``target``,
+    one homogeneous degree at a time: the relaxed evaluation of van der
+    Hoeven (*Relax, but don't be too lazy*, 2002) with naive products.
+
+    E^(j) = exp(j s) satisfies n E^(j)_n = sum_{k=1..n} k j s_k
+    E^(j)_{n-k}, as in :func:`series_exp`, and only its k = n term holds
+    s_n, as j s_n.  So at degree n one kernel call over the pairs (D_j[i],
+    E^(j)[n - i]), with E^(j)[n] taken without j s_n, gives the residual
+    R_n, and R_n + c s_n = 0 for the constant c = sum_j j D_j[0].  Hence
+
+        s_n = -R_n / c,   then E^(j)[n] += j s_n,
+
+    and each part of s and of every E^(j) is found once.  Degree 0 is the
+    check sum_j D_j[0] = target; a nonzero degree-0 residual raises
+    :class:`NonzeroConstantTerm`.  c is inverted at the first degree with
+    R_n != 0: a zero c raises :class:`NotInvertible` ("series with zero
+    constant term"), and a zero-divisor c whatever :func:`invert_scalar`
+    raises.
+    """
+    template = next(iter(groups.values()))
+    graded = {j: g._graded() for j, g in groups.items()}
+    one = ([(0, 1)], 1)
+    n0, d0 = _ratio(target)
+    residual = _convolve([(g[0], one) for g in graded.values()] + [(([(0, -n0)], d0), one)])
+    if residual[0]:
+        raise NonzeroConstantTerm("residual has a degree-0 term")
+    slope = _convolve([(g[0], ([(0, j)], 1)) for j, g in graded.items() if j])
+    exps = {j: [one] for j in graded if j}   # E^(j), by degree
+    weighted = {j: [([], 1)] for j in exps}  # k j s_k, by degree k
+    parts = [([], 1)]                        # s, by degree
+    step = None                              # -1/c as (numerator, denominator)
+    for n in range(1, template.order + 1):
+        pairs = [(graded[0][n], one)] if 0 in graded else []
+        partial = {}                         # E^(j)[n] without j s_n
+        for j, e in exps.items():
+            w, g = weighted[j], graded[j]
+            partial[j] = p = _convolve([(w[k], e[n - k]) for k in range(1, n)], n)
+            pairs.append((g[0], p))
+            pairs += [(g[i], e[n - i]) for i in range(1, n + 1)]
+        items, den = _convolve(pairs)
+        if items:
+            if step is None:
+                if not slope[0]:
+                    raise NotInvertible("series with zero constant term")
+                step = _ratio(-invert_scalar(_scalar(slope[0][0][1], slope[1])))
+            items, den = _reduced([(key, x * step[0]) for key, x in items], den * step[1])
+        parts.append((items, den))
+        for j, e in exps.items():
+            weighted[j].append(([(key, n * j * x) for key, x in items], den))
+            e.append(_part_sum(partial[j], ([(key, j * x) for key, x in items], den)))
+    return template._make(parts)

@@ -1,11 +1,12 @@
-"""Slow reference solvers kept as oracles for the Newton solver.
+"""Slow reference solvers kept as oracles for the series solver.
 
-These are the routines the library used before the current Newton step: a
-fixed-slope iteration that gains one order per step, with the power-sum
-exponential of ``series_oracles``, and the Newton step that substitutes
-into the relation and into its derivative y_k dW/dy_k separately.  Series coefficients are
-unique for a given root, so the library must reproduce their results
-exactly; the two-substitution step must also raise the same errors.
+These are routines the library used before it solved the series one
+degree at a time: a fixed-slope iteration that gains one order per step,
+with the power-sum exponential of ``series_oracles``, and the Newton loop
+that doubles the verified order, substituting into the relation and into
+its derivative y_k dW/dy_k separately.  Series coefficients are unique
+for a given root, so the library must reproduce their results exactly;
+the Newton loop must also raise the same errors.
 """
 
 from fractions import Fraction
@@ -57,9 +58,11 @@ def fixed_slope_nilpotent(relation, d, var, kappa, order):
 
 
 def two_evaluation_newton(relation, var, kap, target, order, seed):
-    """The Newton loop of ``augment._newton_series`` with the residual
-    W(mu, kap exp(s)) - target and the slope dW(mu, kap exp(s)),
-    dW = y_k dW/dy_k, each from its own ``LaurentPoly.evaluate``."""
+    """Newton's method for W(mu, kap exp(s)) = target, doubling the
+    verified order at each step, with the residual W(mu, kap exp(s)) -
+    target and the slope dW(mu, kap exp(s)), dW = y_k dW/dy_k, each from
+    its own ``LaurentPoly.evaluate``.  A residual term below the verified
+    order raises the ``DoubleRoot`` of ``augment._double_root``."""
     k = relation.variables.index(var)
     dW = LaurentPoly(relation.variables,
                      {e: c * e[k] for e, c in relation.terms.items() if e[k]})

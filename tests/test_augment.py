@@ -211,6 +211,39 @@ def test_nilpotent_solver_rejects_non_rational_kappa_before_evaluating(monkeypat
             solve_nilpotent_augmentation(rel, 1, "y2", kappa=kappa, order=3)
 
 
+def test_bool_kappa_is_rejected_before_evaluating(monkeypatch):
+    """True equals the root 1 of 1 + y1 - y2 but is not a root value: both
+    solvers, at every multiplicity, reject it by name."""
+    y1, y2 = LaurentPoly.gens(VS)
+    rel = 1 + y1 - y2
+    monkeypatch.setattr(LaurentPoly, "set_vars_zero",
+                        lambda *args: pytest.fail("kappa was evaluated"))
+    solves = (lambda: solve_formal_augmentation(rel, "y2", kappa=True, order=3),
+              lambda: solve_nilpotent_augmentation(rel, 1, "y2", kappa=True, order=3),
+              lambda: solve_nilpotent_augmentation(rel, 2, "y2", kappa=True, order=3))
+    for solve in solves:
+        with pytest.raises(NoRootAvailable, match="^kappa must be an int, a Fraction or a "
+                           "QuotientRingElem, not bool$"):
+            solve()
+
+
+def test_multiplicity_must_be_an_int_at_least_one(monkeypatch):
+    """A bool or non-int multiplicity raises ValueError before anything is
+    evaluated: True no longer runs the formal solver, and 2.0 no longer
+    fails deep inside a polynomial power."""
+    y1, y2 = LaurentPoly.gens(VS)
+    rel = 1 + y1 - y2
+    monkeypatch.setattr(LaurentPoly, "set_vars_zero",
+                        lambda *args: pytest.fail("relation was evaluated"))
+    for multiplicity, name in ((True, "bool"), (False, "bool"), (2.0, "float"),
+                               ("2", "str"), (F(2), "Fraction")):
+        with pytest.raises(ValueError, match="^multiplicity must be an int, not %s$" % name):
+            solve_nilpotent_augmentation(rel, multiplicity, "y2", order=3)
+    for multiplicity in (0, -1):
+        with pytest.raises(ValueError, match="^multiplicity must be >= 1$"):
+            solve_nilpotent_augmentation(rel, multiplicity, "y2", order=3)
+
+
 def test_iterates_only_refine_known_orders():
     """Recomputing at a higher order leaves every lower-order term alone."""
     rel = clifford_relation(3, "+,-,+").lifted_relation

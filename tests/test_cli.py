@@ -9,9 +9,8 @@ import sys
 
 import pytest
 
-from augvar import cli
+from augvar import augment, cli, rings
 from augvar.cli import run
-from augvar.rings import TruncatedSeries
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -81,16 +80,41 @@ def test_solve_aug_double_root_exit_2(tmp_path, capsys):
 
 
 def test_solver_stall_reports_variable_and_order(capsys, monkeypatch):
-    real = TruncatedSeries.invert
-    monkeypatch.setattr(TruncatedSeries, "invert",
-                        lambda self, inverse=None: real(self, inverse).scale(2))
+    """A nonzero degree-0 residual, here injected by shifting the constant
+    term of the grouped relation, is the loop's one stall: exit 2 with a
+    DoubleRoot report naming the variable and order 0."""
+    real = augment._grouped_by_exponent
+
+    def shifted(relation, k):
+        groups = real(relation, k)
+        zero = (0,) * (len(relation.variables) - 1)
+        c0 = dict(groups.get(0, {}))
+        c0[zero] = c0.get(zero, 0) + 1
+        groups[0] = c0
+        return groups
+
+    monkeypatch.setattr(augment, "_grouped_by_exponent", shifted)
     for argv in (["solve-aug", "--clifford", "3"],
                  ["solve-nilpotent", "--clifford", "3", "--multiplicity", "2"]):
         code, out, _ = _capture(capsys, argv + ["--order", "6", "--format", "json"])
         assert code == 2
         result = json.loads(out)["result"]
         assert result["error"] == "DoubleRoot"
-        assert (result["variable"], result["order"]) == ("y2", 1)
+        assert (result["variable"], result["order"]) == ("y2", 0)
+
+
+def test_solver_wrong_slope_inverse_exits_2(capsys, monkeypatch):
+    """A slope-constant inverse twice too large gives a wrong series,
+    which the final check reports: exit 2, a verification failure on
+    stderr and no report."""
+    real = rings.invert_scalar
+    monkeypatch.setattr(rings, "invert_scalar", lambda x: real(x) * 2)
+    for argv, solver in ((["solve-aug", "--clifford", "3"], "solver"),
+                         (["solve-nilpotent", "--clifford", "3", "--multiplicity", "2"],
+                          "nilpotent solver")):
+        code, out, err = _capture(capsys, argv + ["--order", "6", "--format", "json"])
+        assert (code, out) == (2, "")
+        assert err == "verification failure: %s left a nonzero residual\n" % solver
 
 
 def test_solve_aug_with_quotient_factor(tmp_path, capsys):

@@ -1,11 +1,12 @@
-"""Tests for the Newton solver behind both augmentation solvers.
+"""Tests for the series solve behind both augmentation solvers.
 
-The Newton loop must give exactly the series of the fixed-slope,
-one-order-per-step iteration it replaced (kept in ``newton_oracles``) over
-Q, over Q[t]/(m) and over Q[t]/(t^d), and exactly the series and errors
-of the step that substituted into W and dW separately; ``series_exp`` must
-match the power-sum exponential and sympy.  Verification failures must raise
-:class:`VerificationFailure`, also under ``python -O``.
+The degree-by-degree loop must give exactly the series of the
+fixed-slope, one-order-per-step iteration (kept in ``newton_oracles``)
+over Q, over Q[t]/(m) and over Q[t]/(t^d), and exactly the series and
+errors of the Newton loop that substituted into W and dW separately;
+``series_exp`` must match the power-sum exponential and sympy.
+Verification failures must raise :class:`VerificationFailure`, also under
+``python -O``.
 """
 
 import os
@@ -26,6 +27,7 @@ from augvar.augment import (
 )
 from augvar.errors import (
     DoubleRoot,
+    NonzeroConstantTerm,
     NotInvertible,
     NotInvertibleAtPoint,
     VerificationFailure,
@@ -37,6 +39,7 @@ from augvar.rings import (
     TruncatedSeries,
     UniPoly,
     series_exp,
+    solve_exp_sum,
 )
 
 from newton_oracles import (
@@ -67,7 +70,7 @@ def _relation_with_root(rng, nvars, kappa):
 
 
 # --------------------------------------------------------------------------
-# Newton against the fixed-slope oracle
+# the series solve against the fixed-slope oracle
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("nvars", [2, 3])
@@ -120,12 +123,18 @@ def test_newton_matches_fixed_slope_in_nilpotent_ring(d):
         assert sol.series == series, str(rel)
 
 
-def test_newton_takes_log_order_steps(monkeypatch):
-    """Order 10 takes four steps (verified orders 1, 3, 7, 10): each step
-    takes one exponential, and the final check one more.  The relation is
-    substituted once, by the final check; the steps never call evaluate."""
-    exps, evaluations = [], []
+def test_solve_makes_one_exponential_and_no_series_inverse(monkeypatch):
+    """An order-10 solve of a relation shaped like the benchmark's
+    three-variable ones takes one exponential, the final check's, and
+    substitutes into the relation once, also in the final check.  No
+    series is inverted and no ``terms`` view is built, and the series
+    equals the two-substitution step's."""
+    rel = LaurentPoly(("y1", "y2", "y3"), {
+        (0, 0, 0): 2, (1, 0, 0): 1, (0, 0, 1): -3, (1, 1, 0): 1, (0, 0, 2): 1,
+        (2, 0, 1): 1, (0, 2, 2): 1})
+    exps, evaluations, inverts, views = [], [], [], []
     real_exp, real_evaluate = augment.series_exp, LaurentPoly.evaluate
+    real_invert, real_view = TruncatedSeries.invert, TruncatedSeries._view
 
     def counting_exp(s):
         exps.append(s.order)
@@ -135,54 +144,62 @@ def test_newton_takes_log_order_steps(monkeypatch):
         evaluations.append(next(iter(point.values())).order if point else None)
         return real_evaluate(self, point)
 
-    monkeypatch.setattr(augment, "series_exp", counting_exp)
-    monkeypatch.setattr(LaurentPoly, "evaluate", counting_evaluate)
-    rel = clifford_relation(3, "+,+,-").lifted_relation
-    solve_formal_augmentation(rel, "y2", order=10)
-    assert exps == [1, 3, 7, 10, 10]
-    assert evaluations == [10]
-
-
-def test_newton_inverts_the_slope_at_the_precision_it_needs(monkeypatch):
-    """On an order-10 relation shaped like the benchmark's three-variable
-    ones, the steps (v, p) = (1, 1), (2, 3), (4, 7), (8, 10) invert the
-    slope truncated at p - v; the first inverts the slope's constant term
-    and every later one is handed that inverse.  Neither the loop nor the
-    solver's final check builds a ``terms`` view, and the series equals
-    the two-substitution step's."""
-    rel = LaurentPoly(("y1", "y2", "y3"), {
-        (0, 0, 0): 2, (1, 0, 0): 1, (0, 0, 1): -3, (1, 1, 0): 1, (0, 0, 2): 1,
-        (2, 0, 1): 1, (0, 2, 2): 1})
-    inverts, views = [], []
-    real_invert, real_view = TruncatedSeries.invert, TruncatedSeries._view
-
-    def recording_invert(self, inverse=None):
-        inverts.append((self.order, inverse))
-        return real_invert(self, inverse)
+    def counting_invert(self):
+        inverts.append(self.order)
+        return real_invert(self)
 
     def counting_view(self):
         views.append(self.order)
         return real_view(self)
 
-    monkeypatch.setattr(TruncatedSeries, "invert", recording_invert)
+    monkeypatch.setattr(augment, "series_exp", counting_exp)
+    monkeypatch.setattr(LaurentPoly, "evaluate", counting_evaluate)
+    monkeypatch.setattr(TruncatedSeries, "invert", counting_invert)
     monkeypatch.setattr(TruncatedSeries, "_view", counting_view)
-    s = augment._newton_series(rel, "y3", F(1), F(0), 10, 0)
-    assert [order for order, _ in inverts] == [0, 1, 3, 2]
-    assert inverts[0][1] is None
-    assert all(inverse == -1 for _, inverse in inverts[1:])     # 1 / (kappa r'(kappa))
     sol = solve_formal_augmentation(rel, "y3", order=10)
-    assert views == []
-    assert sol.series == s == two_evaluation_newton(rel, "y3", F(1), F(0), 10, 0)
+    assert (exps, evaluations, inverts, views) == ([10], [10], [], [])
+    assert sol.series == two_evaluation_newton(rel, "y3", F(1), F(0), 10, 0)
+
+
+def test_kernel_calls_grow_linearly_with_the_order(monkeypatch):
+    """The loop finds each degree part once: its ``_convolve`` calls are a
+    fixed number per degree, so they grow by the same amount from each
+    order to the next, in the formal, quotient-field and nilpotent
+    solves and with a negative power of the solved variable."""
+    calls = []
+    real = rings._convolve
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(rings, "_convolve", counting)
+    y1, y = LaurentPoly.gens(("y1", "y"))
+    alpha = QuotientRingElem.generator(UniPoly.gen() ** 3)
+    cases = (
+        (clifford_relation(3, "+,+,-").lifted_relation, "y2", F(1), F(0)),
+        (y - 1 - y1 * y ** -1, "y", F(1), F(0)),
+        (-2 + y1 + 3 * y1 * y + y ** 2, "y",
+         QuotientRingElem.generator(UniPoly([-2, 0, 1])), F(0)),
+        (1 + y1 - y, "y", 1 + alpha, -alpha),
+    )
+    for rel, var, kap, target in cases:
+        counts = []
+        for order in range(1, 13):
+            calls.clear()
+            augment._series_solution(rel, var, kap, target, order, 0)
+            counts.append(len(calls))
+        steps = {b - a for a, b in zip(counts, counts[1:])}
+        assert len(steps) == 1 and steps.pop() > 0, (str(rel), counts)
 
 
 def test_one_slope_constant_inverse_per_solve(monkeypatch):
-    """The slope's constant term kappa r'(kappa) is inverted once per
-    _newton_series call, at its first correcting step, though every step
-    of these order-10 solves corrects: a formal solve, a quotient-field
-    solve with a supplied factor and a nilpotent d = 3 solve.  Over
-    Q[t]/(m) that inverse is the one QuotientRingElem.invert of the
-    solve."""
-    counts = {"newton": 0, "series": 0, "scalar": 0, "quotient": 0}
+    """The slope constant kappa r'(kappa) is the one scalar inverse of
+    these order-10 solves and no series is inverted: a formal solve, a
+    quotient-field solve with a supplied factor and a nilpotent d = 3
+    solve.  Over Q[t]/(m) that inverse is the one QuotientRingElem.invert
+    of the solve."""
+    counts = {"solve": 0, "series": 0, "scalar": 0, "quotient": 0}
 
     def counting(name, real):
         def wrapper(*args):
@@ -190,10 +207,11 @@ def test_one_slope_constant_inverse_per_solve(monkeypatch):
             return real(*args)
         return wrapper
 
-    monkeypatch.setattr(augment, "_newton_series", counting("newton", augment._newton_series))
+    monkeypatch.setattr(augment, "_series_solution",
+                        counting("solve", augment._series_solution))
     monkeypatch.setattr(TruncatedSeries, "invert", counting("series", TruncatedSeries.invert))
-    monkeypatch.setattr(rings, "invert_scalar", counting("scalar", rings.invert_scalar))
-    monkeypatch.setattr(laurent, "invert_scalar", counting("scalar", laurent.invert_scalar))
+    for module in (rings, laurent, augment):
+        monkeypatch.setattr(module, "invert_scalar", counting("scalar", module.invert_scalar))
     monkeypatch.setattr(QuotientRingElem, "invert", counting("quotient", QuotientRingElem.invert))
     y1, y = LaurentPoly.gens(("y1", "y"))
     solves = (
@@ -204,16 +222,15 @@ def test_one_slope_constant_inverse_per_solve(monkeypatch):
         (lambda: solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=10), 1),
     )
     for solve, quotient in solves:
-        counts.update(newton=0, series=0, scalar=0, quotient=0)
+        counts.update(solve=0, series=0, scalar=0, quotient=0)
         solve()
-        assert counts == {"newton": 1, "series": 4, "scalar": 1, "quotient": quotient}
+        assert counts == {"solve": 1, "series": 0, "scalar": 1, "quotient": quotient}
 
 
 def test_series_constructor_calls_per_solve_do_not_grow_with_newton_steps(monkeypatch):
-    """The groups C_j, the target and the zero series are built once per
-    solve at the full order, and a step takes their truncations: orders 1,
-    3, 10 and 20 (one, two, four and five steps) make as many constructor
-    calls as each other, in both solvers."""
+    """The groups C_j are built once per solve at the full order, and the
+    loop builds its parts without the constructor: orders 1, 3, 10 and 20
+    make as many constructor calls as each other, in both solvers."""
     calls = []
     real = TruncatedSeries.__init__
 
@@ -329,7 +346,7 @@ def test_one_pass_step_matches_two_evaluation_step():
     for i in range(240):
         kind, rel, var, kap, target, order = _differential_case(rng, i)
         args = (rel, var, kap, target, order, i)
-        got = _outcome(augment._newton_series, *args)
+        got = _outcome(augment._series_solution, *args)
         expected = _outcome(two_evaluation_newton, *args)
         assert got == expected, (kind, str(rel), kap)
         seen.add((kind, got[0]))
@@ -338,17 +355,19 @@ def test_one_pass_step_matches_two_evaluation_step():
             ("double", NotInvertible)} <= seen
 
 
-def _perturbed_grouping(monkeypatch):
-    """The solver's grouping with y1 added to C_1, the coefficient of the
-    solved variable: the steps then solve a different relation."""
+def _perturbed_grouping(monkeypatch, j=1, e=1):
+    """The solver's grouping with y1^e added to C_j, the coefficient of
+    y_k^j: by default y1 added to C_1, so the loop solves a different
+    relation; with j = e = 0, 1 added to the constant term of C_0, so the
+    degree-0 residual r(kappa) - target is 1."""
     real = augment._grouped_by_exponent
 
     def perturbed(relation, k):
         groups = real(relation, k)
-        mu = (1,) + (0,) * (len(relation.variables) - 2)
-        c1 = dict(groups[1])
-        c1[mu] = c1.get(mu, 0) + 1
-        groups[1] = c1
+        mu = (e,) + (0,) * (len(relation.variables) - 2)
+        c = dict(groups.get(j, {}))
+        c[mu] = c.get(mu, 0) + 1
+        groups[j] = c
         return groups
 
     monkeypatch.setattr(augment, "_grouped_by_exponent", perturbed)
@@ -373,30 +392,44 @@ def test_final_check_does_not_share_the_grouped_step(monkeypatch):
 # stall detection and verification
 # --------------------------------------------------------------------------
 
-def _doubled_inverse(monkeypatch):
-    """A derivative inverse twice too large: a step no longer fixes the
-    next orders, which the per-step check must catch.  The stand-in takes
-    and forwards the slope constant's inverse as ``invert`` does."""
-    real = TruncatedSeries.invert
-    monkeypatch.setattr(TruncatedSeries, "invert",
-                        lambda self, inverse=None: real(self, inverse).scale(2))
-
-
 def test_formal_stall_names_variable_and_order(monkeypatch):
-    _doubled_inverse(monkeypatch)
+    _perturbed_grouping(monkeypatch, 0, 0)
     rel = clifford_relation(3, "+,+,-").lifted_relation
-    with pytest.raises(DoubleRoot, match=r"iteration stalled in 'y2' at order 1") as err:
+    with pytest.raises(DoubleRoot, match=r"^iteration stalled in 'y2' at order 0: "
+                       r"residual has a degree-0 term$") as err:
         solve_formal_augmentation(rel, "y2", order=8)
     assert err.value.suggested_transform is not None
-    assert (err.value.variable, err.value.order) == ("y2", 1)
+    assert (err.value.variable, err.value.order) == ("y2", 0)
 
 
 def test_nilpotent_stall_is_detected(monkeypatch):
+    _perturbed_grouping(monkeypatch, 0, 0)
+    y1, y = LaurentPoly.gens(("y1", "y"))
+    with pytest.raises(DoubleRoot, match=r"iteration stalled in 'y' at order 0") as err:
+        solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=8)
+    assert (err.value.variable, err.value.order) == ("y", 0)
+
+
+def _doubled_inverse(monkeypatch):
+    """A slope-constant inverse twice too large: every degree past 0 is
+    solved wrong, which only the final check can see."""
+    real = rings.invert_scalar
+    monkeypatch.setattr(rings, "invert_scalar", lambda x: real(x) * 2)
+
+
+def test_formal_wrong_slope_inverse_fails_verification(monkeypatch):
+    _doubled_inverse(monkeypatch)
+    rel = clifford_relation(3, "+,+,-").lifted_relation
+    with pytest.raises(VerificationFailure, match="^solver left a nonzero residual$"):
+        solve_formal_augmentation(rel, "y2", order=8)
+
+
+def test_nilpotent_wrong_slope_inverse_fails_verification(monkeypatch):
     _doubled_inverse(monkeypatch)
     y1, y = LaurentPoly.gens(("y1", "y"))
-    with pytest.raises(DoubleRoot, match=r"iteration stalled in 'y' at order 1") as err:
+    with pytest.raises(VerificationFailure,
+                       match="^nilpotent solver left a nonzero residual$"):
         solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=8)
-    assert (err.value.variable, err.value.order) == ("y", 1)
 
 
 def test_non_simple_roots_stop_at_order_zero():
@@ -527,6 +560,55 @@ def test_series_exp_matches_sympy():
         for (_, a, b), c in rs_exp(p, t, order + 1).terms():
             expected[(a, b)] = F(int(c.numerator), int(c.denominator))
         assert series_exp(s).terms == expected
+
+
+# --------------------------------------------------------------------------
+# solve_exp_sum on its own equation
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("coeff", [_rational, _quotient, _nilpotent],
+                         ids=["rational", "quotient", "nilpotent"])
+def test_solve_exp_sum_solves_its_equation(coeff):
+    """For random {j: D_j} with j in -2..2 and target sum_j D_j[0], the
+    solution s has zero constant term and sum_j D_j exp(j s) = target,
+    checked with series_exp and products, whenever c = sum_j j D_j[0] is
+    invertible."""
+    rng = random.Random(7700)
+    vs = ("mu1", "mu2")
+    solved = 0
+    for _ in range(20):
+        order = rng.randint(1, 6)
+        groups = {}
+        for j in rng.sample(range(-2, 3), rng.randint(1, 3)):
+            groups[j] = _random_series(rng, vs, order, coeff) + coeff(rng)
+        target = sum((g.constant_term() for g in groups.values()), F(0))
+        c = sum((j * g.constant_term() for j, g in groups.items()), F(0))
+        try:
+            c.invert() if isinstance(c, QuotientRingElem) else 1 / c
+        except (NotInvertible, ZeroDivisionError):
+            continue
+        s = solve_exp_sum(groups, target)
+        assert s.constant_term() == 0
+        total = TruncatedSeries.zero(vs, order)
+        for j, g in groups.items():
+            total = total + g * series_exp(s.scale(j))
+        assert total == target
+        solved += 1
+    assert solved >= 10
+
+
+def test_solve_exp_sum_errors():
+    """A nonzero degree-0 residual raises NonzeroConstantTerm; c = 0 with a
+    nonzero residual past degree 0 raises NotInvertible, and c = 0 with no
+    residual at all returns zero without inverting anything."""
+    vs = ("mu",)
+    mu = TruncatedSeries.variable("mu", vs, 4)
+    one = TruncatedSeries.one(vs, 4)
+    with pytest.raises(NonzeroConstantTerm, match="^residual has a degree-0 term$"):
+        solve_exp_sum({1: one, 0: -one}, F(1))
+    with pytest.raises(NotInvertible, match="^series with zero constant term$"):
+        solve_exp_sum({1: one + mu, -1: one, 0: -2 * one}, F(0))
+    assert solve_exp_sum({1: one, -1: one, 0: -2 * one}, F(0)).is_zero()
 
 
 # --------------------------------------------------------------------------

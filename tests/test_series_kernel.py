@@ -245,8 +245,7 @@ def test_quotient_residues_with_20_digit_denominators(modulus):
 # --------------------------------------------------------------------------
 
 CHAIN_MODULI = {"rational": None, "quotient": MODULUS, "nilpotent": NIL_MODULUS}
-CHAIN_OPS = ("add", "sub", "neg", "scale", "mul", "square", "invert", "exp", "log",
-             "order")
+CHAIN_OPS = ("add", "sub", "neg", "scale", "mul", "square", "invert", "exp", "log")
 
 
 def _chain_scalar(rng, backend):
@@ -313,19 +312,15 @@ def _step(rng, backend, lib, ref, drops):
     if op == "exp":
         shifted = naive_add(ref, naive_neg(TruncatedSeries.constant(c, VS, ref.order)))
         return series_exp(lib - c), power_sum_exp(shifted)
-    if op == "log":
-        cinv = invert_scalar(c)
-        return series_log(lib.scale(cinv)), power_sum_log(naive_scale(ref, cinv))
-    order = rng.choice([q for q in range(max(0, ref.order - 2), 6) if q != ref.order])
-    return lib._at_order(order), TruncatedSeries(VS, order, ref.terms)
+    cinv = invert_scalar(c)
+    return series_log(lib.scale(cinv)), power_sum_log(naive_scale(ref, cinv))
 
 
 @pytest.mark.parametrize("backend", sorted(CHAIN_MODULI))
 def test_part_arithmetic_matches_term_oracles_on_random_chains(backend):
     """170 seeded chains of 3-8 operations per backend, 510 in all, with
     sums, differences, negation, scaling, products, inverses,
-    exponentials, logarithms and truncation orders moved up and down.
-    In Q[t]/(t^3), products and scalings by zero divisors drop terms."""
+    exponentials and logarithms.  In Q[t]/(t^3), products and scalings by zero divisors drop terms."""
     rng = random.Random("kernel-chain-" + backend)
     drops = Counter()
     for _ in range(170):
