@@ -20,16 +20,21 @@ vector to a lattice basis.  No rational null space is taken.
 
 The hull engine works in integers only: Andrew's monotone chain in the
 plane, and beneath-beyond over a triangulated boundary in dimension three
-and up, with facet normals from cofactor determinants (closed forms for
-the 2x2 and 3x3 minors of dimensions three and four).  Beneath-beyond
-inserts the points far first, by decreasing squared distance from their
-centroid, and starts from the first affinely independent ones in that
-order: a wide start simplex swallows most of the later points, so far
-fewer boundary simplices are built and discarded than in lexicographic
-order.  The order changes only how coplanar facets are triangulated, and
-the volume summed over the boundary simplices does not depend on the
-triangulation.  The engine returns vertices and facets together, and
-above the plane also the boundary simplices that volumes are summed over.
+and up.  A facet normal is the vector of signed cofactors of a boundary
+simplex's edge vectors, written out in closed form in dimensions three
+(the cross product) and four (four 3x3 minors over six 2x2 ones); only
+from dimension five on is each minor a :func:`det`.  Its dot products,
+and those of the incidence pass that finds each facet's points, are
+unrolled or taken as ``sum(map(mul, ...))``, with no call per product.
+Beneath-beyond inserts the points far first, by decreasing squared
+distance from their centroid, and starts from the first affinely
+independent ones in that order: a wide start simplex swallows most of
+the later points, so far fewer boundary simplices are built and
+discarded than in lexicographic order.  The order changes only how
+coplanar facets are triangulated, and the volume summed over the boundary
+simplices does not depend on the triangulation.  The engine returns
+vertices and facets together, and above the plane also the boundary
+simplices that volumes are summed over.
 A point is a vertex when the facets through it meet in that point alone,
 a set intersection of the facets' point sets with no rank test.  The
 engine checks its own output, raising :class:`VerificationFailure` when a
@@ -65,9 +70,8 @@ def mat_vec(M, v):
 def det(M):
     """Determinant of a square integer matrix by fraction-free (Bareiss)
     elimination, in which every division is exact.  The 2x2 and 3x3
-    matrices, the minors of every 3-D and 4-D hull normal and the 3-D
-    volume simplices, take the closed form of the cofactor expansion
-    along the first row instead."""
+    matrices, such as the 3-D volume simplices, take the closed form of
+    the cofactor expansion along the first row instead."""
     if len(M) == 2:
         (a, b), (c, e) = M
         return a * e - b * c
@@ -466,17 +470,40 @@ def echelon(vectors, cap=None):
 
 def _hyperplane(simplex, interior, scale):
     """Primitive normal n and offset c of the hyperplane through d points
-    of Z^d, oriented so that <n, interior> < scale * c."""
+    of Z^d, oriented so that <n, interior> < scale * c.
+
+    The normal is the vector of signed cofactors of the edge vectors from
+    the first point.  In dimension three that is their cross product; in
+    dimension four each of the four signed 3x3 minors is expanded along
+    the third edge vector over the six 2x2 minors of the first two; from
+    dimension five on every minor is a :func:`det`."""
     base = simplex[0]
-    rows = [[a - b for a, b in zip(p, base)] for p in simplex[1:]]
-    normal = [(-1) ** j * det([r[:j] + r[j + 1:] for r in rows])
-              for j in range(len(base))]
+    d = len(base)
+    if d == 3:
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = simplex
+        ax, ay, az = x1 - x0, y1 - y0, z1 - z0
+        bx, by, bz = x2 - x0, y2 - y0, z2 - z0
+        normal = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+    elif d == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (
+            [a - b for a, b in zip(p, base)] for p in simplex[1:])
+        m01, m02, m03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+        m12, m13, m23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+        normal = (c1 * m23 - c2 * m13 + c3 * m12,
+                  -(c0 * m23 - c2 * m03 + c3 * m02),
+                  c0 * m13 - c1 * m03 + c3 * m01,
+                  -(c0 * m12 - c1 * m02 + c2 * m01))
+    else:
+        rows = [[a - b for a, b in zip(p, base)] for p in simplex[1:]]
+        normal = tuple((-1) ** j * det([r[:j] + r[j + 1:] for r in rows])
+                       for j in range(d))
     g = gcd(*normal)
     if g == 0:
         raise VerificationFailure("hull simplex %r is degenerate" % (simplex,))
-    normal = tuple(x // g for x in normal)
-    c = _dot(normal, base)
-    side = _dot(normal, interior) - scale * c
+    if g != 1:
+        normal = tuple(x // g for x in normal)
+    c = sum(map(mul, normal, base))
+    side = sum(map(mul, normal, interior)) - scale * c
     if side == 0:
         raise VerificationFailure("interior point lies on a hull hyperplane")
     if side > 0:
@@ -580,7 +607,7 @@ def _beneath_beyond(points):
         if i in taken:
             continue
         p = points[i]
-        visible = {s for s, (n, c) in simplices.items() if _dot(n, p) > c}
+        visible = {s for s, (n, c) in simplices.items() if sum(map(mul, n, p)) > c}
         horizon = []
         for simplex in visible:
             for ridge in faces(simplex):
@@ -643,7 +670,10 @@ def _hull(points):
 
     Each point collects the point sets ``eq`` of the facets through it,
     and it is a vertex when they intersect in it alone; ``echelon`` runs
-    only in beneath-beyond, once, for the start simplex.
+    only in beneath-beyond, once, for the start simplex.  A facet's values
+    at the points are one comprehension over the unpacked coordinates in
+    dimensions two and three, ``a x + b y (+ e z)``, and
+    ``sum(map(mul, ...))`` above.
     """
     d = len(points[0])
     simplices = None
@@ -659,18 +689,25 @@ def _hull(points):
         planes = set(boundary.values())
         simplices = list(boundary)
     facets = []
-    through = {}
+    through = [[] for _ in points]
     for normal, c in sorted(planes):
-        vals = [_dot(normal, p) for p in points]
+        if d == 2:
+            a, b = normal
+            vals = [a * x + b * y for x, y in points]
+        elif d == 3:
+            a, b, e = normal
+            vals = [a * x + b * y + e * z for x, y, z in points]
+        else:
+            vals = [sum(map(mul, normal, p)) for p in points]
         if max(vals) != c:
             raise VerificationFailure("hull facet %r <= %d does not support the "
                                       "points" % (normal, c))
-        eq = frozenset(i for i, v in enumerate(vals) if v == c)
+        eq = frozenset([i for i, v in enumerate(vals) if v == c])
         facets.append((normal, c, eq))
         for i in eq:
-            through.setdefault(i, []).append(eq)
-    vertices = [i for i in sorted(through) if len(through[i]) >= d
-                and len(frozenset.intersection(*through[i])) == 1]
+            through[i].append(eq)
+    vertices = [i for i, sets in enumerate(through) if len(sets) >= d
+                and len(frozenset.intersection(*sets)) == 1]
     corners = set(vertices)
     for normal, c, eq in facets:
         if len(eq & corners) < d:

@@ -19,6 +19,7 @@ from .errors import (
     NotInvertibleAtPoint,
     NotInvertible,
     NotUnimodular,
+    PreconditionViolation,
     VariableMismatch,
     ZeroPolynomial,
 )
@@ -357,10 +358,18 @@ class LaurentPoly:
 
     @classmethod
     def from_obj(cls, obj):
+        """The polynomial of a ``{"vars": [...], "terms": [{"exp": [...],
+        "coef": ...}, ...]}`` object.  An exponent listed twice raises
+        :class:`PreconditionViolation`, since no one polynomial holds both
+        terms."""
         variables = tuple(obj["vars"])
         terms = {}
         for t in obj["terms"]:
-            terms[tuple(t["exp"])] = coeff_from_obj(t["coef"])
+            exp = tuple(t["exp"])
+            if exp in terms:
+                raise PreconditionViolation("exponent %r is listed twice"
+                                            % (list(exp),))
+            terms[exp] = coeff_from_obj(t["coef"])
         return cls(variables, terms)
 
     @classmethod

@@ -18,7 +18,7 @@ as an exact check.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .rings import TruncatedSeries, series_log
 
@@ -45,15 +45,13 @@ def euler_contribution(p):
     """(prod numerator)/(prod denominator)/|Aut|, exactly.
 
     Empty weight multisets contribute a product of one, so the basic disk
-    (d = 1) counts once.
+    (d = 1) counts once.  The weights are multiplied as they are, ints in
+    int products, and one Fraction is reduced at the end: a Fraction
+    product would reduce a number of size about (d - 1)! at every weight
+    of the d-fold cover.
     """
-    num = Fraction(1)
-    for w in p.numerator_weights:
-        num *= w
-    den = Fraction(p.automorphism_order)
-    for w in p.denominator_weights:
-        den *= w
-    return num / den
+    return Fraction(prod(p.numerator_weights),
+                    prod(p.denominator_weights, start=p.automorphism_order))
 
 
 def hl_cover_weights(d):

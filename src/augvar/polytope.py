@@ -27,6 +27,7 @@ laurent -> polytope -> intlin.
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from . import intlin
 from .errors import (
@@ -228,7 +229,11 @@ class LatticePolytope:
         coordinates, k = 1..d, give irredundant bounds on the k-th
         coordinate over each lattice point of the projection before; the
         walk runs over those prefixes and adds the length of the last
-        coordinate's range without enumerating it.
+        coordinate's range without enumerating it.  Over each prefix of
+        length d - 2, the prefix is folded into the offsets of the last
+        level's facets once, so each value of the second-to-last
+        coordinate costs one floor division per facet
+        (:func:`_count_fibres`).
         """
         red = self._red
         d = self.affine_dim
@@ -271,35 +276,58 @@ def _edge_length(points, pair):
 
 
 def _count_fibres(levels, k, prefix):
-    """Lattice points over an integer prefix of length k (the empty
-    prefix for k = 0, whose projection is a segment).
+    """Lattice points over an integer prefix of length k <= d - 2 (the
+    empty prefix for k = 0, whose projection is a segment).
 
     ``levels[k]`` holds the facet inequalities of the projection onto the
     first k + 1 coordinates whose last coefficient is positive and
     negative; the facets with last coefficient zero hold for every prefix
-    in the projection one level down.
+    in the projection one level down.  At k = d - 2 the prefix is folded
+    into the offset of each facet of the polytope once, so that over each
+    value x of the second-to-last coordinate a facet bounds the last one
+    by (c - a x) // b, and the range's length is added without
+    enumerating it.
     """
     lo, hi = _range_for_prefix(*levels[k], prefix)
     if lo is None:
         return 0
-    if k == len(levels) - 1:
-        return hi - lo + 1
-    return sum(_count_fibres(levels, k + 1, prefix + (x,)) for x in range(lo, hi + 1))
-
-
-def _ceil_div(a, b):
-    return -((-a) // b)
+    if k < len(levels) - 2:
+        return sum(_count_fibres(levels, k + 1, prefix + (x,))
+                   for x in range(lo, hi + 1))
+    # n . (prefix, x, z) <= c  as  a x + b z <= c - n . prefix; the lower
+    # bounds keep b negated, so that every divisor is positive
+    pos, neg = levels[-1]
+    tops = [(n[-2], n[-1], c - sum(map(mul, n, prefix))) for n, c in pos]
+    bottoms = [(n[-2], -n[-1], c - sum(map(mul, n, prefix))) for n, c in neg]
+    total = 0
+    for x in range(lo, hi + 1):
+        top = bottom = None
+        for a, b, c in tops:
+            z = (c - a * x) // b
+            if top is None or z < top:
+                top = z
+        for a, b, c in bottoms:
+            z = -((c - a * x) // b)
+            if bottom is None or z > bottom:
+                bottom = z
+        if top >= bottom:
+            total += top - bottom + 1
+    return total
 
 
 def _range_for_prefix(pos, neg, prefix):
-    hi = None
+    """The range (lo, hi) of the next coordinate over the prefix, or
+    (None, None) when it is empty; the dot products stop at the end of
+    the prefix."""
+    hi = lo = None
     for n, c in pos:
-        bound = (c - intlin._dot(n, prefix)) // n[-1]
-        hi = bound if hi is None else min(hi, bound)
-    lo = None
+        z = (c - sum(map(mul, n, prefix))) // n[-1]
+        if hi is None or z < hi:
+            hi = z
     for n, c in neg:
-        bound = _ceil_div(intlin._dot(n, prefix) - c, -n[-1])
-        lo = bound if lo is None else max(lo, bound)
+        z = -((c - sum(map(mul, n, prefix))) // -n[-1])
+        if lo is None or z > lo:
+            lo = z
     if lo is None or hi is None or lo > hi:
         return None, None
     return lo, hi
@@ -389,6 +417,11 @@ def ccw_vertex_cycle(P):
     return [P.vertices[i] for i in intlin.monotone_chain(P.vertices)]
 
 
+# Largest grid, in cells, whose split states indecomposable_2d keeps as the
+# bits of one int; a larger polygon keeps them in a set.
+_GRID_BITS = 1 << 20
+
+
 def indecomposable_2d(P):
     """True when P admits no Minkowski split into two non-point summands.
 
@@ -404,6 +437,17 @@ def indecomposable_2d(P):
     2 (2w + 1)(2h + 1) states, and edge i moves each in g_i + 1 ways: the
     work is polynomial in the edge count, the lattice perimeter and the
     size of P, with no search over splits.
+
+    The states are held in one of two ways, chosen by the size of P.
+    When the grid [-2w, 2w] x [-2h, 2h] has at most ``_GRID_BITS`` cells,
+    the sums with some a_i < g_i are the bits of one int over that grid
+    (:func:`_no_split_bits`), and the one choice with every a_i full is
+    its own state, the partial sum of the cycle.  An edge then costs
+    O(log g_i) shifts and ors of an int of (4w + 1)(4h + 1) bits, and the
+    box of sums that can still return to zero is one mask.  A larger
+    polygon, such as a long thin triangle, keeps its states in a set
+    (:func:`_no_split_set`), whose cost follows the number of states
+    reached, at most the product above but often far fewer.
     """
     if P.ambient_dim != 2:
         raise NotTwoDimensionalInput("indecomposability test is two-dimensional")
@@ -426,6 +470,17 @@ def indecomposable_2d(P):
         reach.append((lx + min(0, g * px), hx + max(0, g * px),
                       ly + min(0, g * py), hy + max(0, g * py)))
     reach.reverse()
+    xs = [v[0] for v in cycle]
+    ys = [v[1] for v in cycle]
+    w, h = max(xs) - min(xs), max(ys) - min(ys)
+    if (4 * w + 1) * (4 * h + 1) <= _GRID_BITS:
+        return _no_split_bits(edges, reach, w, h)
+    return _no_split_set(edges, reach)
+
+
+def _no_split_set(edges, reach):
+    """The split search of :func:`indecomposable_2d` over a set of states
+    (x, y, some a_i < g_i so far)."""
     px, py, g = edges[0]
     states = {(a * px, a * py, a < g) for a in range(1, g + 1)}
     for (px, py, g), (lx, hx, ly, hy) in zip(edges[1:], reach[1:]):
@@ -439,6 +494,55 @@ def indecomposable_2d(P):
             return False
         states = nxt
     return True
+
+
+def _no_split_bits(edges, reach, w, h):
+    """The split search of :func:`indecomposable_2d` over bitsets.
+
+    The sum (x, y) is bit origin + x (4h + 1) + y, with the origin at the
+    centre of the grid [-2w, 2w] x [-2h, 2h].  A kept sum lies in
+    [-w, w] x [-h, h] and an edge moves it by at most w across and h up,
+    so a move by (x, y) is a shift by x (4h + 1) + y that never wraps
+    from one column of the grid into the next.  ``short`` holds the sums
+    with some a_i < g_i; ``full`` is the offset of the one sum with every
+    a_i full.
+    """
+    stride = 4 * h + 1
+    origin = 2 * w * stride + 2 * h
+    px, py, g = edges[0]
+    step = px * stride + py
+    short = _shift_union(1 << (origin + step), step, g - 1)
+    full = g * step
+    for (px, py, g), (lx, hx, ly, hy) in zip(edges[1:], reach[1:]):
+        step = px * stride + py
+        short = (_shift_union(short, step, g + 1)
+                 | _shift_union(1 << (origin + full), step, g))
+        column = ((1 << (hy - ly + 1)) - 1) << (origin - hx * stride - hy)
+        short &= _shift_union(column, stride, hx - lx + 1)
+        full += g * step
+        if short >> origin & 1:
+            return False
+    return True
+
+
+def _shift_union(bits, step, count):
+    """The or of bits shifted by 0, step, ..., (count - 1) step, in
+    O(log count) shifts: each binary digit of count doubles the run of
+    shifts taken so far and may add one more.  Zero for count <= 0."""
+    if count <= 0:
+        return 0
+    out, run = bits, 1
+    for digit in bin(count)[3:]:
+        out |= _shift(out, run * step)
+        run *= 2
+        if digit == "1":
+            out |= _shift(bits, run * step)
+            run += 1
+    return out
+
+
+def _shift(bits, k):
+    return bits << k if k >= 0 else bits >> -k
 
 
 # --------------------------------------------------------------------------

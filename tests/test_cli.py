@@ -457,6 +457,21 @@ def test_non_integer_exponent_is_input_error(tmp_path, capsys):
     assert "PreconditionViolation" in err and "non-integer" in err
 
 
+@pytest.mark.parametrize("command", ["newton", "irreducible"])
+def test_repeated_exponent_is_input_error(tmp_path, capsys, command):
+    # the repeated constant term with coefficient 0 once deleted the
+    # constant, and the file loaded as y1
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"vars": ["y1", "y2"],
+                                "terms": [{"exp": [0, 0], "coef": "1"},
+                                          {"exp": [1, 0], "coef": "1"},
+                                          {"exp": [0, 0], "coef": "0"}]}))
+    code, out, err = _capture(capsys, [command, "--input", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == "input error: PreconditionViolation: exponent [0, 0] is listed twice\n"
+
+
 ZERO_LAURENT = {"vars": ["y1", "y2"],
                 "terms": [{"exp": [0, 0], "coef": "1/0"},
                           {"exp": [1, 0], "coef": "1"}]}

@@ -22,6 +22,7 @@ from augvar.errors import PreconditionViolation, VerificationFailure
 from augvar.polytope import LatticePolytope
 
 from hull_oracles import in_convex_hull, lp_vertex_indices, subset_facets
+from lattice_oracles import rational_nullspace
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -362,6 +363,67 @@ def test_dropped_facet_check_survives_python_O():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["raised"]
+
+
+def _oracle_hyperplane(simplex, interior, scale):
+    """The engine's hyperplane through d points of Z^d, with the normal
+    taken from the rational null space of the edge vectors: primitive, and
+    oriented so that <n, interior> < scale * c.  Returns None for a
+    degenerate simplex or an interior point on the plane."""
+    base = simplex[0]
+    normals = rational_nullspace([[a - b for a, b in zip(p, base)] for p in simplex[1:]])
+    if len(normals) != 1:
+        return None
+    normal = normals[0]
+    c = sum(a * b for a, b in zip(normal, base))
+    side = sum(a * b for a, b in zip(normal, interior)) - scale * c
+    if side == 0:
+        return None
+    if side > 0:
+        normal, c = tuple(-x for x in normal), -c
+    return normal, c
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_hyperplane_matches_the_null_space_normal(d):
+    # d = 3 and 4 take closed forms, d = 5 the cofactor det; all three must
+    # give the primitive normal, offset and orientation of the oracle
+    rng = random.Random("hyperplane-%d" % d)
+    checked = 0
+    while checked < 300:
+        box = rng.choice((1, 3, 9, 10 ** 6))
+        pts = [tuple(rng.randint(-box, box) for _ in range(d)) for _ in range(d + 1)]
+        interior = tuple(sum(col) for col in zip(*pts))
+        want = _oracle_hyperplane(pts[:d], interior, d + 1)
+        if want is None:
+            continue
+        assert intlin._hyperplane(pts[:d], interior, d + 1) == want, pts
+        checked += 1
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_degenerate_hull_simplex_raises_verification_failure(d):
+    rng = random.Random("degenerate-%d" % d)
+    for _ in range(20):
+        rows = [[rng.randint(-5, 5) for _ in range(d)] for _ in range(d - 2)]
+        # the last edge vector is an integer combination of the others
+        coefs = [rng.randint(-2, 2) for _ in rows]
+        last = [sum(k * r[j] for k, r in zip(coefs, rows)) for j in range(d)]
+        base = tuple(rng.randint(-5, 5) for _ in range(d))
+        simplex = [base] + [tuple(a + b for a, b in zip(base, r)) for r in rows + [last]]
+        interior = tuple(rng.randint(-5, 5) for _ in range(d))
+        assert _oracle_hyperplane(simplex, interior, d + 1) is None
+        with pytest.raises(VerificationFailure, match="degenerate"):
+            intlin._hyperplane(simplex, interior, d + 1)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_interior_point_on_a_hull_hyperplane_raises(d):
+    # the plane x_1 + ... + x_d = 1 through the unit vectors, and an
+    # "interior" d + 1 times a point on it
+    simplex = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    with pytest.raises(VerificationFailure, match="interior point"):
+        intlin._hyperplane(simplex, (d + 1,) + (0,) * (d - 1), d + 1)
 
 
 # echelon calls inside one _hull: the vertices come from facet incidence,

@@ -1,5 +1,6 @@
 """Tests for Laurent polynomial arithmetic, substitution, and clearing."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -326,6 +327,18 @@ def test_json_round_trip_rational():
     for _ in range(25):
         f = _random_laurent(rng)
         assert LaurentPoly.from_json(f.to_json()) == f
+
+
+@pytest.mark.parametrize("coefs", [("1", "0"), ("1", "1"), ("2", "-2"), ("1", "3")])
+def test_from_obj_rejects_a_repeated_exponent(coefs):
+    obj = {"vars": ["y1", "y2"],
+           "terms": [{"exp": [0, 0], "coef": coefs[0]},
+                     {"exp": [1, 0], "coef": "1"},
+                     {"exp": [0, 0], "coef": coefs[1]}]}
+    with pytest.raises(PreconditionViolation, match=r"exponent \[0, 0\] is listed twice"):
+        LaurentPoly.from_obj(obj)
+    with pytest.raises(PreconditionViolation):
+        LaurentPoly.from_json(json.dumps(obj))
 
 
 def test_json_round_trip_quotient_coefficients():

@@ -69,6 +69,17 @@ def test_hl_contribution_closed_form():
         assert multicover_contribution(d) == F((-1) ** (d - 1), d * d)
 
 
+@pytest.mark.parametrize("d", [1000, 2999, 3000])
+def test_hl_contribution_of_a_large_cover(d):
+    # the weight products are about (d - 1)! and d!; they are reduced once
+    assert multicover_contribution(d) == F((-1) ** (d - 1), d * d)
+
+
+def test_euler_contribution_of_fraction_weights():
+    p = FixedPointData((F(1, 2), -3), (F(3, 4), 5), 2)
+    assert euler_contribution(p) == F(-1, 5)
+
+
 def test_hl_contribution_sign_alternates():
     for d in range(1, 20):
         assert multicover_contribution(d) * multicover_contribution(d + 1) < 0

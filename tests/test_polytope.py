@@ -9,6 +9,7 @@ against the LP membership oracle of ``hull_oracles``, an independent route.
 
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -585,6 +586,68 @@ def test_ladder_polygons(edges):
         assert split_search_indecomposable(P)
     assert not indecomposable_2d(P.transform([[2, 0], [0, 2]]))
     assert not indecomposable_2d(minkowski_sum(P, LatticePolytope(2, [(0, 0), (1, 0)])))
+
+
+def _split_dp_polygons():
+    """Seeded polygons, their dilations by 2, 3 and 7, their Minkowski sums
+    with segments and the 16/20/24-edge ladder polygons."""
+    rng = random.Random(4099)
+    polygons = []
+    while len(polygons) < 60:
+        r = rng.randint(1, 6)
+        pts = [(rng.randint(-r, r), rng.randint(-r, r)) for _ in range(rng.randint(3, 14))]
+        P = LatticePolytope.from_points(pts)
+        if P.affine_dim == 2:
+            polygons.append(P)
+    dilated = [P.transform([[k, 0], [0, k]])
+               for P, k in zip(polygons, itertools.cycle((2, 3, 7)))]
+    segments = itertools.cycle([(1, 0), (0, 1), (1, 1), (2, -1), (3, 0), (-2, 4)])
+    summed = [minkowski_sum(P, LatticePolytope(2, [(0, 0), s]))
+              for P, s in zip(polygons[:30], segments)]
+    ladder = [LatticePolytope(2, indecomposable_polygon(e)) for e in (16, 20, 24)]
+    return polygons + dilated + summed + ladder
+
+
+def test_split_paths_agree_on_both_sides_of_the_grid_budget(monkeypatch):
+    polygons = _split_dp_polygons()
+    verdicts = {}
+    for budget in (0, None, 10 ** 30):      # set path, default, bitsets
+        if budget is not None:
+            monkeypatch.setattr(polytope, "_GRID_BITS", budget)
+        verdicts[budget] = [indecomposable_2d(P) for P in polygons]
+    assert verdicts[0] == verdicts[None] == verdicts[10 ** 30]
+    assert verdicts[0][-3:] == [True] * 3
+    assert 10 < sum(verdicts[0]) < len(polygons) - 10       # both verdicts occur
+
+
+def _split_paths_taken(monkeypatch):
+    taken = []
+    for name in ("_no_split_bits", "_no_split_set"):
+        def traced(*args, real=getattr(polytope, name), name=name):
+            taken.append(name)
+            return real(*args)
+        monkeypatch.setattr(polytope, name, traced)
+    return taken
+
+
+# (4 * 255 + 1)^2 = 1042441 cells fit the 2^20-cell grid, (4 * 256 + 1)^2 do not
+@pytest.mark.parametrize("size, path", [(255, "_no_split_bits"), (256, "_no_split_set")])
+def test_split_path_follows_the_grid_size(monkeypatch, size, path):
+    # edge lengths 1, size - 1, 1: no split
+    P = LatticePolytope(2, [(0, 0), (size, 1), (1, size)])
+    taken = _split_paths_taken(monkeypatch)
+    assert indecomposable_2d(P)
+    assert taken == [path]
+
+
+def test_thin_triangle_takes_the_set_path_quickly(monkeypatch):
+    # its grid would hold 1.6e13 cells; the set path reaches few states
+    P = LatticePolytope(2, [(0, 0), (10 ** 6, 1), (1, 10 ** 6)])
+    taken = _split_paths_taken(monkeypatch)
+    start = time.perf_counter()
+    assert indecomposable_2d(P)
+    assert time.perf_counter() - start < 1
+    assert taken == ["_no_split_set"]
 
 
 def test_ccw_cycle_is_convex():
