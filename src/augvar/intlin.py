@@ -1,16 +1,16 @@
 """Exact integer and rational linear algebra.
 
 Small dense routines over Fraction / int used by the polytope and Laurent
-machinery: determinants, inverses of unimodular matrices, a phase-one
-simplex for finding interior vectors of dual cones, and the exact
-convex-hull engine.
+machinery: determinants, inverses of unimodular matrices, the fit of a
+tangent cone into the positive orthant, and the exact convex-hull engine.
 
-The phase-one simplex is integer-preserving (Edmonds 1967, Bareiss 1968,
-the idiom of :func:`det`): its tableau is the rational one times the
-basis determinant, so every entry stays an integer and every division is
-exact.  Its sign tests and ratio comparisons are those of the rational
-tableau, so Bland's rule makes the same pivots and returns the same
-vector; the ``Fraction`` version survives only as a test oracle.
+The cone fit runs no LP.  It takes its dual vector q, positive on the
+cone, from the hull: the sum of the inner facet normals at the vertex
+(:meth:`augvar.polytope.LatticePolytope.vertex_dual_vector`), and only
+completes q to a lattice basis and shears the other rows.  The
+integer-preserving phase-one simplex (Edmonds 1967, Bareiss 1968, the
+idiom of :func:`det`) stays here with no caller in the library, as
+:func:`rref` does.
 
 One unimodular column reduction, :func:`_column_reduce`, serves every
 integer lattice question: the affine lattice frame of a point set (its
@@ -295,6 +295,9 @@ def phase1_feasible(A, b):
     Returns a feasible x as a list of Fractions, or None.  Phase-one
     simplex with Bland's rule, which cannot cycle.
 
+    Nothing in the library calls it; the tests check it against the
+    ``Fraction`` oracle and ``perfbench/tracer.py`` wraps it by name.
+
     The tableau is integer-preserving.  With L the lcm of the denominators
     of A and b, it is [L A | I | L b], each row negated when its b_i < 0,
     with the reduced costs of the artificial objective as one more row;
@@ -370,65 +373,30 @@ def phase1_feasible(A, b):
     return [Fraction(x, D) for x in X]
 
 
-def strict_dual_vector(generators):
-    """A primitive integer vector q with <q, u> > 0 for every nonzero
-    generator u, so <q, u> >= 1 when the generators are integer.
-
-    Exists exactly when the cone spanned by the generators is pointed.
-    Returns None otherwise.  Used to fit a tangent cone into the positive
-    orthant.  The LP asks for <q, u> >= 1; rescaling its answer to a
-    primitive vector keeps every product positive, and an integer product
-    then stays at least 1.  A q that is not positive on every generator
-    raises :class:`VerificationFailure`.
-    """
-    gens = [g for g in generators if any(x != 0 for x in g)]
-    if not gens:
-        return None
-    n = len(gens[0])
-    # variables: q+ (n), q- (n), slack s (m);  U q+ - U q- - s = 1
-    m = len(gens)
-    A = []
-    for i, u in enumerate(gens):
-        row = list(u) + [-x for x in u] + [0] * m
-        row[2 * n + i] = -1
-        A.append(row)
-    sol = phase1_feasible(A, [1] * m)
-    if sol is None:
-        return None
-    q = primitive_vector([sol[i] - sol[n + i] for i in range(n)])
-    if any(sum(a * x for a, x in zip(q, u)) <= 0 for u in gens):
-        raise VerificationFailure("strict dual vector %r is not positive on "
-                                  "every generator" % (q,))
-    return q
-
-
-def fit_cone_to_orthant(generators):
+def fit_cone_to_orthant(generators, q):
     """Unimodular M with M u componentwise >= 0 for all generators u.
 
-    Take a strict interior vector q of the dual cone, complete it to a
-    lattice basis, then shear the remaining basis rows by multiples of q
-    until they are nonnegative on every generator.  Returns None when the
-    cone is not pointed.
+    q is a primitive integer vector with <q, u> >= 1 on every nonzero
+    generator, such as :meth:`augvar.polytope.LatticePolytope.vertex_dual_vector`
+    gives at a vertex.  Complete q to a lattice basis, then shear the
+    remaining basis rows by multiples of q until they are nonnegative on
+    every generator.  A q that is not positive on some nonzero generator
+    raises :class:`PreconditionViolation`.
     """
     gens = [tuple(g) for g in generators if any(x != 0 for x in g)]
-    if not gens:
-        return identity_matrix(len(generators[0])) if generators else None
-    n = len(gens[0])
-    q = strict_dual_vector(gens)
-    if q is None:
-        return None
-    B = complete_primitive_row(q)
     qdots = {u: sum(a * b for a, b in zip(q, u)) for u in gens}
+    if any(x <= 0 for x in qdots.values()):
+        raise PreconditionViolation("%r is not positive on every generator" % (q,))
+    B = complete_primitive_row(q)
     M = [list(q)]
-    for i in range(1, n):
-        row = B[i]
+    for row in B[1:]:
         k = 0
         for u in gens:
             d = sum(a * b for a, b in zip(row, u))
             if d < 0:
                 # smallest k with d + k*<q,u> >= 0
                 k = max(k, (-d + qdots[u] - 1) // qdots[u])
-        M.append([row[j] + k * q[j] for j in range(n)])
+        M.append([a + k * b for a, b in zip(row, q)])
     return M
 
 

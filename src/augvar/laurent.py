@@ -427,6 +427,17 @@ def coeff_from_obj(obj):
 # vertex clearing
 # --------------------------------------------------------------------------
 
+def _clear(f, v):
+    """(y^{-v} f, the Newton polytope of f), checking that v is a vertex."""
+    if f.is_zero():
+        raise ZeroPolynomial("cannot clear the zero polynomial")
+    v = intlin.lattice_point(v)
+    P = newton_polytope(f)
+    if v not in P.vertices:
+        raise NotAVertex("%r is not a vertex of the Newton polytope" % (v,))
+    return f.shift(tuple(-x for x in v)), P
+
+
 def clear_to_vertex(f, v):
     """y^{-v} f for a vertex v of the Newton polytope of f.
 
@@ -435,12 +446,7 @@ def clear_to_vertex(f, v):
     :class:`PreconditionViolation` when a coordinate of v is not an
     integer value.
     """
-    if f.is_zero():
-        raise ZeroPolynomial("cannot clear the zero polynomial")
-    v = intlin.lattice_point(v)
-    if v not in newton_polytope(f).vertices:
-        raise NotAVertex("%r is not a vertex of the Newton polytope" % (v,))
-    return f.shift(tuple(-x for x in v))
+    return _clear(f, v)[0]
 
 
 def clear_to_vertex_fitted(f, v):
@@ -448,15 +454,16 @@ def clear_to_vertex_fitted(f, v):
     tangent cone at v into the positive orthant.
 
     Returns (g, M) where g has componentwise nonnegative exponents, nonzero
-    constant term, and g = substitute_monomial(y^{-v} f, M).  The fit is
-    computed from a strict interior vector of the dual cone, so it exists
-    whenever v is genuinely a vertex.
+    constant term, and g = substitute_monomial(y^{-v} f, M).  The first row
+    of M is the sum of the inner facet normals at v, read off the Newton
+    polytope that checks the vertex
+    (:meth:`augvar.polytope.LatticePolytope.vertex_dual_vector`); no LP
+    runs, and M depends only on the polytope and v, not on the order of
+    the terms.  A cone that is already nonnegative keeps M = I.
     """
-    g = clear_to_vertex(f, v)
+    g, P = _clear(f, v)
     exps = [e for e in g.terms if any(x != 0 for x in e)]
     if all(x >= 0 for e in exps for x in e):
         return g, intlin.identity_matrix(len(f.variables))
-    M = intlin.fit_cone_to_orthant(exps)
-    if M is None:
-        raise NotAVertex("tangent cone at %r is not pointed" % (v,))
+    M = intlin.fit_cone_to_orthant(exps, P.vertex_dual_vector(v))
     return g.substitute_monomial(M), M

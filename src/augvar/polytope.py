@@ -12,19 +12,20 @@ the membership test for the affine hull, with no rational null space.  The
 integer hull engine of :mod:`augvar.intlin` (monotone chain in the plane,
 beneath-beyond above it) runs once on those coordinates, in the
 constructor, and yields the vertices, the facets and, above the plane, a
-triangulated boundary together.  Membership, edges and the
-counterclockwise polygon cycle are read off its output.  So are the
+triangulated boundary together.  Membership, edges, the
+counterclockwise polygon cycle and, at each vertex, a dual vector that
+is positive on its tangent cone are read off its output.  So are the
 invariants: the normalized volume sums cones from one vertex over the
 boundary, the lattice point count is Pick's formula in the plane and,
 above it, a walk over the projections onto the first k coordinates
 bounded by their own hull facets.
 
 It imports nothing from :mod:`augvar.laurent`, whose ``clear_to_vertex``
-checks its vertex against :func:`newton_polytope`: the layers run
-laurent -> polytope -> intlin.
+checks its vertex against :func:`newton_polytope` and whose
+``clear_to_vertex_fitted`` takes its dual vector from the same hull: the
+layers run laurent -> polytope -> intlin.
 """
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
@@ -32,6 +33,7 @@ from operator import mul
 from . import intlin
 from .errors import (
     DimensionMismatch,
+    NotAVertex,
     NotTwoDimensionalInput,
     PreconditionViolation,
     VerificationFailure,
@@ -146,8 +148,26 @@ class LatticePolytope:
 
     # -- faces ---------------------------------------------------------------
 
+    def _through(self):
+        """For each vertex, the indices into ``_bound[0]`` of the facets
+        through it; built once, on first use."""
+        if "through" not in self._cache:
+            through = [[] for _ in self.vertices]
+            for k, (_, _, eq) in enumerate(self._bound[0]):
+                for i in eq:
+                    through[i].append(k)
+            self._cache["through"] = through
+        return self._cache["through"]
+
     def edges(self):
-        """Vertex pairs forming 1-faces, as pairs of ambient vertices."""
+        """Vertex pairs forming 1-faces, as pairs of ambient vertices.
+
+        The intersection of the facets through two vertices is the
+        smallest face holding both, and they span an edge exactly when it
+        holds no other vertex.  An edge lies in at least d - 1 facets
+        (Ziegler, "Lectures on Polytopes", 2.1), so only the pairs that
+        share that many, counted from the facets through each vertex, are
+        intersected."""
         verts = self.vertices
         d = self.affine_dim
         if d == 0:
@@ -156,14 +176,56 @@ class LatticePolytope:
             return [(verts[0], verts[-1])]
         facets = self._bound[0]
         out = []
-        for i, j in itertools.combinations(range(len(verts)), 2):
-            containing = [eq for (_, _, eq) in facets if i in eq and j in eq]
-            if not containing:
-                continue
-            common = frozenset.intersection(*containing)
-            if common == {i, j}:
-                out.append((verts[i], verts[j]))
+        for i, mine in enumerate(self._through()):
+            shared = {}
+            for k in mine:
+                eq = facets[k][2]
+                for j in eq:
+                    if j > i:
+                        shared.setdefault(j, []).append(eq)
+            for j, sets in shared.items():
+                if len(sets) >= d - 1 and len(frozenset.intersection(*sets)) == 2:
+                    out.append((verts[i], verts[j]))
         return sorted(out)
+
+    def vertex_dual_vector(self, v):
+        """A primitive integer q with <q, w - v> >= 1 for every other
+        vertex w, read off the facets through the vertex v.
+
+        The primitive inner normals of the facets through v span its
+        normal cone (Ziegler, 2.1 and 7.1): each is >= 0 on every w - v,
+        and since those facets meet in v alone, one of them is > 0 on it,
+        hence >= 1 in integers.  So their sum works.  A segment has no
+        facets and takes its direction away from v.  The sum lives in the
+        frame coordinates, q_red . ((w - v) U)[:d], and is lifted to the
+        ambient space as q_j = sum_k U[j][k] q_red[k].  Every other point
+        of the polytope is a convex combination of the vertices, so q is
+        positive on its difference from v too, and >= 1 on a lattice
+        point.  The answer is checked on every other vertex; a failed
+        check raises :class:`VerificationFailure`.  A v that is not a
+        vertex raises :class:`NotAVertex`, a point polytope
+        :class:`PreconditionViolation`.
+        """
+        v = intlin.lattice_point(v)
+        if v not in self.vertices:
+            raise NotAVertex("%r is not a vertex of the polytope" % (v,))
+        d = self.affine_dim
+        if d == 0:
+            raise PreconditionViolation("a point has no other vertex to separate")
+        i = self.vertices.index(v)
+        if d == 1:
+            q_red = (1,) if self._red[i][0] < self._red[1 - i][0] else (-1,)
+        else:
+            facets = self._bound[0]
+            q_red = [-sum(col) for col in zip(*(facets[k][0] for k in self._through()[i]))]
+        # each frame row U[j] pairs with q_red's d entries, where map stops
+        q = intlin.primitive_vector(
+            [sum(map(mul, row, q_red)) for row in self._frame])
+        for w in self.vertices:
+            if w != v and sum(a * (x - y) for a, x, y in zip(q, w, v)) < 1:
+                raise VerificationFailure("dual vector %r at vertex %r is not "
+                                          "positive on the vertex %r" % (q, v, w))
+        return q
 
     def contains(self, point):
         """Exact membership test for an ambient rational point: it must

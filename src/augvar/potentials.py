@@ -157,7 +157,9 @@ def toric_relation(rays, signs=None, vertex=None, fit_basis=True):
     potential is sum_i eps_i y^{ray_i}.  The lifted relation clears the
     chosen Newton vertex (default: the lexicographically smallest) and, when
     requested, applies a unimodular basis fit so all exponents end
-    nonnegative.
+    nonnegative.  The fit's first row is the sum of the inner facet
+    normals of the Newton polytope at the vertex
+    (:func:`augvar.laurent.clear_to_vertex_fitted`); no LP runs.
     """
     rays = [intlin.lattice_point(r) for r in rays]
     if not rays:

@@ -7,7 +7,9 @@ with the reduced costs recomputed at every step.  ``in_convex_hull``
 answers membership with one such LP, and ``subset_facets`` enumerates
 supporting hyperplanes through every d-subset of the points.  These two
 take other routes than the library's hull engine (monotone chain /
-beneath-beyond), so agreement is evidence for both.
+beneath-beyond), so agreement is evidence for both.  ``scan_edges``
+tests every vertex pair against every facet, as ``LatticePolytope.edges``
+did before it counted shared facets.
 """
 
 import itertools
@@ -88,9 +90,10 @@ def fraction_phase1_feasible(A, b, entering_trail=None):
 
 
 def fraction_strict_dual_vector(generators):
-    """The library's strict dual vector LP, solved by
-    :func:`fraction_phase1_feasible`: a primitive q with <q, u> >= 1 on
-    every nonzero generator u, or None."""
+    """The strict dual vector LP, solved by :func:`fraction_phase1_feasible`:
+    a primitive q with <q, u> >= 1 on every nonzero generator u, or None
+    when the cone they span is not pointed.  The library's cone fit used
+    it before it read q off the hull's facets."""
     gens = [g for g in generators if any(x != 0 for x in g)]
     if not gens:
         return None
@@ -102,6 +105,21 @@ def fraction_strict_dual_vector(generators):
     if sol is None:
         return None
     return intlin.primitive_vector([sol[i] - sol[n + i] for i in range(n)])
+
+
+def scan_edges(P):
+    """The edges of a LatticePolytope by the scan the library replaced:
+    for every vertex pair, the facets holding both, which span an edge
+    when they meet in the pair alone."""
+    verts, d = P.vertices, P.affine_dim
+    if d < 2:
+        return [(verts[0], verts[-1])] if d else []
+    out = []
+    for i, j in itertools.combinations(range(len(verts)), 2):
+        containing = [eq for _, _, eq in P._bound[0] if i in eq and j in eq]
+        if containing and frozenset.intersection(*containing) == {i, j}:
+            out.append((verts[i], verts[j]))
+    return sorted(out)
 
 
 def in_convex_hull(point, points):

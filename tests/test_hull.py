@@ -21,7 +21,7 @@ from augvar import intlin
 from augvar.errors import PreconditionViolation, VerificationFailure
 from augvar.polytope import LatticePolytope
 
-from hull_oracles import in_convex_hull, lp_vertex_indices, subset_facets
+from hull_oracles import in_convex_hull, lp_vertex_indices, scan_edges, subset_facets
 from lattice_oracles import rational_nullspace
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -482,6 +482,24 @@ def test_vertices_match_the_lp_oracle():
         boundary += len(frozenset().union(*(eq for _, _, eq in facets)))
         corners += len(vertices)
     assert 2 * corners < boundary       # most boundary points are not vertices
+
+
+def test_edges_match_the_pair_scan():
+    # edges tests only the vertex pairs that share d - 1 facets; the scan
+    # over every pair and every facet must give the same list
+    rng = random.Random(4412)
+    cases = _vertex_cases()
+    for _ in range(20):
+        ambient, k = rng.randint(2, 4), rng.randint(1, 3)
+        gens = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(k)]
+        cases.append([tuple(sum(c * g[j] for c, g in zip(coefs, gens)) for j in range(ambient))
+                      for coefs in [[rng.randint(-2, 2) for _ in gens] for _ in range(8)]])
+    edge_count = 0
+    for pts in cases:
+        P = LatticePolytope.from_points(pts)
+        assert P.edges() == scan_edges(P), pts
+        edge_count += len(P.edges())
+    assert edge_count > 500
 
 
 def test_from_points_vertices_match_lp_in_a_hyperplane_of_z4():

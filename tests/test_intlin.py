@@ -9,7 +9,7 @@ import pytest
 
 from augvar.augment import random_unimodular
 from augvar import intlin
-from augvar.errors import DegenerateFan, VerificationFailure
+from augvar.errors import DegenerateFan, PreconditionViolation, VerificationFailure
 from augvar.intlin import (
     _column_reduce,
     affine_frame,
@@ -22,7 +22,6 @@ from augvar.intlin import (
     phase1_feasible,
     primitive_vector,
     rref,
-    strict_dual_vector,
 )
 from augvar.potentials import toric_relation
 
@@ -167,24 +166,9 @@ def test_phase1_feasible_simple():
     assert phase1_feasible([[1, 1]], [-1]) is None
 
 
-def test_strict_dual_vector_pointed_cone():
-    gens = [(1, 0), (1, 1), (0, 1)]
-    q = strict_dual_vector(gens)
-    assert q is not None
-    assert all(sum(a * b for a, b in zip(q, u)) >= 1 for u in gens)
-
-
-def test_strict_dual_vector_non_pointed():
-    assert strict_dual_vector([(1, 0), (-1, 0)]) is None
-
-
-# the cone that clearing poly2d at its smallest exponent (-1, 2) leaves, in
-# the order clear_to_vertex_fitted hands it to fit_cone_to_orthant
-POLY2D_CONE = [(1, -2), (3, -2), (2, -1), (1, 1), (2, -3), (4, -1), (2, -2)]
-
-
 def _strict_dual_lp(gens):
-    """The LP that strict_dual_vector solves: [u | -u | -e_i] x = 1."""
+    """The LP of a strict dual vector of the cone spanned by gens, q with
+    <q, u> >= 1 on every u: [u | -u | -e_i] x = 1."""
     m = len(gens)
     return ([list(u) + [-x for x in u] + [-int(j == i) for j in range(m)]
              for i, u in enumerate(gens)], [1] * m)
@@ -263,38 +247,6 @@ def test_phase1_tableau_stays_integer_on_rational_input(monkeypatch):
     assert kinds == {int}
 
 
-def test_strict_dual_vector_matches_fraction_oracle():
-    rng = random.Random(23)
-    for _ in range(400):
-        d = rng.randint(1, 4)
-        gens = [tuple(rng.randint(-2, 2) for _ in range(d))
-                for _ in range(rng.randint(1, 6))]
-        if rng.random() < 0.5:
-            gens = [tuple(F(x, rng.choice([1, 2, 3])) for x in g) for g in gens]
-        q = strict_dual_vector(gens)
-        assert q == fraction_strict_dual_vector(gens), gens
-        if q is not None:
-            assert all(sum(a * x for a, x in zip(q, u)) > 0 for u in gens if any(u))
-
-
-def test_strict_dual_pivot_path_is_pinned(monkeypatch):
-    """Bland's order fixes every fitted basis: the poly2d cone takes ten
-    pivots, entering the columns the Fraction oracle enters."""
-    pivot = intlin._pivot
-    entering = []
-
-    def recorded(T, l, e, D):
-        entering.append(e)
-        return pivot(T, l, e, D)
-
-    monkeypatch.setattr(intlin, "_pivot", recorded)
-    q = strict_dual_vector(POLY2D_CONE)
-    trail = []
-    fraction_phase1_feasible(*_strict_dual_lp(POLY2D_CONE), trail)
-    assert entering == trail == [0, 3, 5, 8, 9, 1, 10, 6, 8, 3]
-    assert q == fraction_strict_dual_vector(POLY2D_CONE)
-
-
 def test_phase1_feasible_verifies_its_answer(monkeypatch):
     pivot = intlin._pivot
 
@@ -308,29 +260,24 @@ def test_phase1_feasible_verifies_its_answer(monkeypatch):
         phase1_feasible([[1, 1]], [2])
 
 
-def test_strict_dual_vector_verifies_its_answer(monkeypatch):
-    primitive = intlin.primitive_vector
-    monkeypatch.setattr(intlin, "primitive_vector",
-                        lambda v: tuple(-x for x in primitive(v)))
-    with pytest.raises(VerificationFailure):
-        strict_dual_vector(POLY2D_CONE)
-
-
 def test_fit_cone_to_orthant_random():
     rng = random.Random(9)
     for trial in range(40):
         n = rng.randint(2, 3)
-        # generators of a pointed cone: perturbations of a fixed direction
+        # generators of a pointed cone: perturbations of a fixed direction,
+        # moved by a unimodular map so that their signs mix
         base = tuple(rng.choice([1, 2]) for _ in range(n))
-        gens = []
-        for _ in range(rng.randint(1, 4)):
-            g = tuple(b + rng.randint(0, 1) for b in base)
-            gens.append(g)
-        M = fit_cone_to_orthant(gens)
-        assert M is not None
+        U = random_unimodular(n, trial)
+        gens = [mat_vec(U, tuple(b + rng.randint(0, 1) for b in base))
+                for _ in range(rng.randint(1, 4))]
+        q = fraction_strict_dual_vector(gens)
+        M = fit_cone_to_orthant(gens, q)
+        assert tuple(M[0]) == q
         assert abs(det(M)) == 1
         for u in gens:
             assert all(x >= 0 for x in mat_vec(M, u))
+    with pytest.raises(PreconditionViolation):
+        fit_cone_to_orthant([(1, 0), (1, 1), (-1, 2)], (1, 0))
 
 
 def test_unimodular_random_roundtrip():

@@ -13,6 +13,7 @@ from augvar.errors import (
     NotUnimodular,
     PreconditionViolation,
     VariableMismatch,
+    VerificationFailure,
 )
 from augvar.laurent import (
     LaurentPoly,
@@ -179,6 +180,75 @@ def test_cleared_output_properties_random():
         g, M = clear_to_vertex_fitted(f, v)
         assert not is_zero(g.constant_term())
         assert all(x >= 0 for e in g.terms for x in e)
+
+
+def _fit_cases(rng):
+    """Seeded Laurent polynomials in 2 to 4 variables: full-dimensional
+    supports, supports on a line and supports in a plane."""
+    for trial in range(90):
+        nvars = 2 + trial % 3
+        vs = tuple("y%d" % i for i in range(1, nvars + 1))
+        rank = min(nvars, (nvars, 1, 2)[trial // 3 % 3])
+        dirs = [[rng.randint(-2, 2) for _ in range(nvars)] for _ in range(rank)]
+        shift = [rng.randint(-2, 2) for _ in range(nvars)]
+        terms = {}
+        for _ in range(rng.randint(rank + 1, 9)):
+            coefs = [rng.randint(-2, 2) for _ in dirs]
+            e = tuple(s + sum(c * d[j] for c, d in zip(coefs, dirs))
+                      for j, s in enumerate(shift))
+            terms[e] = rng.choice([-3, -2, -1, 1, 2, 3])
+        yield LaurentPoly(vs, terms)
+
+
+def test_fitted_clearing_at_every_vertex_random():
+    from augvar.intlin import is_unimodular
+    from augvar.polytope import newton_polytope
+    from hull_oracles import fraction_strict_dual_vector
+    rng = random.Random(2741)
+    fitted = low = 0
+    for f in _fit_cases(rng):
+        P = newton_polytope(f)
+        low += P.affine_dim < len(f.variables)
+        items = list(f.terms.items())
+        for v in P.vertices:
+            g, M = clear_to_vertex_fitted(f, v)
+            assert g.constant_term() != 0
+            assert all(x >= 0 for e in g.terms for x in e), (f, v)
+            assert is_unimodular(M)
+            assert g == clear_to_vertex(f, v).substitute_monomial(M)
+            rng.shuffle(items)
+            assert clear_to_vertex_fitted(LaurentPoly(f.variables, dict(items)), v)[1] == M
+            cone = [tuple(a - b for a, b in zip(e, v)) for e in f.terms if e != v]
+            if cone:
+                assert fraction_strict_dual_vector(cone) is not None
+            if M != [[int(i == j) for j in range(len(v))] for i in range(len(v))]:
+                fitted += 1
+                assert tuple(M[0]) == P.vertex_dual_vector(v)
+    assert fitted > 100 and low > 20
+
+
+def test_fitted_clearing_checks_the_dual_vector(monkeypatch):
+    # a facet normal that points the wrong way gives a dual vector that is
+    # negative on a vertex of that facet, which raises, also under python -O
+    from augvar import intlin
+    hull = intlin._hull
+
+    def corrupted(points):
+        vertices, facets, simplices = hull(points)
+        (n, c, eq), *rest = facets
+        return vertices, [(tuple(-x for x in n), -c, eq)] + rest, simplices
+
+    y1, y2 = gens()
+    # every vertex of the triangle (0, 0), (1, -1), (2, 1) has a cone of
+    # mixed signs; its first facet, by normal, is the edge x + y >= 0
+    f = 1 + y1 * y2 ** -1 + y1 ** 2 * y2
+    for v in ((0, 0), (1, -1), (2, 1)):
+        assert clear_to_vertex_fitted(f, v)[1] != [[1, 0], [0, 1]]
+    monkeypatch.setattr(intlin, "_hull", corrupted)
+    for v in ((0, 0), (1, -1)):
+        with pytest.raises(VerificationFailure):
+            clear_to_vertex_fitted(f, v)
+    clear_to_vertex_fitted(f, (2, 1))       # its facets are intact
 
 
 def _hull_vertices(f):

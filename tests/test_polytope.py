@@ -19,6 +19,7 @@ from augvar import intlin, polytope
 from augvar.augment import random_unimodular
 from augvar.errors import (
     DimensionMismatch,
+    NotAVertex,
     NotTwoDimensionalInput,
     PreconditionViolation,
     VerificationFailure,
@@ -415,6 +416,29 @@ def test_octahedron_structure():
     assert len(octa.edges()) == 12
     assert octa.normalized_volume() == 8      # euclidean volume 4/3
     assert octa.lattice_point_count() == 7
+
+
+def test_vertex_dual_vector_sums_the_inner_normals():
+    cube = LatticePolytope(3, list(itertools.product((0, 1), repeat=3)))
+    assert cube.vertex_dual_vector((0, 0, 0)) == (1, 1, 1)
+    assert cube.vertex_dual_vector((1, 0, 0)) == (-1, 1, 1)
+    assert cube.vertex_dual_vector((1, 1, 1)) == (-1, -1, -1)
+    octa = LatticePolytope(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                               (0, 0, 1), (0, 0, -1)])
+    assert octa.vertex_dual_vector((0, 0, 1)) == (0, 0, -1)   # (0, 0, -4) / 4
+    # a segment and a parallelogram in Z^3 take their vector in the frame
+    segment = LatticePolytope(3, [(0, 0, 0), (1, -1, 2), (2, -2, 4)])
+    square = LatticePolytope(3, [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)])
+    for P in (segment, square):
+        for v in P.vertices:
+            q = P.vertex_dual_vector(v)
+            assert gcd(*q) == 1
+            assert all(sum(a * (x - y) for a, x, y in zip(q, w, v)) >= 1
+                       for w in P.vertices if w != v)
+    with pytest.raises(NotAVertex):
+        segment.vertex_dual_vector((1, -1, 2))
+    with pytest.raises(PreconditionViolation):
+        LatticePolytope(2, [(1, 1)]).vertex_dual_vector((1, 1))
 
 
 def test_sheared_cube_keeps_volume_and_count():

@@ -153,6 +153,23 @@ def test_user_relation_clears_and_fits():
     assert all(x >= 0 for e in spec.lifted_relation.terms for x in e)
 
 
+def test_relations_run_no_lp(monkeypatch):
+    # the fitted basis takes its first row from the Newton polytope's facets
+    from augvar import intlin
+
+    def no_lp(A, b):
+        raise AssertionError("the cone fit ran an LP")
+
+    monkeypatch.setattr(intlin, "phase1_feasible", no_lp)
+    y1, y2 = LaurentPoly.gens(("y1", "y2"))
+    spec = user_relation(5 * y1 ** -1 * y2 ** 2 + 3 + y2 ** 3 - 2 * y1 * y2 ** -1)
+    assert spec.basis != ((1, 0), (0, 1))
+    assert all(x >= 0 for e in spec.lifted_relation.terms for x in e)
+    spec = toric_relation([(1, 0), (0, 1), (-1, -1)], vertex=(1, 0))
+    assert spec.basis != ((1, 0), (0, 1))
+    assert all(x >= 0 for e in spec.lifted_relation.terms for x in e)
+
+
 def test_zero_potentials_raise_zero_polynomial():
     with pytest.raises(ZeroPolynomial):
         user_relation(LaurentPoly.zero(("y1", "y2")))
