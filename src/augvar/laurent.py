@@ -33,6 +33,7 @@ from .rings import (
     invert_scalar,
     is_zero,
     power,
+    series_evaluate,
 )
 
 
@@ -286,12 +287,14 @@ class LaurentPoly:
 
         Values may be scalars from any one backend or truncated series;
         negative exponents require the assigned value to be invertible.
-        Each power of a value comes from the previous one in its table,
-        and each term is its coefficient times its powers, multiplied
-        with ``*``.  No series product has a constant operand, since
-        :meth:`TruncatedSeries.__mul__` applies a scalar or a constant
-        series through ``scale``.  When any value is a series, so is the
-        result.
+        Each power of a value comes from the previous one in its table.
+        At scalar values each term is its coefficient times its powers,
+        multiplied with ``*``, and the terms are added one by one.  When
+        any value is a series, so is the result, and
+        :func:`augvar.rings.series_evaluate` sums the terms in one kernel
+        pass per degree: each coefficient, times the term's scalar
+        powers, enters as a degree-0 part, and no series sum, scaling or
+        constant series is built.
         """
         missing = [v for v in self.variables if v not in point]
         if missing:
@@ -307,6 +310,8 @@ class LaurentPoly:
             except (NotInvertible, ZeroDivisionError) as err:
                 raise NotInvertibleAtPoint(
                     "value for %r is not invertible: %s" % (v, err)) from None
+        if like is not None:
+            return series_evaluate(self.terms, powers, like)
         acc = None
         for exp, c in self.terms.items():
             term = c
@@ -314,11 +319,7 @@ class LaurentPoly:
                 if e != 0:
                     term = term * powers[i][e]
             acc = term if acc is None else acc + term
-        if acc is None:
-            acc = Fraction(0)
-        if like is not None and not isinstance(acc, TruncatedSeries):
-            return TruncatedSeries.constant(acc, like.variables, like.order)
-        return acc
+        return Fraction(0) if acc is None else acc
 
     # -- display and serialization ----------------------------------------
 

@@ -80,13 +80,20 @@ def multinomial(total, parts):
     return out
 
 
-def _degree_vectors(m, total):
-    if m == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _degree_vectors(m - 1, total - first):
-            yield (first,) + rest
+def _packed_vectors(m, order, fact):
+    """For each total d <= order, the list of (key, prod_i e_i!) over the
+    exponent vectors e of length m with sum d, the first entry
+    slowest-varying.  e is packed as the key sum_i e_i (order + 1)^(i-1)
+    that :class:`TruncatedSeries` parts use, and ``fact`` lists k! for
+    k <= order.  The lists for m variables are built from those for the
+    last m - 1, one prepended entry at a time, for all totals at once."""
+    base = order + 1
+    table = [[(t, fact[t])] for t in range(base)]
+    for _ in range(m - 1):
+        table = [[(first + key * base, fact[first] * p)
+                  for first in range(t + 1) for key, p in table[t - first]]
+                 for t in range(base)]
+    return table
 
 
 def multicover_series(m, order):
@@ -96,16 +103,21 @@ def multicover_series(m, order):
     multinomial(d; d_1, ..., d_m) (-1)^{d-1}/d prod mu_i^{d_i}; the factor
     1/d (not 1/d^2) appears because the d markings of the degree-d cover
     contribute d constrained configurations each.
+
+    Each degree-d part is built directly in the series' graded form: the
+    int numerators (-1)^{d-1} d!/(d_1! ... d_m!) over the one denominator
+    d.  The vector (d, 0, ..., 0) has multinomial 1, so the part is in
+    lowest terms as built, and no Fraction is made.
     """
     if m < 1 or order < 1:
         raise ValueError("need m >= 1 and order >= 1")
     variables = tuple("mu%d" % i for i in range(1, m + 1))
-    terms = {}
-    for d in range(1, order + 1):
-        coeff = Fraction((-1) ** (d - 1), d)
-        for vec in _degree_vectors(m, d):
-            terms[vec] = coeff * multinomial(d, vec)
-    return TruncatedSeries(variables, order, terms)
+    fact = [factorial(k) for k in range(order + 1)]
+    parts = [([], 1)]
+    for d, vectors in enumerate(_packed_vectors(m, order, fact)[1:], 1):
+        top = fact[d] if d % 2 else -fact[d]
+        parts.append(([(key, top // p) for key, p in vectors], d))
+    return TruncatedSeries._from_graded(variables, order, parts)
 
 
 def log_series(m, order):
@@ -118,9 +130,16 @@ def log_series(m, order):
 
 
 def verify_multicover_identity(m, order):
-    """Exact coefficientwise comparison of the multinomial sum with the
-    logarithm; returns (equal, number of coefficients compared)."""
+    """Exact comparison of the multinomial sum with the logarithm; returns
+    (equal, number of coefficients compared).
+
+    Both series are compared in their graded form, part by part
+    (``TruncatedSeries.__eq__``), and the coefficients compared are
+    counted from the keys of the two supports, degree by degree, so no
+    ``terms`` view and no Fraction is built.
+    """
     lhs = multicover_series(m, order)
     rhs = log_series(m, order)
-    compared = len(set(lhs.terms) | set(rhs.terms))
+    compared = sum(len({key for key, _ in a} | {key for key, _ in b})
+                   for (a, _), (b, _) in zip(lhs._graded(), rhs._graded()))
     return lhs == rhs, compared

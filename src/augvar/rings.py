@@ -34,17 +34,24 @@ operations, and over Q[t]/(m) a product of two elements over the
 denominator 1 is an int convolution reduced by the integer form of m (a
 truncation for m = t^d), with no gcd, and a sum is an int vector sum.
 Every operation ends each output part with one gcd reduction
-(:func:`_reduced`), and every backend goes through the same code.  No Fraction is built by series arithmetic.  The public
-``terms`` map of exact scalars is a read-only view: a computed series
-builds it from its parts, one scalar per coefficient, the first time it
-is read, and keeps it.
+(:func:`_reduced`), and every backend goes through the same code.  No
+Fraction is built by series arithmetic.  The public ``terms`` map of
+exact scalars is a read-only view: a computed series builds it from its
+parts, one scalar per coefficient, the first time it is read, and keeps
+it.  A part in lowest terms is unique, so ``==`` compares two series part
+by part, denominators and numerators, and builds no view.
 
 Which product a pair of operands takes is decided in one place,
 :meth:`TruncatedSeries.__mul__`: a scalar of any backend, or a constant
 series, multiplies the other operand coefficient by coefficient through
 :meth:`TruncatedSeries.scale`, and only two non-constant series reach
 the kernel.  Callers multiply series with ``*`` and never dispatch on
-constancy themselves.
+constancy themselves.  The pairing of degree parts is one private
+sum-of-products routine, :func:`_sum_of_products`, which sums a * b over
+a list of operand pairs with one :func:`_convolve` call per degree; a
+product is its one-pair case, and :func:`series_evaluate`, the value of a
+Laurent polynomial at series values, is the case with one pair per term,
+so a whole evaluation is summed in one kernel pass per degree.
 
 Rational roots of a univariate polynomial (:func:`rational_roots`) come
 from lifting its roots modulo a small prime l to l-adic precision
@@ -807,16 +814,25 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
-    def _make(self, parts):
-        """A series over this one's variables and at this one's
-        truncation, with the degree parts ``parts``, whose numerators are
-        nonzero; its ``terms`` view is built when first read."""
-        out = object.__new__(TruncatedSeries)
-        object.__setattr__(out, "variables", self.variables)
-        object.__setattr__(out, "order", self.order)
+    @classmethod
+    def _from_graded(cls, variables, order, parts):
+        """The series over the tuple ``variables`` truncated past
+        ``order`` with the ``order + 1`` degree parts ``parts`` in the form
+        :meth:`_graded` returns, each with nonzero numerators and in lowest
+        terms; its ``terms`` view is built when first read.  Nothing is
+        checked: callers inside the package build parts this way."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "variables", variables)
+        object.__setattr__(out, "order", order)
         object.__setattr__(out, "_parts", parts)
         object.__setattr__(out, "_terms", None)
         return out
+
+    def _make(self, parts):
+        """A series over this one's variables and at this one's
+        truncation, with the degree parts ``parts``, as
+        :meth:`_from_graded` takes them."""
+        return TruncatedSeries._from_graded(self.variables, self.order, parts)
 
     # -- graded numerator form ----------------------------------------------
 
@@ -922,12 +938,20 @@ class TruncatedSeries:
         return None
 
     def __eq__(self, other):
+        """Equal variables, orders and degree parts.  A part is in lowest
+        terms, so two equal parts have the same denominator and the same
+        numerator for each key; no ``terms`` view is built.  Series over
+        different variables or orders are unequal, and so are series whose
+        coefficients lie over different quotient moduli, since their
+        elements are."""
         if isinstance(other, SCALAR_TYPES):
             other = TruncatedSeries.constant(other, self.variables, self.order)
         elif not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (self.variables == other.variables and self.order == other.order
-                and self.terms == other.terms)
+        if self.variables != other.variables or self.order != other.order:
+            return False
+        return all(da == db and dict(a) == dict(b)
+                   for (a, da), (b, db) in zip(self._parts, other._parts))
 
     __hash__ = None
 
@@ -986,16 +1010,7 @@ class TruncatedSeries:
             return self.scale(other.constant_term())
         if self.is_constant():
             return other.scale(self.constant_term())
-        order = self.order
-        b = [(j, part) for j, part in enumerate(other._graded()) if part[0]]
-        pairs = [[] for _ in range(order + 1)]
-        for i, part in enumerate(self._graded()):
-            if part[0]:
-                for j, other_part in b:
-                    if i + j > order:
-                        break
-                    pairs[i + j].append((part, other_part))
-        return self._make([_convolve(ps) if ps else ([], 1) for ps in pairs])
+        return self._make(_sum_of_products([(self._graded(), other._graded())], self.order))
 
     __rmul__ = __mul__
 
@@ -1098,6 +1113,88 @@ def _part_sum(a, b, sign=1):
             n = n * fb
         acc[k] = acc[k] + n if k in acc else n
     return _reduced(acc.items(), den)
+
+
+def _sum_of_products(operands, order):
+    """The degree parts, through ``order``, of sum a * b over
+    ``operands``, pairs ``(a, b)`` of degree-part lists as
+    :meth:`TruncatedSeries._graded` returns them (a list may stop short of
+    ``order``).  Degree n of the sum is sum a_i b_j over every pair and
+    every i + j = n.  Only nonzero parts are paired, in ascending i for
+    each operand pair, and all pairs that reach degree n go to one
+    :func:`_convolve` call, so a degree that no pair reaches takes none
+    and the whole sum takes at most ``order + 1``."""
+    pairs = [[] for _ in range(order + 1)]
+    for a, b in operands:
+        b = [(j, part) for j, part in enumerate(b) if part[0]]
+        for i, part in enumerate(a):
+            if part[0]:
+                for j, other in b:
+                    if i + j > order:
+                        break
+                    pairs[i + j].append((part, other))
+    return [_convolve(ps) if ps else ([], 1) for ps in pairs]
+
+
+def series_evaluate(terms, powers, template):
+    """The series sum_e c_e prod_i x_i^(e_i) over the Laurent ``terms``
+    {exponent tuple e: scalar c_e}, given ``powers``, one table {e_i:
+    x_i^(e_i)} per variable holding every nonzero exponent of that
+    variable in ``terms``, at values x_i that are scalars or series, and
+    the series ``template``, one of the values.
+
+    A term's coefficient, times its scalar factors, enters as a degree-0
+    part, the head; each series factor but the last (in variable order) is
+    multiplied into the head, and one :func:`_sum_of_products` pass then
+    sums every (head, last factor) pair, a term with no series factor
+    pairing its head with the degree-0 part 1.  So the whole sum takes at
+    most ``order + 1`` :func:`_convolve` calls past the heads' products,
+    and builds no series sum, no scaled series and no constant series.
+
+    Every series among the values must have the variables and order of
+    ``template``, or :class:`VariableMismatch` is raised, and the
+    quotient-ring coefficients, values and series coefficients must share
+    one modulus, or :class:`BackendMismatch` is raised.
+    """
+    moduli = set()
+    for table in powers:
+        if not table:
+            continue
+        value = next(iter(table.values()))
+        if isinstance(value, TruncatedSeries):
+            if value.variables != template.variables:
+                raise VariableMismatch("series over different variables")
+            if value.order != template.order:
+                raise VariableMismatch("series with different truncation orders")
+            moduli.add(value._modulus())
+        elif isinstance(value, QuotientRingElem):
+            moduli.add(value.modulus)
+    order = template.order
+    one = [([(0, 1)], 1)]
+    operands = []
+    for exp, c in terms.items():
+        if isinstance(c, QuotientRingElem):
+            moduli.add(c.modulus)
+        factors = []
+        for table, e in zip(powers, exp):
+            if e:
+                f = table[e]
+                if isinstance(f, TruncatedSeries):
+                    factors.append(f._parts)
+                else:
+                    c = c * f
+        if is_zero(c):
+            continue
+        n, den = _ratio(c)
+        head = [([(0, n)], den)]
+        last = factors.pop() if factors else one
+        for f in factors:
+            head = _sum_of_products([(head, f)], order)
+        operands.append((head, last))
+    moduli.discard(None)
+    if len(moduli) > 1:
+        raise BackendMismatch("different quotient moduli")
+    return template._make(_sum_of_products(operands, order))
 
 
 def _convolve(pairs, divisor=1):

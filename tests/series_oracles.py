@@ -6,9 +6,12 @@ parts: term by term on coefficient maps, in the scalars' own arithmetic.
 ``naive_mul`` multiplies two coefficient maps term by term, with no
 numerator/denominator split.  ``geometric_invert``, ``power_sum_exp`` and
 ``power_sum_log`` are the inverse, exponential and logarithm as one full
-product per term of a geometric or power series.  Every routine here
+product per term of a geometric or power series.  Every routine above
 reads ``terms`` and builds its result with the ``TruncatedSeries``
 constructor, so none of them runs the library's series arithmetic.
+``term_sum_evaluate`` is the evaluation of a Laurent polynomial at
+series values that the library used before it summed all terms in one
+kernel pass: each term a product with ``*``, the terms added with ``+``.
 Series coefficients are unique, so the library must reproduce all of
 them exactly, for every scalar backend.
 """
@@ -96,3 +99,22 @@ def power_sum_log(u):
             break
         out = naive_add(out, naive_scale(power, Fraction((-1) ** (j - 1), j)))
     return out
+
+
+def term_sum_evaluate(poly, point):
+    """``poly`` at a point whose values include a series: each term is
+    its coefficient times ``value ** e`` for every nonzero exponent e,
+    multiplied with ``*``, and the terms are added with ``+``.  The result
+    is a series over the first series value's variables and order."""
+    like = next(point[v] for v in poly.variables if isinstance(point[v], TruncatedSeries))
+    acc = None
+    for exp, c in poly.terms.items():
+        term = c
+        for v, e in zip(poly.variables, exp):
+            if e:
+                term = term * point[v] ** e
+        acc = term if acc is None else acc + term
+    if not isinstance(acc, TruncatedSeries):
+        return TruncatedSeries.constant(Fraction(0) if acc is None else acc,
+                                        like.variables, like.order)
+    return acc

@@ -630,43 +630,75 @@ def test_series_exp_makes_no_series_products(monkeypatch):
     assert calls == []
 
 
-def _kernel_operands(monkeypatch):
-    """A list that records, for every operand a series product hands to
-    the graded kernel (``_graded`` called from ``__mul__``), whether it is
-    constant."""
-    operands = []
-    real = TruncatedSeries._graded
-
-    def recording(self):
-        if sys._getframe(1).f_code.co_name == "__mul__":
-            operands.append(self.is_constant())
-        return real(self)
-
-    monkeypatch.setattr(TruncatedSeries, "_graded", recording)
-    return operands
+REL7 = LaurentPoly(("y1", "y2", "y3"), {
+    (0, 0, 0): 2, (1, 0, 0): 1, (0, 0, 1): -3, (1, 1, 0): 1, (0, 0, 2): 1,
+    (2, 0, 1): 1, (0, 2, 2): 1})
 
 
-def test_no_series_product_has_a_constant_operand(monkeypatch):
-    """On the 7-term order-12 ladder relation, where 57 of 123 products
-    once had a constant operand, no kernel product has one: constants are
-    applied with ``scale`` inside the product."""
-    operands = _kernel_operands(monkeypatch)
-    rel = LaurentPoly(("y1", "y2", "y3"), {
-        (0, 0, 0): 2, (1, 0, 0): 1, (0, 0, 1): -3, (1, 1, 0): 1, (0, 0, 2): 1,
-        (2, 0, 1): 1, (0, 2, 2): 1})
-    solve_formal_augmentation(rel, "y3", order=12)
-    assert operands and not any(operands)
-
-
-def test_constant_coefficient_of_the_solved_variable_is_scaled(monkeypatch):
-    """A constant C_j, here the coefficient -1 of y in 1 + y1 - y and the
-    constant coefficients of a Clifford relation, multiplies the series
-    y^j through ``scale``; no kernel product has a constant operand."""
-    operands = _kernel_operands(monkeypatch)
+def _checked_solutions(order):
+    """Solutions at ``order`` of five relations, each checked by
+    substituting series: the 7-term ladder relation; 1 + y1 - y + y1 y^2,
+    where the coefficient -1 of y is a constant C_j; a negative power of
+    the solved variable; a nilpotent d = 3 solve; and a Clifford
+    relation."""
     y1, y = LaurentPoly.gens(("y1", "y"))
-    solve_formal_augmentation(1 + y1 - y + y1 * y ** 2, "y", order=9)
-    solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=9)
-    solve_formal_augmentation(clifford_relation(3, "+,+,-").lifted_relation, "y2",
-                              order=9)
-    assert operands and not any(operands)
+    return [
+        solve_formal_augmentation(REL7, "y3", order=order),
+        solve_formal_augmentation(1 + y1 - y + y1 * y ** 2, "y", order=order),
+        solve_formal_augmentation(y - 1 - y1 * y ** -1, "y", order=order),
+        solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=order),
+        solve_formal_augmentation(clifford_relation(3, "+,+,-").lifted_relation, "y2",
+                                  order=order),
+    ]
+
+
+def test_evaluation_at_series_values_builds_no_sum_scale_or_constant(monkeypatch):
+    """Substituting a solved point into its relation sums every term in
+    one kernel pass per degree: a coefficient, constant C_j included,
+    enters as a degree-0 part, so evaluation adds no series, scales none
+    and builds no constant series."""
+    sols = _checked_solutions(9)
+    points = [sol.point() for sol in sols]
+
+    def refuse(name):
+        def raising(*args):
+            raise AssertionError("evaluation called TruncatedSeries.%s" % name)
+        return raising
+
+    for name in ("__add__", "__radd__", "scale"):
+        monkeypatch.setattr(TruncatedSeries, name, refuse(name))
+    monkeypatch.setattr(TruncatedSeries, "constant", classmethod(refuse("constant")))
+    values = [sol.relation.evaluate(point) for sol, point in zip(sols, points)]
+    monkeypatch.undo()
+    assert all((v - sol.image).is_zero() for sol, v in zip(sols, values))
+
+
+def test_check_kernel_calls_are_a_fixed_step_per_order(monkeypatch):
+    """The order-10 check of the 7-term relation, exp of the solved
+    series and evaluation at the solved point, makes at most 37
+    ``_convolve`` calls (42 when its terms were multiplied and added one
+    by one).  From order 2 on, each order adds the same number of calls
+    to the check of every relation in ``_checked_solutions``."""
+    calls = []
+    real = rings._convolve
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    counts = []
+    for order in range(2, 13):
+        sols = _checked_solutions(order)
+        monkeypatch.setattr(rings, "_convolve", counting)
+        row = []
+        for sol in sols:
+            calls.clear()
+            assert sol.residual().is_zero()
+            row.append(len(calls))
+        monkeypatch.undo()
+        counts.append(row)
+    assert counts[10 - 2][0] <= 37
+    for case in zip(*counts):
+        steps = {b - a for a, b in zip(case, case[1:])}
+        assert len(steps) == 1 and steps.pop() > 0, case
 

@@ -8,7 +8,10 @@ logarithm kept in ``series_oracles``, also for monomial, sparse and
 gapped operands, whose products pair nonzero degree parts only.  Seeded
 chains of sums, negations, scalings, products, inverses, exponentials,
 logarithms and order changes on the stored degree parts must end at the
-series the term-by-term oracles reach.  Pinned cases cover series that mix int and Fraction
+series the term-by-term oracles reach, and ``==`` on their parts must
+agree with ``==`` on their ``terms``.  Laurent polynomials evaluated at
+series values in one kernel pass per degree must give the parts and
+terms of the term-by-term sum.  Pinned cases cover series that mix int and Fraction
 coefficients, a 30-digit denominator, quotient-ring residues with
 20-digit denominators, and rational coefficients beside quotient-field
 ones in one series.
@@ -21,7 +24,8 @@ from fractions import Fraction
 import pytest
 
 from augvar import rings
-from augvar.errors import PreconditionViolation
+from augvar.errors import BackendMismatch, PreconditionViolation, VariableMismatch
+from augvar.laurent import LaurentPoly
 from augvar.rings import (
     QuotientRingElem,
     TruncatedSeries,
@@ -39,6 +43,7 @@ from series_oracles import (
     naive_scale,
     power_sum_exp,
     power_sum_log,
+    term_sum_evaluate,
 )
 
 F = Fraction
@@ -332,6 +337,138 @@ def test_part_arithmetic_matches_term_oracles_on_random_chains(backend):
         assert lib == ref
     if backend == "nilpotent":
         assert drops["mul"] and drops["scale"]
+
+
+def _refuse_views(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a terms view was built")
+
+    monkeypatch.setattr(TruncatedSeries, "_view", refuse)
+
+
+@pytest.mark.parametrize("backend", sorted(CHAIN_MODULI))
+def test_equality_agrees_with_terms_on_random_chains(backend, monkeypatch):
+    """On 60 seeded chains per backend, ``a == b`` is ``a.terms ==
+    b.terms`` for every pair of series at one order that the chains
+    reach, and for pairs that reach one series by two routes: a * b and
+    b * a, exp(log u) and u, and (a + b) - b and a.  ``==`` builds no
+    ``terms`` view: it runs before any view is read, with ``_view``
+    patched to raise."""
+    rng = random.Random("kernel-eq-" + backend)
+    drops = Counter()
+    reached = []
+    for _ in range(60):
+        lib = ref = _chain_series(rng, backend, rng.randint(1, 5))
+        for _ in range(rng.randint(1, 5)):
+            lib, ref = _step(rng, backend, lib, ref, drops)
+            reached.append(lib)
+    pairs = [(a, b) for a, b in zip(reached, reached[1:]) if a.order == b.order]
+    for a in reached[::3]:
+        b = _chain_series(rng, backend, a.order)
+        pairs += [(a * b, b * a), ((a + b) - b, a)]
+        c = a.constant_term()
+        if _unit(c):
+            u = a.scale(invert_scalar(c))
+            pairs.append((series_exp(series_log(u)), u))
+    _refuse_views(monkeypatch)
+    got = [a == b for a, b in pairs]
+    monkeypatch.undo()
+    assert got == [a.terms == b.terms for a, b in pairs]
+    assert 100 < sum(got) < len(got)
+
+
+def test_equality_is_false_across_variables_orders_and_moduli(monkeypatch):
+    """Series over other variables, at another order or over another
+    quotient modulus compare unequal, built or computed, and nothing
+    raises; two rings with one modulus compare equal."""
+    x = TruncatedSeries(VS, 4, {(1, 0): F(1, 2), (0, 2): 3})
+    terms = dict(x.terms)
+    p, q, r = (TruncatedSeries(VS, 4, {(1, 0): QuotientRingElem.generator(m), (0, 1): 1})
+               for m in (MODULUS, NIL_MODULUS, MODULUS))
+    _refuse_views(monkeypatch)
+    assert not x == TruncatedSeries(("a", "b"), 4, terms)
+    assert x != TruncatedSeries(VS, 5, terms)
+    assert not (x * x) == TruncatedSeries(VS, 5, terms) * TruncatedSeries(VS, 5, terms)
+    assert not p == q and p != q
+    assert not (p * p) == (q * q) and (p * p) != (q * q)
+    assert p == r and p * p == r * r
+    assert (p - r).is_zero()
+
+
+EVAL_VARS = ("y1", "y2", "y3")
+
+
+def _eval_value(rng, backend, invertible):
+    """A series value over VS at ORDER (a unit constant term when
+    ``invertible``) or, one time in three, a unit scalar."""
+    if rng.random() < 0.33:
+        c = _scalar(rng, backend)
+        while not _unit(c):
+            c = _scalar(rng, backend)
+        return c
+    return _series(rng, backend, "unit" if invertible or rng.random() < 0.5 else None)
+
+
+def _eval_case(rng, backend):
+    """A seeded Laurent polynomial in EVAL_VARS, with negative exponents
+    half the time, and a point with at least one series value."""
+    negative = rng.random() < 0.5
+    terms = {tuple(rng.randint(-2 if negative else 0, 3) for _ in EVAL_VARS):
+             _chain_scalar(rng, backend) for _ in range(rng.randint(1, 7))}
+    poly = LaurentPoly(EVAL_VARS, terms)
+    while True:
+        point = {v: _eval_value(rng, backend, negative) for v in EVAL_VARS}
+        if any(isinstance(x, TruncatedSeries) for x in point.values()):
+            return poly, point
+
+
+def _part_maps(s):
+    return [(dict(items), den) for items, den in s._parts]
+
+
+@pytest.mark.parametrize("backend", sorted(CHAIN_MODULI))
+def test_series_evaluation_matches_the_term_sum(backend):
+    """LaurentPoly.evaluate at series values sums its terms in one kernel
+    pass per degree; on 60 seeded polynomials per backend (Q, Q[t]/(t^3 -
+    2), Q[t]/(t^3)), with negative exponents and mixed scalar and series
+    points, and on a constant-only and the zero polynomial, it gives the
+    parts and the terms of the term-by-term sum of ``series_oracles``."""
+    rng = random.Random("kernel-eval-" + backend)
+    cases = [_eval_case(rng, backend) for _ in range(60)]
+    poly, point = cases[0]
+    cases += [(LaurentPoly.constant(_chain_scalar(rng, backend), EVAL_VARS), point),
+              (LaurentPoly.zero(EVAL_VARS), point)]
+    negative = 0
+    for poly, point in cases:
+        got, want = poly.evaluate(point), term_sum_evaluate(poly, point)
+        assert _part_maps(got) == _part_maps(want), str(poly)
+        assert dict(got.terms) == dict(want.terms)
+        negative += any(min(e) < 0 for e in poly.terms)
+    assert negative > 10
+    assert cases[-1][0].evaluate(cases[-1][1]).is_zero()
+
+
+def test_series_evaluation_rejects_mixed_variables_orders_and_moduli():
+    """Series values over other variables or at another order raise
+    VariableMismatch, and coefficients or values over two quotient moduli
+    raise BackendMismatch, as the term-by-term sum does."""
+    y1, y2 = LaurentPoly.gens(("y1", "y2"))
+    mu = TruncatedSeries.variable("mu1", VS, 4)
+    t, n = QuotientRingElem.generator(MODULUS), QuotientRingElem.generator(NIL_MODULUS)
+    f = 1 + y1 * y2 - y2
+    for other, error in ((TruncatedSeries.variable("a", ("a", "b"), 4), VariableMismatch),
+                         (TruncatedSeries.variable("mu1", VS, 5), VariableMismatch),
+                         (mu.scale(t), BackendMismatch)):
+        for poly in (f, y1 * y2):
+            point = {"y1": mu.scale(n), "y2": other}
+            for evaluate in (poly.evaluate, lambda p: term_sum_evaluate(poly, p)):
+                with pytest.raises(error):
+                    evaluate(point)
+    g = LaurentPoly(("y1", "y2"), {(1, 0): t, (0, 1): n})
+    for point in ({"y1": mu, "y2": mu}, {"y1": mu, "y2": F(2)}):
+        for evaluate in (g.evaluate, lambda p: term_sum_evaluate(g, p)):
+            with pytest.raises(BackendMismatch):
+                evaluate(point)
 
 
 # --------------------------------------------------------------------------
