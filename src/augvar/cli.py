@@ -42,16 +42,6 @@ from .polytope import (
 from .rings import DEFAULT_ORDER, UniPoly
 
 
-def _default_order():
-    env = os.environ.get("AUGVAR_ORDER")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError("AUGVAR_ORDER must be an integer, got %r" % env) from None
-    return DEFAULT_ORDER
-
-
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -408,9 +398,8 @@ def build_parser():
                        help="seed for suggested generic-coordinate retries")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if order:
-            p.add_argument("--order", type=int, default=None,
-                           help="series truncation order (default %d, or "
-                                "AUGVAR_ORDER)" % DEFAULT_ORDER)
+            p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                           help="series truncation order (default %d)" % DEFAULT_ORDER)
 
     p = sub.add_parser("potential", help="build a potential / lifted relation")
     p.add_argument("--kind", required=True,
@@ -516,9 +505,8 @@ def build_parser():
 def _parser():
     """The one parser :func:`run` reuses for every request, built on the
     first call rather than at import.  Reuse is safe: ``parse_args`` makes
-    a fresh namespace each time, no default is mutable, ``AUGVAR_ORDER``
-    is read by :func:`_default_order` at run time, and usage errors look
-    up ``sys.stderr`` when they are raised."""
+    a fresh namespace each time, no default is mutable, and usage errors
+    look up ``sys.stderr`` when they are raised."""
     return build_parser()
 
 
@@ -527,11 +515,8 @@ def run(argv=None):
     which the library rejects with ValueError, are input errors too."""
     try:
         args = _parser().parse_args(argv)
-        if hasattr(args, "order"):
-            if args.order is None:
-                args.order = _default_order()
-            if args.order < 1:
-                raise ParseError("--order must be >= 1, got %d" % args.order)
+        if hasattr(args, "order") and args.order < 1:
+            raise ParseError("--order must be >= 1, got %d" % args.order)
         report = {"config": _config_dict(args)}
         code = args.handler(args, report)
     except ParseError as err:

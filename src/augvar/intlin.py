@@ -1,22 +1,28 @@
 """Exact integer and rational linear algebra.
 
-Small dense routines over Fraction / int used by the polytope and Laurent
-machinery: determinants, inverses of unimodular matrices, the fit of a
-tangent cone into the positive orthant, and the exact convex-hull engine.
+Small dense integer routines used by the polytope and Laurent machinery:
+determinants, inverses of unimodular matrices, the fit of a tangent cone
+into the positive orthant, and the exact convex-hull engine.  The only
+``Fraction`` code left is in :func:`rref` and in the integer-preserving
+phase-one simplex :func:`phase1_feasible` (Edmonds 1967, Bareiss 1968,
+the idiom of :func:`det`), which nothing in the library calls; they are
+kept because ``perfbench/tracer.py`` wraps them by name.
 
 The cone fit runs no LP.  It takes its dual vector q, positive on the
 cone, from the hull: the sum of the inner facet normals at the vertex
 (:meth:`augvar.polytope.LatticePolytope.vertex_dual_vector`), and only
-completes q to a lattice basis and shears the other rows.  The
-integer-preserving phase-one simplex (Edmonds 1967, Bareiss 1968, the
-idiom of :func:`det`) stays here with no caller in the library, as
-:func:`rref` does.
+completes q to a lattice basis and shears the other rows.
 
-One unimodular column reduction, :func:`_column_reduce`, serves every
-integer lattice question: the affine lattice frame of a point set (its
-dimension, integer coordinates and membership test), the index of the
-lattice spanned by a set of vectors, and the completion of a primitive
-vector to a lattice basis.  No rational null space is taken.
+One unimodular column reduction, :func:`_column_reduce` (Cohen, "A Course
+in Computational Algebraic Number Theory", 1993, 2.4), is the only
+elimination, and :func:`det` the only determinant.  The reduction serves
+every integer lattice question: the affine lattice frame of a point set
+(its dimension, integer coordinates and membership test), the index of
+the lattice spanned by a set of vectors, the start simplex of the hull
+engine (its pivot rows, :func:`_pivot_rows`), and the completion of a
+primitive vector to a lattice basis.  That completion inverts the
+reduction's unimodular matrix by :func:`mat_inverse`, the adjugate, whose
+entries are signed minors.  No rational null space is taken.
 
 The hull engine works in integers only: Andrew's monotone chain in the
 plane, and beneath-beyond over a triangulated boundary in dimension three
@@ -28,11 +34,12 @@ and those of the incidence pass that finds each facet's points, are
 unrolled or taken as ``sum(map(mul, ...))``, with no call per product.
 Beneath-beyond inserts the points far first, by decreasing squared
 distance from their centroid, and starts from the first affinely
-independent ones in that order: a wide start simplex swallows most of
-the later points, so far fewer boundary simplices are built and
-discarded than in lexicographic order.  The order changes only how
-coplanar facets are triangulated, and the volume summed over the boundary
-simplices does not depend on the triangulation.  The engine returns
+independent ones in that order, the pivot rows of one column reduction:
+a wide start simplex swallows most of the later points, so far fewer
+boundary simplices are built and discarded than in lexicographic order.
+The order changes only how coplanar facets are triangulated, and the
+volume summed over the boundary simplices does not depend on the
+triangulation.  The engine returns
 vertices and facets together, and above the plane also the boundary
 simplices that volumes are summed over.
 A point is a vertex when the facets through it meet in that point alone,
@@ -45,7 +52,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
-from .errors import PreconditionViolation, VerificationFailure
+from .errors import NotUnimodular, PreconditionViolation, VerificationFailure
 
 
 def lattice_point(p):
@@ -104,26 +111,20 @@ def is_unimodular(M):
 
 
 def mat_inverse(M):
-    """Exact inverse via Gauss-Jordan.  Integer entries are returned as
-    ints when the inverse is integral (the unimodular case)."""
+    """Inverse of a unimodular integer matrix, in ints.
+
+    As 1 / det(M) = det(M) when det(M) = +-1, the inverse is det(M) adj(M):
+    entry (i, j) is det(M) (-1)^(i + j) times the :func:`det` of M without
+    row j and column i.  Any other matrix raises :class:`NotUnimodular`."""
+    if not is_unimodular(M):
+        raise NotUnimodular("matrix %r is not unimodular" % (M,))
+    D = det(M)
     n = len(M)
-    A = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    out = [row[n:] for row in A]
-    if all(x.denominator == 1 for row in out for x in row):
-        return [[int(x) for x in row] for row in out]
-    return out
+
+    def minor(j, i):
+        return det([r[:i] + r[i + 1:] for k, r in enumerate(M) if k != j])
+
+    return [[(-1) ** (i + j) * D * minor(j, i) for j in range(n)] for i in range(n)]
 
 
 def rref(rows):
@@ -196,6 +197,13 @@ def _column_reduce(rows):
     return H, U, rank
 
 
+def _pivot_rows(H, rank):
+    """The pivot row of each of the first ``rank`` columns of a column
+    reduction H: the first row of H that is nonzero in that column, or
+    None.  They are the rows that raised the rank, in order."""
+    return [next((i for i, r in enumerate(H) if r[c]), None) for c in range(rank)]
+
+
 def affine_frame(points):
     """The saturated affine lattice of integer points, from one column
     reduction of their differences.
@@ -220,7 +228,7 @@ def affine_frame(points):
     H, U, d = _column_reduce(diffs)
     if d == n:
         return d, identity_matrix(n), [tuple(r) for r in diffs]
-    leads = [next((i for i, r in enumerate(H) if r[c]), None) for c in range(d)]
+    leads = _pivot_rows(H, d)
     if None in leads or any(r[c] for r in H for c in range(d, n)):
         raise VerificationFailure("column reduction of rank %d does not match "
                                   "its columns" % d)
@@ -410,32 +418,6 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def echelon(vectors, cap=None):
-    """Integer row echelon form of the vectors, built one vector at a time.
-
-    Returns (rows, used): rows are (pivot column, row) pairs with distinct
-    pivots, each row zero at the pivots of the rows before it; used lists
-    the indices of the vectors that raised the rank.  Stops once the rank
-    reaches ``cap``.
-    """
-    rows, used = [], []
-    for k, v in enumerate(vectors):
-        v = list(v)
-        for piv, r in rows:
-            if v[piv]:
-                v = [r[piv] * a - v[piv] * b for a, b in zip(v, r)]
-                g = gcd(*v)
-                if g > 1:
-                    v = [x // g for x in v]
-        piv = next((j for j, x in enumerate(v) if x), None)
-        if piv is not None:
-            rows.append((piv, v))
-            used.append(k)
-            if len(rows) == cap:
-                break
-    return rows, used
-
-
 def _hyperplane(simplex, interior, scale):
     """Primitive normal n and offset c of the hyperplane through d points
     of Z^d, oriented so that <n, interior> < scale * c.
@@ -535,11 +517,14 @@ def _beneath_beyond(points):
     coordinate sums S, ties to the smaller index.  The first point
     maximises a strictly convex function, so it is a hull vertex, and the
     start simplex is the first affinely independent points in that order,
-    a wide one.  Most later points then fall inside the hull so far and
-    cost one visibility scan, where lexicographic order makes every point
-    a vertex of the hull so far and rebuilds the boundary around it
-    (Clarkson and Shor, "Applications of random sampling in computational
-    geometry II", 1989, argue the same for a random order).  The order
+    a wide one: the pivot rows of one :func:`_column_reduce` of the
+    differences from the first point, since a row is a pivot row exactly
+    when it raises the rank of the rows before it.  Most later points
+    then fall inside the hull so far and cost one visibility scan, where
+    lexicographic order makes every point a vertex of the hull so far and
+    rebuilds the boundary around it (Clarkson and Shor, "Applications of
+    random sampling in computational geometry II", 1989, argue the same
+    for a random order).  The order
     decides only how coplanar facets are triangulated: the facets, their
     points and the vertices are those of the hull.  A volume summed over
     the simplices, as cones from one point of the hull, is the same for
@@ -551,10 +536,11 @@ def _beneath_beyond(points):
     order = sorted(range(m), key=lambda i: (
         -sum((m * x - s) ** 2 for x, s in zip(points[i], sums)), i))
     base = points[order[0]]
-    _, used = echelon([[a - b for a, b in zip(points[i], base)] for i in order[1:]], d)
-    if len(used) < d:
+    H, _, rank = _column_reduce([[a - b for a, b in zip(points[i], base)]
+                                 for i in order[1:]])
+    if rank < d:
         raise PreconditionViolation("hull points do not span Z^%d" % d)
-    start = [order[0]] + [order[k + 1] for k in used]
+    start = [order[0]] + [order[k + 1] for k in _pivot_rows(H, d)]
     interior = tuple(sum(points[i][j] for i in start) for j in range(d))
     scale = d + 1
     simplices = {}     # sorted tuple of d point indices -> (normal, offset)
@@ -637,11 +623,11 @@ def _hull(points):
     dimension three it is None.
 
     Each point collects the point sets ``eq`` of the facets through it,
-    and it is a vertex when they intersect in it alone; ``echelon`` runs
-    only in beneath-beyond, once, for the start simplex.  A facet's values
-    at the points are one comprehension over the unpacked coordinates in
-    dimensions two and three, ``a x + b y (+ e z)``, and
-    ``sum(map(mul, ...))`` above.
+    and it is a vertex when they intersect in it alone; the one rank test,
+    a :func:`_column_reduce`, runs only in beneath-beyond, once, for the
+    start simplex.  A facet's values at the points are one comprehension
+    over the unpacked coordinates in dimensions two and three,
+    ``a x + b y (+ e z)``, and ``sum(map(mul, ...))`` above.
     """
     d = len(points[0])
     simplices = None

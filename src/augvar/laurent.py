@@ -29,6 +29,7 @@ from .rings import (
     QuotientRingElem,
     TruncatedSeries,
     UniPoly,
+    _join_terms,
     frac,
     invert_scalar,
     is_zero,
@@ -324,26 +325,10 @@ class LaurentPoly:
     # -- display and serialization ----------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp in self.support():
-            c = self.terms[exp]
-            mono = "*".join(
-                "%s^%d" % (v, e) if e != 1 else v
-                for v, e in zip(self.variables, exp) if e != 0)
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append("-" + mono)
-            else:
-                parts.append("%s*%s" % (c, mono))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        def mono(exp):
+            return "*".join("%s^%d" % (v, e) if e != 1 else v
+                            for v, e in zip(self.variables, exp) if e != 0)
+        return _join_terms((self.terms[exp], mono(exp)) for exp in self.support())
 
     __repr__ = __str__
 

@@ -615,18 +615,6 @@ def _is_simplex(P):
     return len(P.vertices) == P.affine_dim + 1
 
 
-def _lattice_height_above_facet(P, facet_vertex_set, apex):
-    """Lattice distance of apex from the affine hull of the facet, measured
-    in the reduced coordinates of P."""
-    red = P._red
-    index = {v: i for i, v in enumerate(P.vertices)}
-    for n, c, eq in P._bound[0]:
-        if eq == frozenset(index[v] for v in facet_vertex_set):
-            a = red[index[apex]]
-            return abs(sum(x * y for x, y in zip(n, a)) - c)
-    return None
-
-
 def irreducibility_certificate(f, facet_restrictions=()):
     """Certify irreducibility of a Laurent polynomial up to monomial units.
 
@@ -685,15 +673,19 @@ def _certify(g, facet_restrictions, P=None):
                        witness="cleared Newton polytope is not a full simplex")
     k = g.variables.index(var)
     base_verts = [v for v in P.vertices if v[k] == 0]
-    apexes = [v for v in P.vertices if v[k] != 0]
-    if len(apexes) != 1 or len(base_verts) != len(P.vertices) - 1:
+    apexes = [i for i, v in enumerate(P.vertices) if v[k] != 0]
+    if len(apexes) != 1:
         return Verdict("inconclusive",
                        witness="restriction variable does not isolate an apex")
-    height = _lattice_height_above_facet(P, base_verts, apexes[0])
+    a = apexes[0]
+    # the base is the one facet of the simplex that misses the apex; a
+    # segment has no facets, and so no height
+    height = next((abs(sum(map(mul, n, P._red[a])) - c)
+                   for n, c, eq in P._bound[0] if a not in eq), None)
     if height != 1:
         return Verdict("inconclusive",
                        witness="apex is not at lattice height one over the facet")
-    if apexes[0][k] < 0:
+    if P.vertices[a][k] < 0:
         # var -> 1/var is unimodular: it keeps the base facet and the
         # height and puts the whole support on var's nonnegative side
         flip = intlin.identity_matrix(len(g.variables))

@@ -314,28 +314,33 @@ class UniPoly:
         return self.format("t")
 
     def format(self, var):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                mono = var if i == 1 else "%s^%d" % (var, i)
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append("-" + mono)
-                else:
-                    parts.append("%s*%s" % (c, mono))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _join_terms((c, "" if i == 0 else var if i == 1 else "%s^%d" % (var, i))
+                           for i, c in enumerate(self.coeffs) if c != 0)
 
     __repr__ = __str__
+
+
+def _join_terms(terms):
+    """A sum of (coefficient, monomial) terms as text, "0" when there are
+    none.  An empty monomial stands for 1; a coefficient of 1 or -1 on a
+    monomial is written as its sign alone, and a term that starts with "-"
+    is joined by " - " rather than " + "."""
+    parts = []
+    for c, mono in terms:
+        if not mono:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append("-" + mono)
+        else:
+            parts.append("%s*%s" % (c, mono))
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
 
 
 def uni_gcd(p, q):
@@ -458,7 +463,7 @@ def _lifted_candidates(f):
     the only possible rational roots of the squarefree integer polynomial
     f (ascending coefficients, f(0) != 0, degree >= 1)."""
     lead, f0 = f[-1], f[0]
-    df = [i * c for i, c in enumerate(f)][1:]
+    df = _int_derivative(f)
     for ell in count(2):
         if lead % ell == 0 or any(ell % q == 0 for q in range(2, isqrt(ell) + 1)):
             continue

@@ -9,11 +9,14 @@ supporting hyperplanes through every d-subset of the points.  These two
 take other routes than the library's hull engine (monotone chain /
 beneath-beyond), so agreement is evidence for both.  ``scan_edges``
 tests every vertex pair against every facet, as ``LatticePolytope.edges``
-did before it counted shared facets.
+did before it counted shared facets.  ``echelon`` is the integer row
+echelon form that picked beneath-beyond's start simplex before the pivot
+rows of the column reduction did.
 """
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from augvar import intlin
 
@@ -87,6 +90,32 @@ def fraction_phase1_feasible(A, b, entering_trail=None):
         if basis[i] < n:
             x[basis[i]] = rhs[i]
     return x
+
+
+def echelon(vectors, cap=None):
+    """Integer row echelon form of the vectors, built one vector at a time.
+
+    Returns (rows, used): rows are (pivot column, row) pairs with distinct
+    pivots, each row zero at the pivots of the rows before it; used lists
+    the indices of the vectors that raised the rank.  Stops once the rank
+    reaches ``cap``.
+    """
+    rows, used = [], []
+    for k, v in enumerate(vectors):
+        v = list(v)
+        for piv, r in rows:
+            if v[piv]:
+                v = [r[piv] * a - v[piv] * b for a, b in zip(v, r)]
+                g = gcd(*v)
+                if g > 1:
+                    v = [x // g for x in v]
+        piv = next((j for j, x in enumerate(v) if x), None)
+        if piv is not None:
+            rows.append((piv, v))
+            used.append(k)
+            if len(rows) == cap:
+                break
+    return rows, used
 
 
 def fraction_strict_dual_vector(generators):

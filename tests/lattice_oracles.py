@@ -11,7 +11,9 @@ the gcd of all maximal minors, exponential in the number of vectors.
 exhaustive search over the edge splits, exponential in the edge count.
 The library reads the index off one column reduction and decides
 indecomposability in one pass over partial sums, so agreement is
-evidence for both.
+evidence for both.  ``fraction_mat_inverse`` is the Gauss-Jordan inverse
+over Q that the library's integer adjugate (``intlin.mat_inverse``)
+replaced.
 """
 
 from fractions import Fraction
@@ -37,6 +39,26 @@ def rational_nullspace(rows):
             vec[p] = -R[i][f]
         basis.append(intlin.primitive_vector(vec))
     return basis
+
+
+def fraction_mat_inverse(M):
+    """Exact inverse by Gauss-Jordan over Fractions; ZeroDivisionError
+    when M is singular."""
+    n = len(M)
+    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(M)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        A[col], A[piv] = A[piv], A[col]
+        inv = 1 / A[col][col]
+        A[col] = [x * inv for x in A[col]]
+        for r in range(n):
+            if r != col and A[r][col] != 0:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
+    return [row[n:] for row in A]
 
 
 def integer_kernel(rows):

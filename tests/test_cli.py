@@ -179,23 +179,11 @@ def test_solve_nilpotent_report(capsys):
         "residue": ["0", "-1"], "order": 2}
 
 
-def test_solve_aug_env_order(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("AUGVAR_ORDER", "4")
-    code, out, _ = _capture(capsys, [
-        "solve-aug", "--clifford", "3", "--format", "json"])
-    assert code == 0
-    assert json.loads(out)["config"]["order"] == 4
-
-
-def test_bad_order_values_are_input_errors(capsys, monkeypatch):
+def test_bad_order_values_are_input_errors(capsys):
     code, _, err = _capture(capsys, [
         "solve-aug", "--clifford", "3", "--order", "0"])
     assert code == 1
     assert "order" in err
-    monkeypatch.setenv("AUGVAR_ORDER", "banana")
-    code, _, err = _capture(capsys, ["solve-aug", "--clifford", "3"])
-    assert code == 1
-    assert "AUGVAR_ORDER" in err
 
 
 # --------------------------------------------------------------- potentials
@@ -596,19 +584,6 @@ def test_flag_values_do_not_carry_over(tmp_path):
     cli._parser.cache_clear()
     assert _redirected(fan) == runs[1]
     assert _redirected(parts) == runs[3]
-
-
-def test_order_environment_is_read_per_request(monkeypatch):
-    argv = ["solve-aug", "--clifford", "3", "--format", "json"]
-    orders = []
-    for env in ("4", "7", "5"):
-        monkeypatch.setenv("AUGVAR_ORDER", env)
-        code, out, _ = _redirected(argv)
-        assert code == 0
-        report = json.loads(out)
-        orders.append((report["config"]["order"],
-                       report["result"]["residual_order_checked"]))
-    assert orders == [(4, 4), (7, 7), (5, 5)]
 
 
 def test_usage_error_goes_to_the_stderr_of_its_own_call():

@@ -21,7 +21,8 @@ from augvar import intlin
 from augvar.errors import PreconditionViolation, VerificationFailure
 from augvar.polytope import LatticePolytope
 
-from hull_oracles import in_convex_hull, lp_vertex_indices, scan_edges, subset_facets
+from hull_oracles import (echelon, in_convex_hull, lp_vertex_indices, scan_edges,
+                          subset_facets)
 from lattice_oracles import rational_nullspace
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -30,7 +31,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 def _spans(points):
     d = len(points[0])
     rows = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
-    return len(intlin.echelon(rows)[0]) == d
+    return intlin._column_reduce(rows)[2] == d
 
 
 GRID_3 = list(itertools.product(range(3), repeat=3))
@@ -426,8 +427,8 @@ def test_interior_point_on_a_hull_hyperplane_raises(d):
         intlin._hyperplane(simplex, (d + 1,) + (0,) * (d - 1), d + 1)
 
 
-# echelon calls inside one _hull: the vertices come from facet incidence,
-# so only beneath-beyond's start simplex takes a rank.
+# _column_reduce calls inside one _hull: the vertices come from facet
+# incidence, so only beneath-beyond's start simplex takes a rank.
 @pytest.mark.parametrize("points, calls", [
     ([(3,), (0,), (5,), (1,)], 0),
     (_random_support(random.Random(2024), 2, 20, 4), 0),
@@ -435,15 +436,34 @@ def test_interior_point_on_a_hull_hyperplane_raises(d):
     (GRID_3, 1), (CROSS_3D, 1), (CUBE_WITH_FACET_CENTRES, 1), (GRID_4, 1)])
 def test_vertices_take_no_rank_test(monkeypatch, points, calls):
     made = []
-    real = intlin.echelon
+    real = intlin._column_reduce
 
     def counting(*args, **kwargs):
         made.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(intlin, "echelon", counting)
+    monkeypatch.setattr(intlin, "_column_reduce", counting)
     intlin._hull(points)
     assert len(made) == calls
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_pivot_rows_are_the_rows_echelon_keeps(d):
+    # beneath-beyond's start simplex: the pivot rows of the column
+    # reduction are the rows that raise the rank, in order, as in echelon;
+    # half the cases lie in a random sublattice of lower rank, with repeats
+    rng = random.Random(2900 + d)
+    for trial in range(60):
+        if trial % 2:
+            basis = [[rng.randint(-3, 3) for _ in range(d)]
+                     for _ in range(rng.randint(1, d))]
+            rows = [[sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(d)]
+                    for _ in range(rng.randint(1, 9))]
+        else:
+            pts = _random_support(rng, d, rng.randint(d + 1, 10), 2)
+            rows = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+        H, _, rank = intlin._column_reduce(rows)
+        assert intlin._pivot_rows(H, rank) == echelon(rows)[1], rows
 
 
 def _with_edge_points(rng, d, n):

@@ -9,7 +9,8 @@ import pytest
 
 from augvar.augment import random_unimodular
 from augvar import intlin
-from augvar.errors import DegenerateFan, PreconditionViolation, VerificationFailure
+from augvar.errors import (DegenerateFan, NotUnimodular, PreconditionViolation,
+                           VerificationFailure)
 from augvar.intlin import (
     _column_reduce,
     affine_frame,
@@ -26,7 +27,8 @@ from augvar.intlin import (
 from augvar.potentials import toric_relation
 
 from hull_oracles import fraction_phase1_feasible, fraction_strict_dual_vector
-from lattice_oracles import integer_kernel, minors_gcd_index, rational_nullspace
+from lattice_oracles import (fraction_mat_inverse, integer_kernel, minors_gcd_index,
+                             rational_nullspace)
 
 F = Fraction
 
@@ -118,6 +120,29 @@ def test_mat_inverse_unimodular_is_integer():
     n = len(M)
     eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     assert mat_mul(M, Minv) == eye
+
+
+def test_mat_inverse_matches_the_fraction_gauss_jordan():
+    # random unimodular matrices, and the matrices complete_primitive_row
+    # inverts: the column reductions of seeded primitive rows
+    rng = random.Random(29)
+    cases = [random_unimodular(n, seed) for n in range(1, 6) for seed in range(30)]
+    for _ in range(150):
+        q = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
+        if gcd(*q) == 1:
+            cases.append(_column_reduce([q])[1])
+    for M in cases:
+        Minv = mat_inverse(M)
+        assert all(type(x) is int for row in Minv for x in row)
+        assert Minv == fraction_mat_inverse(M)
+        assert mat_mul(M, Minv) == intlin.identity_matrix(len(M))
+
+
+@pytest.mark.parametrize("M", [[[2, 1], [0, 1]], [[1, 2], [2, 4]], [[0]],
+                               [[1, 0, 0], [0, 1, 0], [0, 0, 2]]])
+def test_mat_inverse_rejects_a_matrix_that_is_not_unimodular(M):
+    with pytest.raises(NotUnimodular):
+        mat_inverse(M)
 
 
 def test_rational_nullspace():
