@@ -39,9 +39,9 @@ a wide start simplex swallows most of the later points, so far fewer
 boundary simplices are built and discarded than in lexicographic order.
 The order changes only how coplanar facets are triangulated, and the
 volume summed over the boundary simplices does not depend on the
-triangulation.  The engine returns
-vertices and facets together, and above the plane also the boundary
-simplices that volumes are summed over.
+triangulation.  The engine returns vertices, facets and boundary
+simplices in every dimension: a segment's endpoints, a polygon's
+counterclockwise edges, and beneath-beyond's simplices above the plane.
 A point is a vertex when the facets through it meet in that point alone,
 a set intersection of the facets' point sets with no rank test.  The
 engine checks its own output, raising :class:`VerificationFailure` when a
@@ -488,17 +488,20 @@ def monotone_chain(points):
 
 
 def _chain_planes(points):
-    """Facet hyperplanes of a polygon, from its monotone-chain cycle."""
+    """(planes, edges) of a polygon from its monotone-chain cycle: the
+    edges (a, b) counterclockwise from the smallest point, and the outward
+    (normal, offset) of each."""
     cycle = monotone_chain(points)
     if len(cycle) < 3:
         raise PreconditionViolation("hull points do not span the plane")
+    edges = list(zip(cycle, cycle[1:] + cycle[:1]))
     planes = []
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+    for a, b in edges:
         ex, ey = (y - x for x, y in zip(points[a], points[b]))
         g = gcd(ex, ey)
         normal = (ey // g, -ex // g)    # outward for a counterclockwise cycle
         planes.append((normal, _dot(normal, points[a])))
-    return planes
+    return planes, edges
 
 
 def _beneath_beyond(points):
@@ -616,11 +619,12 @@ def convex_hull(points):
 def _hull(points):
     """:func:`convex_hull` plus the triangulated boundary behind it.
 
-    Returns (vertices, facets, simplices).  In dimension d >= 3,
-    ``simplices`` lists the boundary simplices of beneath-beyond as
-    sorted tuples of d point indices; they cover the boundary once, so
-    the cones over them from any point of the hull tile it.  Below
-    dimension three it is None.
+    Returns (vertices, facets, simplices).  In every dimension
+    ``simplices`` lists boundary simplices as tuples of d point indices
+    that cover the boundary once, so the cones over them from any point of
+    the hull tile it: a segment's endpoints (lo,) and (hi,), a polygon's
+    edges (a, b) counterclockwise from its smallest vertex, and above the
+    plane the sorted simplices of beneath-beyond.
 
     Each point collects the point sets ``eq`` of the facets through it,
     and it is a vertex when they intersect in it alone; the one rank test,
@@ -630,14 +634,14 @@ def _hull(points):
     ``a x + b y (+ e z)``, and ``sum(map(mul, ...))`` above.
     """
     d = len(points[0])
-    simplices = None
     if d == 1:
-        xs = [p[0] for p in points]
-        if len(xs) < 2:
+        if len(points) < 2:
             raise PreconditionViolation("hull points do not span the line")
-        planes = {((-1,), -min(xs)), ((1,), max(xs))}
+        lo, hi = min(points), max(points)
+        planes = {((-1,), -lo[0]), ((1,), hi[0])}
+        simplices = [(points.index(lo),), (points.index(hi),)]
     elif d == 2:
-        planes = _chain_planes(points)
+        planes, simplices = _chain_planes(points)
     else:
         boundary = _beneath_beyond(points)
         planes = set(boundary.values())

@@ -11,14 +11,15 @@ affine lattice: its dimension, the points' integer coordinates in it and
 the membership test for the affine hull, with no rational null space.  The
 integer hull engine of :mod:`augvar.intlin` (monotone chain in the plane,
 beneath-beyond above it) runs once on those coordinates, in the
-constructor, and yields the vertices, the facets and, above the plane, a
-triangulated boundary together.  Membership, edges, the
-counterclockwise polygon cycle and, at each vertex, a dual vector that
-is positive on its tangent cone are read off its output.  So are the
+constructor, and yields the vertices, the facets and the boundary
+simplices together in every dimension: a segment's endpoints, a polygon's
+counterclockwise edges, a triangulated boundary above the plane.
+Membership, edges, the polygon cycle and, at each vertex, a dual vector
+positive on its tangent cone are read off its output.  So are the
 invariants: the normalized volume sums cones from one vertex over the
-boundary, the lattice point count is Pick's formula in the plane and,
-above it, a walk over the projections onto the first k coordinates
-bounded by their own hull facets.
+boundary simplices, the lattice point count is Pick's formula over the
+edges in the plane and, above it, a walk over the projections onto the
+first k coordinates bounded by their own hull facets.
 
 It imports nothing from :mod:`augvar.laurent`, whose ``clear_to_vertex``
 checks its vertex against :func:`newton_polytope` and whose
@@ -61,10 +62,10 @@ class LatticePolytope:
         # _bound: (facets, simplices, points) of the full-dimensional
         # reduction.  ``facets`` is a list of (normal, offset, vertex index
         # frozenset) with primitive integer normals, inequality <n, x> <= c,
-        # sorted by (normal, offset), from the hull engine; empty below
-        # dimension two.  ``simplices`` lists the boundary simplices of the
-        # engine's triangulation as tuples of indices into ``points``, the
-        # reduced points the engine ran on; None below dimension three.
+        # sorted by (normal, offset), from the hull engine; none for a
+        # point.  ``simplices`` lists the engine's boundary simplices as
+        # tuples of d indices into ``points``, the reduced points it ran
+        # on, in every dimension (a polygon's edges counterclockwise).
         "_bound",
         "_cache")
 
@@ -84,10 +85,10 @@ class LatticePolytope:
         if any(len(p) != ambient_dim for p in pts):
             raise DimensionMismatch("point length != ambient dimension")
         d, U, red = intlin.affine_frame(pts)
-        keep, facets, simplices = intlin._hull(red) if d else ([0], [], None)
+        keep, facets, simplices = intlin._hull(red) if d else ([0], [], [])
         position = {i: k for k, i in enumerate(keep)}
         facets = [(n, c, frozenset(position[i] for i in eq if i in position))
-                  for n, c, eq in facets] if d >= 2 else []
+                  for n, c, eq in facets]
         for name, value in (("ambient_dim", ambient_dim),
                             ("vertices", tuple(pts[i] for i in keep)),
                             ("affine_dim", d),
@@ -195,8 +196,7 @@ class LatticePolytope:
         The primitive inner normals of the facets through v span its
         normal cone (Ziegler, 2.1 and 7.1): each is >= 0 on every w - v,
         and since those facets meet in v alone, one of them is > 0 on it,
-        hence >= 1 in integers.  So their sum works.  A segment has no
-        facets and takes its direction away from v.  The sum lives in the
+        hence >= 1 in integers.  So their sum works.  The sum lives in the
         frame coordinates, q_red . ((w - v) U)[:d], and is lifted to the
         ambient space as q_j = sum_k U[j][k] q_red[k].  Every other point
         of the polytope is a convex combination of the vertices, so q is
@@ -213,11 +213,8 @@ class LatticePolytope:
         if d == 0:
             raise PreconditionViolation("a point has no other vertex to separate")
         i = self.vertices.index(v)
-        if d == 1:
-            q_red = (1,) if self._red[i][0] < self._red[1 - i][0] else (-1,)
-        else:
-            facets = self._bound[0]
-            q_red = [-sum(col) for col in zip(*(facets[k][0] for k in self._through()[i]))]
+        facets = self._bound[0]
+        q_red = [-sum(col) for col in zip(*(facets[k][0] for k in self._through()[i]))]
         # each frame row U[j] pairs with q_red's d entries, where map stops
         q = intlin.primitive_vector(
             [sum(map(mul, row, q_red)) for row in self._frame])
@@ -236,9 +233,6 @@ class LatticePolytope:
         x = self._coordinates(point)
         if x is None:
             return False
-        if self.affine_dim == 1:
-            vals = [v[0] for v in self._red]
-            return min(vals) <= x[0] <= max(vals)
         return all(sum(a * b for a, b in zip(n, x)) <= c
                    for n, c, _ in self._bound[0])
 
@@ -248,29 +242,15 @@ class LatticePolytope:
         """Normalized volume of the reduction in Z^d, d = affine_dim.
 
         The cones from the first reduced vertex v0 over the boundary tile
-        the polytope: in the plane each edge contributes its lattice
-        length times the lattice height of v0 below it, above the plane
-        each boundary simplex s contributes |det(s - v0)|.  Computed once,
-        on first use.
+        the polytope, so for d >= 1 it is the sum of |det(s - v0)| over
+        the boundary simplices s; a point has volume 1.  Computed once.
         """
         if "volume" not in self._cache:
-            red = self._red
-            d = self.affine_dim
-            v0 = red[0]
-            if d == 0:
-                volume = 1
-            elif d == 1:
-                volume = max(v[0] for v in red) - min(v[0] for v in red)
-            elif d == 2:
-                volume = sum((c - sum(a * b for a, b in zip(n, v0)))
-                             * _edge_length(red, eq)
-                             for n, c, eq in self._bound[0])
-            else:
-                _, simplices, points = self._bound
-                volume = sum(
-                    abs(intlin.det([[a - b for a, b in zip(points[i], v0)] for i in s]))
-                    for s in simplices)
-            self._cache["volume"] = volume
+            _, simplices, points = self._bound
+            v0 = self._red[0]
+            self._cache["volume"] = sum(
+                abs(intlin.det([[a - b for a, b in zip(points[i], v0)] for i in s]))
+                for s in simplices) if self.affine_dim else 1
         return self._cache["volume"]
 
     def normalized_volume(self):
@@ -286,7 +266,7 @@ class LatticePolytope:
         """Number of lattice points of the polytope.
 
         In the plane, Pick's formula: (V + B) / 2 + 1 with V the reduced
-        normalized volume and B the summed edge lattice lengths.  Above
+        normalized volume and B the lattice lengths of the stored edges.  Above
         it, the hull facets of the projections onto the first k reduced
         coordinates, k = 1..d, give irredundant bounds on the k-th
         coordinate over each lattice point of the projection before; the
@@ -303,9 +283,9 @@ class LatticePolytope:
             return 1
         if d == 1:
             return self._volume() + 1
-        facets = self._bound[0]
+        facets, edges, points = self._bound
         if d == 2:
-            boundary = sum(_edge_length(red, eq) for _, _, eq in facets)
+            boundary = sum(_edge_length(points, e) for e in edges)
             return (self._volume() + boundary) // 2 + 1
         levels = []
         for k in range(1, d + 1):
@@ -474,9 +454,15 @@ def certify_distinct(P, Q):
 # --------------------------------------------------------------------------
 
 def ccw_vertex_cycle(P):
-    """Vertices of a full-dimensional polygon in counterclockwise order,
-    starting at the lexicographically smallest one: the monotone chain."""
-    return [P.vertices[i] for i in intlin.monotone_chain(P.vertices)]
+    """Vertices of a polygon spanning Z^2 counterclockwise from the
+    smallest: the hull's stored edges, in a frame that is the identity,
+    translated by that vertex.  Any other polytope raises
+    :class:`NotTwoDimensionalInput`."""
+    if P.ambient_dim != 2 or P.affine_dim != 2:
+        raise NotTwoDimensionalInput("the vertex cycle is that of a polygon in Z^2")
+    _, edges, points = P._bound
+    x0, y0 = P.vertices[0]
+    return [(points[a][0] + x0, points[a][1] + y0) for a, _ in edges]
 
 
 # Largest grid, in cells, whose split states indecomposable_2d keeps as the
@@ -647,8 +633,9 @@ def _certify(g, facet_restrictions, P=None):
     keeps that origin, so its hull is handed down as is."""
     if len(g.terms) == 1:
         return Verdict("inconclusive", witness="monomial input is a unit")
-    if len(g.variables) == 1 and not facet_restrictions:
-        # cleared univariate: irreducible exactly when linear
+    if len(g.variables) == 1 and set(facet_restrictions) <= set(g.variables):
+        # cleared univariate, also at the end of a chain that peels its one
+        # variable: irreducible exactly when linear
         top = max(e[0] for e in g.terms)
         if top == 1:
             return Verdict("irreducible", witness="primitive Newton segment")
@@ -678,8 +665,7 @@ def _certify(g, facet_restrictions, P=None):
         return Verdict("inconclusive",
                        witness="restriction variable does not isolate an apex")
     a = apexes[0]
-    # the base is the one facet of the simplex that misses the apex; a
-    # segment has no facets, and so no height
+    # the base is the one facet of the simplex that misses the apex
     height = next((abs(sum(map(mul, n, P._red[a])) - c)
                    for n, c, eq in P._bound[0] if a not in eq), None)
     if height != 1:

@@ -7,6 +7,7 @@ point (vertices) and supporting-hyperplane enumeration over all d-subsets
 edges, in facet interiors, on lines and on lower-dimensional planes.
 """
 
+import hashlib
 import itertools
 import os
 import random
@@ -23,6 +24,7 @@ from augvar.polytope import LatticePolytope
 
 from hull_oracles import (echelon, in_convex_hull, lp_vertex_indices, scan_edges,
                           subset_facets)
+from invariant_oracles import pyramid_volume
 from lattice_oracles import rational_nullspace
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -185,7 +187,8 @@ def test_engine_rejects_points_that_do_not_span():
 
 def test_engine_check_raises_on_a_facet_that_does_not_support(monkeypatch):
     def shifted(points):
-        return [(n, c - 1) for n, c in original(points)]
+        planes, edges = original(points)
+        return [(n, c - 1) for n, c in planes], edges
 
     original = intlin._chain_planes
     monkeypatch.setattr(intlin, "_chain_planes", shifted)
@@ -273,16 +276,20 @@ def test_convex_hull_accepts_integer_valued_coordinates():
         intlin.convex_hull([(0, 0), (2, 0), (0, 1)])
 
 
+def _cone_volume(points, simplices, v0):
+    """Normalized volume as the cones from v0 over boundary simplices."""
+    return sum(abs(intlin.det([[a - b for a, b in zip(points[i], v0)] for i in s]))
+               for s in simplices)
+
+
 def _hull_by_coordinates(points):
     """The engine's answer with indices replaced by points, plus the
     volume summed over its triangulated boundary."""
     vertices, facets, simplices = intlin._hull(points)
     corners = sorted(points[i] for i in vertices)
     v0 = corners[0]
-    volume = sum(abs(intlin.det([[a - b for a, b in zip(points[i], v0)] for i in s]))
-                 for s in simplices)
     return (corners, [(n, c, frozenset(points[i] for i in eq)) for n, c, eq in facets],
-            volume)
+            _cone_volume(points, simplices, v0))
 
 
 @pytest.mark.parametrize("name", ["random-3d", "random-4d", "grid-3", "grid-4",
@@ -535,3 +542,76 @@ def test_from_points_vertices_match_lp_in_a_hyperplane_of_z4():
         P = LatticePolytope.from_points(pts)
         assert (P.ambient_dim, P.affine_dim) == (4, 3)
         assert list(P.vertices) == _lp_vertices(pts), support
+
+
+# --------------------------------------------------------------------------
+# one boundary in every dimension
+# --------------------------------------------------------------------------
+
+def _boundary_supports():
+    """Seeded supports in Z^1 to Z^5: full-dimensional ones, and ones on a
+    line, in a plane and at a single point, put into Z^n by an integer map
+    of Z^k (k = 1, 2, 0) and a shift."""
+    rng = random.Random(3017)
+    supports = []
+    for n in range(1, 6):
+        supports += [_random_support(rng, n, rng.randint(n + 1, n + 5), 2) for _ in range(8)]
+        for k in range(min(n, 3)):
+            for _ in range(4):
+                gens = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+                shift = [rng.randint(-3, 3) for _ in range(n)]
+                supports.append(sorted(
+                    {tuple(s + sum(c * g[j] for c, g in zip(coefs, gens))
+                           for j, s in enumerate(shift))
+                     for coefs in [[rng.randint(-2, 2) for _ in gens]
+                                   for _ in range(rng.randint(1, 7))]}))
+    return supports
+
+
+def test_hull_returns_boundary_simplices_in_every_dimension():
+    dims = set()
+    for pts in _boundary_supports():
+        P = LatticePolytope.from_points(pts)
+        d = P.affine_dim
+        dims.add((P.ambient_dim, d))
+        facets, simplices, red = P._bound
+        if d == 0:
+            assert (facets, simplices, P._volume()) == ([], [], 1)
+            continue
+        assert simplices and all(len(s) == d for s in simplices), pts
+        if d == 1:
+            assert [red[i] for (i,) in simplices] == [min(red), max(red)]
+        if d == 2:
+            # the edges run counterclockwise from the smallest vertex
+            starts = [a for a, _ in simplices]
+            assert [b for _, b in simplices] == starts[1:] + starts[:1]
+            assert red[starts[0]] == min(red)
+        assert P._volume() == pyramid_volume(list(P._red), d), pts
+        if d == P.ambient_dim:
+            vertices, _, simplices = intlin._hull(pts)
+            v0 = pts[vertices[0]]
+            assert _cone_volume(pts, simplices, v0) == pyramid_volume(pts, d), pts
+    assert {d for _, d in dims} == set(range(6))
+    assert {(n, k) for n in range(1, 6) for k in range(min(n, 3))} <= dims
+
+
+# sha256 of the engine's vertices and facets on the full-dimensional
+# supports above and of the invariant record of every one of them, as
+# recorded before segments and polygons kept their boundary simplices
+BOUNDARY_OUTPUT_DIGEST = "06541d368ce160a9c1ec2582ec30c761e5e9e60fa573b8565d8692cc064ab384"
+
+
+def _boundary_outputs():
+    out = []
+    for pts in _boundary_supports():
+        P = LatticePolytope.from_points(pts)
+        if P.affine_dim == P.ambient_dim:
+            vertices, facets, _ = intlin._hull(pts)
+            out.append((vertices, [(n, c, sorted(eq)) for n, c, eq in facets]))
+        out.append((P.vertices, P.invariants().as_dict()))
+    return repr(out)
+
+
+def test_hull_and_invariants_keep_their_outputs():
+    text = _boundary_outputs()
+    assert hashlib.sha256(text.encode()).hexdigest() == BOUNDARY_OUTPUT_DIGEST

@@ -687,18 +687,36 @@ def test_ccw_cycle_is_convex():
             assert _cross(cycle[i], cycle[(i + 1) % n], cycle[(i + 2) % n]) > 0
 
 
-def test_ccw_cycle_is_the_monotone_chain_from_the_smallest_vertex():
+def test_ccw_cycle_is_the_monotone_chain_from_the_smallest_vertex(monkeypatch):
     rng = random.Random(37)
+    polygons = []
     for _ in range(40):
         pts = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(3, 12))]
         P = LatticePolytope.from_points(pts)
-        if P.affine_dim != 2:
-            continue
+        if P.affine_dim == 2:
+            polygons.append((pts, P))
+    # the cycle and the split search read the edges the build stored: no
+    # second monotone chain runs on a built polygon
+    calls = []
+    real = intlin.monotone_chain
+    monkeypatch.setattr(intlin, "monotone_chain",
+                        lambda points: calls.append(1) or real(points))
+    for pts, P in polygons:
         assert ccw_vertex_cycle(P) == hull2d(pts)
         assert ccw_vertex_cycle(P)[0] == min(P.vertices)
+        indecomposable_2d(P)
+    assert calls == []
     # points on edges passed as vertices are not part of the cycle
     P = LatticePolytope(2, [(0, 0), (1, 0), (2, 0), (1, 1), (0, 2)])
+    assert calls == [1]
     assert ccw_vertex_cycle(P) == [(0, 0), (2, 0), (0, 2)]
+
+
+def test_ccw_cycle_needs_a_polygon_in_the_plane():
+    for pts in ([(0, 0), (2, 1)], [(1, -1)], [(0, 0, 1), (1, 0, 1), (0, 1, 1)],
+                [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]):
+        with pytest.raises(NotTwoDimensionalInput):
+            ccw_vertex_cycle(LatticePolytope.from_points(pts))
 
 
 # --------------------------------------------------------------------------
@@ -763,6 +781,25 @@ def test_certificate_double_suspension():
     y1, y2, y3, y4 = LaurentPoly.gens(vs)
     f = 1 + y1 + y2 + y3 + y4
     assert irreducibility_certificate(f, ("y4", "y3")).kind == "irreducible"
+
+
+def test_certificate_chain_ending_in_one_variable():
+    # the last step of a chain leaves a Newton segment, certified as one
+    (y,) = LaurentPoly.gens(("y1",))
+    primitive = Verdict("irreducible", witness="primitive Newton segment")
+    assert irreducibility_certificate(1 + y, ("y1",)) == primitive
+    assert irreducibility_certificate(1 + y) == primitive
+    assert irreducibility_certificate(1 + y ** 2, ("y1",)) == Verdict(
+        "inconclusive", witness="Newton segment is not primitive")
+    y1, y2 = LaurentPoly.gens(("y1", "y2"))
+    suspension = Verdict("irreducible", witness="suspension over certified facet 'y2'")
+    assert irreducibility_certificate(1 + y1 + y2, ("y2", "y1")) == suspension
+    assert irreducibility_certificate(1 + y1 + y2, ("y2",)) == suspension
+    with pytest.raises(PreconditionViolation):
+        irreducibility_certificate(1 + y1 + y2, ("y2", "y2"))
+    vs = ("y1", "y2", "y3", "y4")
+    z1, z2, z3, z4 = LaurentPoly.gens(vs)
+    assert irreducibility_certificate(1 + z1 + z2 + z3 + z4, vs[::-1]).kind == "irreducible"
 
 
 def test_certificate_rejects_high_apex():
