@@ -24,8 +24,15 @@ one pass of each product: the relaxed evaluation of van der Hoeven
 no series is inverted.  Degree 0 is the check r(kappa) = target, and it
 is the only place the loop can stall: a nonzero degree-0 residual raises
 :class:`DoubleRoot`, whose ``variable`` and ``order`` name the variable
-and order 0.  The returned series is re-checked by an independent
-substitution, and a nonzero result raises :class:`VerificationFailure`.
+and order 0.
+
+The returned series is re-checked by an independent substitution,
+:meth:`AugmentationSeries.residual`.  The substitution for mu is the
+identity, so the check groups W by powers of y_k itself and sums every
+C_j (kappa exp(s))^j in one kernel pass per degree, the exponential from
+:func:`series_exp` and the powers from generic series products: it
+shares no code with the solve.  A nonzero result raises
+:class:`VerificationFailure`, which ``python -O`` does not strip.
 
 The nilpotent variant runs the same loop over Q[t]/(t^d)[[mu]], where
 alpha, the class of t, is nilpotent of order d.  It puts kappa (1 + alpha)
@@ -43,6 +50,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
+    BackendMismatch,
     DoubleRoot,
     IndexOutOfRange,
     MissingAssignment,
@@ -51,14 +59,16 @@ from .errors import (
     NotInvertible,
     NotInvertibleAtPoint,
     PreconditionViolation,
+    VariableMismatch,
     VerificationFailure,
 )
-from .laurent import LaurentPoly, grlex_key
+from .laurent import LaurentPoly, _power_table, grlex_key
 from .rings import (
     DEFAULT_ORDER,
     QuotientRingElem,
     TruncatedSeries,
     UniPoly,
+    _sum_of_products,
     frac,
     invert_scalar,
     is_squarefree,
@@ -200,8 +210,40 @@ class AugmentationSeries:
         return pt
 
     def residual(self):
-        """Independent substitution of the solved point into the relation."""
-        return self.relation.evaluate(self.point()) - self.image
+        """W(mu, kappa exp(s)) - image, by the independent substitution of
+        the module docstring.
+
+        W is grouped here, apart from the solver's
+        :func:`_grouped_by_exponent`, as sum_j C_j(mu) y_k^j, each C_j a
+        series built from its terms; y_k^j = (kappa exp(s))^j comes from
+        one power table of generic products (a negative j from powers of
+        the inverse), and one :func:`_sum_of_products` pass sums every
+        C_j y_k^j.  A series over other variables than mu, or at another
+        order than the point, raises :class:`VariableMismatch`, and
+        coefficients over two quotient moduli raise
+        :class:`BackendMismatch`.
+        """
+        s, order = self.series, self.order
+        mu_vars = _mu_variables(self.relation, self.variable)
+        if s.variables != mu_vars or s.order != order:
+            raise VariableMismatch("series over other variables or at another order")
+        if len({c.modulus for c in (self.kappa, *self.relation.terms.values())
+                if isinstance(c, QuotientRingElem)}) > 1:
+            raise BackendMismatch("different quotient moduli")
+        k = self.relation.variables.index(self.variable)
+        groups = {}
+        for exp, c in self.relation.terms.items():
+            groups.setdefault(exp[k], {})[exp[:k] + exp[k + 1:]] = c
+        try:
+            powers = _power_table(series_exp(s).scale(self.kappa), groups)
+        except NotInvertible as err:
+            raise NotInvertibleAtPoint(
+                "value for %r is not invertible: %s" % (self.variable, err)) from None
+        one = [([(0, 1)], 1)]
+        out = s._make(_sum_of_products(
+            [(TruncatedSeries(mu_vars, order, terms)._graded(),
+              powers[j]._graded() if j else one) for j, terms in groups.items()], order))
+        return out if is_zero(self.image) else out - self.image
 
     def series_coefficients(self):
         """Terms of s in deterministic graded-lex order."""
@@ -226,9 +268,10 @@ def _series_solution(relation, var, kap, target, order, seed):
     """Solve W(mu, kap exp(s)) = target for s with zero constant term,
     degree by degree, as the module docstring describes.
 
-    W is grouped once by the exponent j of ``var`` into series C_j at the
+    W is grouped once by the exponent j of ``var``, each D_j = kap^j C_j
+    is one series built from its already multiplied coefficients, at the
     full order, and :func:`solve_exp_sum` solves sum_j D_j exp(j s) =
-    target for D_j = kap^j C_j.  A negative j takes kap^-1 once; a zero or
+    target.  A negative j takes kap^-1 once; a zero or
     non-invertible kap then raises :class:`NotInvertibleAtPoint` before
     anything else is checked.  The only stall is at degree 0, where
     r(kap) != target raises :class:`DoubleRoot`; the solvers' final check
@@ -245,8 +288,12 @@ def _series_solution(relation, var, kap, target, order, seed):
         except NotInvertible as err:
             raise NotInvertibleAtPoint(
                 "value for %r is not invertible: %s" % (var, err)) from None
-    coefficients = {j: TruncatedSeries(mu_vars, order, terms).scale(
-        kap ** j if j >= 0 else inverse ** -j) for j, terms in groups.items()}
+    coefficients = {}
+    for j, terms in groups.items():
+        if j:
+            kj = kap ** j if j > 0 else inverse ** -j
+            terms = {e: c * kj for e, c in terms.items()}
+        coefficients[j] = TruncatedSeries(mu_vars, order, terms)
     try:
         return solve_exp_sum(coefficients, target)
     except NonzeroConstantTerm:

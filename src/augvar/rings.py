@@ -60,8 +60,10 @@ residue, so their cost is polynomial in the bit size of the
 coefficients, not in the size of a root.  The squarefree part f is
 computed in integers: the polynomial gcd behind :func:`rational_roots`,
 :func:`uni_gcd`, :func:`squarefree_part` and :func:`is_squarefree` is
-one primitive integer remainder sequence (:func:`_int_gcd`), and the only
-polynomial Euclid on Fractions left is the inverse in Q[t]/(m).
+one primitive integer remainder sequence (:func:`_int_gcd`), and each
+candidate root is checked by exact integer evaluation of f.  The only
+polynomial Euclid on Fractions left is the inverse in Q[t]/(m) for a
+squarefree m; mod t^d the inverse is a fraction-free integer recurrence.
 
 Values are immutable after construction and every operation is pure, so
 everything here can be shared freely between threads.  A series caches
@@ -433,8 +435,9 @@ def rational_roots(p):
     2 max(|f(0)|, |lead(f)|)^2 after k quadratic Hensel steps, and a/b is
     the unique fraction with |a|, b <= sqrt(M/2) congruent to it, found by
     the half-extended Euclid on (M, root).  Every such fraction is
-    checked by exact evaluation of p, so no root is returned that is not
-    one.
+    checked by exact integer evaluation of f, sum f_i a^i b^(deg f - i)
+    = 0, and the roots of f are the nonzero roots of p, so no root is
+    returned that is not one.
     """
     if p.is_zero():
         raise ZeroPolynomial("every rational is a root of zero")
@@ -445,10 +448,20 @@ def rational_roots(p):
     roots = []
     if len(coeffs) - shift > 1:
         f = _squarefree_ints(primitive_vector(coeffs[shift:]))
-        roots = [cand for cand in _lifted_candidates(f) if p.evaluate(cand) == 0]
+        roots = [Fraction(a, b) for a, b in _lifted_candidates(f) if _is_root(f, a, b)]
     if shift:
         roots.append(Fraction(0))
     return sorted(roots, key=lambda r: (abs(r), -r))
+
+
+def _is_root(f, a, b):
+    """f(a/b) == 0 for the integer polynomial f and ints a, b != 0,
+    tested as sum f_i a^i b^(deg f - i) == 0, in integers."""
+    acc, bk = 0, 1
+    for c in reversed(f):
+        acc = acc * a + c * bk
+        bk *= b
+    return acc == 0
 
 
 def _eval_mod(f, x, m):
@@ -459,9 +472,9 @@ def _eval_mod(f, x, m):
 
 
 def _lifted_candidates(f):
-    """Fractions a/b, one per simple root of f mod a small prime, that are
-    the only possible rational roots of the squarefree integer polynomial
-    f (ascending coefficients, f(0) != 0, degree >= 1)."""
+    """Int pairs (a, b), one per simple root of f mod a small prime, whose
+    fractions a/b are the only possible rational roots of the squarefree
+    integer polynomial f (ascending coefficients, f(0) != 0, degree >= 1)."""
     lead, f0 = f[-1], f[0]
     df = _int_derivative(f)
     for ell in count(2):
@@ -484,7 +497,7 @@ def _lifted_candidates(f):
             r0, r1 = r1, r0 - q * r1
             t0, t1 = t1, t0 - q * t1
         if r1 and 0 < abs(t1) <= half:
-            out.append(Fraction(r1, t1))
+            out.append((r1, t1))
     return out
 
 
@@ -501,7 +514,8 @@ class QuotientRingElem:
     raises :class:`NotInvertible`, signals a reducible modulus.  m = t^d
     gives the ring Q[alpha]/(alpha^d) of scheme-level witnesses, where the
     class of t is nilpotent of order d and an element inverts exactly when
-    its constant term is nonzero.  Any other modulus raises ValueError.
+    its constant term is nonzero, by an integer recurrence with no
+    Euclid.  Any other modulus raises ValueError.
 
     An element is stored only in the integer form of its ring
     (:class:`_IntModulus`): an int vector of length deg m in powers of
@@ -647,7 +661,17 @@ class QuotientRingElem:
         return self.invert() * other
 
     def invert(self):
-        """Inverse mod m by the half-extended Euclid on the residue."""
+        """The inverse mod m, or :class:`NotInvertible`.
+
+        For m = t^d the inverse of N / den, with int entries N_i, is
+        fraction-free: B_0 = 1, B_k = -sum_{i=1..k} N_i B_{k-i} N_0^(i-1)
+        gives den sum_k B_k N_0^(d-1-k) t^k / N_0^d, reduced once, and a
+        zero N_0 is not invertible.  A squarefree m takes the
+        half-extended Euclid on the residue.
+        """
+        ring = self._ring
+        if not ring.low:
+            return ring.power_series_inverse(self._nums, self._den)
         g, s = _half_ext_gcd(self.residue, self.modulus)
         if not g.is_constant():
             raise NotInvertible(
@@ -717,6 +741,30 @@ class _IntModulus:
         """The residue nums / den, read in powers of s, as a UniPoly in t."""
         scale = self.scale
         return UniPoly([Fraction(c * scale ** i, den) for i, c in enumerate(nums)])
+
+    def power_series_inverse(self, nums, den):
+        """The inverse of nums / den for m = t^d, by the integer
+        recurrence of :meth:`QuotientRingElem.invert`, over the nonzero
+        N_i alone."""
+        n0 = nums[0]
+        if not n0:
+            raise NotInvertible("constant term is zero mod t^%d" % self.degree)
+        tail = [(i, c) for i, c in enumerate(nums) if i and c]
+        pows = [1]                          # N_0^i for i < d
+        for _ in nums[1:]:
+            pows.append(pows[-1] * n0)
+        b = [1]
+        for k in range(1, self.degree):
+            acc = 0
+            for i, c in tail:
+                if i > k:
+                    break
+                acc += c * b[k - i] * pows[i - 1]
+            b.append(-acc)
+        top = pows[-1] * n0
+        if top < 0:
+            top, den = -top, -den
+        return self.element([x * den * p for x, p in zip(b, reversed(pows))], top)
 
     def reduce_ints(self, nums):
         """The int list ``nums`` (powers of s, consumed) modulo M."""
@@ -894,8 +942,15 @@ class TruncatedSeries:
         variables = tuple(variables)
         if name not in variables:
             raise VariableMismatch("unknown series variable %r" % name)
-        exp = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, order, {exp: Fraction(1)})
+        index = variables.index(name)
+        parts = [([], 1)] * (order + 1)
+        terms = {}
+        if order:
+            parts[1] = ([((order + 1) ** index, 1)], 1)
+            terms[tuple(int(v == name) for v in variables)] = Fraction(1)
+        out = cls._from_graded(variables, order, parts)
+        object.__setattr__(out, "_terms", MappingProxyType(terms))
+        return out
 
     # -- structure ---------------------------------------------------------
 
@@ -1296,8 +1351,9 @@ def solve_exp_sum(groups, target):
     E^(j) = exp(j s) satisfies n E^(j)_n = sum_{k=1..n} k j s_k
     E^(j)_{n-k}, as in :func:`series_exp`, and only its k = n term holds
     s_n, as j s_n.  So at degree n one kernel call over the pairs (D_j[i],
-    E^(j)[n - i]), with E^(j)[n] taken without j s_n, gives the residual
-    R_n, and R_n + c s_n = 0 for the constant c = sum_j j D_j[0].  Hence
+    E^(j)[n - i]), with E^(j)[n] taken without j s_n and only the nonzero
+    parts D_j[i], listed once, paired, gives the residual R_n, and R_n +
+    c s_n = 0 for the constant c = sum_j j D_j[0].  Hence
 
         s_n = -R_n / c,   then E^(j)[n] += j s_n,
 
@@ -1318,16 +1374,21 @@ def solve_exp_sum(groups, target):
     slope = _convolve([(g[0], ([(0, j)], 1)) for j, g in graded.items() if j])
     exps = {j: [one] for j in graded if j}   # E^(j), by degree
     weighted = {j: [([], 1)] for j in exps}  # k j s_k, by degree k
+    support = {j: [(i, part) for i, part in enumerate(graded[j]) if i and part[0]]
+               for j in exps}                # the nonzero parts of D_j past degree 0
     parts = [([], 1)]                        # s, by degree
     step = None                              # -1/c as (numerator, denominator)
     for n in range(1, template.order + 1):
         pairs = [(graded[0][n], one)] if 0 in graded else []
         partial = {}                         # E^(j)[n] without j s_n
         for j, e in exps.items():
-            w, g = weighted[j], graded[j]
+            w = weighted[j]
             partial[j] = p = _convolve([(w[k], e[n - k]) for k in range(1, n)], n)
-            pairs.append((g[0], p))
-            pairs += [(g[i], e[n - i]) for i in range(1, n + 1)]
+            pairs.append((graded[j][0], p))
+            for i, part in support[j]:
+                if i > n:
+                    break
+                pairs.append((part, e[n - i]))
         items, den = _convolve(pairs)
         if items:
             if step is None:

@@ -12,6 +12,12 @@ constructor, so none of them runs the library's series arithmetic.
 ``term_sum_evaluate`` is the evaluation of a Laurent polynomial at
 series values that the library used before it summed all terms in one
 kernel pass: each term a product with ``*``, the terms added with ``+``.
+``substituted_residual`` is the solvers' final check as the library made
+it before it grouped the relation by powers of the solved variable: the
+relation evaluated at the solved point, every variable a series.
+``euclid_inverse`` is the inverse in Q[t]/(m) by the half-extended
+Euclid on the residue, which the library ran for m = t^d too before that
+ring took a fraction-free recurrence.
 Series coefficients are unique, so the library must reproduce all of
 them exactly, for every scalar backend.
 """
@@ -19,7 +25,8 @@ them exactly, for every scalar backend.
 from fractions import Fraction
 from math import factorial
 
-from augvar.rings import TruncatedSeries, invert_scalar, is_zero
+from augvar.errors import NotInvertible
+from augvar.rings import QuotientRingElem, TruncatedSeries, _half_ext_gcd, invert_scalar, is_zero
 
 
 def naive_add(a, b):
@@ -118,3 +125,19 @@ def term_sum_evaluate(poly, point):
         return TruncatedSeries.constant(Fraction(0) if acc is None else acc,
                                         like.variables, like.order)
     return acc
+
+
+def substituted_residual(sol):
+    """W(mu, kappa exp(s)) - image for the solved augmentation ``sol``,
+    by :meth:`LaurentPoly.evaluate` at ``sol.point()``: a variable series
+    for each mu and kappa exp(s) for the solved variable."""
+    return sol.relation.evaluate(sol.point()) - sol.image
+
+
+def euclid_inverse(u):
+    """u^-1 in Q[t]/(m) from s u = g mod m, g = gcd(residue, m), by the
+    half-extended Euclid; a nonconstant g raises NotInvertible."""
+    g, s = _half_ext_gcd(u.residue, u.modulus)
+    if not g.is_constant():
+        raise NotInvertible("gcd(residue, modulus) is nonconstant")
+    return QuotientRingElem(s * (1 / g.leading()), u.modulus)

@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -26,10 +27,12 @@ from augvar.augment import (
     solve_nilpotent_augmentation,
 )
 from augvar.errors import (
+    BackendMismatch,
     DoubleRoot,
     NonzeroConstantTerm,
     NotInvertible,
     NotInvertibleAtPoint,
+    VariableMismatch,
     VerificationFailure,
 )
 from augvar.laurent import LaurentPoly
@@ -47,7 +50,7 @@ from newton_oracles import (
     fixed_slope_nilpotent,
     two_evaluation_newton,
 )
-from series_oracles import power_sum_exp
+from series_oracles import power_sum_exp, substituted_residual, term_sum_evaluate
 
 F = Fraction
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -125,23 +128,29 @@ def test_newton_matches_fixed_slope_in_nilpotent_ring(d):
 
 def test_solve_makes_one_exponential_and_no_series_inverse(monkeypatch):
     """An order-10 solve of a relation shaped like the benchmark's
-    three-variable ones takes one exponential, the final check's, and
-    substitutes into the relation once, also in the final check.  No
-    series is inverted and no ``terms`` view is built, and the series
-    equals the two-substitution step's."""
+    three-variable ones takes one exponential and one power table, both
+    the final check's, and no Laurent evaluation: the check groups the
+    relation by powers of the solved variable itself.  No series is
+    inverted and no ``terms`` view is built, and the series equals the
+    two-substitution step's."""
     rel = LaurentPoly(("y1", "y2", "y3"), {
         (0, 0, 0): 2, (1, 0, 0): 1, (0, 0, 1): -3, (1, 1, 0): 1, (0, 0, 2): 1,
         (2, 0, 1): 1, (0, 2, 2): 1})
-    exps, evaluations, inverts, views = [], [], [], []
-    real_exp, real_evaluate = augment.series_exp, LaurentPoly.evaluate
+    exps, tables, evaluations, inverts, views = [], [], [], [], []
+    real_exp, real_table = augment.series_exp, augment._power_table
+    real_evaluate = LaurentPoly.evaluate
     real_invert, real_view = TruncatedSeries.invert, TruncatedSeries._view
 
     def counting_exp(s):
         exps.append(s.order)
         return real_exp(s)
 
+    def counting_table(val, wanted):
+        tables.append(sorted(wanted))
+        return real_table(val, wanted)
+
     def counting_evaluate(self, point):
-        evaluations.append(next(iter(point.values())).order if point else None)
+        evaluations.append(1)
         return real_evaluate(self, point)
 
     def counting_invert(self):
@@ -153,11 +162,12 @@ def test_solve_makes_one_exponential_and_no_series_inverse(monkeypatch):
         return real_view(self)
 
     monkeypatch.setattr(augment, "series_exp", counting_exp)
+    monkeypatch.setattr(augment, "_power_table", counting_table)
     monkeypatch.setattr(LaurentPoly, "evaluate", counting_evaluate)
     monkeypatch.setattr(TruncatedSeries, "invert", counting_invert)
     monkeypatch.setattr(TruncatedSeries, "_view", counting_view)
     sol = solve_formal_augmentation(rel, "y3", order=10)
-    assert (exps, evaluations, inverts, views) == ([10], [10], [], [])
+    assert (exps, tables, evaluations, inverts, views) == ([10], [[0, 1, 2]], [], [], [])
     assert sol.series == two_evaluation_newton(rel, "y3", F(1), F(0), 10, 0)
 
 
@@ -386,6 +396,72 @@ def test_final_check_does_not_share_the_grouped_step(monkeypatch):
     with pytest.raises(VerificationFailure,
                        match="^nilpotent solver left a nonzero residual"):
         solve_nilpotent_augmentation(1 + y1 - y, 3, "y", order=6)
+
+
+def _oracle_solutions():
+    """Solutions on seeded relations: formal solves in two and three
+    variables, with and without negative powers of the solved variable,
+    y2 - 1 - y1 y2^-1, a root class of a supplied factor and nilpotent
+    solves with d = 2..4."""
+    rng = random.Random(7700)
+    sols = []
+    for nvars in (2, 3, 2, 3):
+        kappa = rng.choice([F(1), F(-1), F(2), F(-2), F(1, 2)])
+        rel = _with_negative_powers(rng, _relation_with_root(rng, nvars, kappa))
+        sols.append(solve_formal_augmentation(rel, rel.variables[-1], kappa=kappa,
+                                              order=rng.choice([4, 6, 8])))
+    y1, y2 = LaurentPoly.gens(("y1", "y2"))
+    sols.append(solve_formal_augmentation(y2 - 1 - y1 * y2 ** -1, "y2", order=8))
+    sols.append(solve_formal_augmentation(-2 + y2 ** 2 + y1 + 3 * y1 * y2, "y2",
+                                          factor=UniPoly([-2, 0, 1]), order=6))
+    for d in (2, 3, 4):
+        kappa = rng.choice([F(1), F(-1), F(2), F(-2)])
+        rel = _relation_with_root(rng, 2, kappa)
+        sols.append(solve_nilpotent_augmentation(rel, d, "y2", kappa=kappa, order=6))
+    return sols
+
+
+def test_final_check_matches_substitution_at_the_solved_point():
+    """The final check, grouped by powers of the solved variable, equals
+    the relation evaluated at the solved point minus the image, and the
+    term-by-term evaluation, on every solution of ``_oracle_solutions``:
+    zero as solved, and the same nonzero series once one coefficient of
+    s is nudged."""
+    rng = random.Random(7800)
+    for sol in _oracle_solutions():
+        oracle = term_sum_evaluate(sol.relation, sol.point()) - sol.image
+        assert sol.residual() == substituted_residual(sol) == oracle
+        assert sol.residual().is_zero(), str(sol.relation)
+        s = sol.series
+        exp = list(rng.choice(sorted(s.terms)))
+        nudge = TruncatedSeries(s.variables, s.order, {tuple(exp): F(rng.choice([-1, 1, 2]), 3)})
+        bad = replace(sol, series=s + nudge)
+        residual = bad.residual()
+        assert not residual.is_zero(), str(sol.relation)
+        assert residual == substituted_residual(bad)
+        assert residual == term_sum_evaluate(bad.relation, bad.point()) - bad.image
+        with pytest.raises(VerificationFailure):
+            augment._verified(bad, "solver")
+
+
+def test_final_check_keeps_the_substitution_guards():
+    """A series over other variables or at another order than the point
+    raises VariableMismatch, a relation over another quotient modulus than
+    kappa BackendMismatch, and a kappa that is not invertible, with a
+    negative power of the solved variable, NotInvertibleAtPoint."""
+    y1, y2 = LaurentPoly.gens(("y1", "y2"))
+    sol = solve_formal_augmentation(y2 - 1 - y1 * y2 ** -1, "y2", order=5)
+    for bad in (replace(sol, order=4),
+                replace(sol, series=TruncatedSeries(("y1", "z"), 5, {(1, 0): F(1)}))):
+        with pytest.raises(VariableMismatch):
+            bad.residual()
+    q = solve_formal_augmentation(-2 + y2 ** 2 + y1 + 3 * y1 * y2, "y2",
+                                  factor=UniPoly([-2, 0, 1]), order=4)
+    other = QuotientRingElem(UniPoly([1]), UniPoly([-3, 0, 1]))
+    with pytest.raises(BackendMismatch):
+        replace(q, relation=q.relation + y1 * other).residual()
+    with pytest.raises(NotInvertibleAtPoint):
+        replace(sol, kappa=F(0)).residual()
 
 
 # --------------------------------------------------------------------------
@@ -675,10 +751,11 @@ def test_evaluation_at_series_values_builds_no_sum_scale_or_constant(monkeypatch
 
 def test_check_kernel_calls_are_a_fixed_step_per_order(monkeypatch):
     """The order-10 check of the 7-term relation, exp of the solved
-    series and evaluation at the solved point, makes at most 37
-    ``_convolve`` calls (42 when its terms were multiplied and added one
-    by one).  From order 2 on, each order adds the same number of calls
-    to the check of every relation in ``_checked_solutions``."""
+    series, y3^2 and the sum over powers of y3, makes at most 32
+    ``_convolve`` calls (37 when it evaluated the relation at the solved
+    point, 42 when its terms were multiplied and added one by one).  From
+    order 2 on, each order adds the same number of calls to the check of
+    every relation in ``_checked_solutions``."""
     calls = []
     real = rings._convolve
 
@@ -697,7 +774,7 @@ def test_check_kernel_calls_are_a_fixed_step_per_order(monkeypatch):
             row.append(len(calls))
         monkeypatch.undo()
         counts.append(row)
-    assert counts[10 - 2][0] <= 37
+    assert counts[10 - 2][0] <= 32
     for case in zip(*counts):
         steps = {b - a for a, b in zip(case, case[1:])}
         assert len(steps) == 1 and steps.pop() > 0, case

@@ -27,6 +27,8 @@ from augvar.rings import (
     uni_gcd,
 )
 
+from series_oracles import euclid_inverse
+
 F = Fraction
 T = UniPoly.gen()
 
@@ -210,6 +212,28 @@ def test_alpha_nilpotency_order(m):
 def test_nilpotent_unit_inverse():
     u = 1 + QuotientRingElem.generator(T ** 4) * F(3)
     assert u * u.invert() == 1
+
+
+def test_nilpotent_inverse_matches_euclid():
+    """The fraction-free inverse mod t^d equals the half-extended
+    Euclid's on seeded elements for d = 1..12, negative and large constant
+    terms included, and u u^-1 = 1; a zero constant term is not
+    invertible either way."""
+    rng = random.Random(4900)
+    dens = [1, 2, 3, 7, 10 ** 20 + 39]
+    for d in range(1, 13):
+        m = T ** d
+        for _ in range(8):
+            cs = [F(rng.randint(-9, 9), rng.choice(dens)) for _ in range(rng.randint(1, d + 2))]
+            cs[0] = cs[0] or F(rng.choice([-10 ** 30 - 7, -2, 5]), rng.choice(dens))
+            u = QuotientRingElem(UniPoly(cs), m)
+            inv = u.invert()
+            assert inv == euclid_inverse(u)
+            assert u * inv == 1
+            z = u - cs[0]
+            for invert in (QuotientRingElem.invert, euclid_inverse):
+                with pytest.raises(NotInvertible):
+                    invert(z)
 
 
 def test_nilpotent_alpha_not_invertible():
