@@ -29,26 +29,37 @@ plane, and beneath-beyond over a triangulated boundary in dimension three
 and up.  A facet normal is the vector of signed cofactors of a boundary
 simplex's edge vectors, written out in closed form in dimensions three
 (the cross product) and four (four 3x3 minors over six 2x2 ones); only
-from dimension five on is each minor a :func:`det`.  Its dot products,
-and those of the incidence pass that finds each facet's points, are
-unrolled or taken as ``sum(map(mul, ...))``, with no call per product.
+from dimension five on is each minor a :func:`det`.  The gcd g of the
+cofactors is the simplex's lattice weight: the cone from a point v of the
+hull over the simplex has normalized volume g (c - <n, v>) for the
+primitive normal n and offset c, so a volume is one dot product per
+boundary simplex and no determinant.  The normals' dot products, and
+those of the incidence pass that finds each facet's points, are unrolled
+or taken as ``sum(map(mul, ...))``, with no call per product.
 Beneath-beyond inserts the points far first, by decreasing squared
 distance from their centroid, and starts from the first affinely
 independent ones in that order, the pivot rows of one column reduction:
 a wide start simplex swallows most of the later points, so far fewer
 boundary simplices are built and discarded than in lexicographic order.
-The order changes only how coplanar facets are triangulated, and the
-volume summed over the boundary simplices does not depend on the
-triangulation.  The engine returns vertices, facets and boundary
-simplices in every dimension: a segment's endpoints, a polygon's
-counterclockwise edges, and beneath-beyond's simplices above the plane.
+A point's visible simplices are deleted as they are found, and its
+horizon is the ridges that occur once among them, so no index of the
+simplices through each ridge is kept; that every ridge lies in two
+simplices is checked once, on the final boundary.  The order changes
+only how coplanar facets are triangulated, and the volume summed over
+the boundary simplices does not depend on the triangulation.  The engine
+returns vertices, facets and the boundary in every dimension, each
+boundary simplex with its hyperplane and lattice weight: a segment's
+endpoints, of weight 1, a polygon's counterclockwise edges, weighted by
+their lattice lengths, and beneath-beyond's simplices above the plane.
 A point is a vertex when the facets through it meet in that point alone,
 a set intersection of the facets' point sets with no rank test.  The
 engine checks its own output, raising :class:`VerificationFailure` when a
 check fails.
 """
 
+from collections import Counter
 from fractions import Fraction
+from itertools import chain, combinations, repeat
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -77,8 +88,10 @@ def mat_vec(M, v):
 def det(M):
     """Determinant of a square integer matrix by fraction-free (Bareiss)
     elimination, in which every division is exact.  The 2x2 and 3x3
-    matrices, such as the 3-D volume simplices, take the closed form of
-    the cofactor expansion along the first row instead."""
+    matrices, such as the minors of the adjugate in :func:`mat_inverse` in
+    dimensions three and four, take the closed form of the cofactor
+    expansion along the first row instead.  No volume calls it: the hull
+    boundary carries each simplex's cone determinant as a weight."""
     if len(M) == 2:
         (a, b), (c, e) = M
         return a * e - b * c
@@ -419,14 +432,21 @@ def _dot(a, b):
 
 
 def _hyperplane(simplex, interior, scale):
-    """Primitive normal n and offset c of the hyperplane through d points
-    of Z^d, oriented so that <n, interior> < scale * c.
+    """(n, c, g): the primitive normal n and offset c of the hyperplane
+    through d points of Z^d, oriented so that <n, interior> < scale * c,
+    and the simplex's lattice weight g.
 
-    The normal is the vector of signed cofactors of the edge vectors from
-    the first point.  In dimension three that is their cross product; in
-    dimension four each of the four signed 3x3 minors is expanded along
+    The normal g n is the vector of signed cofactors of the edge vectors
+    from the first point.  In dimension three that is their cross product;
+    in dimension four each of the four signed 3x3 minors is expanded along
     the third edge vector over the six 2x2 minors of the first two; from
-    dimension five on every minor is a :func:`det`."""
+    dimension five on every minor is a :func:`det`.  The weight g is the
+    gcd of the cofactors.  Subtracting the first row s_0 - v from the
+    others turns det(s - v) into the determinant of the edge vectors and
+    s_0 - v, whose expansion along that row is +-<g n, s_0 - v>; so for a
+    point v beneath the plane the cone from v over the simplex has
+    normalized volume g (c - <n, v>), the weight times the lattice height
+    of v."""
     base = simplex[0]
     d = len(base)
     if d == 3:
@@ -458,7 +478,7 @@ def _hyperplane(simplex, interior, scale):
         raise VerificationFailure("interior point lies on a hull hyperplane")
     if side > 0:
         normal, c = tuple(-x for x in normal), -c
-    return normal, c
+    return normal, c, g
 
 
 def monotone_chain(points):
@@ -488,32 +508,37 @@ def monotone_chain(points):
 
 
 def _chain_planes(points):
-    """(planes, edges) of a polygon from its monotone-chain cycle: the
-    edges (a, b) counterclockwise from the smallest point, and the outward
-    (normal, offset) of each."""
+    """The boundary of a polygon from its monotone-chain cycle: a dict
+    from each edge (a, b), counterclockwise from the smallest point, to
+    its outward (normal, offset, weight), the weight being the edge's
+    lattice length g."""
     cycle = monotone_chain(points)
     if len(cycle) < 3:
         raise PreconditionViolation("hull points do not span the plane")
-    edges = list(zip(cycle, cycle[1:] + cycle[:1]))
-    planes = []
-    for a, b in edges:
+    boundary = {}
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         ex, ey = (y - x for x, y in zip(points[a], points[b]))
         g = gcd(ex, ey)
         normal = (ey // g, -ex // g)    # outward for a counterclockwise cycle
-        planes.append((normal, _dot(normal, points[a])))
-    return planes, edges
+        boundary[a, b] = normal, _dot(normal, points[a]), g
+    return boundary
 
 
 def _beneath_beyond(points):
     """Triangulated boundary of the hull of points spanning Z^d, d >= 3.
 
-    Keeps simplices of d point indices, each with its outward hyperplane,
-    and for every ridge (d - 1 indices) the simplices through it.  A new
-    point replaces the simplices it lies strictly beyond by the cone from
-    it over their horizon ridges; points beyond no simplex lie in the hull
-    so far and are skipped.  Coplanar simplices stay separate.  Returns a
-    dict from each boundary simplex (sorted index tuple) to its
-    (normal, offset); the facets are its distinct values.
+    Keeps simplices of d point indices, each with its outward hyperplane
+    and lattice weight.  A new point deletes the simplices it lies
+    strictly beyond as it finds them, and replaces them by the cone from
+    it over their horizon; points beyond no simplex lie in the hull so far
+    and are skipped.  Every ridge (d - 1 indices) of the boundary lies in
+    two simplices, so a ridge of a visible simplex is on the horizon
+    exactly when it occurs once among the visible simplices: one small
+    dict per point finds the horizon, and no ridge index is kept.
+    :func:`_hull` checks the pairing once, on the final boundary.
+    Coplanar simplices stay separate.  Returns a dict from each boundary
+    simplex (sorted index tuple) to its (normal, offset, weight) from
+    :func:`_hyperplane`; the facets are its distinct (normal, offset).
 
     Points go in far first: by decreasing squared distance from the
     centroid, in integers as sum((m x_j - S_j)^2) for m points with
@@ -546,16 +571,10 @@ def _beneath_beyond(points):
     start = [order[0]] + [order[k + 1] for k in _pivot_rows(H, d)]
     interior = tuple(sum(points[i][j] for i in start) for j in range(d))
     scale = d + 1
-    simplices = {}     # sorted tuple of d point indices -> (normal, offset)
-    ridges = {}        # sorted tuple of d - 1 indices -> simplices through it
-
-    def faces(simplex):
-        return [simplex[:k] + simplex[k + 1:] for k in range(d)]
+    simplices = {}     # sorted tuple of d point indices -> (normal, offset, weight)
 
     def add(simplex):
-        simplices[simplex] = _hyperplane([points[i] for i in simplex], interior, scale)
-        for ridge in faces(simplex):
-            ridges.setdefault(ridge, set()).add(simplex)
+        simplices[simplex] = _hyperplane([points[j] for j in simplex], interior, scale)
 
     for k in range(d + 1):
         add(tuple(sorted(start[:k] + start[k + 1:])))
@@ -564,23 +583,15 @@ def _beneath_beyond(points):
         if i in taken:
             continue
         p = points[i]
-        visible = {s for s, (n, c) in simplices.items() if sum(map(mul, n, p)) > c}
-        horizon = []
-        for simplex in visible:
-            for ridge in faces(simplex):
-                if len(ridges[ridge]) != 2:
-                    raise VerificationFailure("hull ridge %r is not shared by "
-                                              "two simplices" % (ridge,))
-                if not ridges[ridge] <= visible:
-                    horizon.append(ridge)
+        visible = [s for s, (n, c, _) in simplices.items() if sum(map(mul, n, p)) > c]
+        twice = {}     # ridge of a visible simplex -> met in a second one
         for simplex in visible:
             del simplices[simplex]
-            for ridge in faces(simplex):
-                ridges[ridge].discard(simplex)
-                if not ridges[ridge]:
-                    del ridges[ridge]
-        for ridge in horizon:
-            add(tuple(sorted(ridge + (i,))))
+            for ridge in combinations(simplex, d - 1):
+                twice[ridge] = ridge in twice
+        for ridge, shared in twice.items():
+            if not shared:
+                add(tuple(sorted(ridge + (i,))))
     return simplices
 
 
@@ -619,17 +630,22 @@ def convex_hull(points):
 def _hull(points):
     """:func:`convex_hull` plus the triangulated boundary behind it.
 
-    Returns (vertices, facets, simplices).  In every dimension
-    ``simplices`` lists boundary simplices as tuples of d point indices
-    that cover the boundary once, so the cones over them from any point of
-    the hull tile it: a segment's endpoints (lo,) and (hi,), a polygon's
-    edges (a, b) counterclockwise from its smallest vertex, and above the
-    plane the sorted simplices of beneath-beyond.
+    Returns (vertices, facets, boundary).  In every dimension ``boundary``
+    is a dict from boundary simplices, tuples of d point indices that
+    cover the boundary once, to their (normal, offset, weight): a
+    segment's endpoints (lo,) and (hi,) with weight 1, a polygon's edges
+    (a, b) counterclockwise from its smallest vertex with their lattice
+    lengths, and above the plane the sorted simplices of beneath-beyond
+    with the gcds of their cofactor normals.  The cones over them from any
+    point v of the hull tile it, and the one over a simplex has normalized
+    volume weight * (offset - <normal, v>), see :func:`_hyperplane`.
 
     Each point collects the point sets ``eq`` of the facets through it,
     and it is a vertex when they intersect in it alone; the one rank test,
     a :func:`_column_reduce`, runs only in beneath-beyond, once, for the
-    start simplex.  A facet's values at the points are one comprehension
+    start simplex.  Beneath-beyond's boundary is checked to be closed
+    after the facets, in one pass: every ridge lies in exactly two of its
+    simplices.  A facet's values at the points are one comprehension
     over the unpacked coordinates in dimensions two and three,
     ``a x + b y (+ e z)``, and ``sum(map(mul, ...))`` above.
     """
@@ -638,14 +654,13 @@ def _hull(points):
         if len(points) < 2:
             raise PreconditionViolation("hull points do not span the line")
         lo, hi = min(points), max(points)
-        planes = {((-1,), -lo[0]), ((1,), hi[0])}
-        simplices = [(points.index(lo),), (points.index(hi),)]
+        boundary = {(points.index(lo),): ((-1,), -lo[0], 1),
+                    (points.index(hi),): ((1,), hi[0], 1)}
     elif d == 2:
-        planes, simplices = _chain_planes(points)
+        boundary = _chain_planes(points)
     else:
         boundary = _beneath_beyond(points)
-        planes = set(boundary.values())
-        simplices = list(boundary)
+    planes = {(n, c) for n, c, _ in boundary.values()}
     facets = []
     through = [[] for _ in points]
     for normal, c in sorted(planes):
@@ -671,4 +686,10 @@ def _hull(points):
         if len(eq & corners) < d:
             raise VerificationFailure("hull facet %r <= %d holds fewer than %d "
                                       "vertices" % (normal, c, d))
-    return vertices, facets, simplices
+    if d > 2:
+        ridges = Counter(chain.from_iterable(map(combinations, boundary, repeat(d - 1))))
+        unpaired = [r for r, n in ridges.items() if n != 2]
+        if unpaired:
+            raise VerificationFailure("hull ridge %r is not shared by two "
+                                      "simplices" % (unpaired[0],))
+    return vertices, facets, boundary

@@ -13,13 +13,15 @@ integer hull engine of :mod:`augvar.intlin` (monotone chain in the plane,
 beneath-beyond above it) runs once on those coordinates, in the
 constructor, and yields the vertices, the facets and the boundary
 simplices together in every dimension: a segment's endpoints, a polygon's
-counterclockwise edges, a triangulated boundary above the plane.
-Membership, edges, the polygon cycle and, at each vertex, a dual vector
-positive on its tangent cone are read off its output.  So are the
-invariants: the normalized volume sums cones from one vertex over the
-boundary simplices, the lattice point count is Pick's formula over the
-edges in the plane and, above it, a walk over the projections onto the
-first k coordinates bounded by their own hull facets.
+counterclockwise edges, a triangulated boundary above the plane, each
+simplex with its hyperplane and lattice weight.  Membership, edges, the
+polygon cycle and, at each vertex, a dual vector positive on its tangent
+cone are read off its output.  So are the invariants: the normalized
+volume sums the cones from one vertex over the boundary simplices, each a
+weight times a lattice height, and the lattice point count is Pick's
+formula in the plane, its boundary term the sum of the edges' weights,
+and above it a walk over the projections onto the first k coordinates
+bounded by their own hull facets.
 
 It imports nothing from :mod:`augvar.laurent`, whose ``clear_to_vertex``
 checks its vertex against :func:`newton_polytope` and whose
@@ -59,13 +61,14 @@ class LatticePolytope:
         # d = affine_dim, that keeps every lattice quantity (edge gcds,
         # normalized volume, point counts).
         "_red",
-        # _bound: (facets, simplices, points) of the full-dimensional
+        # _bound: (facets, boundary, points) of the full-dimensional
         # reduction.  ``facets`` is a list of (normal, offset, vertex index
         # frozenset) with primitive integer normals, inequality <n, x> <= c,
         # sorted by (normal, offset), from the hull engine; none for a
-        # point.  ``simplices`` lists the engine's boundary simplices as
-        # tuples of d indices into ``points``, the reduced points it ran
-        # on, in every dimension (a polygon's edges counterclockwise).
+        # point.  ``boundary`` maps the engine's boundary simplices, tuples
+        # of d indices into ``points``, the reduced points it ran on, to
+        # their (normal, offset, lattice weight), in every dimension (a
+        # polygon's edges counterclockwise, weighted by lattice length).
         "_bound",
         "_cache")
 
@@ -85,7 +88,7 @@ class LatticePolytope:
         if any(len(p) != ambient_dim for p in pts):
             raise DimensionMismatch("point length != ambient dimension")
         d, U, red = intlin.affine_frame(pts)
-        keep, facets, simplices = intlin._hull(red) if d else ([0], [], [])
+        keep, facets, boundary = intlin._hull(red) if d else ([0], [], {})
         position = {i: k for k, i in enumerate(keep)}
         facets = [(n, c, frozenset(position[i] for i in eq if i in position))
                   for n, c, eq in facets]
@@ -94,7 +97,7 @@ class LatticePolytope:
                             ("affine_dim", d),
                             ("_frame", U),
                             ("_red", tuple(red[i] for i in keep)),
-                            ("_bound", (facets, simplices, red)),
+                            ("_bound", (facets, boundary, red)),
                             ("_cache", {})):
             object.__setattr__(self, name, value)
 
@@ -243,14 +246,15 @@ class LatticePolytope:
 
         The cones from the first reduced vertex v0 over the boundary tile
         the polytope, so for d >= 1 it is the sum of |det(s - v0)| over
-        the boundary simplices s; a point has volume 1.  Computed once.
+        the boundary simplices s, which is g (c - <n, v0>) for a simplex of
+        weight g on the plane <n, x> = c: one dot product per simplex, and
+        no determinant.  A point has volume 1.  Computed once.
         """
         if "volume" not in self._cache:
-            _, simplices, points = self._bound
             v0 = self._red[0]
             self._cache["volume"] = sum(
-                abs(intlin.det([[a - b for a, b in zip(points[i], v0)] for i in s]))
-                for s in simplices) if self.affine_dim else 1
+                g * (c - sum(map(mul, n, v0)))
+                for n, c, g in self._bound[1].values()) if self.affine_dim else 1
         return self._cache["volume"]
 
     def normalized_volume(self):
@@ -266,7 +270,8 @@ class LatticePolytope:
         """Number of lattice points of the polytope.
 
         In the plane, Pick's formula: (V + B) / 2 + 1 with V the reduced
-        normalized volume and B the lattice lengths of the stored edges.  Above
+        normalized volume and B the sum of the stored edges' weights, their
+        lattice lengths.  Above
         it, the hull facets of the projections onto the first k reduced
         coordinates, k = 1..d, give irredundant bounds on the k-th
         coordinate over each lattice point of the projection before; the
@@ -283,13 +288,15 @@ class LatticePolytope:
             return 1
         if d == 1:
             return self._volume() + 1
-        facets, edges, points = self._bound
+        facets, boundary, _ = self._bound
         if d == 2:
-            boundary = sum(_edge_length(points, e) for e in edges)
-            return (self._volume() + boundary) // 2 + 1
+            perimeter = sum(g for _, _, g in boundary.values())
+            return (self._volume() + perimeter) // 2 + 1
         levels = []
         for k in range(1, d + 1):
-            shadow = (intlin.convex_hull(sorted({v[:k] for v in red}))[1]
+            # the projected points are distinct ints already, so the hull
+            # runs without the public entry's input checks
+            shadow = (intlin._hull(sorted({v[:k] for v in red}))[1]
                       if k < d else facets)
             levels.append(([(n, c) for n, c, _ in shadow if n[-1] > 0],
                            [(n, c) for n, c, _ in shadow if n[-1] < 0]))
@@ -309,12 +316,6 @@ class LatticePolytope:
             lattice_point_count=self.lattice_point_count(),
             edge_lattice_lengths=self.edge_lattice_lengths(),
         )
-
-
-def _edge_length(points, pair):
-    """Lattice length of the edge between two indexed points."""
-    i, j = pair
-    return gcd(*(a - b for a, b in zip(points[i], points[j])))
 
 
 def _count_fibres(levels, k, prefix):

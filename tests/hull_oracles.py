@@ -11,14 +11,19 @@ beneath-beyond), so agreement is evidence for both.  ``scan_edges``
 tests every vertex pair against every facet, as ``LatticePolytope.edges``
 did before it counted shared facets.  ``echelon`` is the integer row
 echelon form that picked beneath-beyond's start simplex before the pivot
-rows of the column reduction did.
+rows of the column reduction did.  ``ridge_index_beneath_beyond`` is the
+beneath-beyond that kept, for every ridge, the set of boundary simplices
+through it, and found a point's horizon as the ridges of its visible
+simplices whose other simplex is not visible.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from augvar import intlin
+from augvar.errors import PreconditionViolation, VerificationFailure
 
 from lattice_oracles import rational_nullspace
 
@@ -206,3 +211,63 @@ def subset_facets(points):
         if affine_rank([points[i] for i in eq]) == d - 1:
             facets[(n, c)] = eq
     return [(n, c, eq) for (n, c), eq in sorted(facets.items())]
+
+
+def ridge_index_beneath_beyond(points):
+    """Triangulated boundary of the hull of points spanning Z^d, d >= 3,
+    as a dict from each sorted simplex of d point indices to its outward
+    (normal, offset), by the engine's far-first insertion and start
+    simplex but with a ridge index: every ridge (d - 1 indices) maps to
+    the set of simplices through it, updated on every added and deleted
+    simplex, and a ridge not shared by two simplices raises
+    :class:`VerificationFailure` when a visible simplex holds it."""
+    d = len(points[0])
+    m = len(points)
+    sums = [sum(col) for col in zip(*points)]
+    order = sorted(range(m), key=lambda i: (
+        -sum((m * x - s) ** 2 for x, s in zip(points[i], sums)), i))
+    base = points[order[0]]
+    H, _, rank = intlin._column_reduce([[a - b for a, b in zip(points[i], base)]
+                                        for i in order[1:]])
+    if rank < d:
+        raise PreconditionViolation("hull points do not span Z^%d" % d)
+    start = [order[0]] + [order[k + 1] for k in intlin._pivot_rows(H, d)]
+    interior = tuple(sum(points[i][j] for i in start) for j in range(d))
+    scale = d + 1
+    simplices = {}
+    ridges = {}
+
+    def faces(simplex):
+        return [simplex[:k] + simplex[k + 1:] for k in range(d)]
+
+    def add(simplex):
+        plane = intlin._hyperplane([points[i] for i in simplex], interior, scale)
+        simplices[simplex] = plane[:2]
+        for ridge in faces(simplex):
+            ridges.setdefault(ridge, set()).add(simplex)
+
+    for k in range(d + 1):
+        add(tuple(sorted(start[:k] + start[k + 1:])))
+    taken = set(start)
+    for i in order:
+        if i in taken:
+            continue
+        p = points[i]
+        visible = {s for s, (n, c) in simplices.items() if sum(map(mul, n, p)) > c}
+        horizon = []
+        for simplex in visible:
+            for ridge in faces(simplex):
+                if len(ridges[ridge]) != 2:
+                    raise VerificationFailure("hull ridge %r is not shared by "
+                                              "two simplices" % (ridge,))
+                if not ridges[ridge] <= visible:
+                    horizon.append(ridge)
+        for simplex in visible:
+            del simplices[simplex]
+            for ridge in faces(simplex):
+                ridges[ridge].discard(simplex)
+                if not ridges[ridge]:
+                    del ridges[ridge]
+        for ridge in horizon:
+            add(tuple(sorted(ridge + (i,))))
+    return simplices

@@ -9,6 +9,7 @@ edges, in facet interiors, on lines and on lower-dimensional planes.
 
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -22,8 +23,8 @@ from augvar import intlin
 from augvar.errors import PreconditionViolation, VerificationFailure
 from augvar.polytope import LatticePolytope
 
-from hull_oracles import (echelon, in_convex_hull, lp_vertex_indices, scan_edges,
-                          subset_facets)
+from hull_oracles import (echelon, in_convex_hull, lp_vertex_indices,
+                          ridge_index_beneath_beyond, scan_edges, subset_facets)
 from invariant_oracles import pyramid_volume
 from lattice_oracles import rational_nullspace
 
@@ -187,8 +188,7 @@ def test_engine_rejects_points_that_do_not_span():
 
 def test_engine_check_raises_on_a_facet_that_does_not_support(monkeypatch):
     def shifted(points):
-        planes, edges = original(points)
-        return [(n, c - 1) for n, c in planes], edges
+        return {e: (n, c - 1, g) for e, (n, c, g) in original(points).items()}
 
     original = intlin._chain_planes
     monkeypatch.setattr(intlin, "_chain_planes", shifted)
@@ -339,7 +339,7 @@ def test_dropped_facet_raises_verification_failure(monkeypatch):
     # four vertices only, so the facets y = 0, y = 2, z = 0 and z = 2 each
     # hold two of them
     def dropped(points):
-        return {s: h for s, h in real(points).items() if h != ((1, 0, 0), 2)}
+        return {s: h for s, h in real(points).items() if h[:2] != ((1, 0, 0), 2)}
 
     real = intlin._beneath_beyond
     cube = list(itertools.product((0, 2), repeat=3))
@@ -359,7 +359,7 @@ def test_dropped_facet_check_survives_python_O():
             sys.exit("not running under -O")
         real = intlin._beneath_beyond
         def dropped(points):
-            return {s: h for s, h in real(points).items() if h != ((1, 0, 0), 2)}
+            return {s: h for s, h in real(points).items() if h[:2] != ((1, 0, 0), 2)}
         intlin._beneath_beyond = dropped
         try:
             intlin._hull(list(itertools.product((0, 2), repeat=3)))
@@ -395,7 +395,9 @@ def _oracle_hyperplane(simplex, interior, scale):
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_hyperplane_matches_the_null_space_normal(d):
     # d = 3 and 4 take closed forms, d = 5 the cofactor det; all three must
-    # give the primitive normal, offset and orientation of the oracle
+    # give the primitive normal, offset and orientation of the oracle, and
+    # a weight g with |det(s - v)| = g (c - <n, v>) at the interior point
+    # v = interior / (d + 1), scaled by (d + 1)^d to stay in integers
     rng = random.Random("hyperplane-%d" % d)
     checked = 0
     while checked < 300:
@@ -405,7 +407,11 @@ def test_hyperplane_matches_the_null_space_normal(d):
         want = _oracle_hyperplane(pts[:d], interior, d + 1)
         if want is None:
             continue
-        assert intlin._hyperplane(pts[:d], interior, d + 1) == want, pts
+        n, c, g = intlin._hyperplane(pts[:d], interior, d + 1)
+        assert (n, c) == want, pts
+        cone = intlin.det([[(d + 1) * a - b for a, b in zip(p, interior)] for p in pts[:d]])
+        height = (d + 1) * c - intlin._dot(n, interior)
+        assert abs(cone) == g * (d + 1) ** (d - 1) * height, pts
         checked += 1
 
 
@@ -576,7 +582,7 @@ def test_hull_returns_boundary_simplices_in_every_dimension():
         dims.add((P.ambient_dim, d))
         facets, simplices, red = P._bound
         if d == 0:
-            assert (facets, simplices, P._volume()) == ([], [], 1)
+            assert (facets, simplices, P._volume()) == ([], {}, 1)
             continue
         assert simplices and all(len(s) == d for s in simplices), pts
         if d == 1:
@@ -615,3 +621,126 @@ def _boundary_outputs():
 def test_hull_and_invariants_keep_their_outputs():
     text = _boundary_outputs()
     assert hashlib.sha256(text.encode()).hexdigest() == BOUNDARY_OUTPUT_DIGEST
+
+
+# --------------------------------------------------------------------------
+# beneath-beyond without a ridge index, and the boundary's lattice weights
+# --------------------------------------------------------------------------
+
+def _beneath_beyond_cases():
+    """Seeded supports spanning Z^3, Z^4 and Z^5, with and without points
+    on edges and facets, and the grids, the cross and the cube with facet
+    centres, where coplanar points occur."""
+    rng = random.Random(3203)
+    cases = [GRID_3, GRID_4, CROSS_3D, CUBE_WITH_FACET_CENTRES,
+             list(itertools.product((0, 2), repeat=4)),
+             list(itertools.product(range(2), repeat=5))]
+    for d, trials in [(3, 40), (4, 25), (5, 12)]:
+        for _ in range(trials):
+            cases.append(_random_support(rng, d, rng.randint(d + 1, 3 * d + 4), 2))
+            cases.append(_with_edge_points(rng, d, d + 3))
+    return cases
+
+
+def test_beneath_beyond_matches_the_ridge_index_oracle():
+    # the horizon found among the visible simplices alone gives the same
+    # boundary, simplex by simplex, as the engine that kept a ridge index
+    for pts in _beneath_beyond_cases():
+        boundary = intlin._beneath_beyond(pts)
+        assert {s: (n, c) for s, (n, c, _) in boundary.items()} == \
+            ridge_index_beneath_beyond(pts), pts
+
+
+def _drop_one_simplex(real):
+    """The engine with one of the two simplices of the cube's x = 2 facet
+    dropped: the facet and every vertex survive, but the three ridges of
+    the dropped simplex now lie in one simplex each."""
+    def dropped(points):
+        boundary = real(points)
+        del boundary[next(s for s, h in boundary.items() if h[:2] == ((1, 0, 0), 2))]
+        return boundary
+    return dropped
+
+
+def test_unpaired_hull_ridge_raises_verification_failure(monkeypatch):
+    cube = list(itertools.product((0, 2), repeat=3))
+    monkeypatch.setattr(intlin, "_beneath_beyond", _drop_one_simplex(intlin._beneath_beyond))
+    with pytest.raises(VerificationFailure, match="not shared by two simplices"):
+        intlin._hull(cube)
+    with pytest.raises(VerificationFailure, match="not shared by two simplices"):
+        LatticePolytope.from_points(cube)
+
+
+def test_unpaired_hull_ridge_check_survives_python_O():
+    script = textwrap.dedent("""
+        import itertools, sys
+        from augvar import intlin
+        from augvar.errors import VerificationFailure
+        if sys.flags.optimize != 1:
+            sys.exit("not running under -O")
+        real = intlin._beneath_beyond
+        def dropped(points):
+            boundary = real(points)
+            del boundary[next(s for s, h in boundary.items()
+                              if h[:2] == ((1, 0, 0), 2))]
+            return boundary
+        intlin._beneath_beyond = dropped
+        try:
+            intlin._hull(list(itertools.product((0, 2), repeat=3)))
+        except VerificationFailure as e:
+            print("raised" if "not shared by two simplices" in str(e) else e)
+        """)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["raised"]
+
+
+def _weight_supports():
+    """Seeded supports of every affine dimension k = 1..n in Z^n, n = 1..5:
+    the image of random points of Z^k under a random integer map and a
+    shift, so that Z^3 and Z^4 hold segments, polygons and 3-polytopes."""
+    rng = random.Random(3251)
+    supports = []
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            found = 0
+            while found < (8 if k == n else 4):
+                gens = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+                shift = [rng.randint(-3, 3) for _ in range(n)]
+                pts = sorted({tuple(s + sum(c * g[j] for c, g in zip(coefs, gens))
+                                    for j, s in enumerate(shift))
+                              for coefs in [[rng.randint(-2, 2) for _ in gens]
+                                            for _ in range(rng.randint(k + 1, k + 6))]})
+                if LatticePolytope.from_points(pts).affine_dim == k:
+                    supports.append(pts)
+                    found += 1
+    return supports
+
+
+def test_boundary_weights_give_the_volume_and_the_perimeter():
+    dims = set()
+    for pts in _weight_supports():
+        P = LatticePolytope.from_points(pts)
+        d = P.affine_dim
+        dims.add((P.ambient_dim, d))
+        _, boundary, red = P._bound
+        v0 = P._red[0]
+        # simplex by simplex, the weight times the lattice height of v0 is
+        # the cone determinant it replaces
+        for s, (n, c, g) in boundary.items():
+            assert g >= 1
+            cone = [[a - b for a, b in zip(red[i], v0)] for i in s]
+            assert abs(intlin.det(cone)) == g * (c - intlin._dot(n, v0)), pts
+        volume = P._volume()
+        assert volume == _cone_volume(red, boundary, v0) == \
+            pyramid_volume(list(P._red), d), pts
+        if d == 2:
+            assert sum(g for _, _, g in boundary.values()) == sum(
+                math.gcd(*(a - b for a, b in zip(red[i], red[j]))) for i, j in boundary)
+            assert sum(g for _, _, g in boundary.values()) == sum(
+                math.gcd(*(a - b for a, b in zip(v, w))) for v, w in P.edges())
+        if d == 1:
+            assert [g for _, _, g in boundary.values()] == [1, 1]
+    assert {(n, k) for n in range(1, 6) for k in range(1, n + 1)} <= dims
