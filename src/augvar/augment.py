@@ -241,8 +241,8 @@ class AugmentationSeries:
                 "value for %r is not invertible: %s" % (self.variable, err)) from None
         one = [([(0, 1)], 1)]
         out = s._make(_sum_of_products(
-            [(TruncatedSeries(mu_vars, order, terms)._graded(),
-              powers[j]._graded() if j else one) for j, terms in groups.items()], order))
+            [(TruncatedSeries(mu_vars, order, terms)._parts,
+              powers[j]._parts if j else one) for j, terms in groups.items()], order))
         return out if is_zero(self.image) else out - self.image
 
     def series_coefficients(self):
@@ -519,10 +519,13 @@ class AugCandidate:
     @classmethod
     def from_obj(cls, obj):
         ell = int(obj["ell"])
+        rows = obj["y"]
+        if not isinstance(rows, dict):
+            raise MissingAssignment("\"y\" must map sheet numbers to value lists")
         nv = None
         y = []
         for j in range(1, ell + 1):
-            row = obj["y"].get(str(j))
+            row = rows.get(str(j))
             if row is None:
                 raise MissingAssignment("no y values for sheet %d" % j)
             row = tuple(frac(x) for x in row)

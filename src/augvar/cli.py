@@ -19,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import localization, potentials
+from . import intlin, localization, potentials
 from .augment import (
     AugCandidate,
     ChordDegreeParams,
@@ -79,8 +79,10 @@ def _build_potential(args):
             raise ParseError("--kind toric needs --fan FILE")
         obj = _load_json(args.fan)
         try:
-            rays = obj["rays"]
+            rays = [intlin.lattice_point(r) for r in obj["rays"]]
             signs = obj.get("signs")
+            if signs is not None:
+                signs = potentials.sign_vector(signs)
         except (KeyError, TypeError):
             raise ParseError("%s: expected {\"rays\": ..., \"signs\": ...}"
                              % args.fan) from None
@@ -121,6 +123,15 @@ def _relation_for_solver(args):
                                             _signs_or_none(args.signs))
         return spec.lifted_relation
     raise ParseError("need --input FILE or --clifford N")
+
+
+def _solved_variable(args, relation):
+    """The variable to solve for: ``--var``, else the relation's last."""
+    if args.var:
+        return args.var
+    if not relation.variables:
+        raise ParseError("%s: the relation has no variables to solve for" % args.input)
+    return relation.variables[-1]
 
 
 def _series_obj(sol):
@@ -212,7 +223,7 @@ def _cmd_solve_aug(args, report):
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             raise ParseError("%s: expected {\"modulus\": [\"c0\", ...]}"
                              % args.factor) from None
-    var = args.var if args.var else relation.variables[-1]
+    var = _solved_variable(args, relation)
     try:
         sol = solve_formal_augmentation(relation, var, order=args.order,
                                         factor=factor, seed=args.seed)
@@ -231,7 +242,7 @@ def _cmd_solve_aug(args, report):
 
 def _cmd_solve_nilpotent(args, report):
     relation = _relation_for_solver(args)
-    var = args.var if args.var else relation.variables[-1]
+    var = _solved_variable(args, relation)
     try:
         sol = solve_nilpotent_augmentation(relation, args.multiplicity, var,
                                            order=args.order, seed=args.seed)

@@ -34,7 +34,6 @@ from .rings import (
     invert_scalar,
     is_zero,
     power,
-    series_evaluate,
 )
 
 
@@ -245,7 +244,9 @@ class LaurentPoly:
         variable occurs with a negative exponent (the message suggests a
         unimodular basis change), or when a surviving term is not
         polynomial in ``keep``.  This is the solvers' only check of the
-        exponents off the solved variable.
+        exponents off the solved variable.  The result is a polynomial
+        over Q, so a surviving coefficient that is not rational raises
+        :class:`PreconditionViolation`.
         """
         k = self._var_index(keep)
         coeffs = {}
@@ -259,6 +260,10 @@ class LaurentPoly:
             if exp[k] < 0:
                 raise NegativeExponentAtZero(
                     "restriction is not polynomial in %r" % keep)
+            if not isinstance(c, (int, Fraction)):
+                raise PreconditionViolation(
+                    "restriction to %r has the coefficient %s, not a rational "
+                    "number" % (keep, c))
             coeffs[exp[k]] = coeffs.get(exp[k], Fraction(0)) + c
         if not coeffs:
             return UniPoly.zero()
@@ -289,13 +294,13 @@ class LaurentPoly:
         Values may be scalars from any one backend or truncated series;
         negative exponents require the assigned value to be invertible.
         Each power of a value comes from the previous one in its table.
-        At scalar values each term is its coefficient times its powers,
-        multiplied with ``*``, and the terms are added one by one.  When
-        any value is a series, so is the result, and
-        :func:`augvar.rings.series_evaluate` sums the terms in one kernel
-        pass per degree: each coefficient, times the term's scalar
-        powers, enters as a degree-0 part, and no series sum, scaling or
-        constant series is built.
+        Each term is its coefficient times its powers, multiplied with
+        ``*``, and the terms are added one by one with ``+``, whatever the
+        values.  When any value is a series, so is the result: if no term
+        leaves a series (the zero polynomial, or constants only), the sum
+        is the constant series over the variables and order of the first
+        series value.  Series or moduli that do not match raise from the
+        arithmetic of the terms that use them.
         """
         missing = [v for v in self.variables if v not in point]
         if missing:
@@ -311,8 +316,6 @@ class LaurentPoly:
             except (NotInvertible, ZeroDivisionError) as err:
                 raise NotInvertibleAtPoint(
                     "value for %r is not invertible: %s" % (v, err)) from None
-        if like is not None:
-            return series_evaluate(self.terms, powers, like)
         acc = None
         for exp, c in self.terms.items():
             term = c
@@ -320,7 +323,11 @@ class LaurentPoly:
                 if e != 0:
                     term = term * powers[i][e]
             acc = term if acc is None else acc + term
-        return Fraction(0) if acc is None else acc
+        if acc is None:
+            acc = Fraction(0)
+        if like is not None and not isinstance(acc, TruncatedSeries):
+            return TruncatedSeries.constant(acc, like.variables, like.order)
+        return acc
 
     # -- display and serialization ----------------------------------------
 

@@ -141,5 +141,5 @@ def verify_multicover_identity(m, order):
     lhs = multicover_series(m, order)
     rhs = log_series(m, order)
     compared = sum(len({key for key, _ in a} | {key for key, _ in b})
-                   for (a, _), (b, _) in zip(lhs._graded(), rhs._graded()))
+                   for (a, _), (b, _) in zip(lhs._parts, rhs._parts))
     return lhs == rhs, compared

@@ -49,9 +49,11 @@ the kernel.  Callers multiply series with ``*`` and never dispatch on
 constancy themselves.  The pairing of degree parts is one private
 sum-of-products routine, :func:`_sum_of_products`, which sums a * b over
 a list of operand pairs with one :func:`_convolve` call per degree; a
-product is its one-pair case, and :func:`series_evaluate`, the value of a
-Laurent polynomial at series values, is the case with one pair per term,
-so a whole evaluation is summed in one kernel pass per degree.
+product is its one-pair case, and the solvers' final check
+(:meth:`augvar.augment.AugmentationSeries.residual`) the case with one
+pair per power of the solved variable.  A Laurent polynomial at series
+values (:meth:`augvar.laurent.LaurentPoly.evaluate`) is its terms, each
+built with ``*``, added with ``+``, as at scalar values.
 
 Rational roots of a univariate polynomial (:func:`rational_roots`) come
 from lifting its roots modulo a small prime l to l-adic precision
@@ -821,7 +823,16 @@ class TruncatedSeries:
     :class:`BackendMismatch`.
     """
 
-    __slots__ = ("variables", "order", "_parts", "_terms")
+    __slots__ = (
+        "variables", "order",
+        # _parts: the ``order + 1`` degree parts ``(items, den)``, the form
+        # in which the kernel reads a series.  ``items`` lists ``(key,
+        # numerator)`` for the terms of that total degree, and the
+        # coefficient is numerator / den, one int ``den`` per part.  ``key``
+        # packs the exponent in base ``order + 1``, so adding keys adds
+        # exponents.
+        "_parts",
+        "_terms")
 
     def __init__(self, variables, order, terms=None):
         variables = tuple(variables)
@@ -871,7 +882,7 @@ class TruncatedSeries:
     def _from_graded(cls, variables, order, parts):
         """The series over the tuple ``variables`` truncated past
         ``order`` with the ``order + 1`` degree parts ``parts`` in the form
-        :meth:`_graded` returns, each with nonzero numerators and in lowest
+        of the ``_parts`` slot, each with nonzero numerators and in lowest
         terms; its ``terms`` view is built when first read.  Nothing is
         checked: callers inside the package build parts this way."""
         out = object.__new__(cls)
@@ -886,17 +897,6 @@ class TruncatedSeries:
         truncation, with the degree parts ``parts``, as
         :meth:`_from_graded` takes them."""
         return TruncatedSeries._from_graded(self.variables, self.order, parts)
-
-    # -- graded numerator form ----------------------------------------------
-
-    def _graded(self):
-        """This series as ``order + 1`` degree parts ``(items, den)``, the
-        form in which the kernel reads it.  ``items`` lists ``(key,
-        numerator)`` for the terms of that total degree, and the
-        coefficient is numerator / den, one int ``den`` per part.  ``key``
-        packs the exponent in base ``order + 1``, so adding keys adds
-        exponents."""
-        return self._parts
 
     @property
     def terms(self):
@@ -1070,7 +1070,7 @@ class TruncatedSeries:
             return self.scale(other.constant_term())
         if self.is_constant():
             return other.scale(self.constant_term())
-        return self._make(_sum_of_products([(self._graded(), other._graded())], self.order))
+        return self._make(_sum_of_products([(self._parts, other._parts)], self.order))
 
     __rmul__ = __mul__
 
@@ -1113,7 +1113,7 @@ class TruncatedSeries:
             raise NotInvertible("series with zero constant term")
         n0, d0 = _ratio(invert_scalar(self.constant_term()))
         f = [([(key, -n * n0) for key, n in items], den * d0)
-             for items, den in self._graded()]
+             for items, den in self._parts]
         parts = [([(0, n0)], d0)]
         for n in range(1, self.order + 1):
             parts.append(_convolve([(f[k], parts[n - k]) for k in range(1, n + 1)]))
@@ -1178,7 +1178,7 @@ def _part_sum(a, b, sign=1):
 def _sum_of_products(operands, order):
     """The degree parts, through ``order``, of sum a * b over
     ``operands``, pairs ``(a, b)`` of degree-part lists as
-    :meth:`TruncatedSeries._graded` returns them (a list may stop short of
+    ``TruncatedSeries._parts`` holds them (a list may stop short of
     ``order``).  Degree n of the sum is sum a_i b_j over every pair and
     every i + j = n.  Only nonzero parts are paired, in ascending i for
     each operand pair, and all pairs that reach degree n go to one
@@ -1196,71 +1196,10 @@ def _sum_of_products(operands, order):
     return [_convolve(ps) if ps else ([], 1) for ps in pairs]
 
 
-def series_evaluate(terms, powers, template):
-    """The series sum_e c_e prod_i x_i^(e_i) over the Laurent ``terms``
-    {exponent tuple e: scalar c_e}, given ``powers``, one table {e_i:
-    x_i^(e_i)} per variable holding every nonzero exponent of that
-    variable in ``terms``, at values x_i that are scalars or series, and
-    the series ``template``, one of the values.
-
-    A term's coefficient, times its scalar factors, enters as a degree-0
-    part, the head; each series factor but the last (in variable order) is
-    multiplied into the head, and one :func:`_sum_of_products` pass then
-    sums every (head, last factor) pair, a term with no series factor
-    pairing its head with the degree-0 part 1.  So the whole sum takes at
-    most ``order + 1`` :func:`_convolve` calls past the heads' products,
-    and builds no series sum, no scaled series and no constant series.
-
-    Every series among the values must have the variables and order of
-    ``template``, or :class:`VariableMismatch` is raised, and the
-    quotient-ring coefficients, values and series coefficients must share
-    one modulus, or :class:`BackendMismatch` is raised.
-    """
-    moduli = set()
-    for table in powers:
-        if not table:
-            continue
-        value = next(iter(table.values()))
-        if isinstance(value, TruncatedSeries):
-            if value.variables != template.variables:
-                raise VariableMismatch("series over different variables")
-            if value.order != template.order:
-                raise VariableMismatch("series with different truncation orders")
-            moduli.add(value._modulus())
-        elif isinstance(value, QuotientRingElem):
-            moduli.add(value.modulus)
-    order = template.order
-    one = [([(0, 1)], 1)]
-    operands = []
-    for exp, c in terms.items():
-        if isinstance(c, QuotientRingElem):
-            moduli.add(c.modulus)
-        factors = []
-        for table, e in zip(powers, exp):
-            if e:
-                f = table[e]
-                if isinstance(f, TruncatedSeries):
-                    factors.append(f._parts)
-                else:
-                    c = c * f
-        if is_zero(c):
-            continue
-        n, den = _ratio(c)
-        head = [([(0, n)], den)]
-        last = factors.pop() if factors else one
-        for f in factors:
-            head = _sum_of_products([(head, f)], order)
-        operands.append((head, last))
-    moduli.discard(None)
-    if len(moduli) > 1:
-        raise BackendMismatch("different quotient moduli")
-    return template._make(_sum_of_products(operands, order))
-
-
 def _convolve(pairs, divisor=1):
     """The one coefficient loop: sum a * b / divisor over ``pairs`` of
-    degree parts ``(items, den)`` as returned by
-    ``TruncatedSeries._graded``.
+    degree parts ``(items, den)`` as ``TruncatedSeries._parts`` holds
+    them.
 
     Numerators are multiplied and added with plain ``*`` and ``+``: ints
     for rational coefficients, and for quotient-ring ones elements over the
@@ -1301,7 +1240,7 @@ def series_exp(s):
     call over the weighted parts k s_k, each over the denominator of s_k,
     and the parts of E already found, each over its own denominator.
     """
-    graded = s._graded()
+    graded = s._parts
     if graded[0][0]:
         raise NonzeroConstantTerm("series exponential needs zero constant term")
     weighted = [([(key, k * n) for key, n in items], den)
@@ -1326,7 +1265,7 @@ def series_log(u):
     """
     if u.constant_term() != 1:
         raise ConstantTermNotOne("series logarithm needs constant term one")
-    graded = u._graded()
+    graded = u._parts
     parts = [([], 1)]
     weighted = [([], 1)]                    # -k L_k, by degree k
     for n in range(1, u.order + 1):
@@ -1365,7 +1304,7 @@ def solve_exp_sum(groups, target):
     raises.
     """
     template = next(iter(groups.values()))
-    graded = {j: g._graded() for j, g in groups.items()}
+    graded = {j: g._parts for j, g in groups.items()}
     one = ([(0, 1)], 1)
     n0, d0 = _ratio(target)
     residual = _convolve([(g[0], one) for g in graded.values()] + [(([(0, -n0)], d0), one)])

@@ -10,8 +10,9 @@ product per term of a geometric or power series.  Every routine above
 reads ``terms`` and builds its result with the ``TruncatedSeries``
 constructor, so none of them runs the library's series arithmetic.
 ``term_sum_evaluate`` is the evaluation of a Laurent polynomial at
-series values that the library used before it summed all terms in one
-kernel pass: each term a product with ``*``, the terms added with ``+``.
+series values written out on its own, reading the point's values and
+not power tables: each term a product with ``*``, the terms added with
+``+``.
 ``substituted_residual`` is the solvers' final check as the library made
 it before it grouped the relation by powers of the solved variable: the
 relation evaluated at the solved point, every variable a series.

@@ -495,6 +495,12 @@ def test_candidate_missing_assignment():
                                "a": {}, "signs": [1, 1, 1]})
 
 
+def test_candidate_sheets_must_be_a_map():
+    with pytest.raises(MissingAssignment, match="sheet numbers"):
+        AugCandidate.from_obj({"ell": 2, "y": [["1", "1"], ["2", "2"]],
+                               "a": {"12": "0", "21": "0"}, "signs": [1, 1, 1]})
+
+
 def test_dga_check_split_component_passes():
     cand = AugCandidate.from_obj({
         "ell": 2,

@@ -488,6 +488,41 @@ def test_zero_denominator_in_a_file_is_input_error(tmp_path, capsys, argv, obj):
     assert err.startswith("input error: %s: " % path)
 
 
+QUOTIENT_RESTRICTION = {"vars": ["y1", "y2"], "terms": [
+    {"exp": [0, 0], "coef": {"residue": ["1"], "modulus": ["-2", "0", "1"]}},
+    {"exp": [0, 1], "coef": "1"}]}
+NO_VARIABLES = {"vars": [], "terms": [{"exp": [], "coef": "1"}]}
+FAN_RAYS = [[1, 0], [0, 1], [-1, -1]]
+MALFORMED_FILES = [
+    (["solve-aug", "--input"], QUOTIENT_RESTRICTION, "PreconditionViolation: "),
+    (["solve-aug", "--input"], NO_VARIABLES, "{path}: "),
+    (["solve-nilpotent", "--multiplicity", "2", "--input"], NO_VARIABLES, "{path}: "),
+    (["check-candidate", "--input"], {"ell": 2, "y": [["1"], ["2"]]}, "{path}: "),
+    (["potential", "--kind", "toric", "--fan"], {"rays": 5}, "{path}: "),
+    (["potential", "--kind", "toric", "--fan"], {"rays": [5, 6]}, "{path}: "),
+    (["potential", "--kind", "toric", "--fan"], {"rays": [[1, None], [0, 1]]}, "{path}: "),
+    (["potential", "--kind", "toric", "--fan"], {"rays": FAN_RAYS, "signs": 5}, "{path}: "),
+    (["potential", "--kind", "toric", "--fan"], {"rays": FAN_RAYS, "signs": [[1], [1]]},
+     "{path}: "),
+]
+
+
+@pytest.mark.parametrize("argv,obj,start", MALFORMED_FILES,
+                         ids=["quotient-restriction", "no-variables", "no-variables-nilpotent",
+                              "candidate-y-list", "fan-rays-int", "fan-rays-flat", "fan-ray-null",
+                              "fan-signs-int", "fan-signs-nested"])
+def test_malformed_file_is_input_error_not_traceback(tmp_path, capsys, argv, obj, start):
+    """Inputs of the right JSON type but the wrong shape exit 1 with one
+    ``input error:`` line, not a traceback."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = _capture(capsys, argv + [str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: " + start.format(path=path))
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["--theta-over-pi", "--slope"])
 def test_zero_denominator_in_a_flag_is_input_error(capsys, flag):
     code, out, err = _capture(capsys, ["chord-degrees", flag, "1/0"])

@@ -312,6 +312,17 @@ def test_set_vars_zero_negative_exponent_raises():
         (1 + y1 ** -1 + y2).set_vars_zero("y2")
 
 
+def test_set_vars_zero_quotient_coefficient_raises():
+    """The restriction is a polynomial over Q: a quotient-ring coefficient
+    that survives raises PreconditionViolation, and one on a dropped term
+    does not matter."""
+    y1, y2 = gens()
+    t = QuotientRingElem.generator(UniPoly([-2, 0, 1]))
+    with pytest.raises(PreconditionViolation):
+        (LaurentPoly.constant(1 + t, VS) + y2).set_vars_zero("y2")
+    assert (1 + y2 + y1 * t).set_vars_zero("y2") == UniPoly([1, 1])
+
+
 def test_set_var_zero_single():
     y1, y2 = gens()
     f = 1 + y1 * y2 + y2 ** 2 + y1

@@ -728,25 +728,21 @@ def _checked_solutions(order):
     ]
 
 
-def test_evaluation_at_series_values_builds_no_sum_scale_or_constant(monkeypatch):
-    """Substituting a solved point into its relation sums every term in
-    one kernel pass per degree: a coefficient, constant C_j included,
-    enters as a degree-0 part, so evaluation adds no series, scales none
-    and builds no constant series."""
-    sols = _checked_solutions(9)
-    points = [sol.point() for sol in sols]
-
-    def refuse(name):
-        def raising(*args):
-            raise AssertionError("evaluation called TruncatedSeries.%s" % name)
-        return raising
-
-    for name in ("__add__", "__radd__", "scale"):
-        monkeypatch.setattr(TruncatedSeries, name, refuse(name))
-    monkeypatch.setattr(TruncatedSeries, "constant", classmethod(refuse("constant")))
-    values = [sol.relation.evaluate(point) for sol, point in zip(sols, points)]
-    monkeypatch.undo()
-    assert all((v - sol.image).is_zero() for sol, v in zip(sols, values))
+def test_solved_points_vanish_on_relation_minus_image():
+    """Each solved point of ``_checked_solutions``, constant C_j and
+    nilpotent image included, is a zero of the relation less its image:
+    ``LaurentPoly.evaluate`` gives the zero series over the point's
+    variables at the solved order.  With one coefficient of the solved
+    series nudged, the value is not zero."""
+    for sol in _checked_solutions(9):
+        value = (sol.relation - sol.image).evaluate(sol.point())
+        assert isinstance(value, TruncatedSeries), str(sol.relation)
+        assert (value.variables, value.order) == (sol.series.variables, 9)
+        assert value.is_zero(), str(sol.relation)
+        s = sol.series
+        nudge = TruncatedSeries(s.variables, s.order, {min(s.terms): F(1, 3)})
+        bad = replace(sol, series=s + nudge)
+        assert not (bad.relation - bad.image).evaluate(bad.point()).is_zero()
 
 
 def test_check_kernel_calls_are_a_fixed_step_per_order(monkeypatch):

@@ -10,8 +10,8 @@ chains of sums, negations, scalings, products, inverses, exponentials,
 logarithms and order changes on the stored degree parts must end at the
 series the term-by-term oracles reach, and ``==`` on their parts must
 agree with ``==`` on their ``terms``.  Laurent polynomials evaluated at
-series values in one kernel pass per degree must give the parts and
-terms of the term-by-term sum.  Pinned cases cover series that mix int and Fraction
+series values must give the parts and terms of the term-by-term sum of
+``series_oracles``.  Pinned cases cover series that mix int and Fraction
 coefficients, a 30-digit denominator, quotient-ring residues with
 20-digit denominators, and rational coefficients beside quotient-field
 ones in one series.
@@ -428,8 +428,8 @@ def _part_maps(s):
 
 @pytest.mark.parametrize("backend", sorted(CHAIN_MODULI))
 def test_series_evaluation_matches_the_term_sum(backend):
-    """LaurentPoly.evaluate at series values sums its terms in one kernel
-    pass per degree; on 60 seeded polynomials per backend (Q, Q[t]/(t^3 -
+    """LaurentPoly.evaluate at series values, each term built with ``*``
+    and the terms added with ``+``: on 60 seeded polynomials per backend (Q, Q[t]/(t^3 -
     2), Q[t]/(t^3)), with negative exponents and mixed scalar and series
     points, and on a constant-only and the zero polynomial, it gives the
     parts and the terms of the term-by-term sum of ``series_oracles``."""
@@ -446,6 +446,24 @@ def test_series_evaluation_matches_the_term_sum(backend):
         negative += any(min(e) < 0 for e in poly.terms)
     assert negative > 10
     assert cases[-1][0].evaluate(cases[-1][1]).is_zero()
+
+
+def test_series_value_that_no_term_uses_sets_no_variables():
+    """A series value that no term uses does not fix the result's
+    variables: ``y2 + 1`` at {y1: A, y2: B}, A over (a,) and B over
+    (b,), is B + 1 over (b,), and ``y1 + 1`` is A + 1 over (a,), as the
+    term-by-term sum gives.  A constant takes the first series value's
+    variables and order."""
+    y1, y2 = LaurentPoly.gens(("y1", "y2"))
+    a = TruncatedSeries.variable("a", ("a",), 4)
+    b = TruncatedSeries.variable("b", ("b",), 3)
+    point = {"y1": a, "y2": b}
+    for poly, want in ((y2 + 1, b + 1), (y1 + 1, a + 1),
+                       (LaurentPoly.constant(F(2), ("y1", "y2")),
+                        TruncatedSeries.constant(F(2), ("a",), 4))):
+        got = poly.evaluate(point)
+        assert (got.variables, got.order) == (want.variables, want.order)
+        assert got == want == term_sum_evaluate(poly, point)
 
 
 def test_series_evaluation_rejects_mixed_variables_orders_and_moduli():
