@@ -22,11 +22,11 @@ from fractions import Fraction
 
 from augvar.augment import (
     ChordDegreeParams,
+    build_partition_witness,
     dga_relation_check,
     enumerate_partition_components,
     perturbations,
     reeb_chord_degree,
-    witness_for_component,
 )
 from augvar.potentials import clifford_relation
 
@@ -42,7 +42,7 @@ def component_tour(ell, spin_labels=None):
         for eq in comp.equations:
             print("      %s = 0" % eq)
         if ell in (2, 3):
-            witness = witness_for_component(comp, spec.signs, 2)
+            witness = build_partition_witness(comp.blocks, spec.signs, 2)
             check = dga_relation_check(witness)
             broken = sum(1 for _, p in perturbations(witness)
                          if not dga_relation_check(p).passed)

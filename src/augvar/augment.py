@@ -45,7 +45,6 @@ hard-coded degree-one DGA relation check for two and three sheets with
 deterministic witness construction, and exact Reeb-chord degrees.
 """
 
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -93,27 +92,6 @@ class TransverseRoot:
     restriction: UniPoly
 
 
-def random_unimodular(n, seed):
-    """Seeded random unimodular matrix: a product of four elementary
-    shears, swaps and sign flips with small entries, kept small so Newton
-    polytopes do not blow up under the substitution."""
-    rng = random.Random(seed)
-    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(4):
-        op = rng.choice(("shear", "swap", "neg")) if n > 1 else "neg"
-        if op == "shear":
-            i, j = rng.sample(range(n), 2)
-            f = rng.choice((-2, -1, 1, 2))
-            M[i] = [a + f * b for a, b in zip(M[i], M[j])]
-        elif op == "swap":
-            i, j = rng.sample(range(n), 2)
-            M[i], M[j] = M[j], M[i]
-        else:
-            i = rng.randrange(n)
-            M[i] = [-x for x in M[i]]
-    return M
-
-
 def _var_name(relation, k):
     if isinstance(k, str):
         if k not in relation.variables:
@@ -125,15 +103,7 @@ def _var_name(relation, k):
         raise IndexOutOfRange("variable index %r out of range" % k) from None
 
 
-def _double_root(message, relation, var, order, seed):
-    """DoubleRoot stopping in ``var`` at ``order``, with a seeded unimodular
-    substitution of the relation's variables to retry in."""
-    return DoubleRoot(message,
-                      suggested_transform=random_unimodular(len(relation.variables), seed),
-                      variable=var, order=order)
-
-
-def find_transverse_root(relation, k, factor=None, seed=0):
+def find_transverse_root(relation, k, factor=None):
     """Root selection for the restriction W(0, ..., 0, y_k).
 
     Rational roots are preferred (smallest absolute value, positive on
@@ -149,8 +119,8 @@ def find_transverse_root(relation, k, factor=None, seed=0):
 
     Raises :class:`NegativeExponentAtZero` (from
     :meth:`LaurentPoly.set_vars_zero`), :class:`NoRootAvailable` or
-    :class:`DoubleRoot`; the last carries a seeded suggested unimodular
-    substitution for retrying in generic coordinates.
+    :class:`DoubleRoot`; the last names the variable and order 0, and
+    proposes no other coordinates to retry in.
     """
     var = _var_name(relation, k)
     r = relation.set_vars_zero(var)
@@ -176,7 +146,7 @@ def find_transverse_root(relation, k, factor=None, seed=0):
         root = "root class of %s" % m.format("t")
     witness = r.derivative().evaluate(kappa)
     if is_zero(witness):
-        raise _double_root("%s is not simple" % root, relation, var, 0, seed)
+        raise DoubleRoot("%s is not simple" % root, variable=var, order=0)
     return TransverseRoot(kappa, witness, var, r)
 
 
@@ -264,7 +234,7 @@ def _grouped_by_exponent(relation, k):
     return groups
 
 
-def _series_solution(relation, var, kap, target, order, seed):
+def _series_solution(relation, var, kap, target, order):
     """Solve W(mu, kap exp(s)) = target for s with zero constant term,
     degree by degree, as the module docstring describes.
 
@@ -297,11 +267,11 @@ def _series_solution(relation, var, kap, target, order, seed):
     try:
         return solve_exp_sum(coefficients, target)
     except NonzeroConstantTerm:
-        raise _double_root("iteration stalled in %r at order 0: residual has a "
-                           "degree-0 term" % var, relation, var, 0, seed) from None
+        raise DoubleRoot("iteration stalled in %r at order 0: residual has a "
+                         "degree-0 term" % var, variable=var, order=0) from None
 
 
-def _simple_root(relation, k, kappa, factor, seed):
+def _simple_root(relation, k, kappa, factor):
     """The solvers' common preamble: the solved variable, kappa and the
     restriction r = W(0, ..., 0, y_k).
 
@@ -315,7 +285,7 @@ def _simple_root(relation, k, kappa, factor, seed):
     :class:`NegativeExponentAtZero` for a negative exponent off y_k.
     """
     if kappa is None:
-        root = find_transverse_root(relation, k, factor=factor, seed=seed)
+        root = find_transverse_root(relation, k, factor=factor)
         return root.variable, root.kappa, root.restriction
     if isinstance(kappa, bool) or not isinstance(kappa, (int, Fraction, QuotientRingElem)):
         raise NoRootAvailable("kappa must be an int, a Fraction or a "
@@ -325,7 +295,7 @@ def _simple_root(relation, k, kappa, factor, seed):
     if not is_zero(r.evaluate(kappa)):
         raise NoRootAvailable("kappa is not a root of the restriction")
     if is_zero(r.derivative().evaluate(kappa)):
-        raise _double_root("restriction root is not simple", relation, var, 0, seed)
+        raise DoubleRoot("restriction root is not simple", variable=var, order=0)
     return var, kappa, r
 
 
@@ -337,7 +307,7 @@ def _verified(sol, solver):
 
 
 def solve_formal_augmentation(relation, k, kappa=None, order=DEFAULT_ORDER,
-                              factor=None, seed=0):
+                              factor=None):
     """Solution of W(mu, kappa exp(s)) = 0 to total degree ``order``.
 
     ``kappa`` defaults to the preferred transverse root of the restriction.
@@ -347,15 +317,15 @@ def solve_formal_augmentation(relation, k, kappa=None, order=DEFAULT_ORDER,
     solution is re-checked by direct substitution, and a nonzero residual
     raises :class:`VerificationFailure`.
     """
-    var, kappa, _ = _simple_root(relation, k, kappa, factor, seed)
-    s = _series_solution(relation, var, kappa, Fraction(0), order, seed)
+    var, kappa, _ = _simple_root(relation, k, kappa, factor)
+    s = _series_solution(relation, var, kappa, Fraction(0), order)
     return _verified(AugmentationSeries(relation=relation, variable=var,
                                         kappa=kappa, series=s, order=order),
                      "solver")
 
 
 def solve_nilpotent_augmentation(factor_poly, multiplicity, k,
-                                 order=DEFAULT_ORDER, kappa=None, seed=0):
+                                 order=DEFAULT_ORDER, kappa=None):
     """Scheme-level augmentation for one irreducible factor W_i of the
     relation, valued in Q[t]/(t^d)[[mu]]; alpha is the class of t.
 
@@ -377,18 +347,17 @@ def solve_nilpotent_augmentation(factor_poly, multiplicity, k,
     if multiplicity < 1:
         raise ValueError("multiplicity must be >= 1")
     if multiplicity == 1:
-        return solve_formal_augmentation(factor_poly, k, kappa=kappa,
-                                         order=order, seed=seed)
+        return solve_formal_augmentation(factor_poly, k, kappa=kappa, order=order)
     if kappa is not None and not isinstance(kappa, (int, Fraction)):
         raise NoRootAvailable(
             "nilpotent solver needs a rational root (nilpotents over a "
             "quotient field are not supported)")
-    var, kappa, r = _simple_root(factor_poly, k, kappa, None, seed)
+    var, kappa, r = _simple_root(factor_poly, k, kappa, None)
     d = multiplicity
     alpha = QuotientRingElem.generator(UniPoly.gen() ** d)
     kap = (1 + alpha) * frac(kappa)
     target = r.evaluate(kap)                # c alpha + higher, c != 0
-    s = _series_solution(factor_poly, var, kap, target, order, seed)
+    s = _series_solution(factor_poly, var, kap, target, order)
     sol = _verified(AugmentationSeries(relation=factor_poly, variable=var,
                                        kappa=kap, series=s, order=order,
                                        image=target, multiplicity=d),
@@ -706,10 +675,6 @@ def build_partition_witness(blocks, signs, nvars):
             a[(j, k)] = 1
             a[(k, j)] = -_sheet_value(signs[j - 1], y[j - 1])
     return AugCandidate(ell, tuple(y), tuple(sorted(a.items())), signs)
-
-
-def witness_for_component(component, signs, nvars):
-    return build_partition_witness(component.blocks, signs, nvars)
 
 
 def perturbations(cand):

@@ -8,14 +8,20 @@ trees, and the multiple-cover identity table.
 
 Exit codes: 0 success, 1 input error (bad flags or malformed files),
 2 verification failure (a computation finished but an identity or check
-did not hold).  Identical inputs and seed produce byte-identical reports;
-every report embeds its configuration.  All numbers are exact fractions.
+did not hold).  Identical inputs and flags produce byte-identical
+reports; every report embeds its configuration.  All numbers are exact
+fractions.
+
+``--seed`` is read here alone: the solvers take no seed, and it only
+drives :func:`random_unimodular`, the suggested generic-coordinate
+substitution a DoubleRoot report carries as ``suggested_transform``.
 """
 
 import argparse
 import functools
 import json
 import os
+import random
 import sys
 from fractions import Fraction
 
@@ -23,13 +29,13 @@ from . import intlin, localization, potentials
 from .augment import (
     AugCandidate,
     ChordDegreeParams,
+    build_partition_witness,
     dga_relation_check,
     enumerate_partition_components,
     perturbations,
     reeb_chord_degree,
     solve_formal_augmentation,
     solve_nilpotent_augmentation,
-    witness_for_component,
 )
 from .errors import AugvarError, DoubleRoot, ParseError, VerificationFailure
 from .laurent import LaurentPoly, coeff_to_obj
@@ -203,13 +209,36 @@ def _cmd_distinguish(args, report):
     return 0
 
 
-def _double_root_obj(err):
+def random_unimodular(n, seed):
+    """Seeded random unimodular matrix: a product of four elementary
+    shears, swaps and sign flips with small entries, kept small so Newton
+    polytopes do not blow up under the substitution."""
+    rng = random.Random(seed)
+    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(4):
+        op = rng.choice(("shear", "swap", "neg")) if n > 1 else "neg"
+        if op == "shear":
+            i, j = rng.sample(range(n), 2)
+            f = rng.choice((-2, -1, 1, 2))
+            M[i] = [a + f * b for a, b in zip(M[i], M[j])]
+        elif op == "swap":
+            i, j = rng.sample(range(n), 2)
+            M[i], M[j] = M[j], M[i]
+        else:
+            i = rng.randrange(n)
+            M[i] = [-x for x in M[i]]
+    return M
+
+
+def _double_root_obj(err, relation, seed):
+    """The DoubleRoot report, with a seeded unimodular substitution of the
+    relation's variables to retry in; nothing checks that it helps."""
     return {
         "error": "DoubleRoot",
         "message": str(err),
         "variable": err.variable,
         "order": err.order,
-        "suggested_transform": [list(r) for r in err.suggested_transform],
+        "suggested_transform": random_unimodular(len(relation.variables), seed),
     }
 
 
@@ -225,10 +254,9 @@ def _cmd_solve_aug(args, report):
                              % args.factor) from None
     var = _solved_variable(args, relation)
     try:
-        sol = solve_formal_augmentation(relation, var, order=args.order,
-                                        factor=factor, seed=args.seed)
+        sol = solve_formal_augmentation(relation, var, order=args.order, factor=factor)
     except DoubleRoot as err:
-        report["result"] = _double_root_obj(err)
+        report["result"] = _double_root_obj(err, relation, args.seed)
         return 2
     report["result"] = {
         "relation": str(relation),
@@ -245,9 +273,9 @@ def _cmd_solve_nilpotent(args, report):
     var = _solved_variable(args, relation)
     try:
         sol = solve_nilpotent_augmentation(relation, args.multiplicity, var,
-                                           order=args.order, seed=args.seed)
+                                           order=args.order)
     except DoubleRoot as err:
-        report["result"] = _double_root_obj(err)
+        report["result"] = _double_root_obj(err, relation, args.seed)
         return 2
     report["result"] = {
         "relation": str(relation),
@@ -276,7 +304,7 @@ def _cmd_partitions(args, report):
         row = {"partition": comp.label(),
                "equations": [str(e) for e in comp.equations]}
         if args.ell in (2, 3) and args.check:
-            witness = witness_for_component(comp, spec.signs, nvars)
+            witness = build_partition_witness(comp.blocks, spec.signs, nvars)
             check = dga_relation_check(witness)
             bad_perturbations = sum(
                 1 for _, pert in perturbations(witness)

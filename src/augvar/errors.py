@@ -100,16 +100,14 @@ class NoRootAvailable(AugvarError):
 class DoubleRoot(AugvarError):
     """Chosen root is not transverse (the derivative vanishes there).
 
-    Carries ``suggested_transform``, a seeded unimodular matrix the caller
-    may use to retry in generic coordinates, and where the solver stopped:
-    ``variable``, the name of the solved variable, and ``order``, the
-    total degree to which the residual was known to vanish (0 when the
-    root itself is not simple).  Each is None when not given.
+    Carries where the solver stopped: ``variable``, the name of the solved
+    variable, and ``order``, the total degree to which the residual was
+    known to vanish (0 when the root itself is not simple).  Each is None
+    when not given.
     """
 
-    def __init__(self, message, suggested_transform=None, variable=None, order=None):
+    def __init__(self, message, variable=None, order=None):
         super().__init__(message)
-        self.suggested_transform = suggested_transform
         self.variable = variable
         self.order = order
 

@@ -11,7 +11,7 @@ the Newton loop must also raise the same errors.
 
 from fractions import Fraction
 
-from augvar.augment import _double_root
+from augvar.errors import DoubleRoot
 from augvar.laurent import LaurentPoly
 from augvar.rings import (
     QuotientRingElem,
@@ -57,12 +57,12 @@ def fixed_slope_nilpotent(relation, d, var, kappa, order):
     return kap, target, _fixed_slope(relation, var, kap, target, slope, order)
 
 
-def two_evaluation_newton(relation, var, kap, target, order, seed):
+def two_evaluation_newton(relation, var, kap, target, order):
     """Newton's method for W(mu, kap exp(s)) = target, doubling the
     verified order at each step, with the residual W(mu, kap exp(s)) -
     target and the slope dW(mu, kap exp(s)), dW = y_k dW/dy_k, each from
     its own ``LaurentPoly.evaluate``.  A residual term below the verified
-    order raises the ``DoubleRoot`` of ``augment._double_root``."""
+    order raises :class:`DoubleRoot` naming the variable and that order."""
     k = relation.variables.index(var)
     dW = LaurentPoly(relation.variables,
                      {e: c * e[k] for e, c in relation.terms.items() if e[k]})
@@ -77,10 +77,10 @@ def two_evaluation_newton(relation, var, kap, target, order, seed):
         residual = relation.evaluate(point) - target
         if not residual.is_zero():
             if residual.valuation() < v:
-                raise _double_root(
+                raise DoubleRoot(
                     "iteration stalled in %r at order %d: residual has a "
                     "degree-%d term" % (var, v - 1, residual.valuation()),
-                    relation, var, v - 1, seed)
+                    variable=var, order=v - 1)
             slope = dW.evaluate(point).invert()
             s = s - (residual.scale(slope.constant_term()) if slope.is_constant()
                      else residual * slope)

@@ -21,17 +21,16 @@ import sys
 from fractions import Fraction
 
 from augvar.augment import (
+    build_partition_witness,
     dga_relation_check,
     enumerate_partition_components,
     perturbations,
-    random_unimodular,
     reeb_chord_degree,
     solve_formal_augmentation,
     solve_nilpotent_augmentation,
-    witness_for_component,
     ChordDegreeParams,
 )
-from augvar.cli import run
+from augvar.cli import random_unimodular, run
 from augvar.laurent import LaurentPoly
 from augvar.localization import (
     multicover_contribution,
@@ -260,7 +259,7 @@ def test_criterion_09_partition_components():
     ok = counts == [2, 4, 10]
     for ell in (2, 3):
         for comp in enumerate_partition_components(ell, spec):
-            w = witness_for_component(comp, spec.signs, 2)
+            w = build_partition_witness(comp.blocks, spec.signs, 2)
             ok = ok and dga_relation_check(w).passed
             ok = ok and all(not dga_relation_check(pert).passed
                             for _, pert in perturbations(w))

@@ -15,11 +15,9 @@ from augvar.augment import (
     find_transverse_root,
     perturbations,
     point_on_variety,
-    random_unimodular,
     reeb_chord_degree,
     solve_formal_augmentation,
     solve_nilpotent_augmentation,
-    witness_for_component,
 )
 from augvar.errors import (
     DoubleRoot,
@@ -91,17 +89,16 @@ def test_root_needs_nonconstant_restriction():
         find_transverse_root(1 + y1 ** 2 * y2 + y1 * y2 ** 2, "y2")
 
 
-def test_double_root_reported_with_suggestion():
+def test_double_root_reported_with_variable_and_order():
+    """The library's DoubleRoot names where it stopped and nothing else:
+    the generic-coordinate hint is the command line's."""
     y1, y2 = LaurentPoly.gens(VS)
     rel = 1 - 2 * y2 + y2 ** 2 + y1
-    with pytest.raises(DoubleRoot) as err:
-        find_transverse_root(rel, "y2", seed=5)
-    M = err.value.suggested_transform
-    assert M is not None and len(M) == 2
-    # deterministic for a fixed seed
-    with pytest.raises(DoubleRoot) as err2:
-        find_transverse_root(rel, "y2", seed=5)
-    assert err2.value.suggested_transform == M
+    with pytest.raises(DoubleRoot, match="^rational root 1 of the restriction "
+                       "is not simple$") as err:
+        find_transverse_root(rel, "y2")
+    assert (err.value.variable, err.value.order) == ("y2", 0)
+    assert not hasattr(err.value, "suggested_transform")
 
 
 def test_double_root_retry_via_substitution():
@@ -422,7 +419,7 @@ def _witnesses():
             spec = clifford_relation(3, signs)
             for spins in (None, ["a", "b", "a"][:ell]):
                 for comp in enumerate_partition_components(ell, spec, spins):
-                    yield witness_for_component(comp, spec.signs, 2)
+                    yield build_partition_witness(comp.blocks, spec.signs, 2)
 
 
 def test_partition_witness_values_are_ints():
@@ -539,7 +536,7 @@ def test_witnesses_pass_and_all_perturbations_fail():
         spec = clifford_relation(3)
         comps = enumerate_partition_components(ell, spec)
         for comp in comps:
-            w = witness_for_component(comp, spec.signs, 2)
+            w = build_partition_witness(comp.blocks, spec.signs, 2)
             assert dga_relation_check(w).passed, comp.label()
             for label, pert in perturbations(w):
                 assert not dga_relation_check(pert).passed, \
@@ -551,7 +548,7 @@ def test_witnesses_with_mixed_signs():
     spec = clifford_relation(3, signs)
     comps = enumerate_partition_components(3, spec)
     for comp in comps:
-        w = witness_for_component(comp, spec.signs, 2)
+        w = build_partition_witness(comp.blocks, spec.signs, 2)
         assert dga_relation_check(w).passed
 
 
@@ -602,15 +599,3 @@ def test_chord_params_validated():
         ChordDegreeParams(sheets=3, theta_over_pi=F(-1, 9), slope=F(3))
     with pytest.raises(ValueError):
         ChordDegreeParams(sheets=1, theta_over_pi=F(1, 9), slope=F(3))
-
-
-# --------------------------------------------------------------------------
-# seeded transforms
-# --------------------------------------------------------------------------
-
-def test_random_unimodular_is_unimodular_and_seeded():
-    from augvar.intlin import is_unimodular
-    for seed in range(30):
-        M = random_unimodular(3, seed)
-        assert is_unimodular(M)
-        assert random_unimodular(3, seed) == M

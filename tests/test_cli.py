@@ -62,21 +62,53 @@ def test_solve_aug_from_file(tmp_path, capsys):
     assert json.loads(out)["result"]["kappa"] == "-1"
 
 
-def test_solve_aug_double_root_exit_2(tmp_path, capsys):
-    rel = {"vars": ["y1", "y2"],
-           "terms": [{"exp": [0, 0], "coef": "1"},
-                     {"exp": [0, 1], "coef": "-2"},
-                     {"exp": [0, 2], "coef": "1"},
-                     {"exp": [1, 0], "coef": "1"}]}
+# 1 - 2 y2 + y2^2 + y1, and its three-variable form with y2 added: the
+# restriction (1 - y)^2 has the double root 1
+DOUBLE_ROOT_2 = {"vars": ["y1", "y2"],
+                 "terms": [{"exp": [0, 0], "coef": "1"}, {"exp": [0, 1], "coef": "-2"},
+                           {"exp": [0, 2], "coef": "1"}, {"exp": [1, 0], "coef": "1"}]}
+DOUBLE_ROOT_3 = {"vars": ["y1", "y2", "y3"],
+                 "terms": [{"exp": [0, 0, 0], "coef": "1"}, {"exp": [0, 0, 1], "coef": "-2"},
+                           {"exp": [0, 0, 2], "coef": "1"}, {"exp": [1, 0, 0], "coef": "1"},
+                           {"exp": [0, 1, 0], "coef": "1"}]}
+
+
+def _double_root_result(path, argv, variable, transform):
+    code, out, err = _redirected(argv + ["--input", str(path), "--format", "json"])
+    assert (code, err) == (2, "")
+    assert json.loads(out)["result"] == {
+        "error": "DoubleRoot", "message": "rational root 1 of the restriction is not simple",
+        "order": 0, "suggested_transform": transform, "variable": variable}
+
+
+def test_solve_aug_double_root_exit_2(tmp_path):
     path = tmp_path / "rel.json"
-    path.write_text(json.dumps(rel))
-    code, out, _ = _capture(capsys, [
-        "solve-aug", "--input", str(path), "--format", "json"])
-    assert code == 2
-    report = json.loads(out)
-    assert report["result"]["error"] == "DoubleRoot"
-    assert report["result"]["suggested_transform"]
-    assert (report["result"]["variable"], report["result"]["order"]) == ("y2", 0)
+    path.write_text(json.dumps(DOUBLE_ROOT_2))
+    _double_root_result(path, ["solve-aug"], "y2", [[0, -1], [1, 0]])
+
+
+@pytest.mark.parametrize("relation, argv, variable, transform", [
+    (DOUBLE_ROOT_2, ["solve-aug"], "y2", [[0, 1], [-1, 0]]),
+    (DOUBLE_ROOT_2, ["solve-nilpotent", "--multiplicity", "2"], "y2", [[0, 1], [-1, 0]]),
+    # the identity: a retry in these coordinates meets the same double root
+    (DOUBLE_ROOT_3, ["solve-aug"], "y3", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    (DOUBLE_ROOT_3, ["solve-nilpotent", "--multiplicity", "2"], "y3",
+     [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+])
+def test_double_root_reports_are_pinned(tmp_path, relation, argv, variable, transform):
+    """Both solvers' DoubleRoot results at ``--seed 5``, hint included:
+    the hint depends on the seed and the number of variables alone."""
+    path = tmp_path / "rel.json"
+    path.write_text(json.dumps(relation))
+    _double_root_result(path, argv + ["--seed", "5"], variable, transform)
+
+
+def test_random_unimodular_is_unimodular_and_seeded():
+    from augvar.intlin import is_unimodular
+    for seed in range(30):
+        M = cli.random_unimodular(3, seed)
+        assert is_unimodular(M)
+        assert cli.random_unimodular(3, seed) == M
 
 
 def test_solver_stall_reports_variable_and_order(capsys, monkeypatch):

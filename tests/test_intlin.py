@@ -7,8 +7,8 @@ from math import gcd
 
 import pytest
 
-from augvar.augment import random_unimodular
 from augvar import intlin
+from augvar.cli import random_unimodular
 from augvar.errors import (DegenerateFan, NotUnimodular, PreconditionViolation,
                            VerificationFailure)
 from augvar.intlin import (

@@ -22,7 +22,7 @@ from augvar.laurent import (
     coeff_from_obj,
     coeff_to_obj,
 )
-from augvar.augment import random_unimodular
+from augvar.cli import random_unimodular
 from augvar.intlin import mat_inverse
 from augvar.rings import QuotientRingElem, TruncatedSeries, UniPoly
 

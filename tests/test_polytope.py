@@ -16,7 +16,7 @@ from math import gcd
 import pytest
 
 from augvar import intlin, polytope
-from augvar.augment import random_unimodular
+from augvar.cli import random_unimodular
 from augvar.errors import (
     DimensionMismatch,
     NotAVertex,

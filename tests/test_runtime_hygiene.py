@@ -3,6 +3,8 @@
 Verification must not rest on ``assert``, which ``python -O`` strips, and
 the runtime imports nothing beyond the standard library and itself: the
 benchmark, the tests and the sympy/hypothesis oracles stay outside it.
+Randomness is the command line's alone: only ``cli`` imports ``random``
+or takes a ``seed``, for the hint of a DoubleRoot report.
 """
 
 import ast
@@ -24,21 +26,41 @@ def _asserts(tree):
     return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
 
 
-def _foreign_imports(tree):
-    """(line, module) for each absolute import outside the standard
-    library and augvar."""
+def _absolute_imports(tree):
+    """(line, module) for each absolute import."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            out += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        for name in names:
-            top = name.split(".")[0]
-            if top != "augvar" and top not in sys.stdlib_module_names:
-                out.append((node.lineno, name))
+            out.append((node.lineno, node.module))
+    return out
+
+
+def _foreign_imports(tree):
+    """(line, module) for each absolute import outside the standard
+    library and augvar."""
+    return [(line, name) for line, name in _absolute_imports(tree)
+            if name.split(".")[0] != "augvar"
+            and name.split(".")[0] not in sys.stdlib_module_names]
+
+
+def _imported_modules(tree):
+    """Top-level names of the modules imported absolutely."""
+    return {name.split(".")[0] for _, name in _absolute_imports(tree)}
+
+
+def _seed_parameters(tree):
+    """(line, function) for each function or lambda with a parameter
+    named ``seed``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + \
+                [p for p in (a.vararg, a.kwarg) if p is not None]
+            if any(p.arg == "seed" for p in params):
+                out.append((node.lineno, getattr(node, "name", "<lambda>")))
     return out
 
 
@@ -75,6 +97,30 @@ def test_checks_catch_violations():
     assert _foreign_imports(tree) == [(1, "sympy"), (2, "perfbench"),
                                       (6, "hypothesis.strategies")]
     assert _asserts(tree) == [7]
+
+
+def test_randomness_checks_catch_violations():
+    tree = ast.parse("import os.path\n"
+                     "from random import Random\n"
+                     "def f(n, *, seed=0):\n"
+                     "    g = lambda seed: seed\n"
+                     "def h(*seed): pass\n"
+                     "def k(rng): pass\n")
+    assert _imported_modules(tree) == {"os", "random"}
+    assert sorted(_seed_parameters(tree)) == [(3, "f"), (4, "<lambda>"), (5, "h")]
+
+
+NON_CLI_MODULES = [p for p in MODULES if p.name != "cli.py"]
+
+
+@pytest.mark.parametrize("path", NON_CLI_MODULES, ids=lambda p: p.name)
+def test_only_the_cli_imports_random(path):
+    assert "random" not in _imported_modules(_tree(path))
+
+
+@pytest.mark.parametrize("path", NON_CLI_MODULES, ids=lambda p: p.name)
+def test_only_the_cli_takes_a_seed(path):
+    assert _seed_parameters(_tree(path)) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
