@@ -47,6 +47,13 @@ from .polytope import (
 )
 from .rings import DEFAULT_ORDER, UniPoly
 
+# Largest --ell of ``partitions`` and --sheets of ``chord-degrees``: each
+# keeps a request under about a second.  ``partitions --ell`` lists T(ell)
+# components (T(9) = 2620, T(10) = 9496) and ``chord-degrees --sheets``
+# sheets * (sheets - 1) chords.
+MAX_ELL = 9
+MAX_SHEETS = 200
+
 
 def _load_json(path):
     try:
@@ -289,7 +296,20 @@ def _cmd_solve_nilpotent(args, report):
     return 0
 
 
+def _involutions(n):
+    """T(n), the number of partitions of n sheets into blocks of size one
+    and two: T(n) = T(n - 1) + (n - 1) T(n - 2)."""
+    prev, cur = 1, 1
+    for k in range(2, n + 1):
+        prev, cur = cur, cur + (k - 1) * prev
+    return cur
+
+
 def _cmd_partitions(args, report):
+    if args.ell > MAX_ELL:
+        raise ParseError("--ell %d is over its limit of %d: it would produce "
+                         "T(%d) = %d components"
+                         % (args.ell, MAX_ELL, args.ell, _involutions(args.ell)))
     signs = potentials.sign_vector(args.signs) if args.signs else None
     nvars = args.nvars
     spec = potentials.clifford_relation(nvars + 1, signs)
@@ -375,6 +395,10 @@ def _cmd_localize(args, report):
 
 
 def _cmd_chord_degrees(args, report):
+    if args.sheets > MAX_SHEETS:
+        raise ParseError("--sheets %d is over its limit of %d: it would produce "
+                         "%d chords" % (args.sheets, MAX_SHEETS,
+                                        args.sheets * (args.sheets - 1)))
     params = ChordDegreeParams(
         sheets=args.sheets,
         theta_over_pi=_fraction_flag(args.theta_over_pi, "--theta-over-pi"),

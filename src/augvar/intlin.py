@@ -33,9 +33,12 @@ from dimension five on is each minor a :func:`det`.  The gcd g of the
 cofactors is the simplex's lattice weight: the cone from a point v of the
 hull over the simplex has normalized volume g (c - <n, v>) for the
 primitive normal n and offset c, so a volume is one dot product per
-boundary simplex and no determinant.  The normals' dot products, and
-those of the incidence pass that finds each facet's points, are unrolled
-or taken as ``sum(map(mul, ...))``, with no call per product.
+boundary simplex and no determinant.  The engine's per-point and
+per-plane arithmetic (a normal's offset and orientation, beneath-beyond's
+visibility test, the incidence pass that finds each facet's points) is
+written over unpacked coordinates in dimensions three and four, and in
+the plane for the incidence pass; only from dimension five on is a dot
+product ``sum(map(mul, ...))``, still with no call per product.
 Beneath-beyond inserts the points far first, by decreasing squared
 distance from their centroid, and starts from the first affinely
 independent ones in that order, the pivot rows of one column reduction:
@@ -51,10 +54,11 @@ returns vertices, facets and the boundary in every dimension, each
 boundary simplex with its hyperplane and lattice weight: a segment's
 endpoints, of weight 1, a polygon's counterclockwise edges, weighted by
 their lattice lengths, and beneath-beyond's simplices above the plane.
-A point is a vertex when the facets through it meet in that point alone,
-a set intersection of the facets' point sets with no rank test.  The
-engine checks its own output, raising :class:`VerificationFailure` when a
-check fails.
+In the plane the vertices are the monotone chain's cycle, which drops
+the points on edges.  Elsewhere a point is a vertex when the facets
+through it meet in that point alone, a set intersection of the facets'
+point sets with no rank test.  The engine checks its own output, raising
+:class:`VerificationFailure` when a check fails.
 """
 
 from collections import Counter
@@ -441,12 +445,17 @@ def _hyperplane(simplex, interior, scale):
     in dimension four each of the four signed 3x3 minors is expanded along
     the third edge vector over the six 2x2 minors of the first two; from
     dimension five on every minor is a :func:`det`.  The weight g is the
-    gcd of the cofactors.  Subtracting the first row s_0 - v from the
-    others turns det(s - v) into the determinant of the edge vectors and
-    s_0 - v, whose expansion along that row is +-<g n, s_0 - v>; so for a
-    point v beneath the plane the cone from v over the simplex has
-    normalized volume g (c - <n, v>), the weight times the lattice height
-    of v."""
+    gcd of the cofactors.  In dimensions three and four the offset c and
+    the side test against ``interior`` are written out over the unpacked
+    coordinates too, and from five on they are ``sum(map(mul, ...))``.  A
+    degenerate simplex (every cofactor zero) and an interior point on the
+    plane raise :class:`VerificationFailure` in every dimension.
+
+    Subtracting the first row s_0 - v from the others turns det(s - v)
+    into the determinant of the edge vectors and s_0 - v, whose expansion
+    along that row is +-<g n, s_0 - v>; so for a point v beneath the plane
+    the cone from v over the simplex has normalized volume g (c - <n, v>),
+    the weight times the lattice height of v."""
     base = simplex[0]
     d = len(base)
     if d == 3:
@@ -455,14 +464,15 @@ def _hyperplane(simplex, interior, scale):
         bx, by, bz = x2 - x0, y2 - y0, z2 - z0
         normal = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
     elif d == 4:
+        x0, y0, z0, w0 = base
         (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (
-            [a - b for a, b in zip(p, base)] for p in simplex[1:])
+            (x - x0, y - y0, z - z0, w - w0) for x, y, z, w in simplex[1:])
         m01, m02, m03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
         m12, m13, m23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
         normal = (c1 * m23 - c2 * m13 + c3 * m12,
-                  -(c0 * m23 - c2 * m03 + c3 * m02),
+                  c2 * m03 - c0 * m23 - c3 * m02,
                   c0 * m13 - c1 * m03 + c3 * m01,
-                  -(c0 * m12 - c1 * m02 + c2 * m01))
+                  c1 * m02 - c0 * m12 - c2 * m01)
     else:
         rows = [[a - b for a, b in zip(p, base)] for p in simplex[1:]]
         normal = tuple((-1) ** j * det([r[:j] + r[j + 1:] for r in rows])
@@ -472,8 +482,19 @@ def _hyperplane(simplex, interior, scale):
         raise VerificationFailure("hull simplex %r is degenerate" % (simplex,))
     if g != 1:
         normal = tuple(x // g for x in normal)
-    c = sum(map(mul, normal, base))
-    side = sum(map(mul, normal, interior)) - scale * c
+    if d == 3:
+        a, b, e = normal
+        ix, iy, iz = interior
+        c = a * x0 + b * y0 + e * z0
+        side = a * ix + b * iy + e * iz - scale * c
+    elif d == 4:
+        a, b, e, f = normal
+        ix, iy, iz, iw = interior
+        c = a * x0 + b * y0 + e * z0 + f * w0
+        side = a * ix + b * iy + e * iz + f * iw - scale * c
+    else:
+        c = sum(map(mul, normal, base))
+        side = sum(map(mul, normal, interior)) - scale * c
     if side == 0:
         raise VerificationFailure("interior point lies on a hull hyperplane")
     if side > 0:
@@ -531,10 +552,13 @@ def _beneath_beyond(points):
     and lattice weight.  A new point deletes the simplices it lies
     strictly beyond as it finds them, and replaces them by the cone from
     it over their horizon; points beyond no simplex lie in the hull so far
-    and are skipped.  Every ridge (d - 1 indices) of the boundary lies in
-    two simplices, so a ridge of a visible simplex is on the horizon
-    exactly when it occurs once among the visible simplices: one small
-    dict per point finds the horizon, and no ridge index is kept.
+    and are skipped.  The visibility test of a point p against a simplex,
+    <n, p> > c, is written out over the coordinates of p, unpacked once
+    per scan, in dimensions three and four, and is ``sum(map(mul, n, p))``
+    from dimension five on.  Every ridge (d - 1 indices) of the boundary
+    lies in two simplices, so a ridge of a visible simplex is on the
+    horizon exactly when it occurs once among the visible simplices: one
+    small dict per point finds the horizon, and no ridge index is kept.
     :func:`_hull` checks the pairing once, on the final boundary.
     Coplanar simplices stay separate.  Returns a dict from each boundary
     simplex (sorted index tuple) to its (normal, offset, weight) from
@@ -583,7 +607,16 @@ def _beneath_beyond(points):
         if i in taken:
             continue
         p = points[i]
-        visible = [s for s, (n, c, _) in simplices.items() if sum(map(mul, n, p)) > c]
+        if d == 3:
+            x, y, z = p
+            visible = [s for s, ((a, b, e), c, _) in simplices.items()
+                       if a * x + b * y + e * z > c]
+        elif d == 4:
+            x, y, z, w = p
+            visible = [s for s, ((a, b, e, f), c, _) in simplices.items()
+                       if a * x + b * y + e * z + f * w > c]
+        else:
+            visible = [s for s, (n, c, _) in simplices.items() if sum(map(mul, n, p)) > c]
         twice = {}     # ridge of a visible simplex -> met in a second one
         for simplex in visible:
             del simplices[simplex]
@@ -640,14 +673,19 @@ def _hull(points):
     point v of the hull tile it, and the one over a simplex has normalized
     volume weight * (offset - <normal, v>), see :func:`_hyperplane`.
 
-    Each point collects the point sets ``eq`` of the facets through it,
-    and it is a vertex when they intersect in it alone; the one rank test,
-    a :func:`_column_reduce`, runs only in beneath-beyond, once, for the
-    start simplex.  Beneath-beyond's boundary is checked to be closed
-    after the facets, in one pass: every ridge lies in exactly two of its
-    simplices.  A facet's values at the points are one comprehension
-    over the unpacked coordinates in dimensions two and three,
-    ``a x + b y (+ e z)``, and ``sum(map(mul, ...))`` above.
+    In the plane the vertices are the sorted cycle of the monotone chain,
+    the starts of the stored edges: the chain pops a point whenever the
+    turn is not strictly left, so the points on edges never enter the
+    cycle.  In every other dimension each point collects the point sets
+    ``eq`` of the facets through it, and it is a vertex when they
+    intersect in it alone; the one rank test, a :func:`_column_reduce`,
+    runs only in beneath-beyond, once, for the start simplex.  A facet's
+    values at the points are one comprehension over the unpacked
+    coordinates in dimensions two to four, ``a x + b y (+ e z (+ f w))``,
+    and ``sum(map(mul, ...))`` above.  In every dimension each facet is
+    checked to support the points and to hold at least d vertices, and
+    beneath-beyond's boundary is checked to be closed after the facets,
+    in one pass: every ridge lies in exactly two of its simplices.
     """
     d = len(points[0])
     if d == 1:
@@ -662,7 +700,7 @@ def _hull(points):
         boundary = _beneath_beyond(points)
     planes = {(n, c) for n, c, _ in boundary.values()}
     facets = []
-    through = [[] for _ in points]
+    through = None if d == 2 else [[] for _ in points]
     for normal, c in sorted(planes):
         if d == 2:
             a, b = normal
@@ -670,6 +708,9 @@ def _hull(points):
         elif d == 3:
             a, b, e = normal
             vals = [a * x + b * y + e * z for x, y, z in points]
+        elif d == 4:
+            a, b, e, f = normal
+            vals = [a * x + b * y + e * z + f * w for x, y, z, w in points]
         else:
             vals = [sum(map(mul, normal, p)) for p in points]
         if max(vals) != c:
@@ -677,10 +718,15 @@ def _hull(points):
                                       "points" % (normal, c))
         eq = frozenset([i for i, v in enumerate(vals) if v == c])
         facets.append((normal, c, eq))
-        for i in eq:
-            through[i].append(eq)
-    vertices = [i for i, sets in enumerate(through) if len(sets) >= d
-                and len(frozenset.intersection(*sets)) == 1]
+        if through is not None:
+            for i in eq:
+                through[i].append(eq)
+    if through is None:
+        # the chain pops collinear points, so its cycle is the vertex set
+        vertices = sorted(a for a, _ in boundary)
+    else:
+        vertices = [i for i, sets in enumerate(through) if len(sets) >= d
+                    and len(frozenset.intersection(*sets)) == 1]
     corners = set(vertices)
     for normal, c, eq in facets:
         if len(eq & corners) < d:

@@ -21,7 +21,8 @@ volume sums the cones from one vertex over the boundary simplices, each a
 weight times a lattice height, and the lattice point count is Pick's
 formula in the plane, its boundary term the sum of the edges' weights,
 and above it a walk over the projections onto the first k coordinates
-bounded by their own hull facets.
+bounded by their own hull facets.  A polygon's edge lattice lengths are
+those weights too; above the plane they are the gcds along the edges.
 
 It imports nothing from :mod:`augvar.laurent`, whose ``clear_to_vertex``
 checks its vertex against :func:`newton_polytope` and whose
@@ -271,12 +272,14 @@ class LatticePolytope:
 
         In the plane, Pick's formula: (V + B) / 2 + 1 with V the reduced
         normalized volume and B the sum of the stored edges' weights, their
-        lattice lengths.  Above
-        it, the hull facets of the projections onto the first k reduced
-        coordinates, k = 1..d, give irredundant bounds on the k-th
-        coordinate over each lattice point of the projection before; the
-        walk runs over those prefixes and adds the length of the last
-        coordinate's range without enumerating it.  Over each prefix of
+        lattice lengths.  Above it, the hull facets of the projections onto
+        the first k reduced coordinates, k = 1..d, give irredundant bounds
+        on the k-th coordinate over each lattice point of the projection
+        before; the walk runs over those prefixes and adds the length of
+        the last coordinate's range without enumerating it.  The first
+        level is the range of the first coordinate, its least and greatest
+        value over the vertices, and the last is the polytope's own facets,
+        so only the levels 2..d-1 run a projection hull.  Over each prefix of
         length d - 2, the prefix is folded into the offsets of the last
         level's facets once, so each value of the second-to-last
         coordinate costs one floor division per facet
@@ -292,8 +295,9 @@ class LatticePolytope:
         if d == 2:
             perimeter = sum(g for _, _, g in boundary.values())
             return (self._volume() + perimeter) // 2 + 1
-        levels = []
-        for k in range(1, d + 1):
+        first = [v[0] for v in red]
+        levels = [([((1,), max(first))], [((-1,), -min(first))])]
+        for k in range(2, d + 1):
             # the projected points are distinct ints already, so the hull
             # runs without the public entry's input checks
             shadow = (intlin._hull(sorted({v[:k] for v in red}))[1]
@@ -303,6 +307,15 @@ class LatticePolytope:
         return _count_fibres(levels, 0, ())
 
     def edge_lattice_lengths(self):
+        """The lattice lengths of the edges, sorted.
+
+        In the plane they are the weights of the stored boundary: each edge
+        of the monotone-chain cycle carries its lattice length g in the
+        frame coordinates, which the unimodular frame keeps.  In every
+        other dimension they are the gcds of the differences along
+        :meth:`edges`."""
+        if self.affine_dim == 2:
+            return tuple(sorted(g for _, _, g in self._bound[1].values()))
         return tuple(sorted(
             gcd(*(a - b for a, b in zip(v, w)))
             for v, w in self.edges()))

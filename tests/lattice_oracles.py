@@ -13,7 +13,8 @@ The library reads the index off one column reduction and decides
 indecomposability in one pass over partial sums, so agreement is
 evidence for both.  ``fraction_mat_inverse`` is the Gauss-Jordan inverse
 over Q that the library's integer adjugate (``intlin.mat_inverse``)
-replaced.
+replaced.  ``random_unimodular`` draws the random lattice automorphisms
+that tests send supports through.
 """
 
 from fractions import Fraction
@@ -121,3 +122,15 @@ def split_search_indecomposable(P):
 
     choice = [0] * len(edges)
     return not search(0, 0, 0)
+
+
+def random_unimodular(rng, n):
+    """A random n x n integer matrix of determinant +-1: a signed
+    permutation under random elementary row additions."""
+    M = [[int(i == j) * rng.choice((-1, 1)) for j in range(n)] for i in range(n)]
+    rng.shuffle(M)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.randint(-2, 2)
+        M[i] = [a + k * b for a, b in zip(M[i], M[j])]
+    return M

@@ -1,11 +1,13 @@
 """Tests for the command-line front end: reports, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -448,6 +450,59 @@ def test_bad_flag_values_are_input_errors(capsys, argv):
     assert code == 1
     assert out == ""
     assert "input error: " in err
+
+
+# ------------------------------------------------------ bounded request sizes
+
+DIGESTS_FILE = os.path.join(os.path.dirname(SRC), "perfbench", "cli_digests.json")
+
+
+@pytest.mark.parametrize("argv", [["partitions", "--ell", str(cli.MAX_ELL)],
+                                  ["chord-degrees", "--sheets", str(cli.MAX_SHEETS)]],
+                         ids=["ell", "sheets"])
+def test_a_request_at_its_size_limit_is_served(argv):
+    code, out, err = _redirected(argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["partitions", "--ell", "10"],
+     "--ell 10 is over its limit of 9: it would produce T(10) = 9496 components"),
+    (["partitions", "--ell", "12", "--no-check"],
+     "--ell 12 is over its limit of 9: it would produce T(12) = 140152 components"),
+    (["chord-degrees", "--sheets", "201"],
+     "--sheets 201 is over its limit of 200: it would produce 40200 chords"),
+    (["chord-degrees", "--sheets", "3000"],
+     "--sheets 3000 is over its limit of 200: it would produce 8997000 chords"),
+], ids=["ell-10", "ell-12", "sheets-201", "sheets-3000"])
+def test_a_request_over_its_size_limit_fails_at_once(argv, message):
+    start = time.perf_counter()
+    code, out, err = _redirected(argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", "input error: %s\n" % message)
+
+
+def test_a_request_over_its_size_limit_exits_one_in_a_subprocess():
+    argv = [sys.executable, "-m", "augvar.cli", "chord-degrees", "--sheets",
+            str(cli.MAX_SHEETS + 1), "--format", "json"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=20,
+                          env=_subprocess_env())
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("input error: --sheets 201 is over its limit")
+
+
+@pytest.mark.parametrize("argv", [
+    ["partitions", "--ell", "3", "--format", "json"],
+    ["partitions", "--ell", "3", "--format", "text"],
+    ["chord-degrees", "--sheets", "4", "--format", "json"],
+    ["chord-degrees", "--sheets", "4", "--format", "text"]])
+def test_bounded_requests_keep_their_recorded_digests(argv):
+    with open(DIGESTS_FILE, encoding="utf-8") as fh:
+        digests = json.load(fh)
+    code, out, err = _redirected(argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[" ".join(argv)]
 
 
 def test_help_still_exits_zero(capsys):

@@ -26,7 +26,7 @@ from augvar.polytope import LatticePolytope
 from hull_oracles import (echelon, in_convex_hull, lp_vertex_indices,
                           ridge_index_beneath_beyond, scan_edges, subset_facets)
 from invariant_oracles import pyramid_volume
-from lattice_oracles import rational_nullspace
+from lattice_oracles import random_unimodular, rational_nullspace
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -744,3 +744,148 @@ def test_boundary_weights_give_the_volume_and_the_perimeter():
         if d == 1:
             assert [g for _, _, g in boundary.values()] == [1, 1]
     assert {(n, k) for n in range(1, 6) for k in range(1, n + 1)} <= dims
+
+
+# --------------------------------------------------------------------------
+# the planar shortcuts: vertices from the chain, edge lengths from weights
+# --------------------------------------------------------------------------
+
+def _planar_supports():
+    """Seeded supports spanning Z^2: random ones, ones with points on
+    edges, and grids, where most boundary points are not vertices."""
+    rng = random.Random(3507)
+    cases = [list(itertools.product(range(k), repeat=2)) for k in (2, 3, 5)]
+    cases.append([(0, 0), (4, 0), (0, 4), (2, 0), (0, 2), (2, 2), (1, 1), (3, 1)])
+    for _ in range(40):
+        cases.append(_with_edge_points(rng, 2, rng.randint(3, 9)))
+        cases.append(_random_support(rng, 2, rng.randint(3, 16), rng.choice((2, 5))))
+    return cases
+
+
+def test_planar_hull_vertices_are_the_chain_cycle():
+    boundary = corners = 0
+    for pts in _planar_supports():
+        vertices, facets, edges = intlin._hull(pts)
+        assert vertices == lp_vertex_indices(pts), pts
+        assert vertices == sorted(intlin.monotone_chain(pts)) == sorted(a for a, _ in edges)
+        boundary += len(frozenset().union(*(eq for _, _, eq in facets)))
+        corners += len(vertices)
+    assert 3 * corners < 2 * boundary     # many boundary points are not vertices
+
+
+def test_planar_edge_lengths_are_the_boundary_weights():
+    # the weights in the frame coordinates are the gcds along the edges of
+    # the pair scan, for polygons in Z^2 and for their images in Z^3 and
+    # Z^4 under a random unimodular map and a shift
+    rng = random.Random(3508)
+    images = 0
+    for pts in _planar_supports():
+        for ambient in (2, 3, 4):
+            M = random_unimodular(rng, ambient)
+            shift = [rng.randint(-3, 3) for _ in range(ambient)]
+            img = [tuple(intlin._dot(r, p + (0,) * (ambient - 2)) + s
+                         for r, s in zip(M, shift)) for p in pts]
+            P = LatticePolytope.from_points(img)
+            assert (P.ambient_dim, P.affine_dim) == (ambient, 2)
+            want = tuple(sorted(math.gcd(*(a - b for a, b in zip(v, w)))
+                                for v, w in scan_edges(P)))
+            assert P.edge_lattice_lengths() == want, img
+            assert len(want) == len(P.vertices)
+            images += ambient > 2
+    assert images >= 160
+
+
+# --------------------------------------------------------------------------
+# every check raises on the unpacked paths, under python -O as well
+# --------------------------------------------------------------------------
+
+def _shift_one_plane(real):
+    """The engine with the offset of the first facet lowered by one, in
+    every boundary simplex on it, so that the facet no longer supports
+    the points."""
+    def shifted(points):
+        boundary = real(points)
+        first = min(h[:2] for h in boundary.values())
+        return {s: (n, c - 1, g) if (n, c) == first else (n, c, g)
+                for s, (n, c, g) in boundary.items()}
+    return shifted
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_unsupporting_facet_raises_in_every_dimension(monkeypatch, d):
+    # d = 3 and 4 take the facet values over unpacked coordinates, d = 5
+    # the generic dot product
+    monkeypatch.setattr(intlin, "_beneath_beyond", _shift_one_plane(intlin._beneath_beyond))
+    with pytest.raises(VerificationFailure, match="does not support"):
+        intlin._hull(list(itertools.product((0, 2), repeat=d)))
+
+
+def test_dropped_polygon_edge_raises_verification_failure(monkeypatch):
+    # the planar vertices are the starts of the stored edges, so a lost
+    # edge loses a vertex, and the next edge's facet holds only one
+    def dropped(points):
+        boundary = real(points)
+        del boundary[next(iter(boundary))]
+        return boundary
+
+    real = intlin._chain_planes
+    monkeypatch.setattr(intlin, "_chain_planes", dropped)
+    with pytest.raises(VerificationFailure, match="fewer than 2 vertices"):
+        intlin._hull([(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (1, 1)])
+
+
+def test_hull_checks_in_the_plane_and_in_z4_survive_python_O():
+    script = textwrap.dedent("""
+        import itertools, sys
+        from augvar import intlin
+        from augvar.errors import VerificationFailure
+        if sys.flags.optimize != 1:
+            sys.exit("not running under -O")
+        square = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (1, 1)]
+        cube4 = list(itertools.product((0, 2), repeat=4))
+        chain, bb = intlin._chain_planes, intlin._beneath_beyond
+
+        def drop_edge(points):
+            boundary = chain(points)
+            del boundary[next(iter(boundary))]
+            return boundary
+
+        def shift_plane(points):
+            boundary = bb(points)
+            first = min(h[:2] for h in boundary.values())
+            return {s: (n, c - 1, g) if (n, c) == first else (n, c, g)
+                    for s, (n, c, g) in boundary.items()}
+
+        def drop_simplex(points):
+            boundary = bb(points)
+            del boundary[min(boundary)]
+            return boundary
+
+        def attempt(label, call, *args):
+            try:
+                call(*args)
+            except VerificationFailure as err:
+                print(label, str(err).split()[-1])
+            else:
+                print(label, "passed")
+
+        intlin._chain_planes = drop_edge
+        attempt("edge", intlin._hull, square)
+        intlin._chain_planes = chain
+        intlin._beneath_beyond = shift_plane
+        attempt("support", intlin._hull, cube4)
+        intlin._beneath_beyond = drop_simplex
+        attempt("ridge", intlin._hull, cube4)
+        intlin._beneath_beyond = bb
+        flat = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]
+        attempt("degenerate", intlin._hyperplane, flat, (1, 1, 1, 1), 5)
+        units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+        attempt("interior", intlin._hyperplane, units, (5, 0, 0, 0), 5)
+        """)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "edge vertices", "support points", "ridge simplices",
+        "degenerate degenerate", "interior hyperplane"]

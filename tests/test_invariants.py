@@ -9,15 +9,17 @@ lattice of the affine hull.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 
+from augvar import intlin
 from augvar.polytope import LatticePolytope
 
 from hull_oracles import in_convex_hull
 from invariant_oracles import fm_count, pyramid_volume, reference_invariants
-from lattice_oracles import rational_nullspace
+from lattice_oracles import random_unimodular, rational_nullspace
 
 
 def _random_points(rng, ambient, n, box):
@@ -119,6 +121,73 @@ def test_3d_polytope_in_z4_count_matches_box_count():
         Q = LatticePolytope.from_points(_sublattice_points(rng, 4, 3, rng.randint(4, 6)))
         if Q.affine_dim == 3:
             assert Q.lattice_point_count() == _box_count(Q), Q
+
+
+def _ends_on_facets(rng, d):
+    """Points of Z^d whose first coordinate takes its least and greatest
+    value on whole facets: random points of Z^(d-1) at x_1 = 0 and at
+    x_1 = h, and a few between."""
+    h = rng.randint(1, 3)
+    pts = [(x,) + p for x in (0, h) for p in _random_points(rng, d - 1, d, 2)]
+    return pts + [(rng.randint(0, h),) + p for p in _random_points(rng, d - 1, 1, 2)]
+
+
+@pytest.mark.parametrize("d, trials", [(3, 40), (4, 20)])
+def test_first_walk_level_from_the_extremes_matches_the_oracle(d, trials):
+    # the walk's first level is the range of the first reduced coordinate,
+    # here attained on whole facets x_1 = 0 and x_1 = h
+    rng = random.Random(6800 + d)
+    done = facet_ends = 0
+    for _ in range(trials):
+        P = LatticePolytope.from_points(_ends_on_facets(rng, d))
+        if P.affine_dim != d:
+            continue
+        assert (P.normalized_volume(),
+                P.lattice_point_count()) == reference_invariants(P), P
+        done += 1
+        facet_ends += sum(1 for n, _, _ in P._bound[0] if not any(n[1:]))
+    assert done >= trials * 3 // 4
+    assert facet_ends >= trials
+
+
+def test_3d_polytope_in_z4_first_walk_level_matches_the_oracle():
+    # the same supports in d = 3, put into Z^4 by a unimodular map: the
+    # walk runs in the frame coordinates, whose first one need not be an
+    # ambient one
+    rng = random.Random(6900)
+    done = 0
+    for _ in range(30):
+        pts = _ends_on_facets(rng, 3)
+        M = random_unimodular(rng, 4)
+        img = [tuple(sum(a * b for a, b in zip(r, p + (0,))) for r in M) for p in pts]
+        P = LatticePolytope.from_points(img)
+        if P.affine_dim != 3:
+            continue
+        assert P.normalized_volume() == 0
+        assert (P._volume(), P.lattice_point_count()) == reference_invariants(P), P
+        Q = LatticePolytope.from_points(pts)
+        assert (P._volume(), P.lattice_point_count()) == (
+            Q.normalized_volume(), Q.lattice_point_count())
+        done += 1
+    assert done >= 20
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_lattice_count_hulls_only_the_middle_projections(monkeypatch, d):
+    # one projection hull per level 2..d-1: the first level comes from the
+    # extremes of the first coordinate, the last is the polytope's own
+    P = LatticePolytope.from_points(
+        [tuple(2 * (i == j) for j in range(d)) for i in range(-1, d)])
+    calls = []
+    real = intlin._hull
+
+    def counting(points):
+        calls.append(len(points[0]))
+        return real(points)
+
+    monkeypatch.setattr(intlin, "_hull", counting)
+    assert P.lattice_point_count() == math.comb(d + 2, d)
+    assert calls == list(range(2, d))
 
 
 def test_fourier_motzkin_cliff_case():
