@@ -172,13 +172,6 @@ class AugmentationSeries:
     image: object = Fraction(0)
     multiplicity: int = 1
 
-    def point(self):
-        """The augmentation as an evaluation point for the relation."""
-        pt = {v: TruncatedSeries.variable(v, self.series.variables, self.order)
-              for v in self.relation.variables if v != self.variable}
-        pt[self.variable] = series_exp(self.series).scale(self.kappa)
-        return pt
-
     def residual(self):
         """W(mu, kappa exp(s)) - image, by the independent substitution of
         the module docstring.

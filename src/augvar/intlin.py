@@ -628,48 +628,31 @@ def _beneath_beyond(points):
     return simplices
 
 
-def convex_hull(points):
-    """Vertices and facets of the convex hull of distinct points spanning Z^d.
-
-    Returns (vertices, facets).  ``vertices`` lists the indices of the hull
-    vertices in ascending order.  ``facets`` is sorted by (normal, offset)
-    and holds (normal, offset, indices) for every facet: the inequality
-    <normal, x> <= offset with a primitive integer normal, and the indices
-    of all points on the facet.  A point is a vertex exactly when the point
-    sets of the facets through it intersect in that point alone: the
-    smallest face containing a point is the intersection of the facets
-    through it (Ziegler, "Lectures on Polytopes", 2.1), and a face of
-    dimension one or more holds at least two of the points, its vertices.
-
-    Dimension 1 takes the extremes, dimension 2 the monotone chain, higher
-    dimensions beneath-beyond.  Every facet is checked to support all
-    points and to hold at least d vertices, as a (d - 1)-dimensional face
-    must, so a boundary that lost a facet does not pass; a failed check
-    raises :class:`VerificationFailure`.  Input that is empty, has points
-    of length zero or of differing lengths, repeats a point or has a
-    coordinate that is not an integer value raises
-    :class:`PreconditionViolation`.
-    """
-    points = [lattice_point(p) for p in points]
-    if not points or not points[0]:
-        raise PreconditionViolation("a hull needs points of positive length")
-    if any(len(p) != len(points[0]) for p in points):
-        raise PreconditionViolation("hull points differ in length")
-    if len(set(points)) != len(points):
-        raise PreconditionViolation("hull points repeat a point")
-    return _hull(points)[:2]
-
-
 def _hull(points):
-    """:func:`convex_hull` plus the triangulated boundary behind it.
+    """Vertices, facets and boundary of the hull of distinct points of Z^d.
 
-    Returns (vertices, facets, boundary).  In every dimension ``boundary``
-    is a dict from boundary simplices, tuples of d point indices that
-    cover the boundary once, to their (normal, offset, weight): a
-    segment's endpoints (lo,) and (hi,) with weight 1, a polygon's edges
-    (a, b) counterclockwise from its smallest vertex with their lattice
-    lengths, and above the plane the sorted simplices of beneath-beyond
-    with the gcds of their cofactor normals.  The cones over them from any
+    ``points`` are distinct tuples of ints of one length d, checked by the
+    caller: :class:`augvar.polytope.LatticePolytope` runs the engine on the
+    points' coordinates in their affine lattice frame.  Points that do not
+    span Z^d affinely raise :class:`PreconditionViolation`.
+
+    Returns (vertices, facets, boundary).  ``vertices`` lists the indices of
+    the hull vertices in ascending order.  ``facets`` is sorted by (normal,
+    offset) and holds (normal, offset, indices) for every facet: the
+    inequality <normal, x> <= offset with a primitive integer normal, and
+    the indices of all points on the facet.  A point is a vertex exactly
+    when the point sets of the facets through it intersect in that point
+    alone: the smallest face containing a point is the intersection of the
+    facets through it (Ziegler, "Lectures on Polytopes", 2.1), and a face
+    of dimension one or more holds at least two of the points, its
+    vertices.
+
+    In every dimension ``boundary`` is a dict from boundary simplices,
+    tuples of d point indices that cover the boundary once, to their
+    (normal, offset, weight): a segment's endpoints (lo,) and (hi,) with
+    weight 1, a polygon's edges (a, b) counterclockwise from its smallest
+    vertex with their lattice lengths, and above the plane the sorted
+    simplices of beneath-beyond with the gcds of their cofactor normals.  The cones over them from any
     point v of the hull tile it, and the one over a simplex has normalized
     volume weight * (offset - <normal, v>), see :func:`_hyperplane`.
 
@@ -683,9 +666,11 @@ def _hull(points):
     values at the points are one comprehension over the unpacked
     coordinates in dimensions two to four, ``a x + b y (+ e z (+ f w))``,
     and ``sum(map(mul, ...))`` above.  In every dimension each facet is
-    checked to support the points and to hold at least d vertices, and
-    beneath-beyond's boundary is checked to be closed after the facets,
-    in one pass: every ridge lies in exactly two of its simplices.
+    checked to support the points and to hold at least d vertices, as a
+    (d - 1)-dimensional face must, so a boundary that lost a facet does not
+    pass, and beneath-beyond's boundary is checked to be closed after the
+    facets, in one pass: every ridge lies in exactly two of its simplices.
+    A failed check raises :class:`VerificationFailure`.
     """
     d = len(points[0])
     if d == 1:

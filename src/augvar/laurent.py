@@ -9,7 +9,6 @@ Display and serialization order terms by graded lexicographic order on
 exponent vectors so output is deterministic.
 """
 
-import json
 from fractions import Fraction
 
 from . import intlin
@@ -90,10 +89,6 @@ class LaurentPoly:
         return cls(variables, {exp: Fraction(1)})
 
     @classmethod
-    def monomial(cls, coeff, exp, variables):
-        return cls(variables, {tuple(exp): coeff})
-
-    @classmethod
     def gens(cls, variables):
         """All variables as Laurent polynomials, in order."""
         return tuple(cls.variable(v, variables) for v in variables)
@@ -108,9 +103,6 @@ class LaurentPoly:
 
     def constant_term(self):
         return self.terms.get((0,) * len(self.variables), Fraction(0))
-
-    def coefficient(self, exp):
-        return self.terms.get(tuple(exp), Fraction(0))
 
     def is_monomial(self):
         return len(self.terms) == 1
@@ -346,9 +338,6 @@ class LaurentPoly:
             terms.append({"exp": list(exp), "coef": coeff_to_obj(self.terms[exp])})
         return {"vars": list(self.variables), "terms": terms}
 
-    def to_json(self):
-        return json.dumps(self.to_obj(), sort_keys=True)
-
     @classmethod
     def from_obj(cls, obj):
         """The polynomial of a ``{"vars": [...], "terms": [{"exp": [...],
@@ -364,10 +353,6 @@ class LaurentPoly:
                                             % (list(exp),))
             terms[exp] = coeff_from_obj(t["coef"])
         return cls(variables, terms)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_obj(json.loads(text))
 
 
 def _power_table(val, exps):

@@ -69,17 +69,6 @@ def hl_cover_weights(d):
     )
 
 
-def multicover_contribution(d):
-    return euler_contribution(hl_cover_weights(d))
-
-
-def multinomial(total, parts):
-    out = factorial(total)
-    for p in parts:
-        out //= factorial(p)
-    return out
-
-
 def _packed_vectors(m, order, fact):
     """For each total d <= order, the list of (key, prod_i e_i!) over the
     exponent vectors e of length m with sum d, the first entry

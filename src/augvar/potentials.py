@@ -24,6 +24,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .laurent import LaurentPoly, clear_to_vertex, clear_to_vertex_fitted
+from .rings import is_zero
 
 
 def sign_vector(spec, length=None):
@@ -59,9 +60,7 @@ class PotentialSpec:
 
     ``lifted_relation`` always has nonzero constant term; ``vertex`` is the
     Newton vertex that was cleared and ``basis`` the unimodular matrix
-    applied afterwards (identity when no fit was needed).  ``basis_note``
-    records the user-declared capping-path basis, which this library treats
-    as metadata only.
+    applied afterwards (identity when no fit was needed).
     """
 
     source: str
@@ -70,10 +69,8 @@ class PotentialSpec:
     vertex: tuple
     basis: tuple
     signs: tuple = ()
-    basis_note: str = "user-declared capping-path basis"
 
     def __post_init__(self):
-        from .rings import is_zero
         if is_zero(self.lifted_relation.constant_term()):
             raise ValueError("lifted relation must have nonzero constant term")
 

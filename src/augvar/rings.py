@@ -295,9 +295,6 @@ class UniPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def monic(self):
         if self.is_zero():
             return self
@@ -986,16 +983,6 @@ class TruncatedSeries:
     def constant_term(self):
         items, den = self._parts[0]
         return _scalar(items[0][1], den) if items else Fraction(0)
-
-    def coefficient(self, exp):
-        return self.terms.get(tuple(exp), Fraction(0))
-
-    def valuation(self):
-        """Minimal total degree of a nonzero term; None for the zero series."""
-        for n, (items, _) in enumerate(self._parts):
-            if items:
-                return n
-        return None
 
     def __eq__(self, other):
         """Equal variables, orders and degree parts.  A part is in lowest

@@ -14,7 +14,10 @@ indecomposability in one pass over partial sums, so agreement is
 evidence for both.  ``fraction_mat_inverse`` is the Gauss-Jordan inverse
 over Q that the library's integer adjugate (``intlin.mat_inverse``)
 replaced.  ``random_unimodular`` draws the random lattice automorphisms
-that tests send supports through.
+that tests send supports through, and ``image`` sends a polytope through
+an integer linear map.  ``facet_contains`` tests membership of a rational
+point from a polytope's stored frame and facets, so that tests can check
+them against an independent membership oracle.
 """
 
 from fractions import Fraction
@@ -22,7 +25,7 @@ from itertools import combinations
 from math import gcd
 
 from augvar import intlin
-from augvar.polytope import ccw_vertex_cycle
+from augvar.polytope import LatticePolytope, ccw_vertex_cycle
 
 
 def rational_nullspace(rows):
@@ -134,3 +137,23 @@ def random_unimodular(rng, n):
         k = rng.randint(-2, 2)
         M[i] = [a + k * b for a, b in zip(M[i], M[j])]
     return M
+
+
+def image(P, M):
+    """The image of P under the integer linear map M: the hull of the
+    vertex images.  A rational map that sends a vertex off the lattice
+    raises PreconditionViolation in the constructor."""
+    return LatticePolytope(P.ambient_dim, [intlin.mat_vec(M, v) for v in P.vertices])
+
+
+def facet_contains(P, point):
+    """Exact membership of an ambient rational point in P, from P's frame
+    and facets: its coordinates ((point - vertices[0]) U) in the affine
+    frame U must vanish past the affine dimension d, and the first d must
+    satisfy every facet inequality of the reduction."""
+    diff = [a - b for a, b in zip(point, P.vertices[0])]
+    h = [sum(x * r[j] for x, r in zip(diff, P._frame)) for j in range(P.ambient_dim)]
+    d = P.affine_dim
+    if any(h[d:]):
+        return False
+    return all(sum(a * b for a, b in zip(n, h)) <= c for n, c, _ in P._bound[0])

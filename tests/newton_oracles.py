@@ -76,10 +76,11 @@ def two_evaluation_newton(relation, var, kap, target, order):
         point[var] = series_exp(s).scale(kap)
         residual = relation.evaluate(point) - target
         if not residual.is_zero():
-            if residual.valuation() < v:
+            low = min(map(sum, residual.terms))       # the lowest degree
+            if low < v:
                 raise DoubleRoot(
                     "iteration stalled in %r at order %d: residual has a "
-                    "degree-%d term" % (var, v - 1, residual.valuation()),
+                    "degree-%d term" % (var, v - 1, low),
                     variable=var, order=v - 1)
             slope = dW.evaluate(point).invert()
             s = s - (residual.scale(slope.constant_term()) if slope.is_constant()

@@ -62,7 +62,7 @@ def fraction_gcd(p, q):
 
 def fraction_squarefree_part(p):
     """p / gcd(p, p'), made monic, for a nonzero UniPoly p."""
-    return (p // fraction_gcd(p, p.derivative())).monic()
+    return divmod(p, fraction_gcd(p, p.derivative()))[0].monic()
 
 
 def fraction_is_squarefree(p):

@@ -15,7 +15,8 @@ not power tables: each term a product with ``*``, the terms added with
 ``+``.
 ``substituted_residual`` is the solvers' final check as the library made
 it before it grouped the relation by powers of the solved variable: the
-relation evaluated at the solved point, every variable a series.
+relation evaluated at the solved point, every variable a series, and
+``augmentation_point`` builds that point.
 ``euclid_inverse`` is the inverse in Q[t]/(m) by the half-extended
 Euclid on the residue, which the library ran for m = t^d too before that
 ring took a fraction-free recurrence.
@@ -27,7 +28,8 @@ from fractions import Fraction
 from math import factorial
 
 from augvar.errors import NotInvertible
-from augvar.rings import QuotientRingElem, TruncatedSeries, _half_ext_gcd, invert_scalar, is_zero
+from augvar.rings import (QuotientRingElem, TruncatedSeries, _half_ext_gcd, invert_scalar,
+                          is_zero, series_exp)
 
 
 def naive_add(a, b):
@@ -128,11 +130,20 @@ def term_sum_evaluate(poly, point):
     return acc
 
 
+def augmentation_point(sol):
+    """The solved augmentation ``sol`` as an evaluation point for its
+    relation: a variable series for each mu and kappa exp(s) for the
+    solved variable."""
+    pt = {v: TruncatedSeries.variable(v, sol.series.variables, sol.order)
+          for v in sol.relation.variables if v != sol.variable}
+    pt[sol.variable] = series_exp(sol.series).scale(sol.kappa)
+    return pt
+
+
 def substituted_residual(sol):
     """W(mu, kappa exp(s)) - image for the solved augmentation ``sol``,
-    by :meth:`LaurentPoly.evaluate` at ``sol.point()``: a variable series
-    for each mu and kappa exp(s) for the solved variable."""
-    return sol.relation.evaluate(sol.point()) - sol.image
+    by :meth:`LaurentPoly.evaluate` at :func:`augmentation_point`."""
+    return sol.relation.evaluate(augmentation_point(sol)) - sol.image
 
 
 def euclid_inverse(u):

@@ -1,6 +1,6 @@
 """Tests for the exact integer hull engine against slow LP and subset oracles.
 
-The engine (``intlin.convex_hull``: monotone chain in the plane,
+The engine (``intlin._hull``: monotone chain in the plane,
 beneath-beyond above it) must return exactly what one phase-one LP per
 point (vertices) and supporting-hyperplane enumeration over all d-subsets
 (facets) return, on seeded random supports and on inputs with points on
@@ -26,7 +26,7 @@ from augvar.polytope import LatticePolytope
 from hull_oracles import (echelon, in_convex_hull, lp_vertex_indices,
                           ridge_index_beneath_beyond, scan_edges, subset_facets)
 from invariant_oracles import pyramid_volume
-from lattice_oracles import random_unimodular, rational_nullspace
+from lattice_oracles import facet_contains, random_unimodular, rational_nullspace
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -60,8 +60,8 @@ def _random_support(rng, d, n, box):
 
 
 def _assert_matches_oracles(points):
-    assert intlin.convex_hull(points) == (lp_vertex_indices(points),
-                                          subset_facets(points)), points
+    assert intlin._hull(points)[:2] == (lp_vertex_indices(points),
+                                        subset_facets(points)), points
 
 
 def test_in_convex_hull():
@@ -103,7 +103,7 @@ def test_engine_on_edge_and_facet_interior_points():
 
 def test_cube_has_six_square_facets():
     cube = list(itertools.product((0, 1), repeat=3))
-    vertices, facets = intlin.convex_hull(cube)
+    vertices, facets, _ = intlin._hull(cube)
     assert vertices == list(range(8))
     assert len(facets) == 6
     assert all(len(eq) == 4 for _, _, eq in facets)
@@ -171,7 +171,8 @@ def test_from_points_cache_matches_lazy_computation():
         probes += [(p[1] + 1,) + p[1:] for p in probes]
         probes += [tuple(Fraction(a + b, 2) for a, b in zip(p, q))
                    for p, q in itertools.combinations(pts + probes[:4], 2)]
-        assert [fresh.contains(x) for x in probes] == [P.contains(x) for x in probes]
+        assert [facet_contains(fresh, x) for x in probes] == \
+            [facet_contains(P, x) for x in probes]
         if P.affine_dim == ambient:
             assert fresh._red == P._red
             assert fresh._bound[0] == P._bound[0]
@@ -179,11 +180,11 @@ def test_from_points_cache_matches_lazy_computation():
 
 def test_engine_rejects_points_that_do_not_span():
     with pytest.raises(PreconditionViolation):
-        intlin.convex_hull([(0,)])
+        intlin._hull([(0,)])
     with pytest.raises(PreconditionViolation):
-        intlin.convex_hull([(0, 0), (1, 1), (2, 2)])
+        intlin._hull([(0, 0), (1, 1), (2, 2)])
     with pytest.raises(PreconditionViolation):
-        intlin.convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+        intlin._hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
 
 
 def test_engine_check_raises_on_a_facet_that_does_not_support(monkeypatch):
@@ -193,7 +194,7 @@ def test_engine_check_raises_on_a_facet_that_does_not_support(monkeypatch):
     original = intlin._chain_planes
     monkeypatch.setattr(intlin, "_chain_planes", shifted)
     with pytest.raises(VerificationFailure):
-        intlin.convex_hull([(0, 0), (1, 0), (0, 1)])
+        intlin._hull([(0, 0), (1, 0), (0, 1)])
 
 
 def _under_reported(real):
@@ -238,42 +239,6 @@ def test_under_reported_rank_check_survives_python_O():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["raised", "raised"]
-
-
-@pytest.mark.parametrize("points", [
-    [(0, 0), (1, 0), (0, 1), (1, 0)],
-    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)],
-    [(2,), (Fraction(4, 2),), (5,)],                  # equal once made integer
-])
-def test_convex_hull_rejects_repeated_points(points):
-    with pytest.raises(PreconditionViolation, match="repeat"):
-        intlin.convex_hull(points)
-
-
-@pytest.mark.parametrize("points", [[], [()], [(), ()]])
-def test_convex_hull_rejects_empty_input(points):
-    with pytest.raises(PreconditionViolation, match="positive length"):
-        intlin.convex_hull(points)
-
-
-def test_convex_hull_rejects_points_of_differing_lengths():
-    with pytest.raises(PreconditionViolation, match="differ in length"):
-        intlin.convex_hull([(0, 0, 0), (1, 0, 0), (0, 1), (0, 0, 1)])
-
-
-@pytest.mark.parametrize("points", [
-    [(0,), (Fraction(1, 2),), (2,)],
-    [(0, 0), (1, 0), (0, Fraction(1, 2))],
-    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 0.5)],
-])
-def test_convex_hull_rejects_non_integer_coordinates(points):
-    with pytest.raises(PreconditionViolation, match="non-integer"):
-        intlin.convex_hull(points)
-
-
-def test_convex_hull_accepts_integer_valued_coordinates():
-    assert intlin.convex_hull([(0, 0), (Fraction(4, 2), 0), (0, 1)]) == \
-        intlin.convex_hull([(0, 0), (2, 0), (0, 1)])
 
 
 def _cone_volume(points, simplices, v0):

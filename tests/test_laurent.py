@@ -403,11 +403,20 @@ def test_leibniz_rule_random():
 
 # ------------------------------------------------------------- serialization
 
+def _to_json(f):
+    """The JSON text of f's object, which reports carry (``to_obj``)."""
+    return json.dumps(f.to_obj(), sort_keys=True)
+
+
+def _from_json(text):
+    return LaurentPoly.from_obj(json.loads(text))
+
+
 def test_json_round_trip_rational():
     rng = random.Random(37)
     for _ in range(25):
         f = _random_laurent(rng)
-        assert LaurentPoly.from_json(f.to_json()) == f
+        assert _from_json(_to_json(f)) == f
 
 
 @pytest.mark.parametrize("coefs", [("1", "0"), ("1", "1"), ("2", "-2"), ("1", "3")])
@@ -419,14 +428,14 @@ def test_from_obj_rejects_a_repeated_exponent(coefs):
     with pytest.raises(PreconditionViolation, match=r"exponent \[0, 0\] is listed twice"):
         LaurentPoly.from_obj(obj)
     with pytest.raises(PreconditionViolation):
-        LaurentPoly.from_json(json.dumps(obj))
+        _from_json(json.dumps(obj))
 
 
 def test_json_round_trip_quotient_coefficients():
     m = UniPoly([-2, 0, 1])
     t = QuotientRingElem.generator(m)
     f = LaurentPoly(VS, {(1, 0): t, (0, -2): t * t - 1, (0, 0): t + F(1, 3)})
-    g = LaurentPoly.from_json(f.to_json())
+    g = _from_json(_to_json(f))
     assert g == f
 
 
@@ -445,9 +454,9 @@ def test_quotient_coefficient_json_round_trip(c, obj):
     assert coeff_to_obj(c) == obj
     assert coeff_from_obj(obj) == c
     f = LaurentPoly(VS, {(1, 0): c, (0, -2): c * c + 1})
-    text = f.to_json()
-    assert LaurentPoly.from_json(text) == f
-    assert LaurentPoly.from_json(text).to_json() == text
+    text = _to_json(f)
+    assert _from_json(text) == f
+    assert _to_json(_from_json(text)) == text
 
 
 def test_power_of_t_coefficient_with_trailing_zeros():
@@ -455,7 +464,7 @@ def test_power_of_t_coefficient_with_trailing_zeros():
     assert c == QuotientRingElem(UniPoly([1, 2]), T ** 4)
     assert coeff_to_obj(c) == {"residue": ["1", "2"], "order": 4}
     f = LaurentPoly(VS, {(0, 1): c})
-    assert LaurentPoly.from_json(f.to_json()) == f
+    assert _from_json(_to_json(f)) == f
 
 
 @pytest.mark.parametrize("obj", [{"residue": ["1"], "modulus": ["1", "2", "1"]},
@@ -468,7 +477,7 @@ def test_bad_quotient_coefficient_rejected(obj):
 def test_json_deterministic_output():
     y1, y2 = gens()
     f = y2 + y1 + 1 - y1 * y2
-    assert f.to_json() == f.to_json()
+    assert _to_json(f) == _to_json(f)
     # graded-lex term order in the serialized form
     obj = f.to_obj()
     assert [t["exp"] for t in obj["terms"]] == [[0, 0], [1, 0], [0, 1], [1, 1]]

@@ -4,11 +4,14 @@ Verification must not rest on ``assert``, which ``python -O`` strips, and
 the runtime imports nothing beyond the standard library and itself: the
 benchmark, the tests and the sympy/hypothesis oracles stay outside it.
 Randomness is the command line's alone: only ``cli`` imports ``random``
-or takes a ``seed``, for the hint of a DoubleRoot report.
+or takes a ``seed``, for the hint of a DoubleRoot report.  Every function
+and class of the runtime has a caller outside the tests, or is a
+documented entry point.
 """
 
 import ast
 import pathlib
+import re
 import sys
 
 import pytest
@@ -16,6 +19,7 @@ import pytest
 import augvar
 
 MODULES = sorted(pathlib.Path(augvar.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _tree(path):
@@ -147,3 +151,73 @@ def test_polytope_imports_nothing_from_laurent():
     # import back from laurent would close a cycle
     path = pathlib.Path(augvar.__file__).parent / "polytope.py"
     assert "laurent" not in _augvar_modules(_tree(path))
+
+
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*\Z")
+
+
+def _defined_names(tree):
+    """(line, name) for each function and class that is not a dunder."""
+    return [(node.lineno, node.name) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _named(tree):
+    """Every name the code refers to: names, attributes, the parts of
+    imported names, and the parts of string constants that are dotted
+    names, such as the ``"LatticePolytope.from_points"`` that the
+    benchmark's tracer wraps by."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+            out.add(node.asname)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and DOTTED.match(node.value):
+            out.update(node.value.split("."))
+    return out
+
+
+def _uncalled(modules, users, readme):
+    """(module, line, name) for each function or class defined in the
+    ``modules`` trees (a dict by module name) that no tree in ``users``
+    names and no backticked span of the ``readme`` text mentions."""
+    named = set().union(*map(_named, users))
+    named.update(re.findall(r"\w+", " ".join(re.findall(r"`([^`\n]+)`", readme))))
+    return [(module, line, name) for module, tree in sorted(modules.items())
+            for line, name in _defined_names(tree) if name not in named]
+
+
+def test_caller_check_catches_a_dead_function():
+    module = ast.parse("def used(): pass\n"
+                       "def dead(): pass\n"
+                       "def documented(): pass\n"
+                       "class Traced:\n"
+                       "    def method(self): pass\n"
+                       "    def spare(self): pass\n"
+                       "    def __eq__(self, other): pass\n")
+    user = ast.parse("from m import used as u\n"
+                     "SPANS = ['m.Traced.method']\n")
+    readme = "Entry points: `documented(x)`; dead is named outside backticks.\n"
+    assert _uncalled({"m": module}, [user], readme) == [("m", 2, "dead"), ("m", 6, "spare")]
+
+
+def test_public_names_have_a_caller():
+    """Each function and class of the runtime is named by code under
+    ``src/``, ``perfbench/`` or ``demos/``, or listed in the README.
+
+    A name counts as used wherever it occurs as an identifier, so a method
+    that shares its name with a local variable escapes the scan, as
+    ``AugmentationSeries.point`` did beside the ``point`` variables of
+    the library; dunder methods and dataclass fields are not checked.
+    """
+    users = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) \
+        + sorted((ROOT / "demos").glob("*.py"))
+    modules = {path.name: _tree(path) for path in MODULES}
+    readme = (ROOT / "README.md").read_text()
+    assert _uncalled(modules, [_tree(path) for path in users], readme) == []
