@@ -179,11 +179,12 @@ class AugmentationSeries:
         W is grouped here, apart from the solver's
         :func:`_grouped_by_exponent`, as sum_j C_j(mu) y_k^j, each C_j a
         series built from its terms; y_k^j = (kappa exp(s))^j comes from
-        one power table of generic products (a negative j from powers of
-        the inverse), and one :func:`_sum_of_products` pass sums every
-        C_j y_k^j.  A series over other variables than mu, or at another
-        order than the point, raises :class:`VariableMismatch`, and
-        coefficients over two quotient moduli raise
+        one power table by square-and-multiply (a negative j from powers
+        of the inverse), and one :func:`_sum_of_products` pass sums every
+        C_j y_k^j, with C_0 listed last so that a quotient-ring pair picks
+        the kernel loop.  A series over other variables than mu, or at
+        another order than the point, raises :class:`VariableMismatch`,
+        and coefficients over two quotient moduli raise
         :class:`BackendMismatch`.
         """
         s, order = self.series, self.order
@@ -205,7 +206,8 @@ class AugmentationSeries:
         one = [([(0, 1)], 1)]
         out = s._make(_sum_of_products(
             [(TruncatedSeries(mu_vars, order, terms)._parts,
-              powers[j]._parts if j else one) for j, terms in groups.items()], order))
+              powers[j]._parts if j else one)
+             for j, terms in sorted(groups.items(), key=lambda g: not g[0])], order))
         return out if is_zero(self.image) else out - self.image
 
     def series_coefficients(self):

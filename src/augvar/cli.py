@@ -24,6 +24,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from math import comb
 
 from . import intlin, localization, potentials
 from .augment import (
@@ -47,12 +48,22 @@ from .polytope import (
 )
 from .rings import DEFAULT_ORDER, UniPoly
 
-# Largest --ell of ``partitions`` and --sheets of ``chord-degrees``: each
-# keeps a request under about a second.  ``partitions --ell`` lists T(ell)
-# components (T(9) = 2620, T(10) = 9496) and ``chord-degrees --sheets``
-# sheets * (sheets - 1) chords.
+# Largest --ell of ``partitions``, --sheets of ``chord-degrees`` and sizes
+# of ``localize``: each keeps a request under about a second.
+# ``partitions --ell`` lists T(ell) components (T(9) = 2620, T(10) = 9496)
+# and ``chord-degrees --sheets`` sheets * (sheets - 1) chords.  ``localize
+# --d-max`` computes one cover contribution per degree (1000 take about
+# 0.3 s, 1200 about 0.4 s), and its identity check compares the C(order +
+# m, m) coefficients of log(1 + mu_1 + ... + mu_m).  100000 of them take
+# about 0.5 s; ``--m`` and ``--order`` are bounded on their own too, since
+# the series keys grow with m and the logarithm's pairs with the square of
+# the order (m = 1 at order 3000 takes about a second).
 MAX_ELL = 9
 MAX_SHEETS = 200
+MAX_COVER_DEGREE = 1000
+MAX_IDENTITY_COEFFICIENTS = 100000
+MAX_IDENTITY_M = 100
+MAX_IDENTITY_ORDER = 1000
 
 
 def _load_json(path):
@@ -336,6 +347,11 @@ def _cmd_partitions(args, report):
                 failures += 1
         rows.append(row)
     report["result"] = {"component_count": len(comps), "components": rows}
+    if not args.check:
+        report["result"]["witness_checks"] = "not run: --no-check"
+    elif args.ell not in (2, 3):
+        report["result"]["witness_checks"] = ("not run: witnesses are built for --ell 2 "
+                                              "and 3 only, not %d" % args.ell)
     return 2 if failures else 0
 
 
@@ -373,6 +389,20 @@ def _cmd_markov(args, report):
 def _cmd_localize(args, report):
     if args.d_max < 1:
         raise ParseError("--d-max must be >= 1, got %d" % args.d_max)
+    if args.d_max > MAX_COVER_DEGREE:
+        raise ParseError("--d-max %d is over its limit of %d: it would produce %d cover "
+                         "contributions" % (args.d_max, MAX_COVER_DEGREE, args.d_max))
+    for flag, value, limit, size in (("--m", args.m, MAX_IDENTITY_M, "series variables"),
+                                     ("--order", args.order, MAX_IDENTITY_ORDER, "degrees")):
+        if value > limit:
+            raise ParseError("%s %d is over its limit of %d: the identity check would have "
+                             "%d %s" % (flag, value, limit, value, size))
+    size = comb(args.order + args.m, args.m) if args.m >= 1 else 0
+    if size > MAX_IDENTITY_COEFFICIENTS:
+        raise ParseError("--m %d --order %d is over the limit of %d coefficients: it would "
+                         "compare C(%d, %d) = %d" % (args.m, args.order,
+                                                     MAX_IDENTITY_COEFFICIENTS,
+                                                     args.order + args.m, args.m, size))
     rows = []
     for d in range(1, args.d_max + 1):
         p = localization.hl_cover_weights(d)

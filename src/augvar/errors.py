@@ -72,6 +72,10 @@ class PreconditionViolation(AugvarError):
     """Structured input does not satisfy a documented precondition."""
 
 
+class SearchBudgetExceeded(AugvarError):
+    """A search would take more steps than its fixed budget allows."""
+
+
 # ----------------------------------------------------------- potentials
 
 class SignLengthMismatch(AugvarError):

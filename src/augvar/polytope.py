@@ -40,6 +40,7 @@ from .errors import (
     NotAVertex,
     NotTwoDimensionalInput,
     PreconditionViolation,
+    SearchBudgetExceeded,
     VerificationFailure,
     ZeroPolynomial,
 )
@@ -454,8 +455,17 @@ def ccw_vertex_cycle(P):
 # bits of one int; a larger polygon keeps them in a set.  On a 2-vCPU VM
 # with Python 3.11, the int path decides the square of side 2047, whose
 # grid nearly fills 2^26 cells (an 8 MB int), in 0.32 s at 68 MB peak,
-# and the set path takes 1.8 s on the square of side 256 already.
+# while the set path took 1.8 s on the square of side 256 already, before
+# its move budget below refused such a square.
 _GRID_BITS = 1 << 26
+
+# Most moves, states times (g_i + 1) summed over the edges, that the set
+# path of indecomposable_2d tries before it gives up.  The thin triangle
+# (0, 0), (10^6, 1), (1, 10^6) takes about 10^6 of them in 0.15 s.  A move
+# into a set of millions of states costs up to about 0.7 us: on a 2-vCPU VM
+# with Python 3.11, 120 seeded wide polygons with 3-12 edges were refused
+# within 0.75 s each.
+_SET_MOVES = 1200000
 
 
 def indecomposable_2d(P):
@@ -485,7 +495,9 @@ def indecomposable_2d(P):
     polygon, such as a long thin triangle, keeps its states in a set
     (:func:`_no_split_set`), whose cost follows the number of states
     reached, at most the product above but often far fewer; a wide one,
-    such as a square of side 2048, reaches millions of them.
+    such as a square of side 2048, reaches millions of them.  The set path
+    raises :class:`SearchBudgetExceeded` before it would pass
+    ``_SET_MOVES`` moves, so such a polygon is refused in about a second.
     """
     if P.ambient_dim != 2:
         raise NotTwoDimensionalInput("indecomposability test is two-dimensional")
@@ -519,18 +531,23 @@ def indecomposable_2d(P):
 def _no_split_set(edges, reach):
     """The split search of :func:`indecomposable_2d` over a set of states
     (x, y, some a_i < g_i so far)."""
-    px, py, g = edges[0]
-    states = {(a * px, a * py, a < g) for a in range(1, g + 1)}
-    for (px, py, g), (lx, hx, ly, hy) in zip(edges[1:], reach[1:]):
+    states = {(0, 0, False)}
+    low = 1                                 # a_1 >= 1
+    moves = 0
+    for (px, py, g), (lx, hx, ly, hy) in zip(edges, reach):
+        moves += len(states) * (g + 1)
+        if moves > _SET_MOVES:
+            raise SearchBudgetExceeded("the split search of a polygon this wide would try "
+                                       "over %d moves" % _SET_MOVES)
         nxt = set()
         for x, y, short in states:
-            for a in range(g + 1):
+            for a in range(low, g + 1):
                 x1, y1 = x + a * px, y + a * py
                 if -hx <= x1 <= -lx and -hy <= y1 <= -ly:
                     nxt.add((x1, y1, short or a < g))
         if (0, 0, True) in nxt:
             return False
-        states = nxt
+        states, low = nxt, 0
     return True
 
 

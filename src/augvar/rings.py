@@ -28,18 +28,25 @@ part stores its numerators over one int denominator of its own.  Sums,
 differences and scalings work part by part on numerators over the lcm of
 the denominators.  Products, :meth:`TruncatedSeries.invert`,
 :func:`series_exp`, :func:`series_log` and :func:`solve_exp_sum` share
-one graded kernel, :func:`_convolve`, which multiplies and adds
-numerators with plain ``*`` and ``+``: over Q a multiply-add is two int
-operations, and over Q[t]/(m) a product of two elements over the
-denominator 1 is an int convolution reduced by the integer form of m (a
-truncation for m = t^d), with no gcd, and a sum is an int vector sum.
+one graded kernel, :func:`_convolve`, with two coefficient loops.  Over Q
+a multiply-add is two int operations, plain ``*`` and ``+`` on int
+numerators.  Over Q[t]/(m) the kernel adds every product for one output
+coefficient into one int list in the ring's integer form: a product is
+an int convolution (a truncation for m = t^d), and the list is reduced
+by the integer form of m and made an element once, at the end.  The
+first pair of a kernel call picks its loop, and both loops are exact for
+any mix of numerators.  The second loop is there because an element
+built per multiply-add, a product and then a sum, took about 44% of the
+profiled time of the nilpotent solves; with one list per coefficient,
+nilpotent solves over Q[t]/(t^3) and Q[t]/(t^4) at order 8 take about
+14% less time and quotient-field solves at order 6 about 10% less.
 Every operation ends each output part with one gcd reduction
-(:func:`_reduced`), and every backend goes through the same code.  No
-Fraction is built by series arithmetic.  The public ``terms`` map of
-exact scalars is a read-only view: a computed series builds it from its
-parts, one scalar per coefficient, the first time it is read, and keeps
-it.  A part in lowest terms is unique, so ``==`` compares two series part
-by part, denominators and numerators, and builds no view.
+(:func:`_reduced`).  No Fraction is built by series arithmetic.  The
+public ``terms`` map of exact scalars is a read-only view: a computed
+series builds it from its parts, one scalar per coefficient, the first
+time it is read, and keeps it.  A part in lowest terms is unique, so
+``==`` compares two series part by part, denominators and numerators,
+and builds no view.
 
 Which product a pair of operands takes is decided in one place,
 :meth:`TruncatedSeries.__mul__`: a scalar of any backend, or a constant
@@ -49,11 +56,14 @@ the kernel.  Callers multiply series with ``*`` and never dispatch on
 constancy themselves.  The pairing of degree parts is one private
 sum-of-products routine, :func:`_sum_of_products`, which sums a * b over
 a list of operand pairs with one :func:`_convolve` call per degree; a
-product is its one-pair case, and the solvers' final check
-(:meth:`augvar.augment.AugmentationSeries.residual`) the case with one
-pair per power of the solved variable.  A Laurent polynomial at series
-values (:meth:`augvar.laurent.LaurentPoly.evaluate`) is its terms, each
-built with ``*``, added with ``+``, as at scalar values.
+product is its one-pair case, a square pairs each two degree parts once
+(which takes a third off the power table of the order-10 final check of
+a 7-term relation, and a tenth off the whole check), and the solvers'
+final check (:meth:`augvar.augment.AugmentationSeries.residual`) the
+case with one pair per power of the solved variable.  A Laurent
+polynomial at series values (:meth:`augvar.laurent.LaurentPoly.evaluate`)
+is its terms, each built with ``*``, added with ``+``, as at scalar
+values.
 
 Rational roots of a univariate polynomial (:func:`rational_roots`) come
 from lifting its roots modulo a small prime l to l-adic precision
@@ -521,8 +531,8 @@ class QuotientRingElem:
     s = D t, reduced mod M, over one int denominator ``den >= 1`` coprime
     to the vector's content.  Sums, products, scalar products and ``==``
     work on that pair; a product of two elements over ``den = 1``, such as
-    the numerators of the series kernel, is an integer convolution reduced
-    by M and nothing more.  ``residue``, the reduced representative as a
+    the numerators of a series, is an integer convolution reduced by M and
+    nothing more.  ``residue``, the reduced representative as a
     :class:`UniPoly` of degree below deg m, is a view built from the pair
     on first read and then kept.  ``residue`` and ``modulus`` are
     read-only, and no operation changes an element.  An element is false
@@ -628,11 +638,7 @@ class QuotientRingElem:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        a, b = self._nums, other._nums
-        nb = len(b)
-        while nb > 1 and not b[nb - 1]:     # a sparse b costs its nonzero prefix only
-            nb -= 1
-        b = b[:nb]
+        a, b = self._nums, _prefix(other._nums)
         n = ring.width
         out = [0] * n
         for i, x in enumerate(a):
@@ -1170,35 +1176,52 @@ def _sum_of_products(operands, order):
     every i + j = n.  Only nonzero parts are paired, in ascending i for
     each operand pair, and all pairs that reach degree n go to one
     :func:`_convolve` call, so a degree that no pair reaches takes none
-    and the whole sum takes at most ``order + 1``."""
+    and the whole sum takes at most ``order + 1``.  A square, a pair whose
+    two lists are one object, pairs each i < j once, with the numerators
+    of part i doubled, and each i with itself once."""
     pairs = [[] for _ in range(order + 1)]
     for a, b in operands:
+        square = a is b
         b = [(j, part) for j, part in enumerate(b) if part[0]]
         for i, part in enumerate(a):
             if part[0]:
+                if square:
+                    if 2 * i > order:
+                        break
+                    twice = ([(k, 2 * n) for k, n in part[0]], part[1])
                 for j, other in b:
                     if i + j > order:
                         break
-                    pairs[i + j].append((part, other))
+                    if not square:
+                        pairs[i + j].append((part, other))
+                    elif j >= i:
+                        pairs[i + j].append((part if j == i else twice, other))
     return [_convolve(ps) if ps else ([], 1) for ps in pairs]
 
 
 def _convolve(pairs, divisor=1):
     """The one coefficient loop: sum a * b / divisor over ``pairs`` of
     degree parts ``(items, den)`` as ``TruncatedSeries._parts`` holds
-    them.
+    them.  The result is one degree part over the lcm of the denominators
+    of the pairs with two nonzero parts times ``divisor``, reduced by
+    :func:`_reduced`.
 
-    Numerators are multiplied and added with plain ``*`` and ``+``: ints
-    for rational coefficients, and for quotient-ring ones elements over the
-    denominator 1, whose product is an int convolution reduced mod M with
-    no gcd.  The result is one degree part over the lcm of the
-    denominators of the pairs with two nonzero parts times ``divisor``,
-    reduced by :func:`_reduced`.
+    The first such pair picks the loop for the whole call.  When both of
+    its parts start with an int numerator, numerators are multiplied and
+    added with plain ``*`` and ``+``, two int operations per multiply-add
+    for rational coefficients.  Otherwise :func:`_vector_sum` adds the
+    products into int vectors of the quotient ring.  Either loop is exact
+    for any mix of int and quotient-ring numerators, so the choice only
+    sets the speed, and the solvers list a pair of quotient-ring parts
+    first.  A check per pair instead would cost rational solves, whose
+    parts are often one term long, about 10% of their kernel time.
     """
     pairs = [(a, b, da * db) for (a, da), (b, db) in pairs if a and b]
     den = 1
     for _, _, d in pairs:
         den = lcm(den, d)
+    if pairs and (type(pairs[0][0][0][1]) is not int or type(pairs[0][1][0][1]) is not int):
+        return _vector_sum(pairs, den, divisor)
     acc = {}
     for a, b, d in pairs:
         f = den // d
@@ -1212,6 +1235,57 @@ def _convolve(pairs, divisor=1):
                 else:
                     acc[k] = n1 * n2
     return _reduced(acc.items(), den * divisor)
+
+
+def _vector_sum(pairs, den, divisor):
+    """The quotient-ring loop of :func:`_convolve`, for ``pairs`` ``(a,
+    b, da * db)`` over the common denominator ``den``.
+
+    Each output key adds its products into one int list of length
+    ``width`` in the ring's integer form, an int numerator counting as a
+    vector of length 1: a product is an int convolution, cut to ``width``,
+    which for m = t^d is the truncation.  Each list is reduced mod M and
+    made an element once, at the end.  A product of two int numerators
+    stays an int sum, so a coefficient that no quotient-ring numerator
+    reaches stays rational, as with ``*`` and ``+``.
+    """
+    a, b, _ = pairs[0]
+    ring = (a[0][1] if type(a[0][1]) is not int else b[0][1])._ring
+    width = ring.width
+    acc, vec = {}, {}
+    for a, b, d in pairs:
+        f = den // d
+        b = [(k, type(n) is int, [n] if type(n) is int else _prefix(n._nums)) for k, n in b]
+        for k1, n1 in a:
+            xint = type(n1) is int
+            x = [n1] if xint else n1._nums
+            if f != 1:
+                x = [c * f for c in x]
+            for k2, yint, y in b:
+                k = k1 + k2
+                if xint and yint:
+                    acc[k] = acc[k] + x[0] * y[0] if k in acc else x[0] * y[0]
+                    continue
+                v = vec.get(k)
+                if v is None:
+                    v = vec[k] = [0] * width
+                for i, c in enumerate(x):
+                    if c:
+                        for j, e in enumerate(y[:width - i], i):
+                            v[j] += c * e
+    for k, v in vec.items():
+        v[0] += acc.get(k, 0)
+        acc[k] = ring.element(ring.reduce_ints(v))
+    return _reduced(acc.items(), den * divisor)
+
+
+def _prefix(nums):
+    """The int vector ``nums`` without its trailing zeros, at least one
+    entry long, so a product costs the nonzero prefix alone."""
+    n = len(nums)
+    while n > 1 and not nums[n - 1]:
+        n -= 1
+    return nums[:n]
 
 
 def series_exp(s):
@@ -1305,7 +1379,7 @@ def solve_exp_sum(groups, target):
     parts = [([], 1)]                        # s, by degree
     step = None                              # -1/c as (numerator, denominator)
     for n in range(1, template.order + 1):
-        pairs = [(graded[0][n], one)] if 0 in graded else []
+        pairs = []
         partial = {}                         # E^(j)[n] without j s_n
         for j, e in exps.items():
             w = weighted[j]
@@ -1315,6 +1389,8 @@ def solve_exp_sum(groups, target):
                 if i > n:
                     break
                 pairs.append((part, e[n - i]))
+        if 0 in graded:                      # last, as D_0 is often rational
+            pairs.append((graded[0][n], one))
         items, den = _convolve(pairs)
         if items:
             if step is None:

@@ -326,6 +326,33 @@ def test_partitions_component_listing(capsys):
     assert json.loads(out)["result"]["component_count"] == 10
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["--ell", "4"], "not run: witnesses are built for --ell 2 and 3 only, not 4"),
+    (["--ell", "3", "--no-check"], "not run: --no-check"),
+    (["--ell", "4", "--no-check"], "not run: --no-check"),
+    (["--ell", "3"], None),
+])
+def test_partitions_say_when_no_witness_check_ran(capsys, argv, reason):
+    code, out, _ = _capture(capsys, ["partitions"] + argv + ["--format", "json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result.get("witness_checks") == reason
+    assert all(("witness" in row) == (reason is None) for row in result["components"])
+
+
+def test_split_search_over_its_move_budget_exits_one_at_once(tmp_path):
+    """1 + y1^2048 + y2^2048 + y1^2048 y2^2048 takes the set path of the
+    split search and passes its move budget: exit 1 in under a second."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"vars": ["y1", "y2"], "terms": [
+        {"exp": e, "coef": "1"} for e in ([0, 0], [2048, 0], [0, 2048], [2048, 2048])]}))
+    start = time.perf_counter()
+    code, out, err = _redirected(["irreducible", "--input", str(path), "--format", "json"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: SearchBudgetExceeded: ")
+
+
 def test_partitions_spin_filter(capsys):
     code, out, _ = _capture(capsys, [
         "partitions", "--ell", "3", "--spins", "up,up,down",
@@ -457,9 +484,15 @@ def test_bad_flag_values_are_input_errors(capsys, argv):
 DIGESTS_FILE = os.path.join(os.path.dirname(SRC), "perfbench", "cli_digests.json")
 
 
-@pytest.mark.parametrize("argv", [["partitions", "--ell", str(cli.MAX_ELL)],
-                                  ["chord-degrees", "--sheets", str(cli.MAX_SHEETS)]],
-                         ids=["ell", "sheets"])
+@pytest.mark.parametrize("argv", [
+    ["partitions", "--ell", str(cli.MAX_ELL)],
+    ["chord-degrees", "--sheets", str(cli.MAX_SHEETS)],
+    ["localize", "--d-max", str(cli.MAX_COVER_DEGREE), "--m", "1", "--order", "1"],
+    ["localize", "--d-max", "1", "--m", str(cli.MAX_IDENTITY_M), "--order", "2"],
+    ["localize", "--d-max", "1", "--m", "1", "--order", str(cli.MAX_IDENTITY_ORDER)],
+    # C(447, 2) = 99681 coefficients, the most with m = 2
+    ["localize", "--d-max", "1", "--m", "2", "--order", "445"],
+], ids=["ell", "sheets", "d-max", "m", "order", "coefficients"])
 def test_a_request_at_its_size_limit_is_served(argv):
     code, out, err = _redirected(argv + ["--format", "json"])
     assert (code, err) == (0, "")
@@ -475,7 +508,20 @@ def test_a_request_at_its_size_limit_is_served(argv):
      "--sheets 201 is over its limit of 200: it would produce 40200 chords"),
     (["chord-degrees", "--sheets", "3000"],
      "--sheets 3000 is over its limit of 200: it would produce 8997000 chords"),
-], ids=["ell-10", "ell-12", "sheets-201", "sheets-3000"])
+    (["localize", "--d-max", "1001"],
+     "--d-max 1001 is over its limit of 1000: it would produce 1001 cover contributions"),
+    (["localize", "--m", "101", "--order", "2"],
+     "--m 101 is over its limit of 100: the identity check would have 101 series variables"),
+    (["localize", "--m", "1", "--order", "1001"],
+     "--order 1001 is over its limit of 1000: the identity check would have 1001 degrees"),
+    (["localize", "--m", "2", "--order", "446"],
+     "--m 2 --order 446 is over the limit of 100000 coefficients: it would compare "
+     "C(448, 2) = 100128"),
+    (["localize", "--m", "10", "--order", "12"],
+     "--m 10 --order 12 is over the limit of 100000 coefficients: it would compare "
+     "C(22, 10) = 646646"),
+], ids=["ell-10", "ell-12", "sheets-201", "sheets-3000", "d-max-1001", "m-101",
+        "order-1001", "coefficients-2-446", "coefficients-10-12"])
 def test_a_request_over_its_size_limit_fails_at_once(argv, message):
     start = time.perf_counter()
     code, out, err = _redirected(argv)

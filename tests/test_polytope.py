@@ -22,6 +22,7 @@ from augvar.errors import (
     NotAVertex,
     NotTwoDimensionalInput,
     PreconditionViolation,
+    SearchBudgetExceeded,
     VerificationFailure,
 )
 from augvar.laurent import LaurentPoly
@@ -670,6 +671,22 @@ def test_thin_triangle_takes_the_set_path_quickly(monkeypatch):
     assert indecomposable_2d(P)
     assert time.perf_counter() - start < 1
     assert taken == ["_no_split_set"]
+
+
+def test_set_path_stops_at_its_move_budget():
+    """The thin triangle (0, 0), (n, 1), (1, n) makes n + 4 moves on the set
+    path: at n + 4 = _SET_MOVES it is decided, one more refuses it with
+    SearchBudgetExceeded, in under a second; so does the square of side
+    2048, whose first edge pair alone would make 2048 * 2049 moves."""
+    n = polytope._SET_MOVES - 4
+    assert indecomposable_2d(LatticePolytope(2, [(0, 0), (n, 1), (1, n)]))
+    wide = [LatticePolytope(2, [(0, 0), (n + 1, 1), (1, n + 1)]),
+            LatticePolytope(2, [(0, 0), (2048, 0), (0, 2048), (2048, 2048)])]
+    for P in wide:
+        start = time.perf_counter()
+        with pytest.raises(SearchBudgetExceeded):
+            indecomposable_2d(P)
+        assert time.perf_counter() - start < 1
 
 
 def test_ccw_cycle_is_convex():

@@ -246,6 +246,133 @@ def test_quotient_residues_with_20_digit_denominators(modulus):
 
 
 # --------------------------------------------------------------------------
+# the quotient-ring vector path and the square pairing
+# --------------------------------------------------------------------------
+
+VECTOR_MODULI = {"t^%d" % d: UniPoly([0] * d + [1]) for d in range(1, 6)}
+VECTOR_MODULI.update({"t^2-2": UniPoly([-2, 0, 1]), "t^3-2": MODULUS,
+                      "t^2+t/2-1/3": RAT_MODULUS})
+
+
+def _cancelling_series(rng, modulus, constant=None, order=4):
+    """A series whose coefficients are small ints, halves and quotient-ring
+    elements with residue entries in {-1, 0, 1}, so products often cancel,
+    and whose degree parts often mix int and quotient numerators; over Q
+    alone when ``modulus`` is None.  ``constant`` is "one", "int" (a
+    nonzero int) or None for a zero constant term."""
+    def scalar():
+        if modulus is None or rng.random() < 0.35:
+            return rng.choice([-2, -1, 1, 2, F(1, 2), F(-1, 2)])
+        res = [rng.randint(-1, 1) for _ in range(modulus.degree)]
+        return QuotientRingElem(UniPoly(res or [1]), modulus)
+    terms = {}
+    for _ in range(rng.randint(1, 7)):
+        a = rng.randint(0, order)
+        terms[(a, rng.randint(0, order - a))] = scalar()
+    terms.pop((0, 0), None)
+    if constant is not None:
+        terms[(0, 0)] = 1 if constant == "one" else rng.choice([-3, -1, 2, 5])
+    return TruncatedSeries(VS, order, terms)
+
+
+def _cancelling_pair(rng, modulus):
+    """Series p = c mu1 + c' mu2 + ... and q = c mu1 - c' mu2 + ..., their
+    other terms of degree 2 and more, so the mu1 mu2 coefficient of p q,
+    c c' - c' c, cancels; c' is an int and c most often a quotient-ring
+    element, so the cancelling products mix the two kinds."""
+    def tail():
+        s = _cancelling_series(rng, modulus)
+        return {e: c for e, c in s.terms.items() if sum(e) >= 2}
+    c = _cancelling_series(rng, modulus).terms.get((1, 0), 1)
+    c2 = rng.choice([-2, -1, 1, 3])
+    p = TruncatedSeries(VS, 4, {**tail(), (1, 0): c, (0, 1): c2})
+    q = TruncatedSeries(VS, 4, {**tail(), (1, 0): c, (0, 1): -c2})
+    return p, q
+
+
+def _quotient_kinds(s):
+    return {e: isinstance(c, QuotientRingElem) for e, c in s.terms.items()}
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_MODULI))
+def test_vector_path_matches_the_oracles(name):
+    """Seeded products of series over t^d for d = 1..5, t^2 - 2, t^3 - 2
+    and a rational modulus, with each other and with series over Q alone,
+    and inverses, exponentials and logarithms, equal the term-by-term
+    oracles: every coefficient, which of them are quotient-ring elements,
+    and the parts.  Some coefficients cancel to zero."""
+    modulus = VECTOR_MODULI[name]
+    rng = random.Random("kernel-vector-" + name)
+    cancelled = 0
+    for _ in range(10):
+        a = _cancelling_series(rng, modulus, rng.choice([None, "int"]))
+        b = _cancelling_series(rng, modulus, rng.choice([None, "int"]))
+        r = _cancelling_series(rng, None, rng.choice([None, "int"]))
+        for x, y in ((a, b), (a, r), (r, b), (a, a), _cancelling_pair(rng, modulus)):
+            got, want = x * y, naive_mul(x, y)
+            assert got.terms == want.terms
+            assert _quotient_kinds(got) == _quotient_kinds(want)
+            assert got == want
+            reached = {(e1[0] + e2[0], e1[1] + e2[1]) for e1 in x.terms for e2 in y.terms}
+            cancelled += sum(1 for e in reached if sum(e) <= x.order and e not in got.terms)
+        u = _cancelling_series(rng, modulus, "int")
+        assert u.invert().terms == geometric_invert(u).terms
+        s = _cancelling_series(rng, modulus)
+        assert series_exp(s).terms == power_sum_exp(s).terms
+        w = _cancelling_series(rng, modulus, "one")
+        assert series_log(w).terms == power_sum_log(w).terms
+    assert cancelled
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_square_equals_the_product_with_an_equal_copy(backend):
+    """x * x pairs each pair of degree parts once; it must give the parts
+    of x * y for y equal to x but a distinct object, and so must the powers
+    built by squaring."""
+    rng = random.Random("kernel-square-" + backend)
+    for _ in range(12):
+        x = _series(rng, backend, rng.choice([None, "unit"]))
+        y = TruncatedSeries(x.variables, x.order, dict(x.terms))
+        assert y == x and y._parts is not x._parts
+        assert x * x == x * y
+        assert (x * x).terms == naive_mul(x, y).terms
+        assert x ** 3 == x * y * y
+        assert x ** 4 == naive_mul(naive_mul(x, y), naive_mul(x, y))
+
+
+def test_square_pairs_each_unordered_pair_of_parts_once(monkeypatch):
+    """A square makes one kernel call per degree that a pair of nonzero
+    parts reaches, as a product does, over the pairs i < j once and the
+    diagonal i = i once; a product of two distinct equal series pairs
+    every ordered (i, j)."""
+    calls = []
+    real = rings._convolve
+
+    def counting(pairs, divisor=1):
+        calls.append(len(pairs))
+        return real(pairs, divisor)
+
+    monkeypatch.setattr(rings, "_convolve", counting)
+    rng = random.Random("kernel-square-pairs")
+    for backend in BACKENDS:
+        for _ in range(8):
+            x = _series(rng, backend, rng.choice([None, "unit"]))
+            if x.is_constant():
+                continue
+            y = TruncatedSeries(x.variables, x.order, dict(x.terms))
+            nz = [i for i, (items, _) in enumerate(x._parts) if items]
+            reached = {i + j for i in nz for j in nz if i + j <= x.order}
+            calls.clear()
+            x * x
+            assert len(calls) == len(reached)
+            assert sum(calls) == sum(1 for i in nz for j in nz if i <= j and i + j <= x.order)
+            calls.clear()
+            x * y
+            assert len(calls) == len(reached)
+            assert sum(calls) == sum(1 for i in nz for j in nz if i + j <= x.order)
+
+
+# --------------------------------------------------------------------------
 # part arithmetic against the term-by-term oracles
 # --------------------------------------------------------------------------
 
