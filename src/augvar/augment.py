@@ -49,7 +49,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
-    BackendMismatch,
     DoubleRoot,
     IndexOutOfRange,
     MissingAssignment,
@@ -181,19 +180,16 @@ class AugmentationSeries:
         series built from its terms; y_k^j = (kappa exp(s))^j comes from
         one power table by square-and-multiply (a negative j from powers
         of the inverse), and one :func:`_sum_of_products` pass sums every
-        C_j y_k^j, with C_0 listed last so that a quotient-ring pair picks
-        the kernel loop.  A series over other variables than mu, or at
-        another order than the point, raises :class:`VariableMismatch`,
-        and coefficients over two quotient moduli raise
-        :class:`BackendMismatch`.
+        C_j y_k^j, in the kernel loop of the ring of them all.  A series
+        over other variables than mu, or at another order than the point,
+        raises :class:`VariableMismatch`, and coefficients over two
+        quotient moduli raise :class:`BackendMismatch` from the series
+        arithmetic.
         """
         s, order = self.series, self.order
         mu_vars = _mu_variables(self.relation, self.variable)
         if s.variables != mu_vars or s.order != order:
             raise VariableMismatch("series over other variables or at another order")
-        if len({c.modulus for c in (self.kappa, *self.relation.terms.values())
-                if isinstance(c, QuotientRingElem)}) > 1:
-            raise BackendMismatch("different quotient moduli")
         k = self.relation.variables.index(self.variable)
         groups = {}
         for exp, c in self.relation.terms.items():
@@ -203,11 +199,9 @@ class AugmentationSeries:
         except NotInvertible as err:
             raise NotInvertibleAtPoint(
                 "value for %r is not invertible: %s" % (self.variable, err)) from None
-        one = [([(0, 1)], 1)]
-        out = s._make(_sum_of_products(
-            [(TruncatedSeries(mu_vars, order, terms)._parts,
-              powers[j]._parts if j else one)
-             for j, terms in sorted(groups.items(), key=lambda g: not g[0])], order))
+        one = TruncatedSeries.one(mu_vars, order)
+        out = _sum_of_products([(TruncatedSeries(mu_vars, order, terms), powers[j] if j else one)
+                                for j, terms in groups.items()])
         return out if is_zero(self.image) else out - self.image
 
     def series_coefficients(self):

@@ -91,6 +91,8 @@ def _signs_or_none(text):
 
 def _build_potential(args):
     kind = args.kind
+    if args.signs and kind not in ("clifford", "anticanonical"):
+        raise ParseError("--signs does not apply to --kind %s" % kind)
     if kind == "clifford":
         return potentials.clifford_relation(args.n, _signs_or_none(args.signs))
     if kind == "unit-sphere-bundle":
@@ -499,7 +501,7 @@ def build_parser():
                    choices=("clifford", "unit-sphere-bundle", "anticanonical",
                             "toric", "user"))
     p.add_argument("--n", type=int, default=3, help="sphere dimension parameter")
-    p.add_argument("--signs", default="")
+    p.add_argument("--signs", default="", help="CSV signs for --kind clifford or anticanonical")
     p.add_argument("--fan", default="", help="JSON fan file for --kind toric")
     p.add_argument("--input", default="", help="Laurent JSON for --kind user")
     p.add_argument("--vertex", default="", help="comma-separated clearing vertex")

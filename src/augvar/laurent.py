@@ -56,9 +56,10 @@ class LaurentPoly:
             exp = intlin.lattice_point(exp)
             if len(exp) != len(variables):
                 raise VariableMismatch("exponent length != variable count")
-            if is_zero(c):
-                continue
-            clean[exp] = frac(c) if isinstance(c, (int, str)) else c
+            if isinstance(c, (int, str)):
+                c = frac(c)
+            if not is_zero(c):
+                clean[exp] = c
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
 

@@ -293,14 +293,18 @@ class LatticePolytope:
             for v, w in self.edges()))
 
     def invariants(self):
-        return InvariantRecord(
-            ambient_dim=self.ambient_dim,
-            affine_dim=self.affine_dim,
-            vertex_count=len(self.vertices),
-            normalized_volume=self.normalized_volume(),
-            lattice_point_count=self.lattice_point_count(),
-            edge_lattice_lengths=self.edge_lattice_lengths(),
-        )
+        """The :class:`InvariantRecord`, computed on the first call and then
+        kept."""
+        if "invariants" not in self._cache:
+            self._cache["invariants"] = InvariantRecord(
+                ambient_dim=self.ambient_dim,
+                affine_dim=self.affine_dim,
+                vertex_count=len(self.vertices),
+                normalized_volume=self.normalized_volume(),
+                lattice_point_count=self.lattice_point_count(),
+                edge_lattice_lengths=self.edge_lattice_lengths(),
+            )
+        return self._cache["invariants"]
 
 
 def _count_fibres(levels, k, prefix):

@@ -111,10 +111,14 @@ def product_spheres_relation(variant, signs=None):
     relation (1 - y1)(1 - y2) expanded) or ``"anticanonical"`` (the lift to
     the unit anticanonical bundle written in the capping-path basis of the
     monomial y1).  Optional signs flip the four monomial slots of the
-    anticanonical relation; default matches the standard display.
+    anticanonical relation; default matches the standard display.  The
+    unit-sphere-bundle relation takes no signs, and signs for it raise
+    ValueError.
     """
     variables = ("y1", "y2")
     if variant == "unit-sphere-bundle":
+        if signs is not None:
+            raise ValueError("the unit-sphere-bundle relation takes no signs")
         rel = LaurentPoly(variables, {
             (0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
     elif variant == "anticanonical":

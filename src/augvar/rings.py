@@ -28,18 +28,16 @@ part stores its numerators over one int denominator of its own.  Sums,
 differences and scalings work part by part on numerators over the lcm of
 the denominators.  Products, :meth:`TruncatedSeries.invert`,
 :func:`series_exp`, :func:`series_log` and :func:`solve_exp_sum` share
-one graded kernel, :func:`_convolve`, with two coefficient loops.  Over Q
-a multiply-add is two int operations, plain ``*`` and ``+`` on int
-numerators.  Over Q[t]/(m) the kernel adds every product for one output
-coefficient into one int list in the ring's integer form: a product is
-an int convolution (a truncation for m = t^d), and the list is reduced
-by the integer form of m and made an element once, at the end.  The
-first pair of a kernel call picks its loop, and both loops are exact for
-any mix of numerators.  The second loop is there because an element
-built per multiply-add, a product and then a sum, took about 44% of the
-profiled time of the nilpotent solves; with one list per coefficient,
-nilpotent solves over Q[t]/(t^3) and Q[t]/(t^4) at order 8 take about
-14% less time and quotient-field solves at order 6 about 10% less.
+one graded kernel, :func:`_convolve`, with two coefficient loops, and
+the ring a series carries (Q, or Q[t]/(m) for every result of quotient-
+ring operands, whatever its coefficients cancel to) picks the loop.
+Over Q a multiply-add is two int operations, plain ``*`` and ``+`` on
+int numerators.  Over Q[t]/(m) the kernel adds every product for one
+output coefficient into one int list in the ring's integer form: a
+product is an int convolution (a truncation for m = t^d), and the list
+is reduced by the integer form of m and made an element once, at the
+end, which takes about 14% off nilpotent solves at order 8 and 10% off
+quotient-field solves at order 6.
 Every operation ends each output part with one gcd reduction
 (:func:`_reduced`).  No Fraction is built by series arithmetic.  The
 public ``terms`` map of exact scalars is a read-only view: a computed
@@ -55,7 +53,7 @@ series, multiplies the other operand coefficient by coefficient through
 the kernel.  Callers multiply series with ``*`` and never dispatch on
 constancy themselves.  The pairing of degree parts is one private
 sum-of-products routine, :func:`_sum_of_products`, which sums a * b over
-a list of operand pairs with one :func:`_convolve` call per degree; a
+a list of pairs of series with one :func:`_convolve` call per degree; a
 product is its one-pair case, a square pairs each two degree parts once
 (which takes a third off the power table of the order-10 final check of
 a 7-term relation, and a tenth off the whole check), and the solvers'
@@ -835,6 +833,8 @@ class TruncatedSeries:
         # packs the exponent in base ``order + 1``, so adding keys adds
         # exponents.
         "_parts",
+        # _ring: the _IntModulus of the coefficients, None over Q.
+        "_ring",
         "_terms")
 
     def __init__(self, variables, order, terms=None):
@@ -844,7 +844,7 @@ class TruncatedSeries:
         base = order + 1
         clean = {}
         split = {}
-        first = None
+        ring = None
         for exp, c in (terms or {}).items():
             exp = lattice_point(exp)
             if len(exp) != len(variables):
@@ -855,10 +855,7 @@ class TruncatedSeries:
             if degree > order:
                 continue
             if isinstance(c, QuotientRingElem):
-                if first is None:
-                    first = c
-                elif c._ring is not first._ring and c.modulus != first.modulus:
-                    raise BackendMismatch("different quotient moduli")
+                ring = _join(ring, c._ring)
             elif not isinstance(c, (int, Fraction)):
                 raise TypeError("cannot use %r as a series coefficient" % (c,))
             if is_zero(c):
@@ -876,30 +873,32 @@ class TruncatedSeries:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_ring", ring)
         object.__setattr__(self, "_terms", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
-    def _from_graded(cls, variables, order, parts):
+    def _from_graded(cls, variables, order, parts, ring=None):
         """The series over the tuple ``variables`` truncated past
         ``order`` with the ``order + 1`` degree parts ``parts`` in the form
         of the ``_parts`` slot, each with nonzero numerators and in lowest
-        terms; its ``terms`` view is built when first read.  Nothing is
-        checked: callers inside the package build parts this way."""
+        terms, over ``ring``; its ``terms`` view is built when first read.
+        Nothing is checked: callers inside the package build parts this way."""
         out = object.__new__(cls)
         object.__setattr__(out, "variables", variables)
         object.__setattr__(out, "order", order)
         object.__setattr__(out, "_parts", parts)
+        object.__setattr__(out, "_ring", ring)
         object.__setattr__(out, "_terms", None)
         return out
 
-    def _make(self, parts):
+    def _make(self, parts, ring):
         """A series over this one's variables and at this one's
-        truncation, with the degree parts ``parts``, as
+        truncation, with the degree parts ``parts`` over ``ring``, as
         :meth:`_from_graded` takes them."""
-        return TruncatedSeries._from_graded(self.variables, self.order, parts)
+        return TruncatedSeries._from_graded(self.variables, self.order, parts, ring)
 
     @property
     def terms(self):
@@ -958,26 +957,12 @@ class TruncatedSeries:
     # -- structure ---------------------------------------------------------
 
     def _check(self, other):
+        """The ring of this series and the series ``other`` together."""
         if self.variables != other.variables:
             raise VariableMismatch("series over different variables")
         if self.order != other.order:
             raise VariableMismatch("series with different truncation orders")
-        self._check_modulus(other._modulus())
-
-    def _modulus(self):
-        """The modulus of the first quotient-ring coefficient, or None."""
-        for items, _ in self._parts:
-            for _, n in items:
-                if type(n) is not int:
-                    return n.modulus
-        return None
-
-    def _check_modulus(self, m):
-        """Reject a quotient modulus ``m`` other than this series' own."""
-        if m is not None:
-            n = self._modulus()
-            if n is not None and n != m:
-                raise BackendMismatch("different quotient moduli")
+        return _join(self._ring, other._ring)
 
     def is_zero(self):
         return not any(items for items, _ in self._parts)
@@ -1012,16 +997,15 @@ class TruncatedSeries:
 
     def _coerce(self, other):
         if isinstance(other, SCALAR_TYPES):
-            other = TruncatedSeries.constant(other, self.variables, self.order)
-        elif not isinstance(other, TruncatedSeries):
-            return None
-        self._check(other)
-        return other
+            return TruncatedSeries.constant(other, self.variables, self.order)
+        return other if isinstance(other, TruncatedSeries) else None
 
     def _sum(self, other, sign):
         """self + sign * other for sign = 1 or -1, one degree part at a
         time."""
-        return self._make([_part_sum(a, b, sign) for a, b in zip(self._parts, other._parts)])
+        ring = self._check(other)
+        return self._make([_part_sum(a, b, sign) for a, b in zip(self._parts, other._parts)],
+                          ring)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -1033,7 +1017,7 @@ class TruncatedSeries:
 
     def __neg__(self):
         return self._make([([(k, -n) for k, n in items], den)
-                           for items, den in self._parts])
+                           for items, den in self._parts], self._ring)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -1058,12 +1042,12 @@ class TruncatedSeries:
             return self.scale(other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check(other)
+        ring = self._check(other)
         if other.is_constant():
-            return self.scale(other.constant_term())
+            return self._scaled(other.constant_term(), ring)
         if self.is_constant():
-            return other.scale(self.constant_term())
-        return self._make(_sum_of_products([(self._parts, other._parts)], self.order))
+            return other._scaled(self.constant_term(), ring)
+        return _sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
@@ -1074,13 +1058,16 @@ class TruncatedSeries:
         element raises TypeError."""
         if not isinstance(c, SCALAR_TYPES):
             raise TypeError("cannot scale a series by %r" % (c,))
-        if isinstance(c, QuotientRingElem):
-            self._check_modulus(c.modulus)
-        if c == 1:
+        ring = c._ring if isinstance(c, QuotientRingElem) else None
+        return self._scaled(c, _join(self._ring, ring))
+
+    def _scaled(self, c, ring):
+        """The product with the scalar ``c``, over ``ring``."""
+        if c == 1 and ring is self._ring:
             return self
         n0, d0 = _ratio(c)
         return self._make([_reduced([(k, n * n0) for k, n in items], den * d0)
-                           if items else (items, den) for items, den in self._parts])
+                           if items else (items, den) for items, den in self._parts], ring)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -1108,9 +1095,21 @@ class TruncatedSeries:
         f = [([(key, -n * n0) for key, n in items], den * d0)
              for items, den in self._parts]
         parts = [([(0, n0)], d0)]
+        ring = self._ring
         for n in range(1, self.order + 1):
-            parts.append(_convolve([(f[k], parts[n - k]) for k in range(1, n + 1)]))
-        return self._make(parts)
+            parts.append(_convolve([(f[k], parts[n - k]) for k in range(1, n + 1)], ring))
+        return self._make(parts, ring)
+
+
+def _join(a, b):
+    """The one ring of two operands over the rings ``a`` and ``b`` (an
+    :class:`_IntModulus` or None for Q); two different moduli raise
+    :class:`BackendMismatch`."""
+    if a is None or a is b:
+        return b
+    if b is not None and a.modulus != b.modulus:
+        raise BackendMismatch("different quotient moduli")
+    return a
 
 
 def _ratio(c):
@@ -1168,22 +1167,25 @@ def _part_sum(a, b, sign=1):
     return _reduced(acc.items(), den)
 
 
-def _sum_of_products(operands, order):
-    """The degree parts, through ``order``, of sum a * b over
-    ``operands``, pairs ``(a, b)`` of degree-part lists as
-    ``TruncatedSeries._parts`` holds them (a list may stop short of
-    ``order``).  Degree n of the sum is sum a_i b_j over every pair and
-    every i + j = n.  Only nonzero parts are paired, in ascending i for
-    each operand pair, and all pairs that reach degree n go to one
+def _sum_of_products(operands):
+    """The series sum a * b over ``operands``, a nonempty list of pairs
+    ``(a, b)`` of series over one set of variables at one order, over the
+    ring of them all.  Degree n of the sum is sum a_i b_j over every pair
+    and every i + j = n.  Only nonzero parts are paired, in ascending i
+    for each operand pair, and all pairs that reach degree n go to one
     :func:`_convolve` call, so a degree that no pair reaches takes none
-    and the whole sum takes at most ``order + 1``.  A square, a pair whose
-    two lists are one object, pairs each i < j once, with the numerators
-    of part i doubled, and each i with itself once."""
+    and the whole sum takes at most ``order + 1``.  A square, a pair of
+    one series with itself, pairs each i < j once, with the numerators of
+    part i doubled, and each i with itself once."""
+    first = operands[0][0]
+    order = first.order
+    ring = None
     pairs = [[] for _ in range(order + 1)]
     for a, b in operands:
+        ring = _join(_join(ring, a._ring), b._ring)
         square = a is b
-        b = [(j, part) for j, part in enumerate(b) if part[0]]
-        for i, part in enumerate(a):
+        b = [(j, part) for j, part in enumerate(b._parts) if part[0]]
+        for i, part in enumerate(a._parts):
             if part[0]:
                 if square:
                     if 2 * i > order:
@@ -1196,32 +1198,28 @@ def _sum_of_products(operands, order):
                         pairs[i + j].append((part, other))
                     elif j >= i:
                         pairs[i + j].append((part if j == i else twice, other))
-    return [_convolve(ps) if ps else ([], 1) for ps in pairs]
+    return first._make([_convolve(ps, ring) if ps else ([], 1) for ps in pairs], ring)
 
 
-def _convolve(pairs, divisor=1):
+def _convolve(pairs, ring, divisor=1):
     """The one coefficient loop: sum a * b / divisor over ``pairs`` of
     degree parts ``(items, den)`` as ``TruncatedSeries._parts`` holds
-    them.  The result is one degree part over the lcm of the denominators
-    of the pairs with two nonzero parts times ``divisor``, reduced by
-    :func:`_reduced`.
+    them, over ``ring``, the ``_ring`` of their series.  The result is one
+    degree part over the lcm of the denominators of the pairs with two
+    nonzero parts times ``divisor``, reduced by :func:`_reduced`.
 
-    The first such pair picks the loop for the whole call.  When both of
-    its parts start with an int numerator, numerators are multiplied and
-    added with plain ``*`` and ``+``, two int operations per multiply-add
-    for rational coefficients.  Otherwise :func:`_vector_sum` adds the
-    products into int vectors of the quotient ring.  Either loop is exact
-    for any mix of int and quotient-ring numerators, so the choice only
-    sets the speed, and the solvers list a pair of quotient-ring parts
-    first.  A check per pair instead would cost rational solves, whose
-    parts are often one term long, about 10% of their kernel time.
+    The ring picks the loop.  Over Q (``ring`` None) every numerator is
+    an int, and numerators are multiplied and added with plain ``*`` and
+    ``+``, two int operations per multiply-add.  Over Q[t]/(m)
+    :func:`_vector_sum` adds the products into int vectors of the ring,
+    whatever the order of the pairs.
     """
     pairs = [(a, b, da * db) for (a, da), (b, db) in pairs if a and b]
     den = 1
     for _, _, d in pairs:
         den = lcm(den, d)
-    if pairs and (type(pairs[0][0][0][1]) is not int or type(pairs[0][1][0][1]) is not int):
-        return _vector_sum(pairs, den, divisor)
+    if ring is not None:
+        return _vector_sum(pairs, den, divisor, ring)
     acc = {}
     for a, b, d in pairs:
         f = den // d
@@ -1237,9 +1235,9 @@ def _convolve(pairs, divisor=1):
     return _reduced(acc.items(), den * divisor)
 
 
-def _vector_sum(pairs, den, divisor):
-    """The quotient-ring loop of :func:`_convolve`, for ``pairs`` ``(a,
-    b, da * db)`` over the common denominator ``den``.
+def _vector_sum(pairs, den, divisor, ring):
+    """The loop of :func:`_convolve` over the quotient ring ``ring``, for
+    ``pairs`` ``(a, b, da * db)`` over the common denominator ``den``.
 
     Each output key adds its products into one int list of length
     ``width`` in the ring's integer form, an int numerator counting as a
@@ -1249,8 +1247,6 @@ def _vector_sum(pairs, den, divisor):
     stays an int sum, so a coefficient that no quotient-ring numerator
     reaches stays rational, as with ``*`` and ``+``.
     """
-    a, b, _ = pairs[0]
-    ring = (a[0][1] if type(a[0][1]) is not int else b[0][1])._ring
     width = ring.width
     acc, vec = {}, {}
     for a, b, d in pairs:
@@ -1308,8 +1304,9 @@ def series_exp(s):
                 for k, (items, den) in enumerate(graded)]
     parts = [([(0, 1)], 1)]
     for n in range(1, s.order + 1):
-        parts.append(_convolve([(weighted[k], parts[n - k]) for k in range(1, n + 1)], n))
-    return s._make(parts)
+        parts.append(_convolve([(weighted[k], parts[n - k]) for k in range(1, n + 1)],
+                               s._ring, n))
+    return s._make(parts, s._ring)
 
 
 def series_log(u):
@@ -1322,20 +1319,23 @@ def series_log(u):
         n L_n = n u_n - sum_{k=1..n-1} k L_k u_{n-k}.
 
     Each L_n is one kernel call: u_n paired with the constant n, and each
-    -k L_k paired with u_{n-k}, every part over its own denominator.
+    -k L_k paired with a nonzero u_{n-k}, every part over its own
+    denominator.  So a sparse u, such as 1 + mu_1 + ... + mu_m, costs a
+    fixed number of pairs per degree.
     """
     if u.constant_term() != 1:
         raise ConstantTermNotOne("series logarithm needs constant term one")
-    graded = u._parts
+    graded, ring = u._parts, u._ring
+    support = [(i, part) for i, part in enumerate(graded) if i and part[0]][::-1]
     parts = [([], 1)]
     weighted = [([], 1)]                    # -k L_k, by degree k
     for n in range(1, u.order + 1):
         pairs = [(graded[n], ([(0, n)], 1))]
-        pairs += [(weighted[k], graded[n - k]) for k in range(1, n)]
-        items, den = _convolve(pairs, n)
+        pairs += [(weighted[n - i], part) for i, part in support if i < n]
+        items, den = _convolve(pairs, ring, n)
         parts.append((items, den))
         weighted.append(([(key, -n * x) for key, x in items], den))
-    return u._make(parts)
+    return u._make(parts, ring)
 
 
 def solve_exp_sum(groups, target):
@@ -1365,13 +1365,17 @@ def solve_exp_sum(groups, target):
     raises.
     """
     template = next(iter(groups.values()))
+    ring = target._ring if isinstance(target, QuotientRingElem) else None
+    for g in groups.values():
+        ring = _join(ring, g._ring)
     graded = {j: g._parts for j, g in groups.items()}
     one = ([(0, 1)], 1)
     n0, d0 = _ratio(target)
-    residual = _convolve([(g[0], one) for g in graded.values()] + [(([(0, -n0)], d0), one)])
+    residual = _convolve([(g[0], one) for g in graded.values()] + [(([(0, -n0)], d0), one)],
+                         ring)
     if residual[0]:
         raise NonzeroConstantTerm("residual has a degree-0 term")
-    slope = _convolve([(g[0], ([(0, j)], 1)) for j, g in graded.items() if j])
+    slope = _convolve([(g[0], ([(0, j)], 1)) for j, g in graded.items() if j], ring)
     exps = {j: [one] for j in graded if j}   # E^(j), by degree
     weighted = {j: [([], 1)] for j in exps}  # k j s_k, by degree k
     support = {j: [(i, part) for i, part in enumerate(graded[j]) if i and part[0]]
@@ -1383,15 +1387,15 @@ def solve_exp_sum(groups, target):
         partial = {}                         # E^(j)[n] without j s_n
         for j, e in exps.items():
             w = weighted[j]
-            partial[j] = p = _convolve([(w[k], e[n - k]) for k in range(1, n)], n)
+            partial[j] = p = _convolve([(w[k], e[n - k]) for k in range(1, n)], ring, n)
             pairs.append((graded[j][0], p))
             for i, part in support[j]:
                 if i > n:
                     break
                 pairs.append((part, e[n - i]))
-        if 0 in graded:                      # last, as D_0 is often rational
+        if 0 in graded:
             pairs.append((graded[0][n], one))
-        items, den = _convolve(pairs)
+        items, den = _convolve(pairs, ring)
         if items:
             if step is None:
                 if not slope[0]:
@@ -1402,4 +1406,4 @@ def solve_exp_sum(groups, target):
         for j, e in exps.items():
             weighted[j].append(([(key, n * j * x) for key, x in items], den))
             e.append(_part_sum(partial[j], ([(key, j * x) for key, x in items], den)))
-    return template._make(parts)
+    return template._make(parts, ring)

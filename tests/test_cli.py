@@ -13,6 +13,7 @@ import pytest
 
 from augvar import augment, cli, rings
 from augvar.cli import run
+from augvar.polytope import LatticePolytope
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -304,6 +305,56 @@ def test_distinguish(tmp_path, capsys):
     report = json.loads(out)
     assert report["result"]["verdict"] == "distinct"
     assert report["result"]["witness"] == "edge_lattice_lengths"
+
+
+def test_distinguish_computes_each_polytopes_invariants_once(tmp_path, monkeypatch):
+    """The invariants that decide the verdict are the ones reported: each
+    polytope walks its lattice points once."""
+    calls = []
+    real = LatticePolytope.lattice_point_count
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(LatticePolytope, "lattice_point_count", counting)
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps({"vars": ["y1", "y2"], "terms": [
+        {"exp": [0, 0], "coef": "1"}, {"exp": [2, 0], "coef": "1"},
+        {"exp": [0, 2], "coef": "1"}]}))
+    pb.write_text(json.dumps({"vars": ["y1", "y2"], "terms": [
+        {"exp": [0, 0], "coef": "1"}, {"exp": [1, 0], "coef": "1"},
+        {"exp": [0, 1], "coef": "1"}, {"exp": [1, 1], "coef": "1"}]}))
+    code, out, _ = _redirected(["distinguish", "--input", str(pa), "--other", str(pb),
+                                "--format", "json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["witness"] == "edge_lattice_lengths"
+    assert result["invariants"]["first"]["lattice_point_count"] == 6
+    assert result["invariants"]["second"]["lattice_point_count"] == 4
+    assert len(calls) == 2 and calls[0] is not calls[1]
+
+
+@pytest.mark.parametrize("kind", ["unit-sphere-bundle", "toric", "user"])
+def test_potential_rejects_signs_its_kind_does_not_apply(tmp_path, kind):
+    """--signs with a kind that would ignore it is an input error that
+    names the flag and the kind; without it the request succeeds."""
+    extra = {"unit-sphere-bundle": [],
+             "toric": ["--fan", str(_fan_file(tmp_path))],
+             "user": ["--input", str(_user_potential_file(tmp_path))]}[kind]
+    argv = ["potential", "--kind", kind] + extra
+    code, out, err = _redirected(argv + ["--signs", "+,+,+,+"])
+    assert (code, out) == (1, "")
+    assert err.startswith("input error:") and "--signs" in err and kind in err
+    assert _redirected(argv)[0] == 0
+
+
+def _user_potential_file(tmp_path):
+    path = tmp_path / "user.json"
+    path.write_text(json.dumps({"vars": ["y1", "y2"], "terms": [
+        {"exp": [0, 0], "coef": "1"}, {"exp": [1, 0], "coef": "1"},
+        {"exp": [0, 1], "coef": "1"}]}))
+    return path
 
 
 # --------------------------------------------------- partitions / candidates

@@ -48,6 +48,13 @@ def test_non_integer_exponents_are_rejected_not_truncated():
     assert LaurentPoly(("x",), {(F(4, 2),): 1}).terms == {(2,): 1}
 
 
+def test_str_coefficients_are_read_as_rationals_before_zeros_are_dropped():
+    p = LaurentPoly(("y",), {(1,): "1/2", (2,): "0", (3,): "-3"})
+    assert p.terms == {(1,): F(1, 2), (3,): F(-3)}
+    assert all(type(c) is F for c in p.terms.values())
+    assert LaurentPoly(("y",), {(0,): "0"}).is_zero()
+
+
 def test_multiplicative_identity():
     y1, y2 = gens()
     f = 2 + y1 - 3 * y2

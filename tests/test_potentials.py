@@ -87,6 +87,14 @@ def test_unit_sphere_bundle_factors():
     assert (1 - y1) * (1 - y2) == spec.lifted_relation
 
 
+@pytest.mark.parametrize("signs", [(1, 1, 1, 1), (1, -1, 1, -1), "+,-,+,-"])
+def test_unit_sphere_bundle_takes_no_signs(signs):
+    """Signs it would not apply are refused, not stored in the spec."""
+    with pytest.raises(ValueError):
+        product_spheres_relation("unit-sphere-bundle", signs)
+    assert product_spheres_relation("unit-sphere-bundle").signs == ()
+
+
 def test_anticanonical_relation():
     spec = product_spheres_relation("anticanonical")
     y1, y2 = LaurentPoly.gens(("y1", "y2"))

@@ -17,13 +17,14 @@ coefficients, a 30-digit denominator, quotient-ring residues with
 ones in one series.
 """
 
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from augvar import rings
+from augvar import augment, rings
 from augvar.errors import BackendMismatch, PreconditionViolation, VariableMismatch
 from augvar.laurent import LaurentPoly
 from augvar.rings import (
@@ -150,9 +151,9 @@ def test_product_of_sparse_and_gapped_operands(backend, monkeypatch):
     calls = []
     real = rings._convolve
 
-    def counting(pairs, divisor=1):
+    def counting(pairs, ring, divisor=1):
         calls.append(len(pairs))
-        return real(pairs, divisor)
+        return real(pairs, ring, divisor)
 
     monkeypatch.setattr(rings, "_convolve", counting)
     rng = random.Random("kernel-sparse-" + backend)
@@ -348,9 +349,9 @@ def test_square_pairs_each_unordered_pair_of_parts_once(monkeypatch):
     calls = []
     real = rings._convolve
 
-    def counting(pairs, divisor=1):
+    def counting(pairs, ring, divisor=1):
         calls.append(len(pairs))
-        return real(pairs, divisor)
+        return real(pairs, ring, divisor)
 
     monkeypatch.setattr(rings, "_convolve", counting)
     rng = random.Random("kernel-square-pairs")
@@ -614,6 +615,124 @@ def test_series_evaluation_rejects_mixed_variables_orders_and_moduli():
         for evaluate in (g.evaluate, lambda p: term_sum_evaluate(g, p)):
             with pytest.raises(BackendMismatch):
                 evaluate(point)
+
+
+# --------------------------------------------------------------------------
+# the coefficient ring picks the kernel loop
+# --------------------------------------------------------------------------
+
+SQRT2 = UniPoly([-2, 0, 1])                 # t^2 - 2
+SQRT3 = UniPoly([-3, 0, 1])                 # t^2 - 3
+
+
+def _loop_calls(monkeypatch, compute):
+    """The value of ``compute()`` and its (kernel calls, calls that took
+    the quotient-ring loop)."""
+    calls = Counter()
+    convolve, vector_sum = rings._convolve, rings._vector_sum
+
+    def counting_convolve(*args):
+        calls["kernel"] += 1
+        return convolve(*args)
+
+    def counting_vector_sum(*args):
+        calls["vector"] += 1
+        return vector_sum(*args)
+
+    monkeypatch.setattr(rings, "_convolve", counting_convolve)
+    monkeypatch.setattr(rings, "_vector_sum", counting_vector_sum)
+    try:
+        value = compute()
+    finally:
+        monkeypatch.undo()
+    return value, (calls["kernel"], calls["vector"])
+
+
+def _loop_solves():
+    """A rational, a quotient-field and a nilpotent solve, each of a
+    relation with rational coefficients, so that its kernel calls see int
+    numerators beside quotient-ring ones."""
+    y1, y2 = LaurentPoly.gens(("y1", "y2"))
+    rel = -2 + y1 + 3 * y1 * y2 + y2 ** 2
+    return {
+        "rational": lambda: augment.solve_formal_augmentation(y2 - 1 - y1 * y2 ** -1 + y1 ** 2,
+                                                              "y2", order=8),
+        "quotient": lambda: augment.solve_formal_augmentation(rel, "y2", order=8, factor=SQRT2),
+        "nilpotent": lambda: augment.solve_nilpotent_augmentation(
+            2 - 3 * y2 + y2 ** 2 + y1, 3, "y2", order=8),
+    }
+
+
+@pytest.mark.parametrize("backend", ["rational", "quotient", "nilpotent"])
+def test_the_ring_alone_picks_the_kernel_loop_of_a_solve(backend, monkeypatch):
+    """Every kernel call of a solve over Q[t]/(m), its final check
+    included, takes the quotient-ring loop, and no call of a rational
+    solve does; the final check alone does the same."""
+    sol, (kernel, vector) = _loop_calls(monkeypatch, _loop_solves()[backend])
+    residual, (check_kernel, check_vector) = _loop_calls(monkeypatch, sol.residual)
+    assert residual.is_zero() and 0 < check_kernel < kernel
+    assert (vector, check_vector) == ((0, 0) if backend == "rational" else (kernel, check_kernel))
+
+
+def test_the_ring_picks_the_loop_whatever_the_order_of_the_pairs(monkeypatch):
+    """One kernel call over an int pair and a quotient-ring pair takes the
+    quotient-ring loop whichever pair comes first, with one result, the
+    degree-2 part of x * x + y * x; the int pair alone over Q takes the
+    rational loop."""
+    a = QuotientRingElem.generator(SQRT2)
+    x = TruncatedSeries(VS, 4, {(1, 0): 3, (0, 1): F(1, 2)})
+    y = TruncatedSeries(VS, 4, {(1, 0): a, (0, 1): F(-1, 3)})
+    int_pair, ring_pair = (x._parts[1], x._parts[1]), (y._parts[1], x._parts[1])
+    want = (x * x + y * x)._parts[2]
+    for pairs in ([int_pair, ring_pair], [ring_pair, int_pair]):
+        (items, den), calls = _loop_calls(monkeypatch, lambda: rings._convolve(pairs, y._ring))
+        assert calls == (1, 1)
+        assert (dict(items), den) == (dict(want[0]), want[1])
+    part, calls = _loop_calls(monkeypatch, lambda: rings._convolve([int_pair], None))
+    assert calls == (1, 0) and part == (x * x)._parts[2]
+
+
+def test_a_series_keeps_its_ring_when_its_coefficients_cancel():
+    """mu sqrt(2) + nu^2 - mu sqrt(2) has the one coefficient 1, an int
+    numerator, but it was computed over Q[t]/(t^2 - 2): with a series or a
+    scalar over Q[t]/(t^2 - 3) it raises BackendMismatch."""
+    a, b = QuotientRingElem.generator(SQRT2), QuotientRingElem.generator(SQRT3)
+    mu, nu = (TruncatedSeries.variable(v, VS, 4) for v in VS)
+    s = mu.scale(a) + nu * nu - mu.scale(a)
+    assert s == nu * nu
+    assert all(type(n) is int for items, _ in s._parts for _, n in items)
+    for other in (mu.scale(b), nu.scale(b) * nu, b):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(BackendMismatch):
+                op(s, other)
+            with pytest.raises(BackendMismatch):
+                op(other, s)
+    with pytest.raises(BackendMismatch):
+        s.scale(b)
+    assert (s - s).is_zero() and s * nu == nu * nu * nu
+
+
+def test_log_of_one_plus_mu_pairs_grow_linearly_with_the_order(monkeypatch):
+    """series_log pairs -k L_k only with the nonzero parts of u: log(1 +
+    mu) takes one pair at degree 1 and two at every later degree, 2 order
+    - 1 in all, and gives (-1)^(n+1) / n."""
+    sizes = []
+    real = rings._convolve
+
+    def counting(pairs, *rest):
+        sizes.append(len(pairs))
+        return real(pairs, *rest)
+
+    monkeypatch.setattr(rings, "_convolve", counting)
+    orders = (10, 20, 40, 80)
+    totals = []
+    for order in orders:
+        u = TruncatedSeries.one(("mu",), order) + TruncatedSeries.variable("mu", ("mu",), order)
+        sizes.clear()
+        log = series_log(u)
+        totals.append(sum(sizes))
+        assert log.terms == {(n,): F((-1) ** (n + 1), n) for n in range(1, order + 1)}
+    assert totals == [2 * order - 1 for order in orders]
 
 
 # --------------------------------------------------------------------------
